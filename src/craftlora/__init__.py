@@ -63,7 +63,6 @@ from .subspace import (
     apply_rank_limited_update,
     init_bases,
     merge_subspaces,
-    rank_at,
     trunk_loss,
 )
 
@@ -120,7 +119,6 @@ __all__ = [
     "predict_x0",
     "project_out",
     "qr_backward",
-    "rank_at",
     "save_dataset",
     "separation_score",
     "sigma_sweep",

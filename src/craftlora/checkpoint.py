@@ -14,6 +14,7 @@ CRC is validated before anything is interpreted.
 
 import hashlib
 import io
+import os
 import struct
 import zlib
 
@@ -79,11 +80,25 @@ class _Reader:
 
 
 def _finish(path, buf):
+    """Append the CRC and move the bytes into place atomically.
+
+    The file is written beside the target and renamed over it only once
+    complete, so a failed save never truncates an existing checkpoint.
+    """
     payload = buf.getvalue()
     crc = zlib.crc32(payload) & 0xFFFFFFFF
-    with open(path, "wb") as fh:
-        fh.write(payload)
-        fh.write(struct.pack("<I", crc))
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(payload)
+            fh.write(struct.pack("<I", crc))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _open(path):

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .base import ParamsMixin
-from .exceptions import ConfigInvalid, OutOfRange, ShapeMismatch
+from .exceptions import ConfigInvalid, NumericalError, OutOfRange, ShapeMismatch
 from .optim import Adam
 from .prompts import EMB_DIM
 from .utils import lr_at, make_rng
@@ -403,6 +403,8 @@ class DenoiserTrainer(ParamsMixin):
             pred, acts = forward_pass(x_t, ts, cond, backbone)
             resid = pred - noise
             loss = float(np.mean(resid * resid))
+            if not math.isfinite(loss):
+                raise NumericalError(f"denoiser loss diverged at step {step}")
             history.append(loss)
             d_out = 2.0 * resid / resid.size
             grads = backward_pass(acts, backbone, d_out)

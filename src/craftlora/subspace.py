@@ -13,6 +13,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
 
 from .base import ParamsMixin
 from .denoiser import NoiseSchedule, backward_pass, forward_pass
@@ -23,7 +24,7 @@ from .exceptions import (
     OutOfRange,
     ShapeMismatch,
 )
-from .linalg import check_orthonormal, householder_qr, qr_backward
+from .linalg import DROP_TOL_FACTOR, householder_qr, project_out, qr_backward
 from .prompts import encode_semantic
 from .utils import lr_at, make_rng
 from .validation import as_matrix
@@ -51,10 +52,6 @@ class RankSchedule:
             )
         value = self.r_max - (layer_index - 1) / (self.n_layers - 1) * (self.r_max - self.r_min)
         return max(1, math.floor(value + 0.5))
-
-
-def rank_at(schedule, layer_index):
-    return schedule.rank_at(layer_index)
 
 
 @dataclass
@@ -136,20 +133,7 @@ def apply_rank_limited_update(backbone, q_map):
     unknown = set(q_map) - set(backbone.names)
     if unknown:
         raise ShapeMismatch(f"q_map names unknown layers {sorted(unknown)}")
-    updates = {}
-    for name, w in backbone.items():
-        q = q_map.get(name)
-        if q is None:
-            continue
-        q = as_matrix(q, f"q[{name}]")
-        if q.shape[1] == 0:
-            continue
-        if q.shape[0] != w.shape[0]:
-            raise ShapeMismatch(
-                f"q for layer {name!r} has {q.shape[0]} rows, weight has {w.shape[0]}"
-            )
-        check_orthonormal(q, name=f"q[{name}]")
-        updates[name] = w - q @ (q.T @ w)
+    updates = {name: project_out(backbone.weight(name), q) for name, q in q_map.items()}
     return backbone.replace(updates)
 
 
@@ -159,7 +143,8 @@ class PerceptualProxy:
     Stands in for a pretrained perceptual network at desk scale: same
     L1-over-features form with per-layer element-count normalization, but
     the kernels are seed-initialized and never trained. Convolutions are
-    materialized as fixed matrices so the backward pass is a plain matmul.
+    materialized as fixed sparse matrices (a few percent of entries are
+    nonzero), so both passes are sparse-times-dense products over rows.
     """
 
     def __init__(self, image_size=16, channels=(4, 4, 4), kernel=3, seed=0):
@@ -176,31 +161,32 @@ class PerceptualProxy:
                 raise ConfigInvalid("image too small for the perceptual stack")
             weights = rng.standard_normal((out_ch, in_ch, kernel, kernel))
             weights /= math.sqrt(kernel * kernel * in_ch)
-            mats.append(self._conv_matrix(weights, in_ch, in_h, in_w, out_h, out_w))
+            mats.append(self._conv_matrix(weights, in_h, in_w, out_h, out_w))
             in_ch, in_h, in_w = out_ch, out_h, out_w
+        # (in, out) for the backward pass, (out, in) for the forward pass:
+        # CSR times a dense column block is the fast product in both
         self._mats = mats
+        self._mats_t = [m.T.tocsr() for m in mats]
         self.layer_sizes = [m.shape[1] for m in mats]
 
     @staticmethod
-    def _conv_matrix(weights, in_ch, in_h, in_w, out_h, out_w):
-        out_ch, _, k, _ = weights.shape
-        mat = np.zeros((in_ch * in_h * in_w, out_ch * out_h * out_w))
-        for oc in range(out_ch):
-            for oy in range(out_h):
-                for ox in range(out_w):
-                    col = (oc * out_h + oy) * out_w + ox
-                    for ic in range(in_ch):
-                        for ky in range(k):
-                            row = (ic * in_h + oy + ky) * in_w + ox
-                            mat[row: row + k, col] = weights[oc, ic, ky]
-        return mat
+    def _conv_matrix(weights, in_h, in_w, out_h, out_w):
+        """Valid 2-D convolution as a sparse (in_pixels, out_pixels) matrix."""
+        out_ch, in_ch, k, _ = weights.shape
+        oc, oy, ox, ic, ky, kx = np.indices((out_ch, out_h, out_w, in_ch, k, k)).reshape(6, -1)
+        rows = (ic * in_h + oy + ky) * in_w + ox + kx
+        cols = (oc * out_h + oy) * out_w + ox
+        return scipy.sparse.csr_array(
+            (weights[oc, ic, ky, kx], (rows, cols)),
+            shape=(in_ch * in_h * in_w, out_ch * out_h * out_w),
+        )
 
     def features(self, x_flat):
         """Per-layer tanh feature maps plus the cache for ``input_grad``."""
         feats = []
         h = np.asarray(x_flat, dtype=np.float64)
-        for mat in self._mats:
-            h = np.tanh(h @ mat)
+        for mat_t in self._mats_t:
+            h = np.tanh((mat_t @ h.T).T)
             feats.append(h)
         return feats
 
@@ -209,23 +195,39 @@ class PerceptualProxy:
         upstream = np.zeros_like(feats[-1])
         for j in range(len(self._mats) - 1, -1, -1):
             g = (upstream + d_feats[j]) * (1.0 - feats[j] * feats[j])
-            upstream = g @ self._mats[j].T
+            upstream = (self._mats[j] @ g.T).T
         return upstream
 
 
+# Pair members run through the projected model in row blocks of at most
+# this many, which bounds the working set when a whole dataset is scored.
+BLOCK_ROWS = 16
+
+
 def _member_weights(backbone, basis_map):
-    """Project each layer by its own basis; returns weights and QR caches."""
+    """Project each layer by its own basis; returns weights and QR caches.
+
+    The QR is LAPACK's with column signs flipped so that diag(R) >= 0, the
+    convention of ``householder_qr``. A column whose pivot falls below the
+    tolerance at which ``householder_qr`` would drop it means the basis lost
+    rank, which training cannot recover from; a zero or non-finite basis
+    fails the same check.
+    """
     updates = {}
     cache = {}
     for name, w in backbone.items():
         b = basis_map[name]
-        q, r = householder_qr(b)
-        if q.shape[1] != b.shape[1]:
+        tol = DROP_TOL_FACTOR * np.sqrt(np.einsum("ij,ij->j", b, b)).max()
+        q, r = np.linalg.qr(b)
+        pivots = np.diagonal(r)
+        if not np.abs(pivots).min() >= tol > 0.0:
             raise NumericalError(
                 f"basis for layer {name!r} lost rank during training"
             )
+        signs = np.where(pivots < 0.0, -1.0, 1.0)
+        q = q * signs
         updates[name] = w - q @ (q.T @ w)
-        cache[name] = (q, r)
+        cache[name] = (q, r * signs[:, None])
     return backbone.replace(updates), cache
 
 
@@ -247,6 +249,39 @@ def member_embedding(pair, member):
     return encode_semantic(f"{pair.content_modifier} {pair.style_prompt}")
 
 
+def _member_block(weights, pairs, draws, member, schedule, alpha_perc, perceptual):
+    """Summed task loss of one member over a row block of pairs, with the
+    gradient of that sum w.r.t. the block's output noise estimates."""
+    targets = np.stack([
+        (p.content_image if member == "content" else p.style_image).reshape(-1)
+        for p in pairs
+    ])
+    noise = np.stack([d[member][1].reshape(-1) for d in draws])
+    ts = np.array([d[member][0] for d in draws])
+    embs = np.stack([member_embedding(p, member) for p in pairs])
+
+    ab = np.array([schedule.alpha_bar(t) for t in ts])[:, None]
+    root_ab = np.sqrt(ab)
+    root_1mab = np.sqrt(1.0 - ab)
+    z_t = root_ab * targets + root_1mab * noise
+    eps, acts = forward_pass(z_t, ts, embs, weights)
+    x0_hat = (z_t - root_1mab * eps) / root_ab
+
+    diff = x0_hat - targets
+    task = float(np.abs(diff).sum())
+    d_x0 = np.sign(diff)
+    if perceptual is not None and alpha_perc > 0.0:
+        feats_pred = perceptual.features(x0_hat)
+        feats_ref = perceptual.features(targets)
+        d_feats = []
+        for fp, fr, size in zip(feats_pred, feats_ref, perceptual.layer_sizes):
+            fdiff = fp - fr
+            task += alpha_perc * float(np.abs(fdiff).sum()) / size
+            d_feats.append(np.sign(fdiff) / size)
+        d_x0 = d_x0 + alpha_perc * perceptual.input_grad(feats_pred, d_feats)
+    return task, acts, d_x0 * (-root_1mab / root_ab)
+
+
 def trunk_loss(
     backbone,
     bases,
@@ -265,7 +300,14 @@ def trunk_loss(
     L1-over-features with per-layer element-count normalization. The
     content member's gradient flows only into the content bases and the
     style member's only into the style bases. The basis Frobenius
-    regularizer is added once over both sides.
+    regularizer is added once over both sides, so the value is the mean of
+    the single-pair values.
+
+    The projected weights depend only on the member, so each member runs
+    its pairs as the rows of one batched pass, in blocks of ``BLOCK_ROWS``.
+    Both the projection and the QR map are linear in the weight gradient,
+    so the gradients are summed over all rows first and chained to the
+    bases once per layer per member.
 
     ``draws`` supplies one (t, noise) per member per pair so the value is a
     pure function of its arguments (finite-difference checkable).
@@ -277,52 +319,22 @@ def trunk_loss(
     if len(draws) != len(batch):
         raise ShapeMismatch("need one draw record per pair")
 
-    grads = {
-        "content": {name: np.zeros_like(b) for name, b in bases.content.items()},
-        "style": {name: np.zeros_like(b) for name, b in bases.style.items()},
-    }
-    # the projected weights depend only on the bases, not the pair
-    projected = {
-        member: _member_weights(backbone, bases.side(member))
-        for member in ("content", "style")
-    }
-    task = 0.0
     n = len(batch)
-    for pair, draw in zip(batch, draws):
-        for member in ("content", "style"):
-            target = pair.content_image if member == "content" else pair.style_image
-            t, noise = draw[member]
-            emb = member_embedding(pair, member)
-            weights, cache = projected[member]
-
-            ab = schedule.alpha_bar(t)
-            root_ab = math.sqrt(ab)
-            root_1mab = math.sqrt(1.0 - ab)
-            target_flat = target.reshape(1, -1)
-            z_t = root_ab * target_flat + root_1mab * noise.reshape(1, -1)
-            eps, acts = forward_pass(z_t, t, emb[None, :], weights)
-            x0_hat = (z_t - root_1mab * eps) / root_ab
-
-            diff = x0_hat - target_flat
-            member_loss = float(np.abs(diff).sum())
-            d_x0 = np.sign(diff)
-            if perceptual is not None and alpha_perc > 0.0:
-                feats_pred = perceptual.features(x0_hat)
-                feats_ref = perceptual.features(target_flat)
-                d_feats = []
-                for fp, fr, size in zip(feats_pred, feats_ref, perceptual.layer_sizes):
-                    fdiff = fp - fr
-                    member_loss += alpha_perc * float(np.abs(fdiff).sum()) / size
-                    d_feats.append(np.sign(fdiff) / size)
-                d_x0 = d_x0 + alpha_perc * perceptual.input_grad(feats_pred, d_feats)
-
-            task += member_loss
-            d_eps = d_x0 * (-root_1mab / root_ab) / n
-            weight_grads = backward_pass(acts, weights, d_eps)
-            basis_grads = _basis_grads_from_weight_grads(backbone, cache, weight_grads)
-            side = grads[member]
-            for name, g in basis_grads.items():
-                side[name] += g
+    task = 0.0
+    grads = {}
+    for member in ("content", "style"):
+        weights, cache = _member_weights(backbone, bases.side(member))
+        weight_grads = {}
+        for start in range(0, n, BLOCK_ROWS):
+            stop = start + BLOCK_ROWS
+            block_task, acts, d_eps = _member_block(
+                weights, batch[start:stop], draws[start:stop], member, schedule,
+                alpha_perc, perceptual,
+            )
+            task += block_task
+            for name, g in backward_pass(acts, weights, d_eps / n).items():
+                weight_grads[name] = weight_grads.get(name, 0.0) + g
+        grads[member] = _basis_grads_from_weight_grads(backbone, cache, weight_grads)
 
     loss = task / n
     for kind in ("content", "style"):

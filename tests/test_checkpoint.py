@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from craftlora import checkpoint
 from craftlora.adapters import LoraAdapter, default_routing, make_adapter
 from craftlora.checkpoint import (
     file_sha256,
@@ -53,6 +54,38 @@ class TestBackboneCheckpoint:
         path.write_bytes(bytes(blob))
         with pytest.raises(CorruptCheckpoint):
             load_backbone(path)
+
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "bb.crft"
+        save_backbone(path, init_backbone(8, 16, 3, seed=4))
+        good = path.read_bytes()
+
+        class DiskFull:
+            """Writes the first few bytes, then fails like a full disk."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(data[:16])
+                raise OSError("no space left on device")
+
+        monkeypatch.setattr(
+            checkpoint, "open", lambda p, mode: DiskFull(open(p, mode)), raising=False
+        )
+        with pytest.raises(OSError):
+            save_backbone(path, init_backbone(8, 16, 3, seed=5))
+        monkeypatch.undo()
+        assert path.read_bytes() == good
+        assert [f.name for f in tmp_path.iterdir()] == ["bb.crft"]
+        loaded = load_backbone(path)
+        assert loaded.names == init_backbone(8, 16, 3, seed=4).names
 
     def test_truncated_rejected(self, tmp_path):
         bb = init_backbone(8, 16, 3, seed=3)

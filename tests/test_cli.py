@@ -349,6 +349,21 @@ class TestSample:
         assert code == 2
 
 
+    def test_diverged_base_exits_three_without_output(self, workspace, tmp_path):
+        root, _ = workspace
+        conf = tmp_path / "diverge.json"
+        doc = dict(LIGHT_CONFIG)
+        doc["denoiser"] = {"train_steps": 20, "batch_size": 4, "peak_lr": 1e30, "warmup": 1}
+        conf.write_text(json.dumps(doc))
+        with np.errstate(all="ignore"):
+            code = run_cli([
+                "train-trunk", "--config", conf,
+                "--dataset", root / "pairs",
+                "--out", tmp_path / "nan.crft",
+            ])
+        assert code == 3
+        assert not (tmp_path / "nan.crft").exists()
+
 class TestEval:
     def test_report(self, workspace, tmp_path):
         root, config_path = workspace

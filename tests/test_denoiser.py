@@ -15,7 +15,7 @@ from craftlora.denoiser import (
     predict_eps,
     predict_x0,
 )
-from craftlora.exceptions import ConfigInvalid, OutOfRange, ShapeMismatch
+from craftlora.exceptions import ConfigInvalid, NumericalError, OutOfRange, ShapeMismatch
 from craftlora.utils import EvalCounter, make_rng
 
 
@@ -242,3 +242,9 @@ class TestDenoiserTrainer:
     def test_rejects_empty_dataset(self):
         with pytest.raises(ConfigInvalid):
             DenoiserTrainer(steps=1).fit(np.zeros((0, 16, 16)))
+
+    def test_divergence_raises(self):
+        images = make_rng(14).random((4, 8, 8))
+        tr = DenoiserTrainer(image_size=8, steps=20, peak_lr=1e30, warmup=1, seed=2)
+        with np.errstate(all="ignore"), pytest.raises(NumericalError, match="diverged"):
+            tr.fit(images)

@@ -10,8 +10,8 @@ from .adapters import (
     LoraAdapter,
     LoraTrainer,
     adapter_loss,
+    adapter_terms,
     aggregate_weights,
-    decoupled_update,
     default_routing,
     make_adapter,
 )
@@ -27,18 +27,15 @@ from .denoiser import (
 )
 from .frequency import FrequencyMask, freq_mask_filter, gaussian_lowpass, style_residual
 from .guidance import (
-    ExpertEncoderParams,
     GuidanceConfig,
     GuidedSampler,
     cfg_sample,
-    expert_gammas,
     gamma_schedule,
     guided_eps,
     guided_eps_parts,
-    init_expert_encoder,
     temporal_alpha,
 )
-from .linalg import householder_qr, low_rank_update, project_out, qr_backward
+from .linalg import householder_qr, project_out, qr_backward
 from .metrics import (
     EvalReport,
     ImageFeatureExtractor,
@@ -73,7 +70,6 @@ __all__ = [
     "ContrastPair",
     "DenoiserTrainer",
     "EvalReport",
-    "ExpertEncoderParams",
     "FrequencyMask",
     "GuidanceConfig",
     "GuidedSampler",
@@ -87,16 +83,15 @@ __all__ = [
     "SubspaceBases",
     "TrunkFinetuner",
     "adapter_loss",
+    "adapter_terms",
     "aggregate_weights",
     "apply_rank_limited_update",
     "cfg_sample",
     "content_preservation",
     "cross_influence",
     "ddpm_step",
-    "decoupled_update",
     "default_routing",
     "encode_semantic",
-    "expert_gammas",
     "filtered_denoise_step",
     "forward_noise",
     "freq_mask_filter",
@@ -108,9 +103,7 @@ __all__ = [
     "householder_qr",
     "init_backbone",
     "init_bases",
-    "init_expert_encoder",
     "load_dataset",
-    "low_rank_update",
     "make_adapter",
     "merge_subspaces",
     "null_embedding",

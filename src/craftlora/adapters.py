@@ -135,21 +135,43 @@ def _check_adapter(adapter):
         )
 
 
-def decoupled_update(layer, routing, content_adapter, style_adapter, e_sem, shape=None):
-    """The layer's update under the routing rule.
+def adapter_terms(
+    w_init,
+    content_adapter=None,
+    style_adapter=None,
+    gamma_content=0.0,
+    gamma_style=0.0,
+    e_sem=None,
+):
+    """Scaled adapter updates in unmerged form, ``{layer: (scale * B, A)}``.
 
-    Content layers take the content adapter's gated update, style layers the
-    style adapter's, and everything else a zero matrix (``shape`` gives its
-    dimensions when neither adapter covers the layer).
+    ``scale`` is ``gamma * gate(e_sem)``, or ``gamma`` alone when ``e_sem``
+    is None; a zero gamma contributes no entry. The terms feed
+    ``forward_pass``, which applies them at two rank-r products per layer
+    without copying the host. Checks the gains, each adapter's routing,
+    that no layer is claimed twice and that the factors fit the host.
     """
-    owner = routing.owner(layer)
-    adapter = {"content": content_adapter, "style": style_adapter, None: None}[owner]
-    if adapter is not None and layer in adapter.factors:
-        b, a = adapter.factors[layer]
-        return adapter.gate(e_sem) * (b @ a)
-    if shape is None:
-        raise ShapeMismatch("shape is required when no adapter factor covers the layer")
-    return np.zeros(shape)
+    if gamma_content < 0.0 or gamma_style < 0.0:
+        raise ConfigInvalid("gamma values must be nonnegative")
+    terms = {}
+    for adapter, gamma in ((content_adapter, gamma_content), (style_adapter, gamma_style)):
+        if adapter is None or gamma == 0.0:
+            continue
+        _check_adapter(adapter)
+        scale = gamma if e_sem is None else gamma * adapter.gate(e_sem)
+        for name, (b, a) in adapter.factors.items():
+            if name in terms:
+                raise RoutingViolation(f"layer {name!r} claimed by both adapters")
+            if (
+                name not in w_init.names
+                or w_init.shape(name) != (b.shape[0], a.shape[1])
+                or b.shape[1] != a.shape[0]
+            ):
+                raise ShapeMismatch(
+                    f"adapter factors for {name!r} do not match the host layer"
+                )
+            terms[name] = (scale * b, a)
+    return terms
 
 
 def aggregate_weights(
@@ -162,39 +184,16 @@ def aggregate_weights(
 ):
     """Inject scaled adapter updates into the host backbone.
 
-    Returns ``w_init`` with ``gamma * gate(e_sem) * B A`` added on each
-    adapter's own layers; layers outside both sets are untouched, and a zero
-    gamma contributes nothing (bit-exactly). Passing ``e_sem=None`` skips
-    the gate, leaving the raw factor product.
+    Returns ``w_init`` with the ``adapter_terms`` merged in, ``W + sB @ A``
+    on each adapter's own layers; layers outside both sets are untouched,
+    and a zero gamma contributes nothing (bit-exactly).
     """
-    if gamma_content < 0.0 or gamma_style < 0.0:
-        raise ConfigInvalid("gamma values must be nonnegative")
-    used = {}
-    updates = {}
-    for adapter, gamma in ((content_adapter, gamma_content), (style_adapter, gamma_style)):
-        if adapter is None or gamma == 0.0:
-            continue
-        _check_adapter(adapter)
-        scale = gamma if e_sem is None else gamma * adapter.gate(e_sem)
-        for name, (b, a) in adapter.factors.items():
-            if name in used:
-                raise RoutingViolation(f"layer {name!r} claimed by both adapters")
-            used[name] = adapter.kind
-            if backbone_shape_mismatch(w_init, name, b, a):
-                raise ShapeMismatch(
-                    f"adapter factors for {name!r} do not match the host layer"
-                )
-            updates[name] = w_init.weight(name) + scale * (b @ a)
-    if not updates:
+    terms = adapter_terms(w_init, content_adapter, style_adapter, gamma_content, gamma_style, e_sem)
+    if not terms:
         return w_init
-    return w_init.replace(updates)
-
-
-def backbone_shape_mismatch(backbone, name, b, a):
-    if name not in backbone.names:
-        return True
-    m, n = backbone.shape(name)
-    return b.shape[0] != m or a.shape[1] != n or b.shape[1] != a.shape[0]
+    return w_init.replace(
+        {name: w_init.weight(name) + down @ up for name, (down, up) in terms.items()}
+    )
 
 
 def adapter_loss(w_init, adapter, reference, e_sem, schedule, draw):

@@ -1,4 +1,4 @@
-"""Binary checkpoint files for backbones, adapters and expert encoders.
+"""Binary checkpoint files for backbones, adapters and named tensor sets.
 
 Layout (all integers unsigned 32-bit little-endian, strings length-prefixed
 UTF-8, tensors row-major 32-bit little-endian floats):
@@ -7,9 +7,11 @@ UTF-8, tensors row-major 32-bit little-endian floats):
     [adapter only: kind tag, rank, host hash, routing manifest]
     tensor count | tensors (name, rows, cols, data) | CRC32 of all prior bytes
 
-Tensors are widened to float64 on load and narrowed with round-to-nearest
-on save, so a save/load round trip is bit-exact at 32-bit precision. The
-CRC is validated before anything is interpreted.
+Kind codes: 0 backbone, 1 adapter, 3 tensor set; code 2 is retired and
+reads as unknown. No bytes may follow the last tensor. Tensors are widened
+to float64 on load and narrowed with round-to-nearest on save, so a
+save/load round trip is bit-exact at 32-bit precision. The CRC is validated
+before anything is interpreted.
 """
 
 import hashlib
@@ -23,12 +25,11 @@ import numpy as np
 from .adapters import LayerRouting, LoraAdapter
 from .denoiser import Backbone
 from .exceptions import CorruptCheckpoint, RoutingViolation
-from .guidance import ExpertEncoderParams, MlpParams
 from .prompts import EMB_DIM
 
 MAGIC = b"CRFT"
 VERSION = 1
-KIND_CODES = {"backbone": 0, "adapter": 1, "encoder": 2}
+KIND_CODES = {"backbone": 0, "adapter": 1, "tensors": 3}
 KIND_NAMES = {v: k for k, v in KIND_CODES.items()}
 
 
@@ -129,6 +130,8 @@ def _read_tensors(reader):
         name, arr = reader.tensor()
         out[name] = arr
         order.append(name)
+    if reader.pos != len(reader.blob):
+        raise CorruptCheckpoint(f"{reader.path} has bytes after its last tensor")
     return out, order
 
 
@@ -152,14 +155,14 @@ def load_backbone(path):
 
 
 def save_tensor_set(path, tensors):
-    """Generic named-tensor container in the backbone framing.
+    """Generic named-tensor container with its own kind.
 
     Used for the trunk's sidecar bases file; order is preserved.
     """
     buf = io.BytesIO()
     buf.write(MAGIC)
     _w_u32(buf, VERSION)
-    _w_u32(buf, KIND_CODES["backbone"])
+    _w_u32(buf, KIND_CODES["tensors"])
     _w_u32(buf, len(tensors))
     for name, arr in tensors:
         _w_tensor(buf, name, arr)
@@ -168,7 +171,7 @@ def save_tensor_set(path, tensors):
 
 def load_tensor_set(path):
     reader, kind = _open(path)
-    if kind != "backbone":
+    if kind != "tensors":
         raise CorruptCheckpoint(f"{path} holds a {kind} checkpoint, expected a tensor set")
     tensors, order = _read_tensors(reader)
     return [(name, tensors[name]) for name in order]
@@ -243,57 +246,6 @@ def load_adapter(path):
         routing=routing,
         host_hash=host_hash,
     )
-
-
-_BRANCH_NAMES = ("identity", "content", "style")
-
-
-def save_encoder(path, params):
-    buf = io.BytesIO()
-    buf.write(MAGIC)
-    _w_u32(buf, VERSION)
-    _w_u32(buf, KIND_CODES["encoder"])
-    records = []
-    branches = (params.identity_branch, params.content_branch, params.style_branch)
-    for label, branch in zip(_BRANCH_NAMES, branches):
-        records.append((f"branch_{label}.w1", branch.w1))
-        records.append((f"branch_{label}.b1", branch.b1))
-        records.append((f"branch_{label}.w2", branch.w2))
-        records.append((f"branch_{label}.b2", branch.b2))
-    records.append(("id_table", params.id_table))
-    records.append(("head.w", params.head_w))
-    records.append(("head.b", params.head_b))
-    _w_u32(buf, len(records))
-    for name, arr in records:
-        _w_tensor(buf, name, arr)
-    _finish(path, buf)
-
-
-def load_encoder(path):
-    reader, kind = _open(path)
-    if kind != "encoder":
-        raise CorruptCheckpoint(f"{path} holds a {kind} checkpoint, expected encoder")
-    tensors, _ = _read_tensors(reader)
-    try:
-        branches = {
-            label: MlpParams(
-                w1=tensors[f"branch_{label}.w1"],
-                b1=tensors[f"branch_{label}.b1"].reshape(-1),
-                w2=tensors[f"branch_{label}.w2"],
-                b2=tensors[f"branch_{label}.b2"].reshape(-1),
-            )
-            for label in _BRANCH_NAMES
-        }
-        return ExpertEncoderParams(
-            identity_branch=branches["identity"],
-            content_branch=branches["content"],
-            style_branch=branches["style"],
-            id_table=tensors["id_table"],
-            head_w=tensors["head.w"],
-            head_b=tensors["head.b"].reshape(-1),
-        )
-    except KeyError as exc:
-        raise CorruptCheckpoint(f"{path} misses encoder record {exc}") from exc
 
 
 def file_sha256(path):

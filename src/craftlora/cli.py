@@ -4,6 +4,7 @@ Exit codes: 0 success, 1 usage or config error, 2 data or corruption error,
 3 numerical failure. Every command with a seed is bytewise reproducible.
 """
 
+import dataclasses
 import json
 import sys
 
@@ -41,7 +42,7 @@ from .pairs import (
     style_render,
 )
 from .pgm import read_pgm, write_pgm
-from .subspace import TrunkFinetuner
+from .subspace import TrunkFinetuner, member_embedding
 from .utils import derive_seed
 
 USAGE_EXIT = 1
@@ -50,11 +51,7 @@ NUMERIC_EXIT = 3
 
 
 def _schedule_from(config):
-    return NoiseSchedule.linear(
-        config.schedule.total_steps,
-        config.schedule.beta_start,
-        config.schedule.beta_end,
-    )
+    return NoiseSchedule.linear(**dataclasses.asdict(config.schedule))
 
 
 def _load_run_config(path, seed):
@@ -67,29 +64,32 @@ def _load_run_config(path, seed):
 def _train_base_denoiser(config, dataset):
     images = []
     embeddings = []
-    from .prompts import encode_semantic
-
     for pair in dataset:
         images.append(pair.content_image)
-        embeddings.append(encode_semantic(f"{pair.content_prompt} {pair.style_modifier}"))
+        embeddings.append(member_embedding(pair, "content"))
         images.append(pair.style_image)
-        embeddings.append(encode_semantic(f"{pair.content_modifier} {pair.style_prompt}"))
+        embeddings.append(member_embedding(pair, "style"))
+    settings = dataclasses.asdict(config.denoiser)
+    settings["steps"] = settings.pop("train_steps")
     trainer = DenoiserTrainer(
-        image_size=config.denoiser.image_size,
-        hidden_width=config.denoiser.hidden_width,
-        n_layers=config.denoiser.n_layers,
-        steps=config.denoiser.train_steps,
-        batch_size=config.denoiser.batch_size,
-        peak_lr=config.denoiser.peak_lr,
-        start_lr=config.denoiser.start_lr,
-        floor_lr=config.denoiser.floor_lr,
-        warmup=config.denoiser.warmup,
-        cond_dropout=config.denoiser.cond_dropout,
+        **settings,
         schedule=_schedule_from(config),
         seed=derive_seed(config.seed, "base-denoiser"),
     )
     trainer.fit(np.stack(images), np.stack(embeddings))
     return trainer.backbone_
+
+
+def _sampler(config, backbone, content_adapter, style_adapter, **overrides):
+    """A guided sampler with the config's guidance settings and schedule."""
+    return GuidedSampler(
+        backbone,
+        content_adapter=content_adapter,
+        style_adapter=style_adapter,
+        **dataclasses.asdict(config.guidance),
+        schedule=_schedule_from(config),
+        **overrides,
+    )
 
 
 @click.group()
@@ -152,7 +152,7 @@ def cmd_gen_pairs(config_path, seed, threads, out_dir, mode, sigma, n_content, n
 @click.option("--base", "base_path", type=click.Path(dir_okay=False), default=None,
               help="Base denoiser checkpoint; trained on the fly when omitted.")
 @click.option("--save-base", "save_base_path", type=click.Path(dir_okay=False), default=None,
-              help="Also write the unprojected base weights (for --host plain runs).")
+              help="Also write the unprojected base weights, a plain host for adapters.")
 def cmd_train_trunk(config_path, seed, dataset_dir, out_path, base_path, save_base_path):
     """Rank-limited fine-tune of the backbone; emits host plus bases sidecar."""
     config = _load_run_config(config_path, seed)
@@ -164,16 +164,7 @@ def cmd_train_trunk(config_path, seed, dataset_dir, out_path, base_path, save_ba
     if save_base_path:
         ckpt.save_backbone(save_base_path, base)
     tuner = TrunkFinetuner(
-        r_max=config.trunk.r_max,
-        r_min=config.trunk.r_min,
-        steps=config.trunk.steps,
-        batch_size=config.trunk.batch_size,
-        peak_lr=config.trunk.peak_lr,
-        start_lr=config.trunk.start_lr,
-        floor_lr=config.trunk.floor_lr,
-        warmup=config.trunk.warmup,
-        lambda_reg=config.trunk.lambda_reg,
-        alpha_perc=config.trunk.alpha_perc,
+        **dataclasses.asdict(config.trunk),
         schedule=_schedule_from(config),
         seed=derive_seed(config.seed, "trunk"),
     )
@@ -207,13 +198,7 @@ def cmd_train_lora(config_path, seed, kind, reference_path, prompt, backbone_pat
     reference = read_pgm(reference_path)
     trainer = LoraTrainer(
         kind,
-        rank=config.adapter.rank,
-        steps=config.adapter.steps,
-        batch_size=config.adapter.batch_size,
-        peak_lr=config.adapter.peak_lr,
-        start_lr=config.adapter.start_lr,
-        floor_lr=config.adapter.floor_lr,
-        warmup=config.adapter.warmup,
+        **dataclasses.asdict(config.adapter),
         routing=default_routing(backbone.names),
         schedule=_schedule_from(config),
         host_hash=ckpt.file_sha256(backbone_path),
@@ -250,37 +235,21 @@ def _load_adapter_for(backbone_path, adapter_path):
               help="Ablation: the unconditional pass reuses the conditional weights.")
 @click.option("--trace", "trace_path", type=click.Path(dir_okay=False), default=None,
               help="Write per-step diagnostic records to this file.")
-@click.option("--encoder", "encoder_path", type=click.Path(dir_okay=False), default=None,
-              help="Expert encoder checkpoint for learned gains.")
-@click.option("--concept-id", type=int, default=None)
-@click.option("--host", type=click.Choice(["rankft", "plain"]), default="rankft",
-              show_default=True,
-              help="Annotates whether the backbone is rank-limited or plain.")
 def cmd_sample(config_path, seed, prompt, backbone_path, content_path, style_path,
-               out_path, gamma_c, gamma_s, symmetric_cfg, trace_path, encoder_path,
-               concept_id, host):
+               out_path, gamma_c, gamma_s, symmetric_cfg, trace_path):
     """Guided sampling; writes a PGM image and optionally a trace."""
     config = _load_run_config(config_path, seed)
     backbone = ckpt.load_backbone(backbone_path)
     content_adapter = _load_adapter_for(backbone_path, content_path) if content_path else None
     style_adapter = _load_adapter_for(backbone_path, style_path) if style_path else None
-    encoder = ckpt.load_encoder(encoder_path) if encoder_path else None
-    sampler = GuidedSampler(
+    sampler = _sampler(
+        config,
         backbone,
-        content_adapter=content_adapter,
-        style_adapter=style_adapter,
-        omega=config.guidance.omega,
-        content_window=config.guidance.content_window,
-        style_window=config.guidance.style_window,
-        alpha_min=config.guidance.alpha_min,
-        alpha_max=config.guidance.alpha_max,
-        ramp=config.guidance.ramp,
+        content_adapter,
+        style_adapter,
         gamma_content=gamma_c,
         gamma_style=gamma_s,
-        encoder=encoder,
-        concept_id=concept_id,
         symmetric_cfg=symmetric_cfg,
-        schedule=_schedule_from(config),
         record_trace=trace_path is not None,
     )
     image = sampler.sample(prompt, seed=derive_seed(config.seed, "sample"))
@@ -288,7 +257,7 @@ def cmd_sample(config_path, seed, prompt, backbone_path, content_path, style_pat
     if trace_path is not None:
         with open(trace_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(sampler.trace_) + "\n")
-    click.echo(f"wrote {out_path} (host={host}, {sampler.n_network_evals_} network evals)")
+    click.echo(f"wrote {out_path} ({sampler.n_network_evals_} network evals)")
 
 
 @cli.command("eval")
@@ -334,22 +303,10 @@ def evaluate_grid(backbone, content_adapter, style_adapter, config, n_content, n
     from concurrent.futures import ThreadPoolExecutor
 
     size = config.denoiser.image_size
-    schedule = _schedule_from(config)
 
     def generate(cell):
         i, j = cell
-        sampler = GuidedSampler(
-            backbone,
-            content_adapter=content_adapter,
-            style_adapter=style_adapter,
-            omega=config.guidance.omega,
-            content_window=config.guidance.content_window,
-            style_window=config.guidance.style_window,
-            alpha_min=config.guidance.alpha_min,
-            alpha_max=config.guidance.alpha_max,
-            ramp=config.guidance.ramp,
-            schedule=schedule,
-        )
+        sampler = _sampler(config, backbone, content_adapter, style_adapter)
         prompt = f"{CONTENT_PROMPTS[i]} <c> {STYLE_PROMPTS[j]} <s>"
         return sampler.sample(prompt, seed=derive_seed(config.seed, "eval", i, j))
 

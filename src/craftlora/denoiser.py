@@ -201,23 +201,35 @@ def activation_grad(a):
     return 1.0 - th * th + _LEAK
 
 
-def forward_pass(x, t, cond, backbone):
+def _linear(h, w, term):
+    out = h @ w
+    if term is not None:
+        down, up = term
+        out = out + (h @ down) @ up
+    return out
+
+
+def forward_pass(x, t, cond, backbone, terms=None):
     """Batched forward through the named layers.
 
     ``x`` is (batch, d_in); ``t`` scalar or (batch,); ``cond`` is None (the
-    null embedding) or (batch, emb_dim). Returns the prediction and the
-    cache (inputs and pre-activations) needed for the backward pass.
+    null embedding) or (batch, emb_dim). ``terms`` optionally maps layer
+    names to unmerged low-rank updates ``(sB, A)``, where ``sB`` is the
+    down factor already scaled; such a layer computes
+    ``h @ W + (h @ sB) @ A``, equal to ``h @ (W + sB @ A)`` up to rounding.
+    Returns the prediction and the cache (inputs and pre-activations) needed
+    for the backward pass, which differentiates the bare weights only.
     """
-    weights = [w for _, w in backbone.items()]
-    hidden_width = weights[0].shape[1]
-    a = x @ weights[0] + _injection(t, cond, hidden_width)
+    terms = terms or {}
+    (first, w_first), *middle, (last, w_last) = backbone.items()
+    a = _linear(x, w_first, terms.get(first)) + _injection(t, cond, w_first.shape[1])
     cache = [x, a]
     h = activation(a)
-    for w in weights[1:-1]:
-        a = h @ w
+    for name, w in middle:
+        a = _linear(h, w, terms.get(name))
         cache.append(a)
         h = activation(a)
-    return h @ weights[-1], cache
+    return _linear(h, w_last, terms.get(last)), cache
 
 
 def backward_pass(cache, backbone, d_out):
@@ -244,11 +256,12 @@ def backward_pass(cache, backbone, d_out):
     return grads
 
 
-def predict_eps(x_t, t, cond_embedding, backbone, counter=None):
+def predict_eps(x_t, t, cond_embedding, backbone, counter=None, terms=None):
     """Single-image noise prediction; pure and deterministic.
 
     ``cond_embedding`` may be None or the all-zero null embedding for the
-    unconditional path.
+    unconditional path. ``terms`` are unmerged low-rank layer updates, as
+    in ``forward_pass``.
     """
     x_t = as_image(x_t, "x_t")
     if x_t.size != backbone.input_dim:
@@ -258,7 +271,7 @@ def predict_eps(x_t, t, cond_embedding, backbone, counter=None):
     if counter is not None:
         counter.bump()
     cond = None if cond_embedding is None else np.asarray(cond_embedding, dtype=np.float64)[None, :]
-    out, _ = forward_pass(x_t.reshape(1, -1), int(t), cond, backbone)
+    out, _ = forward_pass(x_t.reshape(1, -1), int(t), cond, backbone, terms)
     return out.reshape(x_t.shape)
 
 

@@ -1,9 +1,10 @@
 """Timestep-scheduled asymmetric classifier-free guidance.
 
 The conditional pass runs on the host backbone with gated, windowed adapter
-updates injected; the unconditional pass is pinned to the bare host with the
-null embedding, so the guidance gap isolates the adapters' effect. The
-sampler costs exactly two network evaluations per step, like standard CFG.
+updates applied as unmerged low-rank terms; the unconditional pass is
+pinned to the bare host with the null embedding, so the guidance gap
+isolates the adapters' effect. The sampler costs exactly two network
+evaluations per step, like standard CFG.
 """
 
 import math
@@ -11,13 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adapters import aggregate_weights
+from .adapters import adapter_terms
 from .base import ParamsMixin
 from .denoiser import NoiseSchedule, ddpm_step, predict_eps
 from .exceptions import ConfigInvalid, OutOfRange
-from .prompts import EMB_DIM, encode_semantic, null_embedding, parse_prompt
+from .prompts import encode_semantic, null_embedding, parse_prompt
 from .utils import EvalCounter, make_rng
-from .validation import as_vector
 
 RAMP_KINDS = ("cosine", "linear")
 
@@ -72,84 +72,6 @@ def temporal_alpha(t, config):
     return config.alpha_min + (config.alpha_max - config.alpha_min) * g
 
 
-@dataclass
-class MlpParams:
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-
-
-@dataclass
-class ExpertEncoderParams:
-    """Three branch encoders plus the aggregation head emitting (gamma_c, gamma_s).
-
-    The head starts at exactly 1.0 for active branches (zero weights, bias at
-    softplus^-1(1)), so the untrained default reproduces marker-presence
-    binary gains; a branch fed the null embedding is clamped to zero.
-    """
-
-    identity_branch: MlpParams
-    content_branch: MlpParams
-    style_branch: MlpParams
-    id_table: np.ndarray
-    head_w: np.ndarray
-    head_b: np.ndarray
-
-
-def _init_branch(rng, dim=EMB_DIM):
-    scale = 1.0 / math.sqrt(dim)
-    return MlpParams(
-        w1=rng.standard_normal((dim, dim)) * scale,
-        b1=np.zeros(dim),
-        w2=rng.standard_normal((dim, dim)) * scale,
-        b2=np.zeros(dim),
-    )
-
-
-def init_expert_encoder(seed=0, n_concepts=16):
-    rng = make_rng(seed, "expert-encoder")
-    bias = math.log(math.expm1(1.0))  # softplus(bias) == 1
-    return ExpertEncoderParams(
-        identity_branch=_init_branch(rng),
-        content_branch=_init_branch(rng),
-        style_branch=_init_branch(rng),
-        id_table=rng.standard_normal((n_concepts, EMB_DIM)) / math.sqrt(EMB_DIM),
-        head_w=np.zeros((3 * EMB_DIM, 2)),
-        head_b=np.full(2, bias),
-    )
-
-
-def _branch(params, x):
-    return np.tanh(x @ params.w1 + params.b1) @ params.w2 + params.b2
-
-
-def _softplus(x):
-    return np.logaddexp(0.0, x)
-
-
-def expert_gammas(params, id_embedding, content_embedding, style_embedding):
-    """Nonnegative gains from the three-branch encoder.
-
-    A branch whose text input is the null embedding is forced to zero, which
-    keeps absent markers inactive regardless of head training.
-    """
-    id_emb = np.zeros(EMB_DIM) if id_embedding is None else as_vector(id_embedding, EMB_DIM)
-    e_c = np.zeros(EMB_DIM) if content_embedding is None else as_vector(content_embedding, EMB_DIM)
-    e_s = np.zeros(EMB_DIM) if style_embedding is None else as_vector(style_embedding, EMB_DIM)
-    feats = np.concatenate(
-        [
-            _branch(params.identity_branch, id_emb),
-            _branch(params.content_branch, e_c),
-            _branch(params.style_branch, e_s),
-        ]
-    )
-    raw = _softplus(feats @ params.head_w + params.head_b)
-    active_c = 1.0 if np.any(e_c) else 0.0
-    active_s = 1.0 if np.any(e_s) else 0.0
-    return float(raw[0]) * active_c, float(raw[1]) * active_s
-
-
 def guided_eps_parts(
     x_t,
     t,
@@ -162,40 +84,24 @@ def guided_eps_parts(
     config,
     symmetric=False,
     counter=None,
-    weight_cache=None,
 ):
     """Conditional and unconditional noise predictions at one timestep.
 
     Effective gains compose multiplicatively: temporal alpha times the
-    branch gain times the window indicator. The unconditional pass always
-    uses the bare host and the null embedding, except under the symmetric
-    ablation which reuses the conditional weights.
+    branch gain times the window indicator. The conditional pass applies
+    each active adapter's gated update unmerged, as ``adapter_terms``; the
+    unconditional pass always uses the bare host and the null embedding,
+    except under the symmetric ablation which reuses the same terms.
     """
     ind_c, ind_s = gamma_schedule(t, config.content_window, config.style_window)
     alpha = temporal_alpha(t, config)
     eff_c = alpha * gamma_content * ind_c if content_adapter is not None else 0.0
     eff_s = alpha * gamma_style * ind_s if style_adapter is not None else 0.0
-
-    if eff_c == 0.0 and eff_s == 0.0:
-        w_cond = w_init
-    else:
-        key = (eff_c, eff_s)
-        w_cond = None if weight_cache is None else weight_cache.get(key)
-        if w_cond is None:
-            w_cond = aggregate_weights(
-                w_init,
-                content_adapter,
-                style_adapter,
-                gamma_content=eff_c,
-                gamma_style=eff_s,
-                e_sem=e_sem,
-            )
-            if weight_cache is not None:
-                weight_cache[key] = w_cond
-
-    eps_cond = predict_eps(x_t, t, e_sem, w_cond, counter)
-    w_uncond = w_cond if symmetric else w_init
-    eps_uncond = predict_eps(x_t, t, null_embedding(), w_uncond, counter)
+    terms = adapter_terms(w_init, content_adapter, style_adapter, eff_c, eff_s, e_sem)
+    eps_cond = predict_eps(x_t, t, e_sem, w_init, counter, terms)
+    eps_uncond = predict_eps(
+        x_t, t, null_embedding(), w_init, counter, terms if symmetric else None
+    )
     return eps_cond, eps_uncond, (eff_c, eff_s, alpha)
 
 
@@ -211,12 +117,12 @@ def guided_eps(eps_cond, eps_uncond, omega):
 class GuidedSampler(ParamsMixin):
     """Asymmetric-CFG sampling loop over a host backbone and two adapters.
 
-    ``sample(prompt, seed)`` returns the final clean image. Branch gains
-    default to marker presence, can come from an expert encoder, and are
-    individually overridable. After a run, ``n_network_evals_`` holds the
-    instrumented forward count (always two per step), ``trace_`` the
-    per-step diagnostic records and ``trajectory_`` the state sequence when
-    recording is enabled.
+    ``sample(prompt, seed)`` returns the final clean image. A branch gain is
+    its ``gamma_content``/``gamma_style`` override when given, else 1.0 when
+    the prompt carries the branch's marker and 0.0 when it does not. After
+    a run, ``n_network_evals_`` holds the instrumented forward count (always
+    two per step), ``trace_`` the per-step diagnostic records and
+    ``trajectory_`` the state sequence when recording is enabled.
     """
 
     def __init__(
@@ -232,8 +138,6 @@ class GuidedSampler(ParamsMixin):
         ramp="cosine",
         gamma_content=None,
         gamma_style=None,
-        encoder=None,
-        concept_id=None,
         symmetric_cfg=False,
         schedule=None,
         clip_x0=(0.0, 1.0),
@@ -251,8 +155,6 @@ class GuidedSampler(ParamsMixin):
         self.ramp = ramp
         self.gamma_content = gamma_content
         self.gamma_style = gamma_style
-        self.encoder = encoder
-        self.concept_id = concept_id
         self.symmetric_cfg = symmetric_cfg
         self.schedule = schedule
         self.clip_x0 = clip_x0
@@ -260,24 +162,12 @@ class GuidedSampler(ParamsMixin):
         self.record_trace = record_trace
 
     def _resolve_gammas(self, spec):
-        enc_c = enc_s = None
-        if self.encoder is not None and (self.gamma_content is None or self.gamma_style is None):
-            if self.concept_id is None:
-                id_emb = np.zeros(EMB_DIM)
-            else:
-                id_emb = self.encoder.id_table[int(self.concept_id) % len(self.encoder.id_table)]
-            enc_c, enc_s = expert_gammas(
-                self.encoder,
-                id_emb,
-                encode_semantic(spec.content_span),
-                encode_semantic(spec.style_span),
-            )
         gc = self.gamma_content
         if gc is None:
-            gc = enc_c if enc_c is not None else (1.0 if spec.has_content_marker else 0.0)
+            gc = 1.0 if spec.has_content_marker else 0.0
         gs = self.gamma_style
         if gs is None:
-            gs = enc_s if enc_s is not None else (1.0 if spec.has_style_marker else 0.0)
+            gs = 1.0 if spec.has_style_marker else 0.0
         return float(gc), float(gs)
 
     @staticmethod
@@ -306,7 +196,6 @@ class GuidedSampler(ParamsMixin):
         rng = make_rng(seed, "sample")
         x = rng.standard_normal((side, side))
         counter = EvalCounter()
-        weight_cache = {}
         trace = []
         trajectory = [x.copy()] if self.record_trajectory else None
 
@@ -323,7 +212,6 @@ class GuidedSampler(ParamsMixin):
                 config,
                 symmetric=self.symmetric_cfg,
                 counter=counter,
-                weight_cache=weight_cache,
             )
             eps = guided_eps(eps_cond, eps_uncond, self.omega)
             if self.record_trace:

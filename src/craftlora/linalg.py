@@ -126,17 +126,3 @@ def project_out(w0, q, tol=ORTHO_TOL):
         )
     check_orthonormal(q, tol)
     return w0 - q @ (q.T @ w0)
-
-
-def low_rank_update(w0, b, a):
-    """Return ``w0 + b @ a`` after conformability checks."""
-    w0 = as_matrix(w0, "w0")
-    b = as_matrix(b, "b")
-    a = as_matrix(a, "a")
-    if b.shape[1] != a.shape[0]:
-        raise ShapeMismatch(f"b is {b.shape} but a is {a.shape}")
-    if b.shape[0] != w0.shape[0] or a.shape[1] != w0.shape[1]:
-        raise ShapeMismatch(
-            f"update {b.shape[0]}x{a.shape[1]} does not match w0 {w0.shape}"
-        )
-    return w0 + b @ a

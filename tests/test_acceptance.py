@@ -498,15 +498,7 @@ def test_end_to_end_determinism(tmp_path):
 
 def test_checkpoint_roundtrip(tmp_path, trained_base, acceptance_adapters):
     with criterion("checkpoint-roundtrip", 60):
-        from craftlora.checkpoint import (
-            load_adapter,
-            load_backbone,
-            load_encoder,
-            save_adapter,
-            save_backbone,
-            save_encoder,
-        )
-        from craftlora.guidance import init_expert_encoder
+        from craftlora.checkpoint import load_adapter, load_backbone, save_adapter, save_backbone
 
         def f32(arr):
             return arr.astype(np.float32).astype(np.float64)
@@ -525,13 +517,6 @@ def test_checkpoint_roundtrip(tmp_path, trained_base, acceptance_adapters):
             assert np.array_equal(loaded_adapter.factors[name][0], f32(content.factors[name][0]))
             assert np.array_equal(loaded_adapter.factors[name][1], f32(content.factors[name][1]))
         assert np.array_equal(loaded_adapter.gate_w, f32(content.gate_w))
-
-        encoder_path = tmp_path / "enc.crft"
-        encoder = init_expert_encoder(seed=13)
-        save_encoder(encoder_path, encoder)
-        loaded_encoder = load_encoder(encoder_path)
-        assert np.array_equal(loaded_encoder.id_table, f32(encoder.id_table))
-        assert np.array_equal(loaded_encoder.head_b, f32(encoder.head_b))
 
         # corrupted CRC must exit with the data-error code through the CLI
         corrupt = tmp_path / "corrupt.crft"

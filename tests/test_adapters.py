@@ -7,7 +7,6 @@ from craftlora.adapters import (
     LoraTrainer,
     adapter_loss,
     aggregate_weights,
-    decoupled_update,
     default_routing,
     make_adapter,
 )
@@ -51,35 +50,6 @@ class TestLayerRouting:
         routing = default_routing(bb.names)
         assert routing.content == ("layer1", "layer2", "layer3", "layer4")
         assert routing.style == ("layer5", "layer6", "layer7", "layer8")
-
-
-class TestDecoupledUpdate:
-    def test_outside_both_sets_is_zero(self, backbone):
-        routing = LayerRouting(content=("layer1",), style=("layer4",))
-        out = decoupled_update("layer2", routing, None, None, None, shape=(16, 16))
-        assert np.array_equal(out, np.zeros((16, 16)))
-
-    def test_zeroed_content_adapter_gives_zero(self, backbone, routing):
-        adapter = make_adapter("content", backbone, routing, rank=2, seed=0)
-        out = decoupled_update("layer1", routing, adapter, None, np.zeros(64))
-        assert np.abs(out).max() == 0.0  # A starts at zero
-
-    def test_rank_one_hand_computation(self, backbone, routing):
-        b = np.array([[1.0], [2.0], [0.0], [0.5]])
-        a = np.array([[0.25, -1.0, 0.0, 3.0]])
-        adapter = LoraAdapter(
-            kind="content",
-            rank=1,
-            factors={"layer1": (b, a)},
-            gate_w=np.zeros(64),
-            gate_b=0.0,
-            routing=LayerRouting(content=("layer1",), style=()),
-        )
-        e = np.zeros(64)
-        out = decoupled_update(
-            "layer1", adapter.routing, adapter, None, e, shape=(4, 4)
-        )
-        assert np.allclose(out, 0.5 * np.outer(b.ravel(), a.ravel()))
 
 
 class TestAggregateWeights:

@@ -1,3 +1,7 @@
+import io
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -8,22 +12,23 @@ from craftlora.checkpoint import (
     inspect_checkpoint,
     load_adapter,
     load_backbone,
-    load_encoder,
     load_tensor_set,
     save_adapter,
     save_backbone,
-    save_encoder,
     save_tensor_set,
 )
 from craftlora.denoiser import init_backbone
 from craftlora.exceptions import CorruptCheckpoint
-from craftlora.guidance import init_expert_encoder
 from craftlora.pgm import read_pgm, signed_range, write_pgm
 from craftlora.utils import make_rng
 
 
 def as_f32_f64(arr):
     return arr.astype(np.float32).astype(np.float64)
+
+
+def write_with_crc(path, payload):
+    path.write_bytes(payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
 
 
 class TestBackboneCheckpoint:
@@ -161,10 +166,6 @@ class TestAdapterCheckpoint:
     def test_overlapping_routing_manifest_is_corrupt(self, tmp_path):
         # hand-build an adapter file whose manifest lists one layer on both
         # sides; loading and inspecting must treat it as data corruption
-        import io
-        import struct
-        import zlib
-
         from craftlora.checkpoint import KIND_CODES, MAGIC, VERSION, _w_str, _w_tensor, _w_u32
 
         buf = io.BytesIO()
@@ -187,36 +188,12 @@ class TestAdapterCheckpoint:
         _w_u32(buf, len(records))
         for name, arr in records:
             _w_tensor(buf, name, arr)
-        payload = buf.getvalue()
         path = tmp_path / "overlap.crft"
-        path.write_bytes(payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
+        write_with_crc(path, buf.getvalue())
         with pytest.raises(CorruptCheckpoint):
             load_adapter(path)
         with pytest.raises(CorruptCheckpoint):
             inspect_checkpoint(path)
-
-
-class TestEncoderCheckpoint:
-    def test_roundtrip(self, tmp_path):
-        params = init_expert_encoder(seed=7, n_concepts=5)
-        path = tmp_path / "enc.crft"
-        save_encoder(path, params)
-        loaded = load_encoder(path)
-        assert np.array_equal(loaded.id_table, as_f32_f64(params.id_table))
-        assert np.array_equal(loaded.head_w, as_f32_f64(params.head_w))
-        assert np.array_equal(loaded.head_b, as_f32_f64(params.head_b))
-        for branch in ("identity_branch", "content_branch", "style_branch"):
-            a = getattr(loaded, branch)
-            b = getattr(params, branch)
-            assert np.array_equal(a.w1, as_f32_f64(b.w1))
-            assert np.array_equal(a.b2, as_f32_f64(b.b2))
-
-    def test_kind_mismatch_rejected(self, tmp_path):
-        bb = init_backbone(8, 16, 3, seed=8)
-        path = tmp_path / "bb.crft"
-        save_backbone(path, bb)
-        with pytest.raises(CorruptCheckpoint):
-            load_encoder(path)
 
 
 class TestTensorSet:
@@ -229,6 +206,48 @@ class TestTensorSet:
         assert [name for name, _ in loaded] == ["z.second", "a.first"]
         for (_, orig), (_, back) in zip(tensors, loaded):
             assert np.array_equal(back, as_f32_f64(orig))
+
+    def test_own_kind_is_not_a_backbone(self, tmp_path):
+        # these tensors chain like layers, so only the kind tells them apart
+        bb = init_backbone(8, 16, 3, seed=12)
+        set_path, bb_path = tmp_path / "set.crft", tmp_path / "bb.crft"
+        save_tensor_set(set_path, bb.items())
+        save_backbone(bb_path, bb)
+        assert inspect_checkpoint(set_path)["kind"] == "tensors"
+        with pytest.raises(CorruptCheckpoint, match="expected backbone"):
+            load_backbone(set_path)
+        with pytest.raises(CorruptCheckpoint, match="expected a tensor set"):
+            load_tensor_set(bb_path)
+
+    def test_retired_kind_code_is_unknown(self, tmp_path):
+        # code 2 once tagged encoder files; it must not read as a tensor set
+        from craftlora.checkpoint import MAGIC, VERSION
+
+        path = tmp_path / "old.crft"
+        write_with_crc(path, MAGIC + struct.pack("<III", VERSION, 2, 0))
+        for reader in (load_tensor_set, load_backbone, inspect_checkpoint):
+            with pytest.raises(CorruptCheckpoint, match="unknown kind code 2"):
+                reader(path)
+
+
+class TestTrailingBytes:
+    def test_junk_after_last_tensor_rejected(self, tmp_path):
+        bb = init_backbone(8, 16, 4, seed=13)
+        adapter = make_adapter("content", bb, default_routing(bb.names), rank=2, seed=14)
+        for save, load, obj in (
+            (save_backbone, load_backbone, bb),
+            (save_adapter, load_adapter, adapter),
+            (save_tensor_set, load_tensor_set, bb.items()),
+        ):
+            path = tmp_path / f"{load.__name__}.crft"
+            save(path, obj)
+            load(path)
+            # junk between the last tensor and a CRC recomputed over it
+            write_with_crc(path, path.read_bytes()[:-4] + b"junk")
+            with pytest.raises(CorruptCheckpoint, match="bytes after its last tensor"):
+                load(path)
+            with pytest.raises(CorruptCheckpoint, match="bytes after its last tensor"):
+                inspect_checkpoint(path)
 
 
 class TestFileHash:

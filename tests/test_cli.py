@@ -285,7 +285,7 @@ class TestSample:
 
     def test_plain_host_flow(self, workspace, tmp_path):
         # train-trunk --save-base gives the unprojected backbone; adapters
-        # trained against it sample with --host plain
+        # trained against it sample on it as their host
         root, config_path = workspace
         assert run_cli([
             "train-trunk", "--config", config_path,
@@ -305,10 +305,20 @@ class TestSample:
             "--prompt", "a filled disc <c>",
             "--backbone", tmp_path / "base.crft",
             "--content-adapter", tmp_path / "plain_content.crft",
-            "--host", "plain",
             "--out", tmp_path / "plain.pgm",
         ]) == 0
         assert read_pgm(tmp_path / "plain.pgm").shape == (16, 16)
+
+    def test_bases_sidecar_as_backbone_is_data_error(self, workspace, tmp_path):
+        root, config_path = workspace
+        code = run_cli([
+            "sample", "--config", config_path,
+            "--prompt", "a filled disc",
+            "--backbone", root / "trunk.crft.bases",
+            "--out", tmp_path / "never.pgm",
+        ])
+        assert code == 2
+        assert not (tmp_path / "never.pgm").exists()
 
     def test_host_mismatch_exit_code(self, workspace, tmp_path):
         root, config_path = workspace
@@ -397,9 +407,12 @@ class TestEval:
 
 
 class TestInspect:
-    def test_valid_file_exit_zero(self, workspace):
+    def test_valid_file_exit_zero(self, workspace, capsys):
         root, _ = workspace
-        assert run_cli(["inspect", root / "trunk.crft"]) == 0
+        for name, kind in (("trunk.crft", "backbone"), ("trunk.crft.bases", "tensors")):
+            capsys.readouterr()
+            assert run_cli(["inspect", root / name]) == 0
+            assert f"kind: {kind} " in capsys.readouterr().out
 
     def test_truncated_file_exit_two(self, workspace, tmp_path):
         root, _ = workspace

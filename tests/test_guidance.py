@@ -1,23 +1,47 @@
 import numpy as np
 import pytest
 
-from craftlora.adapters import LoraTrainer, default_routing
-from craftlora.denoiser import NoiseSchedule, predict_eps
+from craftlora.adapters import LoraTrainer, aggregate_weights, default_routing
+from craftlora.denoiser import Backbone, NoiseSchedule, ddpm_step, predict_eps
 from craftlora.exceptions import ConfigInvalid, OutOfRange
 from craftlora.guidance import (
     GuidanceConfig,
     GuidedSampler,
     cfg_sample,
-    expert_gammas,
     gamma_schedule,
     guided_eps,
     guided_eps_parts,
-    init_expert_encoder,
     temporal_alpha,
 )
 from craftlora.pairs import content_render, style_render
-from craftlora.prompts import encode_semantic, null_embedding
+from craftlora.prompts import encode_semantic, null_embedding, parse_prompt
 from craftlora.utils import make_rng
+
+BOTH_MARKERS = "a filled disc <c> in fine stripe style <s>"
+
+
+def assert_close_relative(got, ref, rtol=1e-12):
+    assert np.abs(got - ref).max() <= rtol * np.abs(ref).max()
+
+
+def merged_reference_sample(backbone, content, style, prompt, seed, schedule, symmetric):
+    """The sampler loop with the adapters merged into the host every step.
+
+    Mirrors ``GuidedSampler.sample`` at its default guidance settings with
+    clipping off, so no clip boundary can amplify rounding differences.
+    """
+    config = GuidanceConfig()
+    e_sem = encode_semantic(parse_prompt(prompt).stripped)
+    rng = make_rng(seed, "sample")
+    x = rng.standard_normal((16, 16))
+    for t in range(schedule.total_steps, 0, -1):
+        ind_c, ind_s = gamma_schedule(t, config.content_window, config.style_window)
+        alpha = temporal_alpha(t, config)
+        merged = aggregate_weights(backbone, content, style, alpha * ind_c, alpha * ind_s, e_sem)
+        eps_cond = predict_eps(x, t, e_sem, merged)
+        eps_uncond = predict_eps(x, t, null_embedding(), merged if symmetric else backbone)
+        x = ddpm_step(x, t, guided_eps(eps_cond, eps_uncond, config.omega), schedule, rng)
+    return x
 
 
 @pytest.fixture(scope="module")
@@ -86,37 +110,6 @@ class TestTemporalAlpha:
             GuidanceConfig(alpha_min=1.5, alpha_max=1.0)
 
 
-class TestExpertGammas:
-    def test_null_branches_give_zero(self):
-        params = init_expert_encoder(seed=0)
-        gc, gs = expert_gammas(params, None, None, None)
-        assert gc == 0.0 and gs == 0.0
-
-    def test_untrained_defaults_are_binary(self):
-        params = init_expert_encoder(seed=1)
-        e = encode_semantic("a filled disc")
-        gc, gs = expert_gammas(params, None, e, None)
-        assert abs(gc - 1.0) < 1e-9
-        assert gs == 0.0
-        gc, gs = expert_gammas(params, None, None, e)
-        assert gc == 0.0
-        assert abs(gs - 1.0) < 1e-9
-
-    def test_outputs_nonnegative_over_random_inputs(self):
-        params = init_expert_encoder(seed=2)
-        # exercise a trained-looking head too
-        params.head_w[:] = make_rng(3).standard_normal(params.head_w.shape) * 0.3
-        rng = make_rng(4)
-        for _ in range(1000):
-            gc, gs = expert_gammas(
-                params,
-                rng.standard_normal(64),
-                rng.standard_normal(64),
-                rng.standard_normal(64),
-            )
-            assert gc >= 0.0 and gs >= 0.0
-
-
 class TestGuidedEps:
     def test_omega_zero_returns_conditional(self):
         rng = make_rng(5)
@@ -165,6 +158,25 @@ class TestGuidedParts:
             if baseline is None:
                 baseline = blob
             assert blob == baseline
+
+    @pytest.mark.parametrize(
+        "t, symmetric, active",
+        [(10, False, "c"), (40, False, "s"), (20, False, "cs"), (20, True, "cs")],
+        ids=["content-window", "style-window", "both-windows", "symmetric"],
+    )
+    def test_unmerged_terms_match_merged_host(self, trained_base, adapters, t, symmetric, active):
+        content, style = adapters
+        x = make_rng(11).standard_normal((16, 16))
+        e_sem = encode_semantic("a filled disc in fine stripe style")
+        eps_cond, eps_uncond, (eff_c, eff_s, _) = guided_eps_parts(
+            x, t, e_sem, trained_base, content, style, 1.0, 1.0, GuidanceConfig(),
+            symmetric=symmetric,
+        )
+        assert (eff_c > 0.0, eff_s > 0.0) == ("c" in active, "s" in active)
+        merged = aggregate_weights(trained_base, content, style, eff_c, eff_s, e_sem)
+        assert_close_relative(eps_cond, predict_eps(x, t, e_sem, merged))
+        uncond_host = merged if symmetric else trained_base
+        assert_close_relative(eps_uncond, predict_eps(x, t, null_embedding(), uncond_host))
 
     def test_schedule_gates_adapters(self, trained_base, adapters):
         content, style = adapters
@@ -248,6 +260,56 @@ class TestGuidedSampler:
         assert np.abs(image - ref).max() < 1e-12
         for a, b in zip(sampler.trajectory_, trajectory):
             assert np.abs(a - b).max() < 1e-12
+
+    @pytest.mark.parametrize("symmetric", [False, True], ids=["asymmetric", "symmetric"])
+    def test_matches_merged_reference_without_clipping(
+        self, trained_base, adapters, schedule, symmetric
+    ):
+        content, style = adapters
+        image = GuidedSampler(
+            trained_base,
+            content_adapter=content,
+            style_adapter=style,
+            symmetric_cfg=symmetric,
+            schedule=schedule,
+            clip_x0=None,
+        ).sample(BOTH_MARKERS, seed=13)
+        ref = merged_reference_sample(
+            trained_base, content, style, BOTH_MARKERS, 13, schedule, symmetric
+        )
+        assert_close_relative(image, ref)
+
+    def test_sample_never_merges_or_builds_a_backbone(
+        self, trained_base, adapters, schedule, monkeypatch
+    ):
+        import craftlora
+        from craftlora import adapters as adapters_module
+        from craftlora import guidance
+
+        content, style = adapters
+        sampler = GuidedSampler(
+            trained_base, content_adapter=content, style_adapter=style, schedule=schedule
+        )
+        calls = {"aggregate_weights": 0, "Backbone": 0}
+
+        def counting_aggregate(*args, **kwargs):
+            calls["aggregate_weights"] += 1
+            return aggregate_weights(*args, **kwargs)
+
+        real_init = Backbone.__init__
+
+        def counting_init(self, layers):
+            calls["Backbone"] += 1
+            real_init(self, layers)
+
+        for module in (adapters_module, guidance, craftlora):
+            monkeypatch.setattr(module, "aggregate_weights", counting_aggregate, raising=False)
+        monkeypatch.setattr(Backbone, "__init__", counting_init)
+        sampler.sample(BOTH_MARKERS, seed=14)
+        assert calls == {"aggregate_weights": 0, "Backbone": 0}
+        # the counters do see a merge
+        adapters_module.aggregate_weights(trained_base, content, style, 1.0, 1.0)
+        assert calls == {"aggregate_weights": 1, "Backbone": 1}
 
     def test_two_evaluations_per_step(self, trained_base, adapters, schedule):
         content, style = adapters
@@ -339,27 +401,3 @@ class TestGuidedSampler:
         out = sampler.sample("a filled disc <c>", seed=9)
         assert out.shape == (16, 16)
         assert sampler.n_network_evals_ == 2
-
-
-class TestExpertEncoderIntegration:
-    def test_encoder_driven_gains_match_markers_at_init(self, trained_base, adapters, schedule):
-        content, style = adapters
-        encoder = init_expert_encoder(seed=5)
-        prompt = "a filled disc <c> in fine stripe style <s>"
-        via_encoder = GuidedSampler(
-            trained_base,
-            content_adapter=content,
-            style_adapter=style,
-            encoder=encoder,
-            schedule=schedule,
-        )
-        img_enc = via_encoder.sample(prompt, seed=10)
-        via_markers = GuidedSampler(
-            trained_base,
-            content_adapter=content,
-            style_adapter=style,
-            schedule=schedule,
-        )
-        img_mark = via_markers.sample(prompt, seed=10)
-        # untrained head emits exactly-1 gains only up to float rounding
-        assert np.abs(img_enc - img_mark).max() < 1e-6

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from craftlora.exceptions import DegenerateInput, NotOrthonormal, ShapeMismatch
-from craftlora.linalg import householder_qr, low_rank_update, project_out, qr_backward
+from craftlora.linalg import householder_qr, project_out, qr_backward
 
 
 def svd_rank(mat, threshold=1e-8):
@@ -132,29 +132,6 @@ class TestProjectOut:
     def test_rejects_non_orthonormal(self):
         with pytest.raises(NotOrthonormal):
             project_out(np.eye(3), np.full((3, 2), 0.9))
-
-
-class TestLowRankUpdate:
-    def test_zero_b_keeps_host(self):
-        rng = np.random.default_rng(20)
-        w = np.arange(6.0).reshape(2, 3)
-        a = rng.standard_normal((2, 3))
-        assert np.array_equal(low_rank_update(w, np.zeros((2, 2)), a), w)
-
-    def test_zero_a_keeps_host(self):
-        rng = np.random.default_rng(21)
-        w = np.arange(6.0).reshape(2, 3)
-        b = rng.standard_normal((2, 2))
-        assert np.array_equal(low_rank_update(w, b, np.zeros((2, 3))), w)
-
-    def test_hand_case(self):
-        w = np.eye(2)
-        out = low_rank_update(w, np.array([[1.0], [0.0]]), np.array([[0.0, 1.0]]))
-        assert np.array_equal(out, np.array([[1.0, 1.0], [0.0, 1.0]]))
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
-            low_rank_update(np.eye(2), np.zeros((2, 2)), np.zeros((3, 2)))
 
 
 @settings(max_examples=40, deadline=None)

@@ -27,7 +27,6 @@ from .denoiser import (
 )
 from .frequency import FrequencyMask, freq_mask_filter, gaussian_lowpass, style_residual
 from .guidance import (
-    GuidanceConfig,
     GuidedSampler,
     cfg_sample,
     gamma_schedule,
@@ -71,7 +70,6 @@ __all__ = [
     "DenoiserTrainer",
     "EvalReport",
     "FrequencyMask",
-    "GuidanceConfig",
     "GuidedSampler",
     "ImageFeatureExtractor",
     "LayerRouting",

@@ -12,18 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import ParamsMixin
+from .config import AdapterSettings
 from .denoiser import NoiseSchedule, backward_pass, forward_pass
-from .exceptions import (
-    ConfigInvalid,
-    MarkerMissing,
-    NumericalError,
-    RoutingViolation,
-    ShapeMismatch,
-)
+from .exceptions import ConfigInvalid, MarkerMissing, RoutingViolation, ShapeMismatch
 from .optim import Adam
 from .prompts import EMB_DIM, encode_semantic, parse_prompt
-from .utils import lr_at, make_rng
+from .utils import check_loss, lr_at, make_rng
 from .validation import as_image, as_vector
 
 KINDS = ("content", "style")
@@ -47,13 +41,6 @@ class LayerRouting:
         if kind not in KINDS:
             raise ValueError(f"unknown adapter kind {kind!r}")
         return self.content if kind == "content" else self.style
-
-    def owner(self, layer):
-        if layer in self.content:
-            return "content"
-        if layer in self.style:
-            return "style"
-        return None
 
 
 def default_routing(layer_names):
@@ -84,15 +71,6 @@ class LoraAdapter:
             return _sigmoid(self.gate_b)
         e = np.asarray(e_sem, dtype=np.float64)
         return _sigmoid(float(self.gate_w @ e) + self.gate_b)
-
-    def delta(self, layer, e_sem=None):
-        """The layer's low-rank update, gate-modulated when e_sem is given."""
-        b, a = self.factors[layer]
-        scale = 1.0 if e_sem is None else self.gate(e_sem)
-        return scale * (b @ a)
-
-    def layer_names(self):
-        return tuple(self.factors)
 
 
 def make_adapter(kind, backbone, routing, rank, seed=0, init_scale=0.02, host_hash=""):
@@ -242,9 +220,12 @@ def adapter_loss(w_init, adapter, reference, e_sem, schedule, draw):
     return loss, factor_grads, (d_gate_in * e_sem, d_gate_in)
 
 
-class LoraTrainer(ParamsMixin):
+class LoraTrainer:
     """Trains one adapter kind on a single reference with gradient masking.
 
+    ``kind`` and the ``AdapterSettings`` fields, given as keywords, are
+    validated here, once; ``routing`` defaults to ``default_routing`` of
+    the host's layers.
     fit(backbone, reference, prompt) -> self; the trained adapter lands in
     ``adapter_`` and the loss curve in ``loss_history_``. The prompt must
     carry the marker matching ``kind``. Parameters outside the kind's layer
@@ -253,42 +234,20 @@ class LoraTrainer(ParamsMixin):
     """
 
     def __init__(
-        self,
-        kind,
-        rank=16,
-        steps=1000,
-        batch_size=1,
-        peak_lr=5e-3,
-        start_lr=5e-4,
-        floor_lr=5e-4,
-        warmup=50,
-        routing=None,
-        init_scale=0.02,
-        schedule=None,
-        host_hash="",
-        on_step=None,
-        seed=0,
+        self, kind, routing=None, schedule=None, host_hash="", on_step=None, seed=0, **settings
     ):
+        if kind not in KINDS:
+            raise ConfigInvalid(f"adapter kind must be one of {KINDS}, got {kind!r}")
         self.kind = kind
-        self.rank = rank
-        self.steps = steps
-        self.batch_size = batch_size
-        self.peak_lr = peak_lr
-        self.start_lr = start_lr
-        self.floor_lr = floor_lr
-        self.warmup = warmup
+        self.settings = AdapterSettings(**settings)
+        self.settings.validate()
         self.routing = routing
-        self.init_scale = init_scale
-        self.schedule = schedule
+        self.schedule = schedule or NoiseSchedule.linear()
         self.host_hash = host_hash
         self.on_step = on_step
         self.seed = seed
 
     def fit(self, backbone, reference, prompt):
-        if self.kind not in KINDS:
-            raise ConfigInvalid(f"adapter kind must be one of {KINDS}, got {self.kind!r}")
-        if self.steps < 0 or self.batch_size < 1:
-            raise ConfigInvalid("steps must be >= 0 and batch_size >= 1")
         spec = parse_prompt(prompt)
         marker_present = (
             spec.has_content_marker if self.kind == "content" else spec.has_style_marker
@@ -298,23 +257,18 @@ class LoraTrainer(ParamsMixin):
                 f"prompt lacks the {'<c>' if self.kind == 'content' else '<s>'} marker"
             )
         reference = as_image(reference, "reference")
-        schedule = self.schedule or NoiseSchedule.linear()
+        cfg = self.settings
+        schedule = self.schedule
         routing = self.routing or default_routing(backbone.names)
         adapter = make_adapter(
-            self.kind,
-            backbone,
-            routing,
-            self.rank,
-            seed=self.seed,
-            init_scale=self.init_scale,
-            host_hash=self.host_hash,
+            self.kind, backbone, routing, cfg.rank, seed=self.seed, host_hash=self.host_hash
         )
         e_sem = encode_semantic(spec.stripped)
         rng = make_rng(self.seed, "adapter-train", self.kind)
         optimizer = Adam()
         history = []
-        for step in range(self.steps):
-            lr = lr_at(step, self.steps, self.peak_lr, self.start_lr, self.floor_lr, self.warmup)
+        for step in range(cfg.steps):
+            lr = lr_at(step, cfg.steps, cfg.peak_lr, cfg.start_lr, cfg.floor_lr, cfg.warmup)
             total_factor = {
                 name: (np.zeros_like(b), np.zeros_like(a))
                 for name, (b, a) in adapter.factors.items()
@@ -323,7 +277,7 @@ class LoraTrainer(ParamsMixin):
             total_gate_w = np.zeros(EMB_DIM)
             total_gate_b = 0.0
             loss_acc = 0.0
-            for _ in range(self.batch_size):
+            for _ in range(cfg.batch_size):
                 t = int(rng.integers(1, schedule.total_steps + 1))
                 noise = rng.standard_normal(reference.shape)
                 loss, factor_grads, (g_w, g_b) = adapter_loss(
@@ -339,10 +293,9 @@ class LoraTrainer(ParamsMixin):
                         zero_factor[name] = (gb, ga)
                 total_gate_w += g_w
                 total_gate_b += g_b
-            scale = 1.0 / self.batch_size
+            scale = 1.0 / cfg.batch_size
             loss_acc *= scale
-            if not math.isfinite(loss_acc):
-                raise NumericalError(f"adapter loss diverged at step {step}")
+            check_loss(loss_acc, history, "adapter")
             history.append(loss_acc)
             if self.on_step is not None:
                 self.on_step(step, {**total_factor, **zero_factor}, loss_acc)

@@ -12,7 +12,7 @@ import click
 import numpy as np
 
 from . import checkpoint as ckpt
-from .adapters import LoraTrainer, default_routing
+from .adapters import LoraTrainer
 from .config import ENV_CONFIG, config_hash, load_config
 from .denoiser import DenoiserTrainer, NoiseSchedule
 from .exceptions import (
@@ -69,10 +69,8 @@ def _train_base_denoiser(config, dataset):
         embeddings.append(member_embedding(pair, "content"))
         images.append(pair.style_image)
         embeddings.append(member_embedding(pair, "style"))
-    settings = dataclasses.asdict(config.denoiser)
-    settings["steps"] = settings.pop("train_steps")
     trainer = DenoiserTrainer(
-        **settings,
+        **dataclasses.asdict(config.denoiser),
         schedule=_schedule_from(config),
         seed=derive_seed(config.seed, "base-denoiser"),
     )
@@ -106,7 +104,7 @@ _config_option = click.option(
 )
 _seed_option = click.option("--seed", type=int, default=None, help="Override the config seed.")
 _threads_option = click.option(
-    "--threads", type=int, default=1, show_default=True,
+    "--threads", type=click.IntRange(min=1), default=1, show_default=True,
     help="Worker threads; never changes numerical results.",
 )
 
@@ -125,8 +123,6 @@ _threads_option = click.option(
 def cmd_gen_pairs(config_path, seed, threads, out_dir, mode, sigma, n_content, n_style, backbone_path):
     """Write the contrastive pair dataset (images plus manifest)."""
     config = _load_run_config(config_path, seed)
-    if threads < 1:
-        raise ConfigInvalid("--threads must be at least 1")
     ds = config.dataset
     backbone = ckpt.load_backbone(backbone_path) if backbone_path else None
     dataset = generate_pair_dataset(
@@ -199,7 +195,6 @@ def cmd_train_lora(config_path, seed, kind, reference_path, prompt, backbone_pat
     trainer = LoraTrainer(
         kind,
         **dataclasses.asdict(config.adapter),
-        routing=default_routing(backbone.names),
         schedule=_schedule_from(config),
         host_hash=ckpt.file_sha256(backbone_path),
         seed=derive_seed(config.seed, "lora", kind),
@@ -274,8 +269,6 @@ def cmd_eval(config_path, seed, threads, backbone_path, content_path, style_path
              out_path, n_content, n_style):
     """Generate the prompt grid and report the disentanglement scores."""
     config = _load_run_config(config_path, seed)
-    if threads < 1:
-        raise ConfigInvalid("--threads must be at least 1")
     n_c = config.dataset.n_content if n_content is None else n_content
     n_s = config.dataset.n_style if n_style is None else n_style
     if not (1 <= n_c <= len(CONTENT_PROMPTS)) or not (2 <= n_s <= len(STYLE_PROMPTS)):

@@ -12,11 +12,11 @@ import math
 
 import numpy as np
 
-from .base import ParamsMixin
-from .exceptions import ConfigInvalid, NumericalError, OutOfRange, ShapeMismatch
+from .config import DenoiserSettings, ScheduleSettings
+from .exceptions import ConfigInvalid, OutOfRange, ShapeMismatch
 from .optim import Adam
 from .prompts import EMB_DIM
-from .utils import lr_at, make_rng
+from .utils import check_loss, lr_at, make_rng
 from .validation import as_image, as_matrix, check_same_shape
 
 
@@ -36,9 +36,15 @@ class NoiseSchedule:
         self.alpha_bars = np.cumprod(self.alphas)
 
     @classmethod
-    def linear(cls, total_steps=50, beta_start=0.002, beta_end=0.25):
-        """Linear betas; the defaults compress the classic thousand-step
-        range onto 50 steps so the terminal state is essentially pure noise."""
+    def linear(
+        cls,
+        total_steps=ScheduleSettings.total_steps,
+        beta_start=ScheduleSettings.beta_start,
+        beta_end=ScheduleSettings.beta_end,
+    ):
+        """Linear betas; the ``ScheduleSettings`` defaults compress the classic
+        thousand-step range onto 50 steps so the terminal state is
+        essentially pure noise."""
         return cls(np.linspace(beta_start, beta_end, total_steps))
 
     @property
@@ -102,10 +108,6 @@ class Backbone:
     def input_dim(self):
         return self._weights[self._names[0]].shape[0]
 
-    @property
-    def output_dim(self):
-        return self._weights[self._names[-1]].shape[1]
-
     def weight(self, name):
         return self._weights[name]
 
@@ -123,9 +125,6 @@ class Backbone:
         return Backbone(
             [(name, updates.get(name, self._weights[name])) for name in self._names]
         )
-
-    def copy(self):
-        return Backbone([(name, w.copy()) for name, w in self.items()])
 
 
 def default_layer_names(n_layers):
@@ -345,45 +344,25 @@ def posterior_from_x0(x_t, t, x0_hat, schedule, rng=None):
     return mean + sigma * rng.standard_normal(x_t.shape)
 
 
-class DenoiserTrainer(ParamsMixin):
+class DenoiserTrainer:
     """Adam trainer for the epsilon-matching objective.
 
+    The keywords are the fields of ``DenoiserSettings``, with ``steps``
+    accepted for ``train_steps``; they are validated here, once.
     fit(images, embeddings) -> self, with the trained weights in
     ``backbone_`` and the per-step loss curve in ``loss_history_``.
     Deterministic given ``seed``.
     """
 
-    def __init__(
-        self,
-        image_size=16,
-        hidden_width=64,
-        n_layers=8,
-        steps=1200,
-        batch_size=8,
-        peak_lr=3e-3,
-        start_lr=3e-4,
-        floor_lr=3e-4,
-        warmup=100,
-        cond_dropout=0.1,
-        schedule=None,
-        seed=0,
-    ):
-        self.image_size = image_size
-        self.hidden_width = hidden_width
-        self.n_layers = n_layers
-        self.steps = steps
-        self.batch_size = batch_size
-        self.peak_lr = peak_lr
-        self.start_lr = start_lr
-        self.floor_lr = floor_lr
-        self.warmup = warmup
-        self.cond_dropout = cond_dropout
-        self.schedule = schedule
+    def __init__(self, schedule=None, seed=0, **settings):
+        if "steps" in settings:
+            settings["train_steps"] = settings.pop("steps")
+        self.settings = DenoiserSettings(**settings)
+        self.settings.validate()
+        self.schedule = schedule or NoiseSchedule.linear()
         self.seed = seed
 
     def fit(self, images, embeddings=None):
-        if self.steps < 0 or self.batch_size < 1:
-            raise ConfigInvalid("steps must be >= 0 and batch_size >= 1")
         images = np.asarray(images, dtype=np.float64)
         if images.ndim != 3 or images.shape[0] < 1:
             raise ConfigInvalid("images must be a non-empty (n, H, W) array")
@@ -397,18 +376,20 @@ class DenoiserTrainer(ParamsMixin):
                 raise ConfigInvalid(
                     f"embeddings must have shape ({n}, {EMB_DIM}), got {embeddings.shape}"
                 )
-        schedule = self.schedule or NoiseSchedule.linear()
-        backbone = init_backbone(self.image_size, self.hidden_width, self.n_layers, self.seed)
+        cfg = self.settings
+        schedule = self.schedule
+        backbone = init_backbone(cfg.image_size, cfg.hidden_width, cfg.n_layers, self.seed)
         rng = make_rng(self.seed, "denoiser-train")
         optimizer = Adam()
         pixels = flat.shape[1]
+        batch = cfg.batch_size
         history = []
-        for step in range(self.steps):
-            lr = lr_at(step, self.steps, self.peak_lr, self.start_lr, self.floor_lr, self.warmup)
-            idx = rng.integers(0, n, size=self.batch_size)
-            ts = rng.integers(1, schedule.total_steps + 1, size=self.batch_size)
-            noise = rng.standard_normal((self.batch_size, pixels))
-            keep = rng.random(self.batch_size) >= self.cond_dropout
+        for step in range(cfg.train_steps):
+            lr = lr_at(step, cfg.train_steps, cfg.peak_lr, cfg.start_lr, cfg.floor_lr, cfg.warmup)
+            idx = rng.integers(0, n, size=batch)
+            ts = rng.integers(1, schedule.total_steps + 1, size=batch)
+            noise = rng.standard_normal((batch, pixels))
+            keep = rng.random(batch) >= cfg.cond_dropout
             x0 = flat[idx]
             ab = schedule.alpha_bars[ts - 1][:, None]
             x_t = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * noise
@@ -416,8 +397,7 @@ class DenoiserTrainer(ParamsMixin):
             pred, acts = forward_pass(x_t, ts, cond, backbone)
             resid = pred - noise
             loss = float(np.mean(resid * resid))
-            if not math.isfinite(loss):
-                raise NumericalError(f"denoiser loss diverged at step {step}")
+            check_loss(loss, history, "denoiser")
             history.append(loss)
             d_out = 2.0 * resid / resid.size
             grads = backward_pass(acts, backbone, d_out)

@@ -66,7 +66,7 @@ class HostMismatch(CraftLoraError, RuntimeError):
 
 
 class CorruptCheckpoint(CraftLoraError, RuntimeError):
-    """A checkpoint file fails its structural or CRC validation."""
+    """A checkpoint or data file fails its structural or CRC validation."""
 
 
 class NumericalError(CraftLoraError, RuntimeError):

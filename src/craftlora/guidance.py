@@ -8,47 +8,15 @@ evaluations per step, like standard CFG.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .adapters import adapter_terms
-from .base import ParamsMixin
+from .config import GuidanceSettings
 from .denoiser import NoiseSchedule, ddpm_step, predict_eps
-from .exceptions import ConfigInvalid, OutOfRange
+from .exceptions import OutOfRange
 from .prompts import encode_semantic, null_embedding, parse_prompt
 from .utils import EvalCounter, make_rng
-
-RAMP_KINDS = ("cosine", "linear")
-
-
-@dataclass(frozen=True)
-class GuidanceConfig:
-    """Guidance strength, activation windows and temporal scaling."""
-
-    omega: float = 7.5
-    total_steps: int = 50
-    content_window: tuple = (1, 35)
-    style_window: tuple = (15, 50)
-    alpha_min: float = 0.5
-    alpha_max: float = 1.0
-    ramp: str = "cosine"
-
-    def __post_init__(self):
-        if self.omega < 0.0:
-            raise ConfigInvalid("omega must be nonnegative")
-        if self.total_steps < 1:
-            raise ConfigInvalid("total_steps must be positive")
-        for label, window in (("content", self.content_window), ("style", self.style_window)):
-            lo, hi = window
-            if not (1 <= lo <= hi <= self.total_steps):
-                raise ConfigInvalid(
-                    f"{label} window {window} must lie inside [1, {self.total_steps}]"
-                )
-        if self.alpha_min > self.alpha_max:
-            raise ConfigInvalid("alpha_min must not exceed alpha_max")
-        if self.ramp not in RAMP_KINDS:
-            raise ConfigInvalid(f"ramp must be one of {RAMP_KINDS}")
 
 
 def gamma_schedule(t, content_window, style_window):
@@ -59,17 +27,21 @@ def gamma_schedule(t, content_window, style_window):
     return gc, gs
 
 
-def temporal_alpha(t, config):
-    """Smooth gain alpha_min -> alpha_max as sampling proceeds from t=T to 1."""
+def temporal_alpha(t, settings, total_steps):
+    """Smooth gain alpha_min -> alpha_max as sampling proceeds from t=T to 1.
+
+    ``settings`` is a ``GuidanceSettings`` and ``total_steps`` the length T
+    of the schedule.
+    """
     t = int(t)
-    if not 1 <= t <= config.total_steps:
-        raise OutOfRange(f"t must lie in [1, {config.total_steps}], got {t}")
-    u = (config.total_steps - t) / config.total_steps
-    if config.ramp == "cosine":
+    if not 1 <= t <= total_steps:
+        raise OutOfRange(f"t must lie in [1, {total_steps}], got {t}")
+    u = (total_steps - t) / total_steps
+    if settings.ramp == "cosine":
         g = 0.5 * (1.0 - math.cos(math.pi * u))
     else:
         g = u
-    return config.alpha_min + (config.alpha_max - config.alpha_min) * g
+    return settings.alpha_min + (settings.alpha_max - settings.alpha_min) * g
 
 
 def guided_eps_parts(
@@ -81,7 +53,8 @@ def guided_eps_parts(
     style_adapter,
     gamma_content,
     gamma_style,
-    config,
+    settings,
+    total_steps,
     symmetric=False,
     counter=None,
 ):
@@ -93,8 +66,8 @@ def guided_eps_parts(
     unconditional pass always uses the bare host and the null embedding,
     except under the symmetric ablation which reuses the same terms.
     """
-    ind_c, ind_s = gamma_schedule(t, config.content_window, config.style_window)
-    alpha = temporal_alpha(t, config)
+    ind_c, ind_s = gamma_schedule(t, settings.content_window, settings.style_window)
+    alpha = temporal_alpha(t, settings, total_steps)
     eff_c = alpha * gamma_content * ind_c if content_adapter is not None else 0.0
     eff_s = alpha * gamma_style * ind_s if style_adapter is not None else 0.0
     terms = adapter_terms(w_init, content_adapter, style_adapter, eff_c, eff_s, e_sem)
@@ -114,15 +87,19 @@ def guided_eps(eps_cond, eps_uncond, omega):
     return (1.0 + omega) * eps_cond - omega * eps_uncond
 
 
-class GuidedSampler(ParamsMixin):
+class GuidedSampler:
     """Asymmetric-CFG sampling loop over a host backbone and two adapters.
 
-    ``sample(prompt, seed)`` returns the final clean image. A branch gain is
-    its ``gamma_content``/``gamma_style`` override when given, else 1.0 when
-    the prompt carries the branch's marker and 0.0 when it does not. After
-    a run, ``n_network_evals_`` holds the instrumented forward count (always
-    two per step), ``trace_`` the per-step diagnostic records and
-    ``trajectory_`` the state sequence when recording is enabled.
+    The guidance keywords (``omega``, the two windows, ``alpha_min``,
+    ``alpha_max``, ``ramp``) are the fields of ``GuidanceSettings``; they
+    are validated here, once, against the schedule, so a window outside
+    it raises ``ConfigInvalid``. ``sample(prompt, seed)`` returns the final
+    clean image. A branch gain is its ``gamma_content``/``gamma_style``
+    override when given, else 1.0 when the prompt carries the branch's
+    marker and 0.0 when it does not. After a run, ``n_network_evals_``
+    holds the instrumented forward count (always two per step), ``trace_``
+    the per-step diagnostic records and ``trajectory_`` the state sequence
+    when recording is enabled.
     """
 
     def __init__(
@@ -130,12 +107,6 @@ class GuidedSampler(ParamsMixin):
         backbone,
         content_adapter=None,
         style_adapter=None,
-        omega=7.5,
-        content_window=(1, 35),
-        style_window=(15, 50),
-        alpha_min=0.5,
-        alpha_max=1.0,
-        ramp="cosine",
         gamma_content=None,
         gamma_style=None,
         symmetric_cfg=False,
@@ -143,20 +114,17 @@ class GuidedSampler(ParamsMixin):
         clip_x0=(0.0, 1.0),
         record_trajectory=False,
         record_trace=False,
+        **guidance,
     ):
         self.backbone = backbone
         self.content_adapter = content_adapter
         self.style_adapter = style_adapter
-        self.omega = omega
-        self.content_window = content_window
-        self.style_window = style_window
-        self.alpha_min = alpha_min
-        self.alpha_max = alpha_max
-        self.ramp = ramp
         self.gamma_content = gamma_content
         self.gamma_style = gamma_style
         self.symmetric_cfg = symmetric_cfg
-        self.schedule = schedule
+        self.schedule = schedule or NoiseSchedule.linear()
+        self.settings = GuidanceSettings(**guidance)
+        self.settings.validate(self.schedule.total_steps)
         self.clip_x0 = clip_x0
         self.record_trajectory = record_trajectory
         self.record_trace = record_trace
@@ -170,24 +138,8 @@ class GuidedSampler(ParamsMixin):
             gs = 1.0 if spec.has_style_marker else 0.0
         return float(gc), float(gs)
 
-    @staticmethod
-    def _clamp_window(window, total):
-        lo = max(1, min(int(window[0]), total))
-        hi = max(lo, min(int(window[1]), total))
-        return lo, hi
-
     def sample(self, prompt, seed=0):
-        schedule = self.schedule or NoiseSchedule.linear()
-        total = schedule.total_steps
-        config = GuidanceConfig(
-            omega=self.omega,
-            total_steps=total,
-            content_window=self._clamp_window(self.content_window, total),
-            style_window=self._clamp_window(self.style_window, total),
-            alpha_min=self.alpha_min,
-            alpha_max=self.alpha_max,
-            ramp=self.ramp,
-        )
+        schedule = self.schedule
         spec = parse_prompt(prompt)
         e_sem = encode_semantic(spec.stripped)
         gamma_content, gamma_style = self._resolve_gammas(spec)
@@ -209,11 +161,12 @@ class GuidedSampler(ParamsMixin):
                 self.style_adapter,
                 gamma_content,
                 gamma_style,
-                config,
+                self.settings,
+                schedule.total_steps,
                 symmetric=self.symmetric_cfg,
                 counter=counter,
             )
-            eps = guided_eps(eps_cond, eps_uncond, self.omega)
+            eps = guided_eps(eps_cond, eps_uncond, self.settings.omega)
             if self.record_trace:
                 gap = float(np.linalg.norm(eps_cond - eps_uncond))
                 trace.append(
@@ -233,7 +186,7 @@ class GuidedSampler(ParamsMixin):
 def cfg_sample(
     prompt,
     backbone,
-    omega=7.5,
+    omega,
     schedule=None,
     seed=0,
     clip_x0=(0.0, 1.0),

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .base import ParamsMixin
 from .exceptions import EmptySet, GridIncomplete
 from .frequency import gaussian_lowpass, style_residual
 from .utils import make_rng
@@ -22,7 +21,7 @@ from .validation import as_image
 CALIBRATION_DRAWS = 200
 
 
-class ImageFeatureExtractor(ParamsMixin):
+class ImageFeatureExtractor:
     """Fixed projection from images to unit-normalized 128-dim features.
 
     ``transform`` accepts a single (H, W) image or a stack (n, H, W). Zero

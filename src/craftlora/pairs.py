@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .denoiser import NoiseSchedule, posterior_from_x0, predict_eps, predict_x0
-from .exceptions import ConfigInvalid, ModelUntrained
+from .exceptions import ConfigInvalid, CorruptCheckpoint, ModelUntrained
 from .frequency import FrequencyMask, freq_mask_filter, gaussian_lowpass, style_residual
 from .prompts import encode_semantic
 from .utils import make_rng
@@ -319,29 +319,42 @@ def save_dataset(out_dir, dataset):
 
 
 def load_dataset(in_dir):
-    """Read a dataset directory back into ContrastPair records."""
+    """Read a dataset directory back into ContrastPair records.
+
+    A malformed manifest line, a pair id listed twice or images of more
+    than one shape make the directory corrupt.
+    """
     from .pgm import read_pgm
 
     manifest = os.path.join(in_dir, MANIFEST_NAME)
     pairs = []
+    ids = set()
+    shapes = set()
     with open(manifest, "r", encoding="utf-8") as fh:
         for line in fh:
             line = line.rstrip("\n")
             if not line:
                 continue
             fields = line.split("\t")
-            if len(fields) != 7:
-                raise ConfigInvalid(f"manifest line has {len(fields)} fields, expected 7")
+            if len(fields) != 7 or not all(fields) or not fields[0].isdecimal():
+                raise CorruptCheckpoint(f"{manifest} has a malformed line: {line!r}")
             pair_id, content_rel, style_rel, p_c, p_s, p_cm, p_sm = fields
-            pairs.append(
-                ContrastPair(
-                    pair_id=int(pair_id),
-                    content_image=read_pgm(os.path.join(in_dir, *content_rel.split("/"))),
-                    style_image=read_pgm(os.path.join(in_dir, *style_rel.split("/"))),
-                    content_prompt=p_c,
-                    style_prompt=p_s,
-                    content_modifier=p_cm,
-                    style_modifier=p_sm,
-                )
+            pair = ContrastPair(
+                pair_id=int(pair_id),
+                content_image=read_pgm(os.path.join(in_dir, *content_rel.split("/"))),
+                style_image=read_pgm(os.path.join(in_dir, *style_rel.split("/"))),
+                content_prompt=p_c,
+                style_prompt=p_s,
+                content_modifier=p_cm,
+                style_modifier=p_sm,
             )
+            if pair.pair_id in ids:
+                raise CorruptCheckpoint(f"{manifest} lists pair {pair.pair_id} twice")
+            ids.add(pair.pair_id)
+            shapes.update((pair.content_image.shape, pair.style_image.shape))
+            if len(shapes) > 1:
+                raise CorruptCheckpoint(
+                    f"{in_dir} mixes image shapes {sorted(shapes)} at pair {pair.pair_id}"
+                )
+            pairs.append(pair)
     return pairs

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse
 
-from .base import ParamsMixin
+from .config import TrunkSettings
 from .denoiser import NoiseSchedule, backward_pass, forward_pass
 from .exceptions import (
     ConfigInvalid,
@@ -26,7 +26,7 @@ from .exceptions import (
 )
 from .linalg import DROP_TOL_FACTOR, householder_qr, project_out, qr_backward
 from .prompts import encode_semantic
-from .utils import lr_at, make_rng
+from .utils import check_loss, lr_at, make_rng
 from .validation import as_matrix
 
 
@@ -357,9 +357,10 @@ def make_trunk_draws(batch, schedule, rng):
     return draws
 
 
-class TrunkFinetuner(ParamsMixin):
+class TrunkFinetuner:
     """Gradient descent over the per-layer bases with warm-up cosine decay.
 
+    The keywords are the fields of ``TrunkSettings``, validated here, once.
     fit(backbone, pairs) -> self. The frozen host (base weights with the
     merged content/style subspaces projected out) lands in ``backbone_``,
     the trained bases in ``bases_``, the merged per-layer orthonormal
@@ -367,43 +368,15 @@ class TrunkFinetuner(ParamsMixin):
     Deterministic given ``seed``; zero steps projects the initial bases.
     """
 
-    def __init__(
-        self,
-        r_max=16,
-        r_min=4,
-        steps=500,
-        batch_size=4,
-        peak_lr=1e-4,
-        start_lr=1e-5,
-        floor_lr=5e-6,
-        warmup=50,
-        lambda_reg=1e-4,
-        alpha_perc=0.1,
-        init_scale=0.02,
-        schedule=None,
-        perceptual_seed=0,
-        seed=0,
-    ):
-        self.r_max = r_max
-        self.r_min = r_min
-        self.steps = steps
-        self.batch_size = batch_size
-        self.peak_lr = peak_lr
-        self.start_lr = start_lr
-        self.floor_lr = floor_lr
-        self.warmup = warmup
-        self.lambda_reg = lambda_reg
-        self.alpha_perc = alpha_perc
-        self.init_scale = init_scale
-        self.schedule = schedule
-        self.perceptual_seed = perceptual_seed
+    def __init__(self, schedule=None, seed=0, **settings):
+        self.settings = TrunkSettings(**settings)
+        self.settings.validate()
+        self.schedule = schedule or NoiseSchedule.linear()
         self.seed = seed
 
     def fit(self, backbone, pairs):
         if len(pairs) < 1:
             raise ConfigInvalid("the pair dataset is empty")
-        if self.steps < 0 or self.batch_size < 1:
-            raise ConfigInvalid("steps must be >= 0 and batch_size >= 1")
         degenerate = [
             p.pair_id for p in pairs if np.array_equal(p.content_image, p.style_image)
         ]
@@ -414,34 +387,29 @@ class TrunkFinetuner(ParamsMixin):
                 RuntimeWarning,
                 stacklevel=2,
             )
-        schedule = self.schedule or NoiseSchedule.linear()
-        rank_plan = RankSchedule(self.r_max, self.r_min, backbone.n_layers)
-        bases = init_bases(backbone, rank_plan, seed=self.seed, init_scale=self.init_scale)
+        cfg = self.settings
+        rank_plan = RankSchedule(cfg.r_max, cfg.r_min, backbone.n_layers)
+        bases = init_bases(backbone, rank_plan, seed=self.seed)
         image_size = pairs[0].content_image.shape[0]
-        perceptual = (
-            PerceptualProxy(image_size=image_size, seed=self.perceptual_seed)
-            if self.alpha_perc > 0.0
-            else None
-        )
+        perceptual = PerceptualProxy(image_size=image_size) if cfg.alpha_perc > 0.0 else None
         rng = make_rng(self.seed, "trunk-train")
         history = []
-        for step in range(self.steps):
-            lr = lr_at(step, self.steps, self.peak_lr, self.start_lr, self.floor_lr, self.warmup)
-            idx = rng.integers(0, len(pairs), size=min(self.batch_size, len(pairs)))
+        for step in range(cfg.steps):
+            lr = lr_at(step, cfg.steps, cfg.peak_lr, cfg.start_lr, cfg.floor_lr, cfg.warmup)
+            idx = rng.integers(0, len(pairs), size=min(cfg.batch_size, len(pairs)))
             batch = [pairs[i] for i in idx]
-            draws = make_trunk_draws(batch, schedule, rng)
+            draws = make_trunk_draws(batch, self.schedule, rng)
             loss, grads = trunk_loss(
                 backbone,
                 bases,
                 batch,
-                self.lambda_reg,
-                self.alpha_perc,
-                schedule,
+                cfg.lambda_reg,
+                cfg.alpha_perc,
+                self.schedule,
                 draws,
                 perceptual=perceptual,
             )
-            if not math.isfinite(loss):
-                raise NumericalError(f"trunk loss diverged at step {step}")
+            check_loss(loss, history, "trunk")
             history.append(loss)
             for kind in ("content", "style"):
                 side = bases.side(kind)

@@ -5,6 +5,12 @@ import math
 
 import numpy as np
 
+from .exceptions import NumericalError
+
+# A training loss this many times its first value has diverged; desk runs
+# stay within 4x of their first loss.
+DIVERGENCE_FACTOR = 1e3
+
 
 def derive_seed(base, *labels):
     """Stable 64-bit seed from a base seed and a chain of string labels.
@@ -40,6 +46,13 @@ def lr_at(step, total, peak, start, floor, warmup):
     u = (step - warmup) / (total - warmup)
     u = min(max(u, 0.0), 1.0)
     return floor + (peak - floor) * 0.5 * (1.0 + math.cos(math.pi * u))
+
+
+def check_loss(loss, history, stage):
+    """Raise ``NumericalError`` when a step's loss is non-finite or exceeds
+    ``DIVERGENCE_FACTOR`` times the first loss in ``history``."""
+    if not math.isfinite(loss) or (history and loss > DIVERGENCE_FACTOR * history[0]):
+        raise NumericalError(f"{stage} loss diverged at step {len(history)}")
 
 
 class EvalCounter:

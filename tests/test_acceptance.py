@@ -13,9 +13,10 @@ import pytest
 
 from craftlora.adapters import LoraTrainer, adapter_loss, default_routing, make_adapter
 from craftlora.cli import main as cli_main
+from craftlora.config import GuidanceSettings
 from craftlora.denoiser import DenoiserTrainer, NoiseSchedule, init_backbone
 from craftlora.frequency import gaussian_lowpass, style_residual
-from craftlora.guidance import GuidanceConfig, GuidedSampler, cfg_sample, guided_eps_parts
+from craftlora.guidance import GuidedSampler, cfg_sample, guided_eps_parts
 from craftlora.linalg import householder_qr, project_out
 from craftlora.metrics import ImageFeatureExtractor, cross_influence
 from craftlora.pairs import (
@@ -162,9 +163,9 @@ def test_acfg_equivalence(trained_base, schedule):
         # omega == 0 collapses the guided estimate onto the conditional pass
         x = make_rng(77, "w0").standard_normal((16, 16))
         e_sem = encode_semantic("a filled disc in fine stripe style")
-        config = GuidanceConfig(omega=0.0)
+        config = GuidanceSettings(omega=0.0)
         eps_cond, eps_uncond, _ = guided_eps_parts(
-            x, 25, e_sem, trained_base, None, None, 1.0, 1.0, config
+            x, 25, e_sem, trained_base, None, None, 1.0, 1.0, config, 50
         )
         from craftlora.guidance import guided_eps
 
@@ -197,7 +198,7 @@ def test_unconditional_path_purity(trained_base, acceptance_adapters):
         for _ in range(20):
             lo_c, hi_c = sorted(rng.integers(1, 51, 2).tolist())
             lo_s, hi_s = sorted(rng.integers(1, 51, 2).tolist())
-            config = GuidanceConfig(
+            config = GuidanceSettings(
                 omega=float(rng.random() * 12.0),
                 content_window=(int(lo_c), int(hi_c)),
                 style_window=(int(lo_s), int(hi_s)),
@@ -215,11 +216,12 @@ def test_unconditional_path_purity(trained_base, acceptance_adapters):
                 float(rng.random() * 2.0),
                 float(rng.random() * 2.0),
                 config,
+                50,
             )
             if baseline is None:
                 # pin t for comparability across configurations
                 _, eps_uncond, _ = guided_eps_parts(
-                    x, 17, e_sem, trained_base, content, style, 1.0, 1.0, config
+                    x, 17, e_sem, trained_base, content, style, 1.0, 1.0, config, 50
                 )
                 baseline = eps_uncond.tobytes()
             assert eps_uncond.tobytes() == baseline

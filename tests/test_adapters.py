@@ -186,6 +186,12 @@ class TestLoraTrainer:
         with pytest.raises(MarkerMissing):
             LoraTrainer("style", steps=1).fit(backbone, style_render(0, 8), "only content <c>")
 
+    def test_settings_checked_at_construction(self):
+        with pytest.raises(ConfigInvalid):
+            LoraTrainer("content", steps=-1)
+        with pytest.raises(ConfigInvalid):
+            LoraTrainer("texture")
+
     def test_zero_steps_keeps_initialization(self, backbone, routing):
         trainer = LoraTrainer("content", rank=2, steps=0, routing=routing, seed=11)
         trainer.fit(backbone, content_render(0, 8), "a filled disc <c>")

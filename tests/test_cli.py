@@ -1,11 +1,12 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
 
 from craftlora.checkpoint import inspect_checkpoint, load_backbone
 from craftlora.cli import main
-from craftlora.pgm import read_pgm
+from craftlora.pgm import read_pgm, write_pgm
 
 LIGHT_CONFIG = {
     "seed": 11,
@@ -134,6 +135,14 @@ class TestGenPairs:
                 root / "pairs" / "images" / name
             ).read_bytes()
 
+    def test_zero_threads_is_usage_error(self, workspace, tmp_path):
+        _, config_path = workspace
+        out = tmp_path / "none"
+        assert run_cli(
+            ["gen-pairs", "--config", config_path, "--threads", 0, "--out", out]
+        ) == 1
+        assert not out.exists()
+
 
 class TestTrainTrunk:
     def test_outputs(self, workspace):
@@ -158,6 +167,55 @@ class TestTrainTrunk:
             merged = merge_subspaces(q_c, q_s)
             # f32 narrowing loosens the invariant accordingly
             assert np.abs(merged.T @ host.weight(name)).max() < 1e-6
+
+    def run_trunk(self, config_path, dataset, out):
+        return run_cli(
+            ["train-trunk", "--config", config_path, "--dataset", dataset, "--out", out]
+        )
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda lines: lines + lines[:1],
+            lambda lines: ["x" + lines[0][1:]] + lines[1:],
+            lambda lines: [lines[0].split("\t", 1)[0]] + lines[1:],
+            lambda lines: [lines[0].rsplit("\t", 1)[0] + "\t"] + lines[1:],
+        ],
+        ids=["duplicate-id", "non-integer-id", "missing-fields", "empty-field"],
+    )
+    def test_bad_manifest_is_data_error(self, workspace, tmp_path, edit):
+        root, config_path = workspace
+        pairs = tmp_path / "pairs"
+        shutil.copytree(root / "pairs", pairs)
+        manifest = pairs / "manifest.tsv"
+        lines = manifest.read_text(encoding="utf-8").splitlines()
+        manifest.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+        assert self.run_trunk(config_path, pairs, tmp_path / "bad.crft") == 2
+        assert not (tmp_path / "bad.crft").exists()
+
+    def test_mixed_image_sizes_are_data_error(self, workspace, tmp_path):
+        root, config_path = workspace
+        pairs = tmp_path / "pairs"
+        shutil.copytree(root / "pairs", pairs)
+        write_pgm(pairs / "images" / "pair_001_style.pgm", np.full((8, 8), 0.5))
+        assert self.run_trunk(config_path, pairs, tmp_path / "mixed.crft") == 2
+        assert not (tmp_path / "mixed.crft").exists()
+
+    def test_loss_far_above_first_step_exits_three(self, workspace, tmp_path):
+        # at peak_lr 1e4 the base loss stays finite but passes a thousand
+        # times its first value at step 2; the base must not be saved
+        root, _ = workspace
+        conf = tmp_path / "steep.json"
+        doc = dict(LIGHT_CONFIG)
+        doc["denoiser"] = {"train_steps": 5, "batch_size": 4, "peak_lr": 1e4}
+        conf.write_text(json.dumps(doc))
+        code = run_cli([
+            "train-trunk", "--config", conf, "--dataset", root / "pairs",
+            "--out", tmp_path / "steep.crft", "--save-base", tmp_path / "base.crft",
+        ])
+        assert code == 3
+        assert not (tmp_path / "steep.crft").exists()
+        assert not (tmp_path / "base.crft").exists()
 
 
 class TestTrainLora:
@@ -404,6 +462,19 @@ class TestEval:
         assert -1.0 <= doc["s_s"] <= 1.0
         assert 0.0 <= doc["s_x"] <= 1.0
         assert len(doc["pairs"]) == 4
+
+    def test_zero_threads_is_usage_error(self, workspace, tmp_path):
+        root, config_path = workspace
+        out = tmp_path / "report.json"
+        code = run_cli([
+            "eval", "--config", config_path, "--threads", 0,
+            "--backbone", root / "trunk.crft",
+            "--content-adapter", root / "content.crft",
+            "--style-adapter", root / "style.crft",
+            "--out", out,
+        ])
+        assert code == 1
+        assert not out.exists()
 
 
 class TestInspect:

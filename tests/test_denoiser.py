@@ -239,9 +239,23 @@ class TestDenoiserTrainer:
         for name in runs[0].names:
             assert np.array_equal(runs[0].weight(name), runs[1].weight(name))
 
+    def test_settings_checked_at_construction(self):
+        assert DenoiserTrainer(steps=7).settings.train_steps == 7
+        with pytest.raises(ConfigInvalid):
+            DenoiserTrainer(steps=-1)
+        with pytest.raises(ConfigInvalid):
+            DenoiserTrainer(cond_dropout=1.0)
+
     def test_rejects_empty_dataset(self):
         with pytest.raises(ConfigInvalid):
             DenoiserTrainer(steps=1).fit(np.zeros((0, 16, 16)))
+
+    def test_finite_runaway_loss_raises(self):
+        # at peak_lr 1e4 the loss stays finite but runs far past its first value
+        images = make_rng(14).random((4, 8, 8))
+        tr = DenoiserTrainer(image_size=8, steps=5, peak_lr=1e4, seed=2)
+        with pytest.raises(NumericalError, match="diverged at step 2"):
+            tr.fit(images)
 
     def test_divergence_raises(self):
         images = make_rng(14).random((4, 8, 8))

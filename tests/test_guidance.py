@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from craftlora.adapters import LoraTrainer, aggregate_weights, default_routing
+from craftlora.config import GuidanceSettings
 from craftlora.denoiser import Backbone, NoiseSchedule, ddpm_step, predict_eps
 from craftlora.exceptions import ConfigInvalid, OutOfRange
 from craftlora.guidance import (
-    GuidanceConfig,
     GuidedSampler,
     cfg_sample,
     gamma_schedule,
@@ -30,13 +30,13 @@ def merged_reference_sample(backbone, content, style, prompt, seed, schedule, sy
     Mirrors ``GuidedSampler.sample`` at its default guidance settings with
     clipping off, so no clip boundary can amplify rounding differences.
     """
-    config = GuidanceConfig()
+    config = GuidanceSettings()
     e_sem = encode_semantic(parse_prompt(prompt).stripped)
     rng = make_rng(seed, "sample")
     x = rng.standard_normal((16, 16))
     for t in range(schedule.total_steps, 0, -1):
         ind_c, ind_s = gamma_schedule(t, config.content_window, config.style_window)
-        alpha = temporal_alpha(t, config)
+        alpha = temporal_alpha(t, config, schedule.total_steps)
         merged = aggregate_weights(backbone, content, style, alpha * ind_c, alpha * ind_s, e_sem)
         eps_cond = predict_eps(x, t, e_sem, merged)
         eps_uncond = predict_eps(x, t, null_embedding(), merged if symmetric else backbone)
@@ -74,40 +74,40 @@ class TestGammaSchedule:
 
 class TestTemporalAlpha:
     def test_endpoints(self):
-        config = GuidanceConfig(alpha_min=0.5, alpha_max=1.0)
-        assert temporal_alpha(50, config) == 0.5
+        config = GuidanceSettings(alpha_min=0.5, alpha_max=1.0)
+        assert temporal_alpha(50, config, 50) == 0.5
         # late sampling (t=1) approaches alpha_max
-        assert temporal_alpha(1, config) > 0.99 * (1.0 - 0.5) + 0.5 - 0.05
+        assert temporal_alpha(1, config, 50) > 0.99 * (1.0 - 0.5) + 0.5 - 0.05
 
     def test_midpoint_cosine(self):
-        config = GuidanceConfig(alpha_min=0.2, alpha_max=0.8)
-        assert abs(temporal_alpha(25, config) - 0.5) < 1e-12
+        config = GuidanceSettings(alpha_min=0.2, alpha_max=0.8)
+        assert abs(temporal_alpha(25, config, 50) - 0.5) < 1e-12
 
     def test_monotone_nonincreasing_in_t(self):
-        config = GuidanceConfig()
-        values = [temporal_alpha(t, config) for t in range(1, 51)]
+        config = GuidanceSettings()
+        values = [temporal_alpha(t, config, 50) for t in range(1, 51)]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_bounds(self):
-        config = GuidanceConfig(alpha_min=0.3, alpha_max=0.9)
+        config = GuidanceSettings(alpha_min=0.3, alpha_max=0.9)
         for t in range(1, 51):
-            assert 0.3 - 1e-15 <= temporal_alpha(t, config) <= 0.9 + 1e-15
+            assert 0.3 - 1e-15 <= temporal_alpha(t, config, 50) <= 0.9 + 1e-15
 
     def test_linear_ramp(self):
-        config = GuidanceConfig(alpha_min=0.0, alpha_max=1.0, ramp="linear")
-        assert abs(temporal_alpha(25, config) - 0.5) < 1e-12
+        config = GuidanceSettings(alpha_min=0.0, alpha_max=1.0, ramp="linear")
+        assert abs(temporal_alpha(25, config, 50) - 0.5) < 1e-12
 
     def test_out_of_range(self):
         with pytest.raises(OutOfRange):
-            temporal_alpha(0, GuidanceConfig())
+            temporal_alpha(0, GuidanceSettings(), 50)
 
     def test_config_validation(self):
         with pytest.raises(ConfigInvalid):
-            GuidanceConfig(omega=-1.0)
+            GuidanceSettings(omega=-1.0).validate(50)
         with pytest.raises(ConfigInvalid):
-            GuidanceConfig(content_window=(0, 35))
+            GuidanceSettings(content_window=(0, 35)).validate(50)
         with pytest.raises(ConfigInvalid):
-            GuidanceConfig(alpha_min=1.5, alpha_max=1.0)
+            GuidanceSettings(alpha_min=1.5, alpha_max=1.0).validate(50)
 
 
 class TestGuidedEps:
@@ -134,7 +134,7 @@ class TestGuidedParts:
         rng = np.random.default_rng(8)
         baseline = None
         for _ in range(20):
-            config = GuidanceConfig(
+            config = GuidanceSettings(
                 omega=float(rng.random() * 10),
                 content_window=tuple(sorted(rng.integers(1, 51, 2).tolist())),
                 style_window=tuple(sorted(rng.integers(1, 51, 2).tolist())),
@@ -153,6 +153,7 @@ class TestGuidedParts:
                 float(rng.random()),
                 float(rng.random()),
                 config,
+                50,
             )
             blob = eps_uncond.tobytes()
             if baseline is None:
@@ -169,7 +170,7 @@ class TestGuidedParts:
         x = make_rng(11).standard_normal((16, 16))
         e_sem = encode_semantic("a filled disc in fine stripe style")
         eps_cond, eps_uncond, (eff_c, eff_s, _) = guided_eps_parts(
-            x, t, e_sem, trained_base, content, style, 1.0, 1.0, GuidanceConfig(),
+            x, t, e_sem, trained_base, content, style, 1.0, 1.0, GuidanceSettings(), 50,
             symmetric=symmetric,
         )
         assert (eff_c > 0.0, eff_s > 0.0) == ("c" in active, "s" in active)
@@ -182,16 +183,16 @@ class TestGuidedParts:
         content, style = adapters
         x = make_rng(9).standard_normal((16, 16))
         e_sem = encode_semantic("a filled disc in fine stripe style")
-        config = GuidanceConfig(content_window=(1, 20), style_window=(30, 50))
+        config = GuidanceSettings(content_window=(1, 20), style_window=(30, 50))
         # t in neither window: conditional equals the bare-host prediction
         eps_cond, eps_uncond, (eff_c, eff_s, _) = guided_eps_parts(
-            x, 25, e_sem, trained_base, content, style, 1.0, 1.0, config
+            x, 25, e_sem, trained_base, content, style, 1.0, 1.0, config, 50
         )
         assert eff_c == 0.0 and eff_s == 0.0
         assert np.array_equal(eps_cond, predict_eps(x, 25, e_sem, trained_base))
         # t in the content window only
         _, _, (eff_c, eff_s, alpha) = guided_eps_parts(
-            x, 10, e_sem, trained_base, content, style, 1.0, 1.0, config
+            x, 10, e_sem, trained_base, content, style, 1.0, 1.0, config, 50
         )
         assert eff_c == alpha and eff_s == 0.0
 
@@ -202,10 +203,10 @@ class TestGuidedParts:
 
         content, style = adapters
         x = make_rng(10).standard_normal((16, 16))
-        config = GuidanceConfig(content_window=(1, 5), style_window=(1, 5))
+        config = GuidanceSettings(content_window=(1, 5), style_window=(1, 5))
         for omega in (0.0, 1.0, 7.5):
             eps_cond, eps_uncond, (eff_c, eff_s, _) = guided_eps_parts(
-                x, 30, null_embedding(), trained_base, content, style, 1.0, 1.0, config
+                x, 30, null_embedding(), trained_base, content, style, 1.0, 1.0, config, 50
             )
             assert eff_c == 0.0 and eff_s == 0.0
             assert np.array_equal(eps_cond, eps_uncond)
@@ -397,7 +398,14 @@ class TestGuidedSampler:
 
     def test_single_step_schedule(self, trained_base):
         one = NoiseSchedule([0.2])
-        sampler = GuidedSampler(trained_base, omega=1.0, schedule=one)
+        sampler = GuidedSampler(
+            trained_base, omega=1.0, content_window=(1, 1), style_window=(1, 1), schedule=one
+        )
         out = sampler.sample("a filled disc <c>", seed=9)
         assert out.shape == (16, 16)
         assert sampler.n_network_evals_ == 2
+
+    def test_window_outside_schedule_rejected(self, trained_base):
+        # the default windows (1, 35) and (15, 50) end past a 30-step schedule
+        with pytest.raises(ConfigInvalid, match="window must lie inside"):
+            GuidedSampler(trained_base, schedule=NoiseSchedule.linear(30))

@@ -44,21 +44,6 @@ class TestFeatureExtractor:
         assert np.array_equal(a, b)
         assert not np.allclose(a, c)
 
-    def test_get_params_roundtrip(self):
-        ex = ImageFeatureExtractor(n_features=64, seed=3)
-        params = ex.get_params()
-        assert params == {"n_features": 64, "seed": 3}
-        ex.set_params(seed=4)
-        assert ex.seed == 4
-
-    def test_composes_with_sklearn_cloning(self):
-        sklearn_base = pytest.importorskip("sklearn.base")
-        ex = ImageFeatureExtractor(n_features=32, seed=9)
-        cloned = sklearn_base.clone(ex)
-        assert cloned.get_params() == ex.get_params()
-        img = make_rng(12).random((16, 16))
-        assert np.array_equal(cloned.transform(img), ex.transform(img))
-
 
 class TestContentPreservation:
     def test_self_similarity_is_one(self, extractor):

@@ -299,7 +299,7 @@ class TestTrunkFinetuner:
     def test_zero_steps_projects_initial_bases(self, trained_base, pair_dataset):
         tuner = TrunkFinetuner(steps=0, seed=4)
         tuner.fit(trained_base, pair_dataset[:4])
-        plan = RankSchedule(tuner.r_max, tuner.r_min, trained_base.n_layers)
+        plan = RankSchedule(tuner.settings.r_max, tuner.settings.r_min, trained_base.n_layers)
         bases = init_bases(trained_base, plan, seed=4)
         for name in trained_base.names:
             q_c, _ = householder_qr(bases.content[name])
@@ -336,3 +336,9 @@ class TestTrunkFinetuner:
     def test_empty_dataset_rejected(self, trained_base):
         with pytest.raises(ConfigInvalid):
             TrunkFinetuner(steps=1).fit(trained_base, [])
+
+    def test_settings_checked_at_construction(self):
+        with pytest.raises(ConfigInvalid):
+            TrunkFinetuner(batch_size=0)
+        with pytest.raises(ConfigInvalid):
+            TrunkFinetuner(r_max=2, r_min=3)

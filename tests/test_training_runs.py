@@ -79,9 +79,8 @@ def test_trunk_training_lowers_loss_across_seeds(trained_base, pair_dataset, sch
         tuner.fit(trained_base, pair_dataset)
         initial = init_bases(
             trained_base,
-            RankSchedule(tuner.r_max, tuner.r_min, trained_base.n_layers),
+            RankSchedule(tuner.settings.r_max, tuner.settings.r_min, trained_base.n_layers),
             seed=seed,
-            init_scale=tuner.init_scale,
         )
         before = probe_loss(initial)
         after = probe_loss(tuner.bases_)

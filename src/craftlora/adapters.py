@@ -67,9 +67,16 @@ class LoraAdapter:
     host_hash: str = ""
 
     def gate(self, e_sem):
+        """The gate of one embedding, or one gate per row of an (n, EMB_DIM) batch.
+
+        Rows are gated one at a time: a batched matrix-vector product rounds
+        a row differently depending on its position in the batch.
+        """
         if e_sem is None:
             return _sigmoid(self.gate_b)
         e = np.asarray(e_sem, dtype=np.float64)
+        if e.ndim == 2:
+            return np.array([self.gate(row) for row in e])
         return _sigmoid(float(self.gate_w @ e) + self.gate_b)
 
 
@@ -121,22 +128,27 @@ def adapter_terms(
     gamma_style=0.0,
     e_sem=None,
 ):
-    """Scaled adapter updates in unmerged form, ``{layer: (scale * B, A)}``.
+    """Scaled adapter updates in unmerged form, ``{layer: (s, B, A)}``.
 
-    ``scale`` is ``gamma * gate(e_sem)``, or ``gamma`` alone when ``e_sem``
-    is None; a zero gamma contributes no entry. The terms feed
-    ``forward_pass``, which applies them at two rank-r products per layer
-    without copying the host. Checks the gains, each adapter's routing,
-    that no layer is claimed twice and that the factors fit the host.
+    ``s`` is ``gamma * gate(e_sem)``, or ``gamma`` alone when ``e_sem`` is
+    None. For one embedding and scalar gains it is a float; for a batch,
+    with ``e_sem`` of shape (n, EMB_DIM) and/or one gain per row, it is an
+    (n, 1) column holding one scale per row. An adapter whose gains are
+    all zero contributes no entry. The terms feed ``forward_pass``, which
+    applies them at two rank-r products per layer without copying the host.
+    Checks the gains, each adapter's routing, that no layer is claimed
+    twice and that the factors fit the host.
     """
-    if gamma_content < 0.0 or gamma_style < 0.0:
-        raise ConfigInvalid("gamma values must be nonnegative")
     terms = {}
     for adapter, gamma in ((content_adapter, gamma_content), (style_adapter, gamma_style)):
-        if adapter is None or gamma == 0.0:
+        gamma = np.asarray(gamma, dtype=np.float64)
+        if np.any(gamma < 0.0):
+            raise ConfigInvalid("gamma values must be nonnegative")
+        if adapter is None or not np.any(gamma != 0.0):
             continue
         _check_adapter(adapter)
         scale = gamma if e_sem is None else gamma * adapter.gate(e_sem)
+        scale = float(scale) if np.ndim(scale) == 0 else scale.reshape(-1, 1)
         for name, (b, a) in adapter.factors.items():
             if name in terms:
                 raise RoutingViolation(f"layer {name!r} claimed by both adapters")
@@ -148,7 +160,7 @@ def adapter_terms(
                 raise ShapeMismatch(
                     f"adapter factors for {name!r} do not match the host layer"
                 )
-            terms[name] = (scale * b, a)
+            terms[name] = (scale, b, a)
     return terms
 
 
@@ -162,15 +174,16 @@ def aggregate_weights(
 ):
     """Inject scaled adapter updates into the host backbone.
 
-    Returns ``w_init`` with the ``adapter_terms`` merged in, ``W + sB @ A``
-    on each adapter's own layers; layers outside both sets are untouched,
-    and a zero gamma contributes nothing (bit-exactly).
+    Returns ``w_init`` with the ``adapter_terms`` of one embedding and
+    scalar gains merged in, ``W + (s * B) @ A`` on each adapter's own
+    layers; layers outside both sets are untouched, and a zero gamma
+    contributes nothing (bit-exactly).
     """
     terms = adapter_terms(w_init, content_adapter, style_adapter, gamma_content, gamma_style, e_sem)
     if not terms:
         return w_init
     return w_init.replace(
-        {name: w_init.weight(name) + down @ up for name, (down, up) in terms.items()}
+        {name: w_init.weight(name) + (s * down) @ up for name, (s, down, up) in terms.items()}
     )
 
 

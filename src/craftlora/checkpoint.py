@@ -80,19 +80,17 @@ class _Reader:
         return name, data.astype(np.float64).reshape(rows, cols)
 
 
-def _finish(path, buf):
-    """Append the CRC and move the bytes into place atomically.
+def write_atomic(path, data):
+    """Write ``data`` (bytes) to ``path`` without ever truncating a good file.
 
-    The file is written beside the target and renamed over it only once
-    complete, so a failed save never truncates an existing checkpoint.
+    The bytes go to a temporary file beside the target, are flushed to disk
+    and renamed over the target only once complete; on any failure the
+    temporary file is removed and the target is left as it was.
     """
-    payload = buf.getvalue()
-    crc = zlib.crc32(payload) & 0xFFFFFFFF
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(payload)
-            fh.write(struct.pack("<I", crc))
+            fh.write(data)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -100,6 +98,13 @@ def _finish(path, buf):
         if os.path.exists(tmp):
             os.remove(tmp)
         raise
+
+
+def _finish(path, buf):
+    """Append the CRC and move the bytes into place with ``write_atomic``."""
+    payload = buf.getvalue()
+    crc = zlib.crc32(payload) & 0xFFFFFFFF
+    write_atomic(path, payload + struct.pack("<I", crc))
 
 
 def _open(path):

@@ -8,6 +8,7 @@ the first layer through a fixed projection, next to a sinusoidal timestep
 embedding, so checkpoints of the named layers fully determine sampling.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -177,8 +178,19 @@ def conditioning_projection(emb_dim, hidden_width):
     return proj
 
 
+@functools.lru_cache(maxsize=1024)
+def _step_embedding(t, dim):
+    """``sinusoidal_embedding`` of one integer timestep, computed once."""
+    emb = sinusoidal_embedding(t, dim)
+    emb.flags.writeable = False
+    return emb
+
+
 def _injection(t, cond, hidden_width):
-    emb = sinusoidal_embedding(t, hidden_width)
+    if isinstance(t, int):
+        emb = _step_embedding(t, hidden_width)
+    else:
+        emb = sinusoidal_embedding(t, hidden_width)
     if cond is None:
         return emb
     cond = np.asarray(cond, dtype=np.float64)
@@ -203,8 +215,8 @@ def activation_grad(a):
 def _linear(h, w, term):
     out = h @ w
     if term is not None:
-        down, up = term
-        out = out + (h @ down) @ up
+        scale, down, up = term
+        out = out + ((h @ down) * scale) @ up
     return out
 
 
@@ -213,9 +225,10 @@ def forward_pass(x, t, cond, backbone, terms=None):
 
     ``x`` is (batch, d_in); ``t`` scalar or (batch,); ``cond`` is None (the
     null embedding) or (batch, emb_dim). ``terms`` optionally maps layer
-    names to unmerged low-rank updates ``(sB, A)``, where ``sB`` is the
-    down factor already scaled; such a layer computes
-    ``h @ W + (h @ sB) @ A``, equal to ``h @ (W + sB @ A)`` up to rounding.
+    names to unmerged low-rank updates ``(s, B, A)``, where ``s`` is a
+    scalar or a (batch, 1) column holding one scale per row; such a layer
+    computes ``h @ W + ((h @ B) * s) @ A``, which for each row equals
+    ``h @ (W + s B @ A)`` up to rounding.
     Returns the prediction and the cache (inputs and pre-activations) needed
     for the backward pass, which differentiates the bare weights only.
     """
@@ -255,12 +268,11 @@ def backward_pass(cache, backbone, d_out):
     return grads
 
 
-def predict_eps(x_t, t, cond_embedding, backbone, counter=None, terms=None):
+def predict_eps(x_t, t, cond_embedding, backbone, counter=None):
     """Single-image noise prediction; pure and deterministic.
 
     ``cond_embedding`` may be None or the all-zero null embedding for the
-    unconditional path. ``terms`` are unmerged low-rank layer updates, as
-    in ``forward_pass``.
+    unconditional path.
     """
     x_t = as_image(x_t, "x_t")
     if x_t.size != backbone.input_dim:
@@ -270,7 +282,7 @@ def predict_eps(x_t, t, cond_embedding, backbone, counter=None, terms=None):
     if counter is not None:
         counter.bump()
     cond = None if cond_embedding is None else np.asarray(cond_embedding, dtype=np.float64)[None, :]
-    out, _ = forward_pass(x_t.reshape(1, -1), int(t), cond, backbone, terms)
+    out, _ = forward_pass(x_t.reshape(1, -1), int(t), cond, backbone)
     return out.reshape(x_t.shape)
 
 
@@ -288,6 +300,10 @@ def predict_x0(x_t, t, eps, schedule):
     x_t = as_image(x_t, "x_t")
     eps = as_image(eps, "eps")
     check_same_shape(x_t, eps, "x_t", "eps")
+    return _x0_estimate(x_t, t, eps, schedule)
+
+
+def _x0_estimate(x_t, t, eps, schedule):
     ab = schedule.alpha_bar(t)
     return (x_t - math.sqrt(1.0 - ab) * eps) / math.sqrt(ab)
 
@@ -296,27 +312,28 @@ def ddpm_step(x_t, t, eps_hat, schedule, rng=None, clip_x0=None):
     """One reverse-process sample; at t == 1 the posterior mean, no noise.
 
     The generator is only consumed for t > 1, which keeps trajectory replay
-    conventions simple. With ``clip_x0=(lo, hi)`` the implied clean estimate
-    is clamped before the posterior update, the usual stabilizer for small
-    undertrained models; mathematically the two branches agree whenever the
-    estimate is inside the range.
+    conventions simple. ``x_t`` may also hold a batch of flattened images
+    as its rows, with ``rng`` one generator per row (see
+    ``_reverse_noise``). With ``clip_x0=(lo, hi)`` the implied clean
+    estimate is clamped before the posterior update, the usual stabilizer
+    for small undertrained models; mathematically the two branches agree
+    whenever the estimate is inside the range. The state, the noise
+    estimate and the clean estimate are each checked once per call.
     """
     x_t = as_image(x_t, "x_t")
     eps_hat = as_image(eps_hat, "eps_hat")
     check_same_shape(x_t, eps_hat, "x_t", "eps_hat")
     t = int(t)
     if clip_x0 is not None:
-        x0_hat = np.clip(predict_x0(x_t, t, eps_hat, schedule), clip_x0[0], clip_x0[1])
-        return posterior_from_x0(x_t, t, x0_hat, schedule, rng)
+        x0_hat = np.clip(_x0_estimate(x_t, t, eps_hat, schedule), clip_x0[0], clip_x0[1])
+        return _posterior(x_t, t, as_image(x0_hat, "x0_hat"), schedule, rng)
     bt = schedule.beta(t)
     ab = schedule.alpha_bar(t)
     mean = (x_t - bt / math.sqrt(1.0 - ab) * eps_hat) / math.sqrt(schedule.alpha(t))
     if t == 1:
         return mean
-    if rng is None:
-        raise ValueError("an rng is required for t > 1")
     sigma = math.sqrt(schedule.posterior_variance(t))
-    return mean + sigma * rng.standard_normal(x_t.shape)
+    return mean + sigma * _reverse_noise(rng, x_t.shape)
 
 
 def posterior_from_x0(x_t, t, x0_hat, schedule, rng=None):
@@ -328,7 +345,10 @@ def posterior_from_x0(x_t, t, x0_hat, schedule, rng=None):
     x_t = as_image(x_t, "x_t")
     x0_hat = as_image(x0_hat, "x0_hat")
     check_same_shape(x_t, x0_hat, "x_t", "x0_hat")
-    t = int(t)
+    return _posterior(x_t, int(t), x0_hat, schedule, rng)
+
+
+def _posterior(x_t, t, x0_hat, schedule, rng):
     if t == 1:
         return x0_hat.copy()
     ab = schedule.alpha_bar(t)
@@ -338,10 +358,27 @@ def posterior_from_x0(x_t, t, x0_hat, schedule, rng=None):
         math.sqrt(abp) * bt * x0_hat
         + math.sqrt(schedule.alpha(t)) * (1.0 - abp) * x_t
     ) / (1.0 - ab)
+    sigma = math.sqrt(schedule.posterior_variance(t))
+    return mean + sigma * _reverse_noise(rng, x_t.shape)
+
+
+def _reverse_noise(rng, shape):
+    """Standard normal draws of ``shape`` for one reverse step.
+
+    ``rng`` is one generator, or a sequence of generators, one per row of a
+    batch; each row then draws from its own stream exactly what a single
+    image of that row's size would draw.
+    """
     if rng is None:
         raise ValueError("an rng is required for t > 1")
-    sigma = math.sqrt(schedule.posterior_variance(t))
-    return mean + sigma * rng.standard_normal(x_t.shape)
+    if isinstance(rng, np.random.Generator):
+        return rng.standard_normal(shape)
+    if len(rng) != shape[0]:
+        raise ShapeMismatch(f"{len(rng)} generators for a batch of {shape[0]} rows")
+    out = np.empty(shape)
+    for gen, row in zip(rng, out):
+        gen.standard_normal(out=row)
+    return out
 
 
 class DenoiserTrainer:

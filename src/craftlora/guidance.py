@@ -13,10 +13,11 @@ import numpy as np
 
 from .adapters import adapter_terms
 from .config import GuidanceSettings
-from .denoiser import NoiseSchedule, ddpm_step, predict_eps
-from .exceptions import OutOfRange
-from .prompts import encode_semantic, null_embedding, parse_prompt
+from .denoiser import NoiseSchedule, ddpm_step, forward_pass
+from .exceptions import ConfigInvalid, OutOfRange, ShapeMismatch
+from .prompts import encode_semantic, parse_prompt
 from .utils import EvalCounter, make_rng
+from .validation import as_image
 
 
 def gamma_schedule(t, content_window, style_window):
@@ -57,25 +58,57 @@ def guided_eps_parts(
     total_steps,
     symmetric=False,
     counter=None,
+    terms=None,
 ):
     """Conditional and unconditional noise predictions at one timestep.
 
-    Effective gains compose multiplicatively: temporal alpha times the
-    branch gain times the window indicator. The conditional pass applies
-    each active adapter's gated update unmerged, as ``adapter_terms``; the
-    unconditional pass always uses the bare host and the null embedding,
-    except under the symmetric ablation which reuses the same terms.
+    ``x_t`` is one (H, W) image with one embedding ``e_sem`` and scalar
+    gains, or a batch (N, H, W) with (N, EMB_DIM) embeddings and one gain
+    per row; either way both passes run once over all rows. Effective gains
+    compose multiplicatively: temporal alpha times the branch gain times
+    the window indicator. The conditional pass applies each active
+    adapter's gated update unmerged, as ``adapter_terms``; the
+    unconditional pass always uses the bare host and the null embedding
+    (``cond=None`` in ``forward_pass``), shared by every row, except under
+    the symmetric ablation which reuses the same terms. ``terms`` may carry
+    the ``adapter_terms`` of these adapters, gains and embeddings already
+    built, so a sampler checks and gates its adapters once per batch
+    rather than once per step.
+
+    The third item is ``(eff_c, eff_s, alpha)`` as floats; with one gain
+    per row, an effective gain is the one of the largest row gain.
     """
+    x_t = np.asarray(x_t, dtype=np.float64)
+    n_rows = x_t.shape[0] if x_t.ndim == 3 else 1
+    rows = as_image(x_t.reshape(n_rows, -1), "x_t")
+    if rows.shape[1] != w_init.input_dim:
+        raise ShapeMismatch(
+            f"image has {rows.shape[1]} pixels but the backbone expects {w_init.input_dim}"
+        )
+    e_rows = np.atleast_2d(np.asarray(e_sem, dtype=np.float64))
+    if terms is None:
+        terms = adapter_terms(
+            w_init, content_adapter, style_adapter, gamma_content, gamma_style, e_rows
+        )
     ind_c, ind_s = gamma_schedule(t, settings.content_window, settings.style_window)
     alpha = temporal_alpha(t, settings, total_steps)
-    eff_c = alpha * gamma_content * ind_c if content_adapter is not None else 0.0
-    eff_s = alpha * gamma_style * ind_s if style_adapter is not None else 0.0
-    terms = adapter_terms(w_init, content_adapter, style_adapter, eff_c, eff_s, e_sem)
-    eps_cond = predict_eps(x_t, t, e_sem, w_init, counter, terms)
-    eps_uncond = predict_eps(
-        x_t, t, null_embedding(), w_init, counter, terms if symmetric else None
-    )
-    return eps_cond, eps_uncond, (eff_c, eff_s, alpha)
+    step_c, step_s = alpha * ind_c, alpha * ind_s
+    content_layers = content_adapter.factors if content_adapter is not None else {}
+    windowed = {}
+    for name, (scale, down, up) in terms.items():
+        step = step_c if name in content_layers else step_s
+        if step != 0.0:
+            windowed[name] = (step * scale, down, up)
+
+    t = int(t)
+    eps_cond, _ = forward_pass(rows, t, e_rows, w_init, windowed)
+    eps_uncond, _ = forward_pass(rows, t, None, w_init, windowed if symmetric else None)
+    if counter is not None:
+        counter.bump()
+        counter.bump()
+    eff_c = alpha * float(np.max(gamma_content)) * ind_c if content_adapter is not None else 0.0
+    eff_s = alpha * float(np.max(gamma_style)) * ind_s if style_adapter is not None else 0.0
+    return eps_cond.reshape(x_t.shape), eps_uncond.reshape(x_t.shape), (eff_c, eff_s, alpha)
 
 
 def guided_eps(eps_cond, eps_uncond, omega):
@@ -93,13 +126,17 @@ class GuidedSampler:
     The guidance keywords (``omega``, the two windows, ``alpha_min``,
     ``alpha_max``, ``ramp``) are the fields of ``GuidanceSettings``; they
     are validated here, once, against the schedule, so a window outside
-    it raises ``ConfigInvalid``. ``sample(prompt, seed)`` returns the final
-    clean image. A branch gain is its ``gamma_content``/``gamma_style``
-    override when given, else 1.0 when the prompt carries the branch's
-    marker and 0.0 when it does not. After a run, ``n_network_evals_``
-    holds the instrumented forward count (always two per step), ``trace_``
-    the per-step diagnostic records and ``trajectory_`` the state sequence
-    when recording is enabled.
+    it raises ``ConfigInvalid``. ``sample_batch(prompts, seeds)`` runs N
+    prompts and seeds as the rows of one batch and returns the (N, side,
+    side) clean images; ``sample(prompt, seed)`` is its batch of one and
+    returns one image. A branch gain is its ``gamma_content``/
+    ``gamma_style`` override when given, else 1.0 when the prompt carries
+    the branch's marker and 0.0 when it does not. After a run,
+    ``n_network_evals_`` holds the instrumented forward count (always two
+    per step, whatever the batch size), ``trace_`` the per-step diagnostic
+    records of each row and ``trajectory_`` the state sequence when
+    recording is enabled; ``sample`` leaves its single row's records and
+    states.
     """
 
     def __init__(
@@ -139,48 +176,80 @@ class GuidedSampler:
         return float(gc), float(gs)
 
     def sample(self, prompt, seed=0):
-        schedule = self.schedule
-        spec = parse_prompt(prompt)
-        e_sem = encode_semantic(spec.stripped)
-        gamma_content, gamma_style = self._resolve_gammas(spec)
+        image = self.sample_batch([prompt], [seed])[0]
+        self.trace_ = self.trace_[0]
+        if self.trajectory_ is not None:
+            self.trajectory_ = [state[0] for state in self.trajectory_]
+        return image
 
+    def sample_batch(self, prompts, seeds):
+        """Clean images of N prompts, row i from ``seeds[i]``'s own noise stream.
+
+        Returns an (N, side, side) array. Row i starts from, and draws every
+        step's noise from, its own ``make_rng(seeds[i], "sample")`` stream,
+        in the order a single image would. The adapters' checks and gates
+        run once per call; each step then makes two forward passes over all
+        rows. A row's image equals what ``sample`` returns for that prompt
+        and seed up to rounding.
+        """
+        prompts = list(prompts)
+        seeds = list(seeds)
+        if not prompts or len(prompts) != len(seeds):
+            raise ConfigInvalid("sample_batch needs one seed per prompt, and at least one prompt")
+        specs = [parse_prompt(p) for p in prompts]
+        e_rows = np.stack([encode_semantic(spec.stripped) for spec in specs])
+        # a missing adapter's gains are ignored
+        gains = np.array([self._resolve_gammas(spec) for spec in specs]) * (
+            self.content_adapter is not None,
+            self.style_adapter is not None,
+        )
+        terms = adapter_terms(
+            self.backbone, self.content_adapter, self.style_adapter,
+            gains[:, 0], gains[:, 1], e_rows,
+        )
+        settings = self.settings
+        schedule = self.schedule
         side = int(math.isqrt(self.backbone.input_dim))
-        rng = make_rng(seed, "sample")
-        x = rng.standard_normal((side, side))
+        shape = (len(seeds), side, side)
+        rngs = [make_rng(seed, "sample") for seed in seeds]
+        x = np.stack([rng.standard_normal(self.backbone.input_dim) for rng in rngs])
         counter = EvalCounter()
-        trace = []
-        trajectory = [x.copy()] if self.record_trajectory else None
+        trace = [[] for _ in seeds]
+        trajectory = [x.reshape(shape).copy()] if self.record_trajectory else None
 
         for t in range(schedule.total_steps, 0, -1):
-            eps_cond, eps_uncond, (eff_c, eff_s, alpha) = guided_eps_parts(
-                x,
+            eps_cond, eps_uncond, (_, _, alpha) = guided_eps_parts(
+                x.reshape(shape),
                 t,
-                e_sem,
+                e_rows,
                 self.backbone,
                 self.content_adapter,
                 self.style_adapter,
-                gamma_content,
-                gamma_style,
-                self.settings,
+                gains[:, 0],
+                gains[:, 1],
+                settings,
                 schedule.total_steps,
                 symmetric=self.symmetric_cfg,
                 counter=counter,
+                terms=terms,
             )
-            eps = guided_eps(eps_cond, eps_uncond, self.settings.omega)
+            eps = guided_eps(eps_cond, eps_uncond, settings.omega).reshape(x.shape)
             if self.record_trace:
-                gap = float(np.linalg.norm(eps_cond - eps_uncond))
-                trace.append(
-                    f"t={t} gamma_c={eff_c:.9g} gamma_s={eff_s:.9g} "
-                    f"alpha={alpha:.9g} guidance_gap={gap:.9g}"
-                )
-            x = ddpm_step(x, t, eps, schedule, rng, clip_x0=self.clip_x0)
+                windows = gamma_schedule(t, settings.content_window, settings.style_window)
+                gaps = np.linalg.norm((eps_cond - eps_uncond).reshape(x.shape), axis=1)
+                for row, ((eff_c, eff_s), gap) in enumerate(zip(alpha * gains * windows, gaps)):
+                    trace[row].append(
+                        f"t={t} gamma_c={eff_c:.9g} gamma_s={eff_s:.9g} "
+                        f"alpha={alpha:.9g} guidance_gap={gap:.9g}"
+                    )
+            x = ddpm_step(x, t, eps, schedule, rngs, clip_x0=self.clip_x0)
             if trajectory is not None:
-                trajectory.append(x.copy())
+                trajectory.append(x.reshape(shape).copy())
 
         self.n_network_evals_ = counter.count
         self.trace_ = trace
         self.trajectory_ = trajectory
-        return x
+        return x.reshape(shape)
 
 
 def cfg_sample(
@@ -195,22 +264,24 @@ def cfg_sample(
 ):
     """Standard classifier-free guidance baseline on fixed weights.
 
-    Shares the seeding and draw conventions with the guided sampler, so with
-    zero adapters the two trajectories agree bit for bit.
+    The adapter-free, batch-of-one case of ``GuidedSampler``, so with zero
+    adapters the two trajectories agree bit for bit. Without adapters the
+    windows do nothing; they span the whole schedule only to be valid.
     """
     schedule = schedule or NoiseSchedule.linear()
-    spec = parse_prompt(prompt)
-    e_sem = encode_semantic(spec.stripped)
-    side = int(math.isqrt(backbone.input_dim))
-    rng = make_rng(seed, "sample")
-    x = rng.standard_normal((side, side))
+    whole = (1, schedule.total_steps)
+    sampler = GuidedSampler(
+        backbone,
+        omega=omega,
+        content_window=whole,
+        style_window=whole,
+        schedule=schedule,
+        clip_x0=clip_x0,
+        record_trajectory=trajectory is not None,
+    )
+    image = sampler.sample(prompt, seed)
+    if counter is not None:
+        counter.count += sampler.n_network_evals_
     if trajectory is not None:
-        trajectory.append(x.copy())
-    for t in range(schedule.total_steps, 0, -1):
-        eps_cond = predict_eps(x, t, e_sem, backbone, counter)
-        eps_uncond = predict_eps(x, t, null_embedding(), backbone, counter)
-        eps = guided_eps(eps_cond, eps_uncond, omega)
-        x = ddpm_step(x, t, eps, schedule, rng, clip_x0=clip_x0)
-        if trajectory is not None:
-            trajectory.append(x.copy())
-    return x
+        trajectory.extend(sampler.trajectory_)
+    return image

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checkpoint import write_atomic
 from .exceptions import EmptySet, GridIncomplete
 from .frequency import gaussian_lowpass, style_residual
 from .utils import make_rng
@@ -206,5 +207,5 @@ class EvalReport:
 
 
 def write_report(path, report):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(report.to_json())
+    """Write the report's JSON with ``checkpoint.write_atomic``."""
+    write_atomic(path, report.to_json().encode("utf-8"))

@@ -14,8 +14,8 @@ MAXVAL = 65535
 _COMMENT_PREFIX = "# craftlora"
 
 
-def write_pgm(path, img, offset=0.0, scale=1.0):
-    """Quantize ``(img - offset) / scale`` into 16-bit gray and write P5.
+def pgm_bytes(img, offset=0.0, scale=1.0):
+    """The P5 file of ``(img - offset) / scale``, quantized into 16-bit gray.
 
     With the default identity mapping the image is clipped to [0, 1] first.
     """
@@ -28,9 +28,13 @@ def write_pgm(path, img, offset=0.0, scale=1.0):
         header.append(f"{_COMMENT_PREFIX} offset={offset!r} scale={scale!r}")
     header.append(f"{img.shape[1]} {img.shape[0]}")
     header.append(str(MAXVAL))
+    return ("\n".join(header) + "\n").encode("ascii") + samples.tobytes()
+
+
+def write_pgm(path, img, offset=0.0, scale=1.0):
+    """Write ``pgm_bytes(img, offset, scale)`` to ``path`` in place."""
     with open(path, "wb") as fh:
-        fh.write(("\n".join(header) + "\n").encode("ascii"))
-        fh.write(samples.tobytes())
+        fh.write(pgm_bytes(img, offset, scale))
 
 
 def signed_range(img):

@@ -249,7 +249,15 @@ def member_embedding(pair, member):
     return encode_semantic(f"{pair.content_modifier} {pair.style_prompt}")
 
 
-def _member_block(weights, pairs, draws, member, schedule, alpha_perc, perceptual):
+def member_embeddings(pairs):
+    """Both members' prompt embeddings, ``{member: (len(pairs), EMB_DIM)}``."""
+    return {
+        member: np.stack([member_embedding(p, member) for p in pairs])
+        for member in ("content", "style")
+    }
+
+
+def _member_block(weights, pairs, draws, embs, member, schedule, alpha_perc, perceptual):
     """Summed task loss of one member over a row block of pairs, with the
     gradient of that sum w.r.t. the block's output noise estimates."""
     targets = np.stack([
@@ -258,7 +266,6 @@ def _member_block(weights, pairs, draws, member, schedule, alpha_perc, perceptua
     ])
     noise = np.stack([d[member][1].reshape(-1) for d in draws])
     ts = np.array([d[member][0] for d in draws])
-    embs = np.stack([member_embedding(p, member) for p in pairs])
 
     ab = np.array([schedule.alpha_bar(t) for t in ts])[:, None]
     root_ab = np.sqrt(ab)
@@ -291,6 +298,7 @@ def trunk_loss(
     schedule,
     draws,
     perceptual=None,
+    embeddings=None,
 ):
     """Trunk objective and its exact gradients w.r.t. every basis entry.
 
@@ -311,6 +319,8 @@ def trunk_loss(
 
     ``draws`` supplies one (t, noise) per member per pair so the value is a
     pure function of its arguments (finite-difference checkable).
+    ``embeddings`` optionally holds the batch's ``member_embeddings``,
+    which are computed here when omitted.
     """
     if lambda_reg < 0.0 or alpha_perc < 0.0:
         raise ConfigInvalid("lambda_reg and alpha_perc must be nonnegative")
@@ -318,6 +328,9 @@ def trunk_loss(
         raise EmptyBatch("trunk loss needs at least one pair")
     if len(draws) != len(batch):
         raise ShapeMismatch("need one draw record per pair")
+
+    if embeddings is None:
+        embeddings = member_embeddings(batch)
 
     n = len(batch)
     task = 0.0
@@ -328,8 +341,8 @@ def trunk_loss(
         for start in range(0, n, BLOCK_ROWS):
             stop = start + BLOCK_ROWS
             block_task, acts, d_eps = _member_block(
-                weights, batch[start:stop], draws[start:stop], member, schedule,
-                alpha_perc, perceptual,
+                weights, batch[start:stop], draws[start:stop],
+                embeddings[member][start:stop], member, schedule, alpha_perc, perceptual,
             )
             task += block_task
             for name, g in backward_pass(acts, weights, d_eps / n).items():
@@ -393,6 +406,7 @@ class TrunkFinetuner:
         image_size = pairs[0].content_image.shape[0]
         perceptual = PerceptualProxy(image_size=image_size) if cfg.alpha_perc > 0.0 else None
         rng = make_rng(self.seed, "trunk-train")
+        embeddings = member_embeddings(pairs)
         history = []
         for step in range(cfg.steps):
             lr = lr_at(step, cfg.steps, cfg.peak_lr, cfg.start_lr, cfg.floor_lr, cfg.warmup)
@@ -408,6 +422,7 @@ class TrunkFinetuner:
                 self.schedule,
                 draws,
                 perceptual=perceptual,
+                embeddings={member: rows[idx] for member, rows in embeddings.items()},
             )
             check_loss(loss, history, "trunk")
             history.append(loss)

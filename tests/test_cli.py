@@ -463,6 +463,30 @@ class TestEval:
         assert 0.0 <= doc["s_x"] <= 1.0
         assert len(doc["pairs"]) == 4
 
+    @pytest.mark.parametrize("block_rows", [64, 5], ids=["one-block", "three-blocks"])
+    def test_thread_count_never_changes_bytes(self, workspace, tmp_path, monkeypatch, block_rows):
+        # at one thread the twelve cells run as one batch, or as three
+        # blocks of four when blocks are capped at five rows; at three
+        # threads as three blocks of four either way
+        from craftlora import cli
+
+        monkeypatch.setattr(cli, "GRID_BLOCK_ROWS", block_rows)
+        root, config_path = workspace
+        reports = []
+        for threads in (1, 3):
+            out = tmp_path / f"report{threads}.json"
+            code = run_cli([
+                "eval", "--config", config_path, "--threads", threads,
+                "--backbone", root / "trunk.crft",
+                "--content-adapter", root / "content.crft",
+                "--style-adapter", root / "style.crft",
+                "--out", out, "--n-content", 3, "--n-style", 4,
+            ])
+            assert code == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+        assert len(json.loads(reports[0])["pairs"]) == 12
+
     def test_zero_threads_is_usage_error(self, workspace, tmp_path):
         root, config_path = workspace
         out = tmp_path / "report.json"

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from craftlora.adapters import LoraTrainer, aggregate_weights, default_routing
 from craftlora.config import GuidanceSettings
@@ -13,7 +15,7 @@ from craftlora.guidance import (
     guided_eps_parts,
     temporal_alpha,
 )
-from craftlora.pairs import content_render, style_render
+from craftlora.pairs import CONTENT_PROMPTS, STYLE_PROMPTS, content_render, style_render
 from craftlora.prompts import encode_semantic, null_embedding, parse_prompt
 from craftlora.utils import make_rng
 
@@ -409,3 +411,89 @@ class TestGuidedSampler:
         # the default windows (1, 35) and (15, 50) end past a 30-step schedule
         with pytest.raises(ConfigInvalid, match="window must lie inside"):
             GuidedSampler(trained_base, schedule=NoiseSchedule.linear(30))
+
+
+def marked_prompt(pattern, i, j):
+    content = CONTENT_PROMPTS[i] + (" <c>" if pattern in ("both", "content") else "")
+    style = STYLE_PROMPTS[j] + (" <s>" if pattern in ("both", "style") else "")
+    return f"{content} {style}"
+
+
+def grid_rows(min_size):
+    """Lists of (marker pattern, content index, style index, seed) rows."""
+    return st.lists(
+        st.tuples(
+            st.sampled_from(("both", "content", "style", "none")),
+            st.integers(0, len(CONTENT_PROMPTS) - 1),
+            st.integers(0, len(STYLE_PROMPTS) - 1),
+            st.integers(0, 2**32 - 1),
+        ),
+        min_size=min_size,
+        max_size=6,
+    )
+
+
+class TestSampleBatch:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(
+        rows=grid_rows(1),
+        gains=st.sampled_from([(None, None), (0.5, None), (None, 1.5), (0.0, 2.0)]),
+        symmetric=st.booleans(),
+    )
+    def test_rows_match_single_samples(self, trained_base, adapters, schedule, rows, gains, symmetric):
+        content, style = adapters
+        sampler = GuidedSampler(
+            trained_base,
+            content_adapter=content,
+            style_adapter=style,
+            gamma_content=gains[0],
+            gamma_style=gains[1],
+            symmetric_cfg=symmetric,
+            schedule=schedule,
+        )
+        prompts = [marked_prompt(pattern, i, j) for pattern, i, j, _ in rows]
+        seeds = [seed for *_, seed in rows]
+        batch = sampler.sample_batch(prompts, seeds)
+        assert batch.shape == (len(rows), 16, 16)
+        for image, prompt, seed in zip(batch, prompts, seeds):
+            assert_close_relative(image, sampler.sample(prompt, seed=seed))
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(rows=grid_rows(2), data=st.data())
+    def test_permuting_rows_permutes_images(self, trained_base, adapters, schedule, rows, data):
+        content, style = adapters
+        sampler = GuidedSampler(
+            trained_base, content_adapter=content, style_adapter=style, schedule=schedule
+        )
+        prompts = [marked_prompt(pattern, i, j) for pattern, i, j, _ in rows]
+        seeds = [seed for *_, seed in rows]
+        order = data.draw(st.permutations(list(range(len(rows)))))
+        batch = sampler.sample_batch(prompts, seeds)
+        permuted = sampler.sample_batch([prompts[k] for k in order], [seeds[k] for k in order])
+        assert permuted.tobytes() == batch[list(order)].tobytes()
+
+    @pytest.mark.parametrize("n_rows", [1, 3, 7])
+    def test_two_evaluations_per_step_for_any_batch(self, trained_base, adapters, schedule, n_rows):
+        content, style = adapters
+        sampler = GuidedSampler(
+            trained_base,
+            content_adapter=content,
+            style_adapter=style,
+            schedule=schedule,
+            record_trajectory=True,
+            record_trace=True,
+        )
+        images = sampler.sample_batch([BOTH_MARKERS] * n_rows, list(range(n_rows)))
+        assert images.shape == (n_rows, 16, 16)
+        assert sampler.n_network_evals_ == 2 * schedule.total_steps
+        assert [len(rows) for rows in sampler.trace_] == [schedule.total_steps] * n_rows
+        assert len(sampler.trajectory_) == schedule.total_steps + 1
+        assert np.array_equal(sampler.trajectory_[-1], images)
+
+    def test_one_seed_per_prompt_required(self, trained_base, schedule):
+        sampler = GuidedSampler(trained_base, schedule=schedule)
+        with pytest.raises(ConfigInvalid):
+            sampler.sample_batch([BOTH_MARKERS, BOTH_MARKERS], [1])
+        with pytest.raises(ConfigInvalid):
+            sampler.sample_batch([], [])
+

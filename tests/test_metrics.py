@@ -182,3 +182,19 @@ class TestEvalReport:
         doc = json.loads(path.read_text())
         assert set(doc) == {"s_c", "s_s", "s_x", "pairs", "seed", "config_hash"}
         assert doc["s_c"] == 0.5 and doc["seed"] == 3
+
+    def test_failed_write_keeps_previous_report(self, tmp_path, monkeypatch):
+        from craftlora import checkpoint
+
+        path = tmp_path / "report.json"
+        write_report(path, EvalReport(s_c=0.5, s_s=0.25, s_x=0.1, seed=3))
+        good = path.read_bytes()
+
+        def failing_fsync(fd):
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(checkpoint.os, "fsync", failing_fsync)
+        with pytest.raises(OSError):
+            write_report(path, EvalReport(s_c=0.9, s_s=0.9, s_x=0.9, seed=4))
+        assert path.read_bytes() == good
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]

@@ -20,10 +20,7 @@ from .denoiser import (
     DenoiserTrainer,
     NoiseSchedule,
     ddpm_step,
-    forward_noise,
     init_backbone,
-    predict_eps,
-    predict_x0,
 )
 from .frequency import FrequencyMask, freq_mask_filter, gaussian_lowpass, style_residual
 from .guidance import (
@@ -40,18 +37,15 @@ from .metrics import (
     ImageFeatureExtractor,
     content_preservation,
     cross_influence,
-    separation_score,
-    sigma_sweep,
     style_fidelity,
 )
 from .pairs import (
     ContrastPair,
-    filtered_denoise_step,
     generate_pair_dataset,
     load_dataset,
     save_dataset,
 )
-from .prompts import PromptSpec, encode_semantic, null_embedding, parse_prompt
+from .prompts import PromptSpec, encode_semantic, parse_prompt
 from .subspace import (
     RankSchedule,
     SubspaceBases,
@@ -90,8 +84,6 @@ __all__ = [
     "ddpm_step",
     "default_routing",
     "encode_semantic",
-    "filtered_denoise_step",
-    "forward_noise",
     "freq_mask_filter",
     "gamma_schedule",
     "gaussian_lowpass",
@@ -104,15 +96,10 @@ __all__ = [
     "load_dataset",
     "make_adapter",
     "merge_subspaces",
-    "null_embedding",
     "parse_prompt",
-    "predict_eps",
-    "predict_x0",
     "project_out",
     "qr_backward",
     "save_dataset",
-    "separation_score",
-    "sigma_sweep",
     "style_fidelity",
     "style_residual",
     "temporal_alpha",

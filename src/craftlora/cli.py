@@ -43,7 +43,7 @@ from .pairs import (
 )
 from .pgm import pgm_bytes, read_pgm
 from .subspace import TrunkFinetuner, member_embedding
-from .utils import derive_seed
+from .utils import derive_seed, run_row_blocks
 
 USAGE_EXIT = 1
 DATA_EXIT = 2
@@ -300,31 +300,20 @@ def evaluate_grid(backbone, content_adapter, style_adapter, config, n_content, n
     """Full prompt-grid generation plus the three disentanglement scores.
 
     The grid cells are sampled as the rows of ``sample_batch`` calls, in
-    contiguous blocks of at most ``GRID_BLOCK_ROWS`` rows, or in
-    ``threads`` blocks on a thread pool when that is more; no block has
-    fewer than two rows. A row's arithmetic does not depend on how many
-    other rows share its batch once there are two or more, so the block
-    count never changes the report.
+    the contiguous blocks of ``run_row_blocks`` with at most
+    ``GRID_BLOCK_ROWS`` rows each, so the thread count never changes the
+    report.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     size = config.denoiser.image_size
     cells = [(i, j) for i in range(n_content) for j in range(n_style)]
     prompts = [f"{CONTENT_PROMPTS[i]} <c> {STYLE_PROMPTS[j]} <s>" for i, j in cells]
     seeds = [derive_seed(config.seed, "eval", i, j) for i, j in cells]
-    n_blocks = max(-(-len(cells) // GRID_BLOCK_ROWS), min(threads, len(cells) // 2))
-    bounds = [len(cells) * k // n_blocks for k in range(n_blocks + 1)]
 
-    def generate(block):
-        start, stop = bounds[block], bounds[block + 1]
+    def generate(start, stop):
         sampler = _sampler(config, backbone, content_adapter, style_adapter)
         return sampler.sample_batch(prompts[start:stop], seeds[start:stop])
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, n_blocks)) as pool:
-            flat = np.concatenate(list(pool.map(generate, range(n_blocks))))
-    else:
-        flat = np.concatenate([generate(block) for block in range(n_blocks)])
+    flat = run_row_blocks(generate, len(cells), threads, GRID_BLOCK_ROWS)
     grid = [list(flat[i * n_style:(i + 1) * n_style]) for i in range(n_content)]
 
     extractor = ImageFeatureExtractor(seed=derive_seed(config.seed, "eval-features"))

@@ -268,96 +268,39 @@ def backward_pass(cache, backbone, d_out):
     return grads
 
 
-def predict_eps(x_t, t, cond_embedding, backbone, counter=None):
-    """Single-image noise prediction; pure and deterministic.
-
-    ``cond_embedding`` may be None or the all-zero null embedding for the
-    unconditional path.
-    """
-    x_t = as_image(x_t, "x_t")
-    if x_t.size != backbone.input_dim:
-        raise ShapeMismatch(
-            f"image has {x_t.size} pixels but the backbone expects {backbone.input_dim}"
-        )
-    if counter is not None:
-        counter.bump()
-    cond = None if cond_embedding is None else np.asarray(cond_embedding, dtype=np.float64)[None, :]
-    out, _ = forward_pass(x_t.reshape(1, -1), int(t), cond, backbone)
-    return out.reshape(x_t.shape)
-
-
-def forward_noise(x0, t, noise, schedule):
-    """Forward diffusion: sqrt(abar_t) x0 + sqrt(1 - abar_t) noise."""
-    x0 = as_image(x0, "x0")
-    noise = as_image(noise, "noise")
-    check_same_shape(x0, noise, "x0", "noise")
-    ab = schedule.alpha_bar(t)
-    return math.sqrt(ab) * x0 + math.sqrt(1.0 - ab) * noise
-
-
-def predict_x0(x_t, t, eps, schedule):
-    """Invert the forward process given a noise estimate."""
-    x_t = as_image(x_t, "x_t")
-    eps = as_image(eps, "eps")
-    check_same_shape(x_t, eps, "x_t", "eps")
-    return _x0_estimate(x_t, t, eps, schedule)
-
-
-def _x0_estimate(x_t, t, eps, schedule):
-    ab = schedule.alpha_bar(t)
-    return (x_t - math.sqrt(1.0 - ab) * eps) / math.sqrt(ab)
-
-
-def ddpm_step(x_t, t, eps_hat, schedule, rng=None, clip_x0=None):
+def ddpm_step(x_t, t, eps_hat, schedule, rng=None, x0_map=None):
     """One reverse-process sample; at t == 1 the posterior mean, no noise.
 
     The generator is only consumed for t > 1, which keeps trajectory replay
     conventions simple. ``x_t`` may also hold a batch of flattened images
     as its rows, with ``rng`` one generator per row (see
-    ``_reverse_noise``). With ``clip_x0=(lo, hi)`` the implied clean
-    estimate is clamped before the posterior update, the usual stabilizer
-    for small undertrained models; mathematically the two branches agree
-    whenever the estimate is inside the range. The state, the noise
-    estimate and the clean estimate are each checked once per call.
+    ``_reverse_noise``). With ``x0_map`` the implied clean estimate goes
+    through the map (a clip, a frequency filter, ...) and the posterior
+    update uses the mapped estimate, which at t == 1 is the output itself;
+    under the identity map the two branches agree up to rounding. The
+    state, the noise estimate and the clean estimate are each checked once
+    per call.
     """
     x_t = as_image(x_t, "x_t")
     eps_hat = as_image(eps_hat, "eps_hat")
     check_same_shape(x_t, eps_hat, "x_t", "eps_hat")
     t = int(t)
-    if clip_x0 is not None:
-        x0_hat = np.clip(_x0_estimate(x_t, t, eps_hat, schedule), clip_x0[0], clip_x0[1])
-        return _posterior(x_t, t, as_image(x0_hat, "x0_hat"), schedule, rng)
-    bt = schedule.beta(t)
     ab = schedule.alpha_bar(t)
-    mean = (x_t - bt / math.sqrt(1.0 - ab) * eps_hat) / math.sqrt(schedule.alpha(t))
+    bt = schedule.beta(t)
+    if x0_map is None:
+        mean = (x_t - bt / math.sqrt(1.0 - ab) * eps_hat) / math.sqrt(schedule.alpha(t))
+    else:
+        x0_hat = as_image(x0_map((x_t - math.sqrt(1.0 - ab) * eps_hat) / math.sqrt(ab)), "x0_hat")
+        check_same_shape(x_t, x0_hat, "x_t", "x0_hat")
+        if t == 1:
+            return x0_hat
+        abp = schedule.alpha_bar_prev(t)
+        mean = (
+            math.sqrt(abp) * bt * x0_hat
+            + math.sqrt(schedule.alpha(t)) * (1.0 - abp) * x_t
+        ) / (1.0 - ab)
     if t == 1:
         return mean
-    sigma = math.sqrt(schedule.posterior_variance(t))
-    return mean + sigma * _reverse_noise(rng, x_t.shape)
-
-
-def posterior_from_x0(x_t, t, x0_hat, schedule, rng=None):
-    """Reverse-process sample expressed through a clean estimate.
-
-    Used by the filtered-denoising generation path; at t == 1 returns the
-    clean estimate itself.
-    """
-    x_t = as_image(x_t, "x_t")
-    x0_hat = as_image(x0_hat, "x0_hat")
-    check_same_shape(x_t, x0_hat, "x_t", "x0_hat")
-    return _posterior(x_t, int(t), x0_hat, schedule, rng)
-
-
-def _posterior(x_t, t, x0_hat, schedule, rng):
-    if t == 1:
-        return x0_hat.copy()
-    ab = schedule.alpha_bar(t)
-    abp = schedule.alpha_bar_prev(t)
-    bt = schedule.beta(t)
-    mean = (
-        math.sqrt(abp) * bt * x0_hat
-        + math.sqrt(schedule.alpha(t)) * (1.0 - abp) * x_t
-    ) / (1.0 - ab)
     sigma = math.sqrt(schedule.posterior_variance(t))
     return mean + sigma * _reverse_noise(rng, x_t.shape)
 

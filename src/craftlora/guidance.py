@@ -136,7 +136,8 @@ class GuidedSampler:
     per step, whatever the batch size), ``trace_`` the per-step diagnostic
     records of each row and ``trajectory_`` the state sequence when
     recording is enabled; ``sample`` leaves its single row's records and
-    states.
+    states. ``clip_x0=(lo, hi)`` clamps every step's clean estimate (the
+    ``x0_map`` of ``ddpm_step``); None leaves it unclamped.
     """
 
     def __init__(
@@ -216,6 +217,7 @@ class GuidedSampler:
         counter = EvalCounter()
         trace = [[] for _ in seeds]
         trajectory = [x.reshape(shape).copy()] if self.record_trajectory else None
+        x0_map = None if self.clip_x0 is None else (lambda x0: np.clip(x0, *self.clip_x0))
 
         for t in range(schedule.total_steps, 0, -1):
             eps_cond, eps_uncond, (_, _, alpha) = guided_eps_parts(
@@ -242,7 +244,7 @@ class GuidedSampler:
                         f"t={t} gamma_c={eff_c:.9g} gamma_s={eff_s:.9g} "
                         f"alpha={alpha:.9g} guidance_gap={gap:.9g}"
                     )
-            x = ddpm_step(x, t, eps, schedule, rngs, clip_x0=self.clip_x0)
+            x = ddpm_step(x, t, eps, schedule, rngs, x0_map=x0_map)
             if trajectory is not None:
                 trajectory.append(x.reshape(shape).copy())
 

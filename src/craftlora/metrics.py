@@ -147,42 +147,6 @@ def cross_influence(extractor, grid, sigma=0.35):
     return float(np.clip(np.mean(row_means) / ceiling, 0.0, 1.0))
 
 
-def separation_score(components, extractor):
-    """Mean (1 - |cos|) between content and style component features.
-
-    Higher is better separation: identical components score 0, orthogonal
-    feature pairs score 1. Pairs whose features vanish are skipped.
-    """
-    if len(components) == 0:
-        raise EmptySet("separation score needs at least one component pair")
-    scores = []
-    for content_part, style_part in components:
-        fc = extractor.transform(as_image(content_part))
-        fs = extractor.transform(as_image(style_part))
-        if np.linalg.norm(fc) == 0.0 or np.linalg.norm(fs) == 0.0:
-            continue
-        scores.append(1.0 - abs(float(fc @ fs)))
-    if not scores:
-        raise EmptySet("every component pair had zero features")
-    return float(np.mean(scores))
-
-
-def sigma_sweep(images, sigmas, extractor):
-    """Separation score of the low-pass/residual split per cutoff.
-
-    Returns (sigma, score) tuples sorted best-first; the winner is recorded,
-    not asserted, because it depends on the feature encoder.
-    """
-    results = []
-    for sigma in sigmas:
-        components = [
-            (gaussian_lowpass(as_image(img), sigma), 0.5 + style_residual(as_image(img), sigma))
-            for img in images
-        ]
-        results.append((float(sigma), separation_score(components, extractor)))
-    return sorted(results, key=lambda item: item[1], reverse=True)
-
-
 @dataclass
 class EvalReport:
     """Aggregate disentanglement scores plus the per-cell breakdown."""

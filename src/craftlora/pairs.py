@@ -8,19 +8,20 @@ both members with frequency-filtered denoising trajectories of the toy
 model. Indices into the fixed ten-entry banks select the prompts.
 """
 
+import hashlib
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .denoiser import NoiseSchedule, posterior_from_x0, predict_eps, predict_x0
-from .exceptions import ConfigInvalid, CorruptCheckpoint, ModelUntrained
+from .checkpoint import write_atomic
+from .denoiser import NoiseSchedule, ddpm_step, forward_pass
+from .exceptions import ConfigInvalid, CorruptCheckpoint, ModelUntrained, ShapeMismatch
 from .frequency import FrequencyMask, freq_mask_filter, gaussian_lowpass, style_residual
+from .pgm import read_pgm, write_pgm
 from .prompts import encode_semantic
-from .utils import make_rng
-from .validation import as_image
+from .utils import make_rng, run_row_blocks
 
 CONTENT_PROMPTS = (
     "a filled disc",
@@ -178,36 +179,31 @@ def synthetic_pair_images(content_index, style_index, sigma, size=16):
     return content_member, style_member
 
 
-def filtered_denoise_step(z_t, t, embedding, mask, backbone, schedule, rng=None, counter=None, clip_x0=None):
-    """One reverse step whose clean estimate is frequency-filtered first.
+# Filtered clean estimates are clamped to this range, which keeps the long
+# trajectories of small models stable.
+DIFFUSION_X0_RANGE = (-0.25, 1.25)
 
-    Predict the clean latent, keep only the masked band, then take the
-    standard posterior update with the filtered estimate substituted. At
-    t == 1 the output is the filtered clean estimate itself. ``clip_x0``
-    optionally clamps the filtered estimate, stabilizing long trajectories
-    of small models.
+
+def _filtered_trajectories(prompts, rngs, mask, backbone, schedule, size):
+    """Frequency-filtered denoising trajectories, one per row.
+
+    Each step predicts the noise of every row in one forward pass, then
+    takes the reverse step with the clean estimate kept to the mask's band
+    and clamped to ``DIFFUSION_X0_RANGE``; at t == 1 that estimate is the
+    output. Row i starts from, and draws every step's noise from,
+    ``rngs[i]``.
     """
-    if backbone is None:
-        raise ModelUntrained("filtered denoising needs trained weights")
-    z_t = as_image(z_t, "z_t")
-    if not isinstance(mask, FrequencyMask):
-        raise ConfigInvalid("mask must be a FrequencyMask")
-    eps = predict_eps(z_t, t, embedding, backbone, counter)
-    x0_hat = predict_x0(z_t, t, eps, schedule)
-    filtered = freq_mask_filter(x0_hat, mask)
-    if clip_x0 is not None:
-        filtered = np.clip(filtered, clip_x0[0], clip_x0[1])
-    return posterior_from_x0(z_t, t, filtered, schedule, rng)
+    e_rows = np.stack([encode_semantic(p) for p in prompts])
+    x = np.stack([rng.standard_normal((size, size)) for rng in rngs]).reshape(len(rngs), -1)
 
+    def x0_map(x0):
+        band = freq_mask_filter(x0.reshape(-1, size, size), mask).reshape(x0.shape)
+        return np.clip(band, *DIFFUSION_X0_RANGE)
 
-def _diffusion_member(prompt_text, mask, backbone, schedule, rng, size):
-    emb = encode_semantic(prompt_text)
-    x = rng.standard_normal((size, size))
     for t in range(schedule.total_steps, 0, -1):
-        x = filtered_denoise_step(
-            x, t, emb, mask, backbone, schedule, rng, clip_x0=(-0.25, 1.25)
-        )
-    return _clip01(x)
+        eps, _ = forward_pass(x, t, e_rows, backbone)
+        x = ddpm_step(x, t, eps, schedule, rngs, x0_map=x0_map)
+    return _clip01(x.reshape(-1, size, size))
 
 
 def generate_pair_dataset(
@@ -224,8 +220,11 @@ def generate_pair_dataset(
     """Cartesian product of content references and style references.
 
     Every (i, j) index pair appears exactly once; pair ids are
-    ``i * n_style + j``. Deterministic given the seed; per-pair work derives
-    its own generator, so the thread count never changes results.
+    ``i * n_style + j``. Diffusion mode runs the content members (low mask)
+    as the rows of one batch and the style members (high mask) as another,
+    each row on its own ``make_rng(seed, "pairgen", pair_id, member)``
+    stream. Deterministic given the seed; the pairs run in the contiguous
+    blocks of ``run_row_blocks``, so the thread count never changes results.
     """
     if not (1 <= n_content <= len(CONTENT_PROMPTS)):
         raise ConfigInvalid(f"n_content must lie in [1, {len(CONTENT_PROMPTS)}]")
@@ -233,37 +232,47 @@ def generate_pair_dataset(
         raise ConfigInvalid(f"n_style must lie in [1, {len(STYLE_PROMPTS)}]")
     if mode not in ("synthetic", "diffusion"):
         raise ConfigInvalid(f"mode must be 'synthetic' or 'diffusion', got {mode!r}")
-    if mode == "diffusion" and backbone is None:
-        raise ModelUntrained("diffusion mode needs a trained backbone")
-    if mode == "diffusion" and schedule is None:
-        schedule = NoiseSchedule.linear()
+    grid = [(i, j) for i in range(n_content) for j in range(n_style)]
 
-    def build(indices):
-        i, j = indices
-        pair_id = i * n_style + j
-        if mode == "synthetic":
-            content_img, style_img = synthetic_pair_images(i, j, sigma, size)
-        else:
-            low = FrequencyMask("low", sigma)
-            high = FrequencyMask("high", sigma)
-            content_img = _diffusion_member(
-                f"{CONTENT_PROMPTS[i]} {STYLE_MODIFIERS[j]}",
-                low,
-                backbone,
-                schedule,
-                make_rng(seed, "pairgen", pair_id, "content"),
-                size,
+    if mode == "synthetic":
+        def synthetic(start, stop):
+            return np.array([synthetic_pair_images(i, j, sigma, size) for i, j in grid[start:stop]])
+
+        members = run_row_blocks(synthetic, len(grid), threads)
+        content_images, style_images = members[:, 0], members[:, 1]
+    else:
+        if backbone is None:
+            raise ModelUntrained("diffusion mode needs a trained backbone")
+        if backbone.input_dim != size * size:
+            raise ShapeMismatch(
+                f"the backbone expects {backbone.input_dim} pixels, "
+                f"not the {size * size} of {size}x{size} images"
             )
-            style_img = _diffusion_member(
-                f"{CONTENT_MODIFIERS[i]} {STYLE_PROMPTS[j]}",
-                high,
-                backbone,
-                schedule,
-                make_rng(seed, "pairgen", pair_id, "style"),
-                size,
-            )
-        return ContrastPair(
-            pair_id=pair_id,
+        schedule = schedule or NoiseSchedule.linear()
+
+        def diffusion(prompts, member, mask):
+            def block(start, stop):
+                rngs = [make_rng(seed, "pairgen", pair_id, member) for pair_id in range(start, stop)]
+                return _filtered_trajectories(
+                    prompts[start:stop], rngs, mask, backbone, schedule, size
+                )
+
+            return run_row_blocks(block, len(grid), threads)
+
+        content_images = diffusion(
+            [f"{CONTENT_PROMPTS[i]} {STYLE_MODIFIERS[j]}" for i, j in grid],
+            "content",
+            FrequencyMask("low", sigma),
+        )
+        style_images = diffusion(
+            [f"{CONTENT_MODIFIERS[i]} {STYLE_PROMPTS[j]}" for i, j in grid],
+            "style",
+            FrequencyMask("high", sigma),
+        )
+
+    return [
+        ContrastPair(
+            pair_id=i * n_style + j,
             content_image=content_img,
             style_image=style_img,
             content_prompt=CONTENT_PROMPTS[i],
@@ -271,12 +280,8 @@ def generate_pair_dataset(
             content_modifier=CONTENT_MODIFIERS[i],
             style_modifier=STYLE_MODIFIERS[j],
         )
-
-    grid = [(i, j) for i in range(n_content) for j in range(n_style)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(build, grid))
-    return [build(ij) for ij in grid]
+        for (i, j), content_img, style_img in zip(grid, content_images, style_images)
+    ]
 
 
 MANIFEST_NAME = "manifest.tsv"
@@ -287,45 +292,48 @@ def save_dataset(out_dir, dataset):
     """Write PGM images plus a tab-separated manifest, one line per pair.
 
     Columns: pair id, content file, style file, content prompt, style
-    prompt, content modifier, style modifier. UTF-8, LF line endings;
-    reruns with the same dataset are byte-identical.
+    prompt, content modifier, style modifier, and the SHA-256 of the
+    content and of the style file. The manifest goes last, through
+    ``checkpoint.write_atomic``: a save that fails partway over an older
+    dataset leaves images that no longer match the old manifest, which
+    ``load_dataset`` then refuses. UTF-8, LF line endings; reruns with the
+    same dataset are byte-identical.
     """
-    from .pgm import write_pgm
-
     image_dir = os.path.join(out_dir, IMAGE_DIR)
     os.makedirs(image_dir, exist_ok=True)
     lines = []
     for pair in dataset:
-        content_rel = f"{IMAGE_DIR}/pair_{pair.pair_id:03d}_content.pgm"
-        style_rel = f"{IMAGE_DIR}/pair_{pair.pair_id:03d}_style.pgm"
-        write_pgm(os.path.join(out_dir, *content_rel.split("/")), pair.content_image)
-        write_pgm(os.path.join(out_dir, *style_rel.split("/")), pair.style_image)
+        files = []
+        digests = []
+        for member, img in (("content", pair.content_image), ("style", pair.style_image)):
+            rel = f"{IMAGE_DIR}/pair_{pair.pair_id:03d}_{member}.pgm"
+            blob = write_pgm(os.path.join(out_dir, *rel.split("/")), img)
+            files.append(rel)
+            digests.append(hashlib.sha256(blob).hexdigest())
         lines.append(
             "\t".join(
                 [
                     str(pair.pair_id),
-                    content_rel,
-                    style_rel,
+                    *files,
                     pair.content_prompt,
                     pair.style_prompt,
                     pair.content_modifier,
                     pair.style_modifier,
+                    *digests,
                 ]
             )
         )
     manifest = os.path.join(out_dir, MANIFEST_NAME)
-    with open(manifest, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(manifest, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def load_dataset(in_dir):
     """Read a dataset directory back into ContrastPair records.
 
-    A malformed manifest line, a pair id listed twice or images of more
-    than one shape make the directory corrupt.
+    A malformed manifest line, an image that does not match its checksum,
+    a pair id listed twice or images of more than one shape make the
+    directory corrupt.
     """
-    from .pgm import read_pgm
-
     manifest = os.path.join(in_dir, MANIFEST_NAME)
     pairs = []
     ids = set()
@@ -336,13 +344,13 @@ def load_dataset(in_dir):
             if not line:
                 continue
             fields = line.split("\t")
-            if len(fields) != 7 or not all(fields) or not fields[0].isdecimal():
+            if len(fields) != 9 or not all(fields) or not fields[0].isdecimal():
                 raise CorruptCheckpoint(f"{manifest} has a malformed line: {line!r}")
-            pair_id, content_rel, style_rel, p_c, p_s, p_cm, p_sm = fields
+            pair_id, content_rel, style_rel, p_c, p_s, p_cm, p_sm, sha_c, sha_s = fields
             pair = ContrastPair(
                 pair_id=int(pair_id),
-                content_image=read_pgm(os.path.join(in_dir, *content_rel.split("/"))),
-                style_image=read_pgm(os.path.join(in_dir, *style_rel.split("/"))),
+                content_image=read_pgm(os.path.join(in_dir, *content_rel.split("/")), sha_c),
+                style_image=read_pgm(os.path.join(in_dir, *style_rel.split("/")), sha_s),
                 content_prompt=p_c,
                 style_prompt=p_s,
                 content_modifier=p_cm,

@@ -5,6 +5,8 @@ Stored samples always lie in [0, 1] of the quantization range; signed data
 header so the original values round-trip.
 """
 
+import hashlib
+
 import numpy as np
 
 from .exceptions import CorruptCheckpoint
@@ -32,26 +34,24 @@ def pgm_bytes(img, offset=0.0, scale=1.0):
 
 
 def write_pgm(path, img, offset=0.0, scale=1.0):
-    """Write ``pgm_bytes(img, offset, scale)`` to ``path`` in place."""
+    """Write ``pgm_bytes(img, offset, scale)`` to ``path`` in place and
+    return those bytes."""
+    blob = pgm_bytes(img, offset, scale)
     with open(path, "wb") as fh:
-        fh.write(pgm_bytes(img, offset, scale))
+        fh.write(blob)
+    return blob
 
 
-def signed_range(img):
-    """Offset/scale pair that maps a signed image into [0, 1] for storage."""
-    img = as_image(img)
-    lo = float(img.min())
-    hi = float(img.max())
-    span = hi - lo
-    if span == 0.0:
-        return lo, 1.0
-    return lo, span
+def read_pgm(path, sha256=None):
+    """Read a P5 file back into float64, applying any offset/scale comment.
 
-
-def read_pgm(path):
-    """Read a P5 file back into float64, applying any offset/scale comment."""
+    With ``sha256``, a hex digest, a file that does not hash to it is
+    corrupt.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
+    if sha256 is not None and hashlib.sha256(blob).hexdigest() != sha256:
+        raise CorruptCheckpoint(f"{path} does not match its SHA-256 checksum")
     try:
         fields = []
         offset_scale = (0.0, 1.0)

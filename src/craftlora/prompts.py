@@ -108,8 +108,3 @@ def encode_semantic(text):
         acc += weight * _token_vector(token)
         total += weight
     return acc / total
-
-
-def null_embedding():
-    """The designated unconditional conditioning input."""
-    return np.zeros(EMB_DIM)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from craftlora.denoiser import DenoiserTrainer, NoiseSchedule
+from craftlora.denoiser import DenoiserTrainer, NoiseSchedule, forward_pass
 from craftlora.pairs import generate_pair_dataset
 from craftlora.prompts import encode_semantic
 from craftlora.subspace import member_embedding
@@ -16,6 +16,22 @@ def dataset_arrays(pairs):
         images.append(pair.style_image)
         embeddings.append(member_embedding(pair, "style"))
     return np.stack(images), np.stack(embeddings)
+
+
+def eps_of_image(x, t, embedding, backbone):
+    """Noise prediction for one (H, W) image as a one-row forward pass.
+
+    The single-image reference that the batched paths are compared with;
+    ``embedding`` None is the null embedding.
+    """
+    cond = None if embedding is None else np.asarray(embedding, dtype=np.float64)[None, :]
+    out, _ = forward_pass(np.reshape(x, (1, -1)), int(t), cond, backbone)
+    return out.reshape(np.shape(x))
+
+
+@pytest.fixture(scope="session")
+def one_row_eps():
+    return eps_of_image
 
 
 @pytest.fixture(scope="session")

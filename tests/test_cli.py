@@ -1,11 +1,13 @@
+import hashlib
 import json
 import shutil
 
 import numpy as np
 import pytest
 
-from craftlora.checkpoint import inspect_checkpoint, load_backbone
+from craftlora.checkpoint import inspect_checkpoint, load_backbone, save_backbone
 from craftlora.cli import main
+from craftlora.denoiser import init_backbone
 from craftlora.pgm import read_pgm, write_pgm
 
 LIGHT_CONFIG = {
@@ -135,6 +137,45 @@ class TestGenPairs:
                 root / "pairs" / "images" / name
             ).read_bytes()
 
+    def test_diffusion_thread_count_never_changes_bytes(self, workspace, tmp_path):
+        # six rows per member: one block at one thread, three at three
+        root, config_path = workspace
+        outs = []
+        for threads in (1, 3):
+            out = tmp_path / f"diffusion{threads}"
+            assert run_cli([
+                "gen-pairs", "--config", config_path, "--mode", "diffusion",
+                "--backbone", root / "trunk.crft", "--n-content", 3,
+                "--threads", threads, "--out", out,
+            ]) == 0
+            outs.append(out)
+        names = ["manifest.tsv"] + [f"images/{p.name}" for p in (outs[0] / "images").iterdir()]
+        assert len(names) == 13
+        for name in names:
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "host_size, message",
+        [(None, "needs a trained backbone"), (8, "expects 64 pixels")],
+        ids=["no-backbone", "small-host"],
+    )
+    def test_diffusion_input_errors_exit_one_without_output(
+        self, workspace, tmp_path, capsys, host_size, message
+    ):
+        # the small host is refused as a ShapeMismatch, a usage error; a raw
+        # NumPy ValueError would escape main instead of exiting
+        _, config_path = workspace
+        out = tmp_path / "pairs"
+        args = ["gen-pairs", "--config", config_path, "--mode", "diffusion", "--out", out]
+        if host_size is not None:
+            host = tmp_path / "small.crft"
+            save_backbone(host, init_backbone(image_size=host_size, hidden_width=16, n_layers=3))
+            args += ["--backbone", host]
+        assert run_cli(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not out.exists()
+
     def test_zero_threads_is_usage_error(self, workspace, tmp_path):
         _, config_path = workspace
         out = tmp_path / "none"
@@ -174,16 +215,16 @@ class TestTrainTrunk:
         )
 
     @pytest.mark.parametrize(
-        "edit",
+        "edit, message",
         [
-            lambda lines: lines + lines[:1],
-            lambda lines: ["x" + lines[0][1:]] + lines[1:],
-            lambda lines: [lines[0].split("\t", 1)[0]] + lines[1:],
-            lambda lines: [lines[0].rsplit("\t", 1)[0] + "\t"] + lines[1:],
+            (lambda lines: lines + lines[:1], "lists pair 0 twice"),
+            (lambda lines: ["x" + lines[0][1:]] + lines[1:], "malformed line"),
+            (lambda lines: [lines[0].split("\t", 1)[0]] + lines[1:], "malformed line"),
+            (lambda lines: [lines[0].rsplit("\t", 1)[0] + "\t"] + lines[1:], "malformed line"),
         ],
         ids=["duplicate-id", "non-integer-id", "missing-fields", "empty-field"],
     )
-    def test_bad_manifest_is_data_error(self, workspace, tmp_path, edit):
+    def test_bad_manifest_is_data_error(self, workspace, tmp_path, capsys, edit, message):
         root, config_path = workspace
         pairs = tmp_path / "pairs"
         shutil.copytree(root / "pairs", pairs)
@@ -191,15 +232,51 @@ class TestTrainTrunk:
         lines = manifest.read_text(encoding="utf-8").splitlines()
         manifest.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
         assert self.run_trunk(config_path, pairs, tmp_path / "bad.crft") == 2
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "bad.crft").exists()
 
-    def test_mixed_image_sizes_are_data_error(self, workspace, tmp_path):
+    def test_mixed_image_sizes_are_data_error(self, workspace, tmp_path, capsys):
+        # the replaced image gets its checksum, so the shape check must catch it
         root, config_path = workspace
         pairs = tmp_path / "pairs"
         shutil.copytree(root / "pairs", pairs)
-        write_pgm(pairs / "images" / "pair_001_style.pgm", np.full((8, 8), 0.5))
+        blob = write_pgm(pairs / "images" / "pair_001_style.pgm", np.full((8, 8), 0.5))
+        manifest = pairs / "manifest.tsv"
+        lines = manifest.read_text(encoding="utf-8").splitlines()
+        lines[1] = lines[1].rsplit("\t", 1)[0] + "\t" + hashlib.sha256(blob).hexdigest()
+        manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
         assert self.run_trunk(config_path, pairs, tmp_path / "mixed.crft") == 2
+        assert "mixes image shapes" in capsys.readouterr().err
         assert not (tmp_path / "mixed.crft").exists()
+
+    def test_save_failing_partway_leaves_a_refused_dataset(
+        self, workspace, tmp_path, capsys, monkeypatch
+    ):
+        # a save at another sigma over the dataset fails after three images;
+        # the old manifest no longer matches them, so training refuses it
+        from craftlora import pairs as pairs_module
+
+        root, config_path = workspace
+        pairs = tmp_path / "pairs"
+        shutil.copytree(root / "pairs", pairs)
+        written = []
+
+        def failing_write(path, img):
+            if len(written) == 3:
+                raise OSError("disk full")
+            written.append(path)
+            return write_pgm(path, img)
+
+        monkeypatch.setattr(pairs_module, "write_pgm", failing_write)
+        assert run_cli(
+            ["gen-pairs", "--config", config_path, "--sigma", 0.3, "--out", pairs]
+        ) == 2
+        monkeypatch.undo()
+        capsys.readouterr()
+        assert self.run_trunk(config_path, pairs, tmp_path / "torn.crft") == 2
+        assert "does not match its SHA-256 checksum" in capsys.readouterr().err
+        assert not (tmp_path / "torn.crft").exists()
+        assert not (tmp_path / "torn.crft.bases").exists()
 
     def test_loss_far_above_first_step_exits_three(self, workspace, tmp_path):
         # at peak_lr 1e4 the base loss stays finite but passes a thousand

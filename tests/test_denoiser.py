@@ -9,14 +9,11 @@ from craftlora.denoiser import (
     NoiseSchedule,
     backward_pass,
     ddpm_step,
-    forward_noise,
     forward_pass,
     init_backbone,
-    predict_eps,
-    predict_x0,
 )
 from craftlora.exceptions import ConfigInvalid, NumericalError, OutOfRange, ShapeMismatch
-from craftlora.utils import EvalCounter, make_rng
+from craftlora.utils import make_rng
 
 
 @pytest.fixture(scope="module")
@@ -72,12 +69,13 @@ class TestBackbone:
         assert all(bb.shape(f"layer{i}") == (64, 64) for i in range(2, 8))
 
 
-class TestForwardNoise:
-    def test_zero_noise_scales_signal(self, schedule):
-        x0 = np.full((8, 8), 0.5)
-        out = forward_noise(x0, 10, np.zeros((8, 8)), schedule)
-        assert np.allclose(out, np.sqrt(schedule.alpha_bar(10)) * x0)
+def noised(x0, t, noise, schedule):
+    """The forward process: sqrt(abar_t) x0 + sqrt(1 - abar_t) noise."""
+    ab = schedule.alpha_bar(t)
+    return np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * noise
 
+
+class TestForwardNoise:
     def test_terminal_step_is_mostly_noise(self, schedule):
         # Monte-Carlo oracle vs the closed-form correlation:
         # rho = sqrt(ab) * s / sqrt(ab s^2 + 1 - ab) for pixel std s.
@@ -89,15 +87,23 @@ class TestForwardNoise:
         corrs = []
         for _ in range(1000):
             noise = rng.standard_normal((16, 16))
-            x_t = forward_noise(x0, schedule.total_steps, noise, schedule)
+            x_t = noised(x0, schedule.total_steps, noise, schedule)
             corrs.append(np.corrcoef(x_t.ravel(), x0.ravel())[0, 1])
         mc = float(np.mean(corrs))
         assert abs(mc - expected) < 0.05
         assert mc < 0.2
 
-    def test_shape_mismatch(self, schedule):
-        with pytest.raises(ShapeMismatch):
-            forward_noise(np.zeros((4, 4)), 1, np.zeros((5, 5)), schedule)
+
+def clean_estimate(x_t, t, eps, schedule):
+    """The clean estimate that ``ddpm_step`` hands its ``x0_map``."""
+    seen = []
+
+    def record(x0):
+        seen.append(x0)
+        return x0
+
+    ddpm_step(x_t, t, eps, schedule, make_rng(0, "unused"), x0_map=record)
+    return seen[0]
 
 
 class TestPredictX0:
@@ -108,25 +114,27 @@ class TestPredictX0:
             x0 = rng.random((8, 8))
             t = int(rng.integers(1, schedule.total_steps + 1))
             noise = rng.standard_normal((8, 8))
-            x_t = forward_noise(x0, t, noise, schedule)
-            back = predict_x0(x_t, t, noise, schedule)
+            back = clean_estimate(noised(x0, t, noise, schedule), t, noise, schedule)
             worst = max(worst, float(np.abs(back - x0).max()))
+        # at t == 1 an identity map makes the step return the estimate
+        back = ddpm_step(noised(x0, 1, noise, schedule), 1, noise, schedule, x0_map=lambda e: e)
+        worst = max(worst, float(np.abs(back - x0).max()))
         assert worst < 1e-9
 
     def test_zero_eps(self, schedule):
         x_t = np.linspace(0, 1, 16).reshape(4, 4)
-        out = predict_x0(x_t, 5, np.zeros((4, 4)), schedule)
+        out = clean_estimate(x_t, 5, np.zeros((4, 4)), schedule)
         assert np.allclose(out, x_t / np.sqrt(schedule.alpha_bar(5)))
 
 
 class TestPredictEps:
-    def test_pure_and_deterministic(self, schedule, small_backbone):
+    def test_pure_and_deterministic(self, small_backbone, one_row_eps):
         x = make_rng(2).standard_normal((8, 8))
-        a = predict_eps(x, 3, None, small_backbone)
-        b = predict_eps(x, 3, None, small_backbone)
+        a = one_row_eps(x, 3, None, small_backbone)
+        b = one_row_eps(x, 3, None, small_backbone)
         assert np.array_equal(a, b)
 
-    def test_zero_adapters_do_not_change_output(self, small_backbone):
+    def test_zero_adapters_do_not_change_output(self, small_backbone, one_row_eps):
         routing = default_routing(small_backbone.names)
         adapter = make_adapter("content", small_backbone, routing, rank=2, seed=0)
         merged = aggregate_weights(
@@ -136,7 +144,7 @@ class TestPredictEps:
         emb = make_rng(4).standard_normal(64)
         assert (
             np.abs(
-                predict_eps(x, 2, emb, merged) - predict_eps(x, 2, emb, small_backbone)
+                one_row_eps(x, 2, emb, merged) - one_row_eps(x, 2, emb, small_backbone)
             ).max()
             < 1e-12
         )
@@ -168,13 +176,6 @@ class TestPredictEps:
             an = grads[name][i, j]
             assert abs(fd - an) <= 1e-3 * max(abs(fd), abs(an), 1e-8)
 
-    def test_counter_increments(self, small_backbone):
-        counter = EvalCounter()
-        x = np.zeros((8, 8))
-        predict_eps(x, 1, None, small_backbone, counter)
-        predict_eps(x, 1, None, small_backbone, counter)
-        assert counter.count == 2
-
 
 class TestDdpmStep:
     def test_final_step_deterministic(self, schedule):
@@ -199,8 +200,20 @@ class TestDdpmStep:
         x = 0.3 * rng.standard_normal((8, 8))
         eps = 0.1 * rng.standard_normal((8, 8))
         plain = ddpm_step(x, 1, eps, schedule)
-        clipped = ddpm_step(x, 1, eps, schedule, clip_x0=(-100.0, 100.0))
+        clipped = ddpm_step(x, 1, eps, schedule, x0_map=lambda x0: np.clip(x0, -100.0, 100.0))
         assert np.abs(plain - clipped).max() < 1e-9
+
+    def test_final_step_returns_mapped_estimate(self, schedule):
+        rng = make_rng(15)
+        x = rng.standard_normal((8, 8))
+        eps = rng.standard_normal((8, 8))
+        ab = schedule.alpha_bar(1)
+        estimate = (x - np.sqrt(1.0 - ab) * eps) / np.sqrt(ab)
+
+        def squash(x0):
+            return np.tanh(3.0 * x0) - 0.25
+
+        assert np.array_equal(ddpm_step(x, 1, eps, schedule, x0_map=squash), squash(estimate))
 
     def test_golden_trajectory_replays(self, schedule):
         # archived digest of a network-free trajectory (elementwise ops and

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from craftlora.adapters import LoraTrainer, aggregate_weights, default_routing
 from craftlora.config import GuidanceSettings
-from craftlora.denoiser import Backbone, NoiseSchedule, ddpm_step, predict_eps
+from craftlora.denoiser import Backbone, NoiseSchedule, ddpm_step
 from craftlora.exceptions import ConfigInvalid, OutOfRange
 from craftlora.guidance import (
     GuidedSampler,
@@ -16,7 +16,7 @@ from craftlora.guidance import (
     temporal_alpha,
 )
 from craftlora.pairs import CONTENT_PROMPTS, STYLE_PROMPTS, content_render, style_render
-from craftlora.prompts import encode_semantic, null_embedding, parse_prompt
+from craftlora.prompts import EMB_DIM, encode_semantic, parse_prompt
 from craftlora.utils import make_rng
 
 BOTH_MARKERS = "a filled disc <c> in fine stripe style <s>"
@@ -26,11 +26,12 @@ def assert_close_relative(got, ref, rtol=1e-12):
     assert np.abs(got - ref).max() <= rtol * np.abs(ref).max()
 
 
-def merged_reference_sample(backbone, content, style, prompt, seed, schedule, symmetric):
+def merged_reference_sample(backbone, content, style, prompt, seed, schedule, symmetric, eps_of):
     """The sampler loop with the adapters merged into the host every step.
 
     Mirrors ``GuidedSampler.sample`` at its default guidance settings with
     clipping off, so no clip boundary can amplify rounding differences.
+    ``eps_of`` is the single-image forward (the ``one_row_eps`` fixture).
     """
     config = GuidanceSettings()
     e_sem = encode_semantic(parse_prompt(prompt).stripped)
@@ -40,8 +41,8 @@ def merged_reference_sample(backbone, content, style, prompt, seed, schedule, sy
         ind_c, ind_s = gamma_schedule(t, config.content_window, config.style_window)
         alpha = temporal_alpha(t, config, schedule.total_steps)
         merged = aggregate_weights(backbone, content, style, alpha * ind_c, alpha * ind_s, e_sem)
-        eps_cond = predict_eps(x, t, e_sem, merged)
-        eps_uncond = predict_eps(x, t, null_embedding(), merged if symmetric else backbone)
+        eps_cond = eps_of(x, t, e_sem, merged)
+        eps_uncond = eps_of(x, t, np.zeros(EMB_DIM), merged if symmetric else backbone)
         x = ddpm_step(x, t, guided_eps(eps_cond, eps_uncond, config.omega), schedule, rng)
     return x
 
@@ -167,7 +168,9 @@ class TestGuidedParts:
         [(10, False, "c"), (40, False, "s"), (20, False, "cs"), (20, True, "cs")],
         ids=["content-window", "style-window", "both-windows", "symmetric"],
     )
-    def test_unmerged_terms_match_merged_host(self, trained_base, adapters, t, symmetric, active):
+    def test_unmerged_terms_match_merged_host(
+        self, trained_base, adapters, one_row_eps, t, symmetric, active
+    ):
         content, style = adapters
         x = make_rng(11).standard_normal((16, 16))
         e_sem = encode_semantic("a filled disc in fine stripe style")
@@ -177,11 +180,11 @@ class TestGuidedParts:
         )
         assert (eff_c > 0.0, eff_s > 0.0) == ("c" in active, "s" in active)
         merged = aggregate_weights(trained_base, content, style, eff_c, eff_s, e_sem)
-        assert_close_relative(eps_cond, predict_eps(x, t, e_sem, merged))
+        assert_close_relative(eps_cond, one_row_eps(x, t, e_sem, merged))
         uncond_host = merged if symmetric else trained_base
-        assert_close_relative(eps_uncond, predict_eps(x, t, null_embedding(), uncond_host))
+        assert_close_relative(eps_uncond, one_row_eps(x, t, np.zeros(EMB_DIM), uncond_host))
 
-    def test_schedule_gates_adapters(self, trained_base, adapters):
+    def test_schedule_gates_adapters(self, trained_base, adapters, one_row_eps):
         content, style = adapters
         x = make_rng(9).standard_normal((16, 16))
         e_sem = encode_semantic("a filled disc in fine stripe style")
@@ -191,7 +194,7 @@ class TestGuidedParts:
             x, 25, e_sem, trained_base, content, style, 1.0, 1.0, config, 50
         )
         assert eff_c == 0.0 and eff_s == 0.0
-        assert np.array_equal(eps_cond, predict_eps(x, 25, e_sem, trained_base))
+        assert np.array_equal(eps_cond, one_row_eps(x, 25, e_sem, trained_base))
         # t in the content window only
         _, _, (eff_c, eff_s, alpha) = guided_eps_parts(
             x, 10, e_sem, trained_base, content, style, 1.0, 1.0, config, 50
@@ -199,7 +202,7 @@ class TestGuidedParts:
         assert eff_c == alpha and eff_s == 0.0
 
     def test_inactive_schedules_with_null_embedding_collapse_to_uncond(
-        self, trained_base, adapters
+        self, trained_base, adapters, null64
     ):
         from craftlora.guidance import guided_eps
 
@@ -208,7 +211,7 @@ class TestGuidedParts:
         config = GuidanceSettings(content_window=(1, 5), style_window=(1, 5))
         for omega in (0.0, 1.0, 7.5):
             eps_cond, eps_uncond, (eff_c, eff_s, _) = guided_eps_parts(
-                x, 30, null_embedding(), trained_base, content, style, 1.0, 1.0, config, 50
+                x, 30, null64, trained_base, content, style, 1.0, 1.0, config, 50
             )
             assert eff_c == 0.0 and eff_s == 0.0
             assert np.array_equal(eps_cond, eps_uncond)
@@ -266,7 +269,7 @@ class TestGuidedSampler:
 
     @pytest.mark.parametrize("symmetric", [False, True], ids=["asymmetric", "symmetric"])
     def test_matches_merged_reference_without_clipping(
-        self, trained_base, adapters, schedule, symmetric
+        self, trained_base, adapters, schedule, one_row_eps, symmetric
     ):
         content, style = adapters
         image = GuidedSampler(
@@ -278,7 +281,7 @@ class TestGuidedSampler:
             clip_x0=None,
         ).sample(BOTH_MARKERS, seed=13)
         ref = merged_reference_sample(
-            trained_base, content, style, BOTH_MARKERS, 13, schedule, symmetric
+            trained_base, content, style, BOTH_MARKERS, 13, schedule, symmetric, one_row_eps
         )
         assert_close_relative(image, ref)
 

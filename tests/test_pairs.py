@@ -2,14 +2,16 @@ import numpy as np
 import pytest
 
 from craftlora.denoiser import ddpm_step
-from craftlora.exceptions import ConfigInvalid, ModelUntrained
-from craftlora.frequency import FrequencyMask, style_residual
+from craftlora.exceptions import ConfigInvalid, CorruptCheckpoint, ModelUntrained
+from craftlora.frequency import FrequencyMask, freq_mask_filter, style_residual
 from craftlora.pairs import (
+    CONTENT_MODIFIERS,
     CONTENT_PROMPTS,
+    DIFFUSION_X0_RANGE,
+    STYLE_MODIFIERS,
     ContrastPair,
     STYLE_PROMPTS,
     content_render,
-    filtered_denoise_step,
     generate_pair_dataset,
     load_dataset,
     save_dataset,
@@ -110,57 +112,109 @@ class TestGeneratePairDataset:
             )
 
 
+def filter_and_clip(mask):
+    """The x0 map of a diffusion-mode trajectory."""
+    return lambda x0: np.clip(freq_mask_filter(x0, mask), *DIFFUSION_X0_RANGE)
+
+
+def per_member_dataset(n_content, n_style, seed, sigma, backbone, schedule, eps_of_image):
+    """Diffusion-mode members sampled one image at a time.
+
+    Each member runs its own trajectory of one-row forward passes and
+    single-image reverse steps, from its own ``pairgen`` stream.
+    """
+    members = []
+    for i in range(n_content):
+        for j in range(n_style):
+            pair_id = i * n_style + j
+            images = []
+            for member, prompt, kind in (
+                ("content", f"{CONTENT_PROMPTS[i]} {STYLE_MODIFIERS[j]}", "low"),
+                ("style", f"{CONTENT_MODIFIERS[i]} {STYLE_PROMPTS[j]}", "high"),
+            ):
+                rng = make_rng(seed, "pairgen", pair_id, member)
+                emb = encode_semantic(prompt)
+                x0_map = filter_and_clip(FrequencyMask(kind, sigma))
+                x = rng.standard_normal((16, 16))
+                for t in range(schedule.total_steps, 0, -1):
+                    eps = eps_of_image(x, t, emb, backbone)
+                    x = ddpm_step(x, t, eps, schedule, rng, x0_map=x0_map)
+                images.append(np.clip(x, 0.0, 1.0))
+            members.append(images)
+    return members
+
+
 class TestDiffusionMode:
-    def test_filtered_step_all_ones_equivalent_mask(self, trained_base, schedule):
+    def test_filtered_step_all_ones_equivalent_mask(self, trained_base, schedule, one_row_eps):
         # a low mask that keeps the whole spectrum matches an unfiltered step
         x = make_rng(1).standard_normal((16, 16))
         emb = encode_semantic("a filled disc")
         mask = FrequencyMask("low", 0.99)
-        from craftlora.denoiser import predict_eps
-
-        rng_a = make_rng(2, "step")
-        out_filtered = filtered_denoise_step(x, 9, emb, mask, trained_base, schedule, rng_a)
-        rng_b = make_rng(2, "step")
-        eps = predict_eps(x, 9, emb, trained_base)
-        out_plain = ddpm_step(x, 9, eps, schedule, rng_b, clip_x0=None)
+        eps = one_row_eps(x, 9, emb, trained_base)
+        out_filtered = ddpm_step(
+            x, 9, eps, schedule, make_rng(2, "step"), x0_map=lambda x0: freq_mask_filter(x0, mask)
+        )
+        out_plain = ddpm_step(x, 9, eps, schedule, make_rng(2, "step"))
         assert np.abs(out_filtered - out_plain).max() < 1e-9
 
-    def test_final_step_returns_filtered_estimate(self, trained_base, schedule):
-        from craftlora.denoiser import predict_eps, predict_x0
-        from craftlora.frequency import freq_mask_filter
-
+    def test_final_step_returns_filtered_estimate(self, trained_base, schedule, one_row_eps):
         x = make_rng(3).standard_normal((16, 16))
         emb = encode_semantic("a filled disc")
         mask = FrequencyMask("low", 0.3)
-        out = filtered_denoise_step(x, 1, emb, mask, trained_base, schedule)
-        eps = predict_eps(x, 1, emb, trained_base)
-        expected = freq_mask_filter(predict_x0(x, 1, eps, schedule), mask)
+        eps = one_row_eps(x, 1, emb, trained_base)
+        out = ddpm_step(x, 1, eps, schedule, x0_map=lambda x0: freq_mask_filter(x0, mask))
+        ab = schedule.alpha_bar(1)
+        expected = freq_mask_filter((x - np.sqrt(1.0 - ab) * eps) / np.sqrt(ab), mask)
         assert np.array_equal(out, expected)
 
-    def test_low_mask_trajectory_sheds_high_band_vs_unfiltered(self, trained_base, schedule):
+    def test_low_mask_trajectory_sheds_high_band_vs_unfiltered(
+        self, trained_base, schedule, one_row_eps
+    ):
         # paired runs from one seed: the unfiltered trajectory retains at
         # least twice the high-band energy of the low-mask trajectory
-        from craftlora.denoiser import ddpm_step, predict_eps
-
         emb = encode_semantic("a filled disc with fine stripe texture")
-        mask = FrequencyMask("low", 0.35)
+        filtered = filter_and_clip(FrequencyMask("low", 0.35))
+
+        def clipped(x0):
+            return np.clip(x0, *DIFFUSION_X0_RANGE)
+
         ratios = []
         for seed in (0, 1, 2):
-            rng_f = make_rng(seed, "paired")
-            x_f = rng_f.standard_normal((16, 16))
-            for t in range(schedule.total_steps, 0, -1):
-                x_f = filtered_denoise_step(
-                    x_f, t, emb, mask, trained_base, schedule, rng_f, clip_x0=(-0.25, 1.25)
-                )
-            rng_p = make_rng(seed, "paired")
-            x_p = rng_p.standard_normal((16, 16))
-            for t in range(schedule.total_steps, 0, -1):
-                eps = predict_eps(x_p, t, emb, trained_base)
-                x_p = ddpm_step(x_p, t, eps, schedule, rng_p, clip_x0=(-0.25, 1.25))
-            e_filtered = float(np.sum(style_residual(x_f, 0.35) ** 2))
-            e_plain = float(np.sum(style_residual(x_p, 0.35) ** 2))
+            ends = []
+            for x0_map in (filtered, clipped):
+                rng = make_rng(seed, "paired")
+                x = rng.standard_normal((16, 16))
+                for t in range(schedule.total_steps, 0, -1):
+                    eps = one_row_eps(x, t, emb, trained_base)
+                    x = ddpm_step(x, t, eps, schedule, rng, x0_map=x0_map)
+                ends.append(float(np.sum(style_residual(x, 0.35) ** 2)))
+            e_filtered, e_plain = ends
             ratios.append(e_plain / max(e_filtered, 1e-12))
         assert min(ratios) >= 2.0
+
+    def test_batched_rows_match_per_member_reference(self, trained_base, schedule, one_row_eps):
+        # the batch rounds differently from one-row passes; the bound is
+        # relative to the largest pixel
+        dataset = generate_pair_dataset(
+            3, 3, mode="diffusion", seed=8, backbone=trained_base, schedule=schedule
+        )
+        reference = per_member_dataset(3, 3, 8, 0.35, trained_base, schedule, one_row_eps)
+        for pair, (content_ref, style_ref) in zip(dataset, reference):
+            for got, ref in ((pair.content_image, content_ref), (pair.style_image, style_ref)):
+                assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_thread_count_never_changes_bytes(self, trained_base, schedule):
+        # nine rows per member: one block at one thread, three at three
+        runs = [
+            generate_pair_dataset(
+                3, 3, mode="diffusion", seed=9, backbone=trained_base, schedule=schedule,
+                threads=threads,
+            )
+            for threads in (1, 3)
+        ]
+        for pa, pb in zip(*runs):
+            assert pa.content_image.tobytes() == pb.content_image.tobytes()
+            assert pa.style_image.tobytes() == pb.style_image.tobytes()
 
     def test_low_vs_high_band_split_between_members(self, trained_base, schedule):
         # low-mask trajectories end with less high-band energy than
@@ -212,3 +266,12 @@ class TestDatasetIo:
             f"images/pair_{i:03d}_{kind}.pgm" for i in range(4) for kind in ("content", "style")
         ]:
             assert (out_a / rel).read_bytes() == (out_b / rel).read_bytes()
+
+    def test_image_not_matching_its_checksum_is_corrupt(self, tmp_path):
+        save_dataset(tmp_path, generate_pair_dataset(1, 2, seed=8))
+        image = tmp_path / "images" / "pair_001_style.pgm"
+        blob = bytearray(image.read_bytes())
+        blob[-1] ^= 1
+        image.write_bytes(bytes(blob))
+        with pytest.raises(CorruptCheckpoint, match="pair_001_style.pgm does not match"):
+            load_dataset(tmp_path)

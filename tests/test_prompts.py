@@ -10,7 +10,7 @@ from craftlora.pairs import (
     STYLE_MODIFIERS,
     STYLE_PROMPTS,
 )
-from craftlora.prompts import EMB_DIM, encode_semantic, null_embedding, parse_prompt
+from craftlora.prompts import EMB_DIM, encode_semantic, parse_prompt
 
 
 class TestParsePrompt:
@@ -57,7 +57,6 @@ class TestParsePrompt:
 class TestEncodeSemantic:
     def test_empty_string_is_null(self):
         assert np.array_equal(encode_semantic(""), np.zeros(EMB_DIM))
-        assert np.array_equal(null_embedding(), np.zeros(EMB_DIM))
 
     def test_deterministic(self):
         a = encode_semantic("a red car in watercolor")

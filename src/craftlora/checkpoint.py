@@ -81,22 +81,33 @@ class _Reader:
 
 
 def write_atomic(path, data):
-    """Write ``data`` (bytes) to ``path`` without ever truncating a good file.
+    """Write ``data`` (bytes) to ``path`` without ever truncating a good file."""
+    write_all_atomic([(path, data)])
 
-    The bytes go to a temporary file beside the target, are flushed to disk
-    and renamed over the target only once complete; on any failure the
-    temporary file is removed and the target is left as it was.
+
+def write_all_atomic(files):
+    """Write each ``(path, data)`` pair of a list without ever truncating a
+    good file.
+
+    Each file's bytes go to a temporary file beside its target and are
+    flushed to disk; only once every one is complete are they renamed over
+    their targets, in order. On a failure before the renames every
+    temporary file is removed and every target is left as it was.
     """
-    tmp = f"{path}.{os.getpid()}.tmp"
+    tmps = []
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
+        for path, data in files:
+            tmps.append(f"{path}.{os.getpid()}.tmp")
+            with open(tmps[-1], "wb") as fh:
+                fh.write(data)
+                fh.flush()
+                os.fsync(fh.fileno())
+        for tmp, (path, _) in zip(tmps, files):
+            os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+        for tmp in tmps:
+            if os.path.exists(tmp):
+                os.remove(tmp)
         raise
 
 

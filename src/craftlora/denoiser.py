@@ -230,7 +230,7 @@ def forward_pass(x, t, cond, backbone, terms=None):
     computes ``h @ W + ((h @ B) * s) @ A``, which for each row equals
     ``h @ (W + s B @ A)`` up to rounding.
     Returns the prediction and the cache (inputs and pre-activations) needed
-    for the backward pass, which differentiates the bare weights only.
+    for the backward pass.
     """
     terms = terms or {}
     (first, w_first), *middle, (last, w_last) = backbone.items()
@@ -244,27 +244,44 @@ def forward_pass(x, t, cond, backbone, terms=None):
     return _linear(h, w_last, terms.get(last)), cache
 
 
-def backward_pass(cache, backbone, d_out):
-    """Gradients of a scalar loss w.r.t. every layer weight.
+def backward_pass(cache, backbone, d_out, terms=None):
+    """Gradients of a scalar loss w.r.t. the trainable parameters.
 
     ``d_out`` is the loss gradient at the network output, same shape as the
-    forward result. ``cache`` comes from ``forward_pass``. Returns a dict
-    keyed by layer name.
+    forward result; ``cache`` and ``terms`` are those of the ``forward_pass``
+    call. Without terms every layer weight trains and the result maps each
+    layer name to its weight gradient. With terms the host is frozen: the
+    input gradient of a term layer chains through ``W + s B @ A`` and the
+    result maps each term's layer to ``(dB, dA, ds)``, computed in factored
+    form without forming a dense update; ``ds`` has the shape of ``s`` (a
+    float, or an (n, 1) column of per-row sums).
     """
+    terms = terms or {}
     names = backbone.names
-    weights = [backbone.weight(n) for n in names]
     grads = {}
     g = d_out
-    grads[names[-1]] = activation(cache[-1]).T @ g
-    g = g @ weights[-1].T
-    for k in range(len(names) - 1, 0, -1):
-        a = cache[k]
-        g = g * activation_grad(a)
-        if k > 1:
-            grads[names[k - 1]] = activation(cache[k - 1]).T @ g
-            g = g @ weights[k - 1].T
-        else:
-            grads[names[0]] = cache[0].T @ g
+    for k in range(len(names) - 1, -1, -1):
+        name = names[k]
+        term = terms.get(name)
+        if term is not None or not terms:
+            h = activation(cache[k]) if k else cache[0]
+        if term is not None:
+            scale, down, up = term
+            hb = h @ down
+            gu = g @ up.T
+            ds = np.sum(hb * gu, axis=1, keepdims=True)
+            grads[name] = (
+                h.T @ (gu * scale),
+                (hb * scale).T @ g,
+                float(ds.sum()) if np.ndim(scale) == 0 else ds,
+            )
+        elif not terms:
+            grads[name] = h.T @ g
+        if k:
+            g_in = g @ backbone.weight(name).T
+            if term is not None:
+                g_in = g_in + (gu * scale) @ down.T
+            g = g_in * activation_grad(cache[k])
     return grads
 
 

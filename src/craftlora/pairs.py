@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import write_atomic
+from .checkpoint import write_all_atomic
 from .denoiser import NoiseSchedule, ddpm_step, forward_pass
 from .exceptions import ConfigInvalid, CorruptCheckpoint, ModelUntrained, ShapeMismatch
 from .frequency import FrequencyMask, freq_mask_filter, gaussian_lowpass, style_residual
-from .pgm import read_pgm, write_pgm
+from .pgm import pgm_bytes, read_pgm
 from .prompts import encode_semantic
 from .utils import make_rng, run_row_blocks
 
@@ -293,21 +293,22 @@ def save_dataset(out_dir, dataset):
 
     Columns: pair id, content file, style file, content prompt, style
     prompt, content modifier, style modifier, and the SHA-256 of the
-    content and of the style file. The manifest goes last, through
-    ``checkpoint.write_atomic``: a save that fails partway over an older
-    dataset leaves images that no longer match the old manifest, which
-    ``load_dataset`` then refuses. UTF-8, LF line endings; reruns with the
-    same dataset are byte-identical.
+    content and of the style file. All files go through one
+    ``checkpoint.write_all_atomic``, the manifest last: a save that fails
+    while writing leaves an older dataset in the directory as it was.
+    UTF-8, LF line endings; reruns with the same dataset are byte-identical.
     """
     image_dir = os.path.join(out_dir, IMAGE_DIR)
     os.makedirs(image_dir, exist_ok=True)
+    writes = []
     lines = []
     for pair in dataset:
         files = []
         digests = []
         for member, img in (("content", pair.content_image), ("style", pair.style_image)):
             rel = f"{IMAGE_DIR}/pair_{pair.pair_id:03d}_{member}.pgm"
-            blob = write_pgm(os.path.join(out_dir, *rel.split("/")), img)
+            blob = pgm_bytes(img)
+            writes.append((os.path.join(out_dir, *rel.split("/")), blob))
             files.append(rel)
             digests.append(hashlib.sha256(blob).hexdigest())
         lines.append(
@@ -323,8 +324,8 @@ def save_dataset(out_dir, dataset):
                 ]
             )
         )
-    manifest = os.path.join(out_dir, MANIFEST_NAME)
-    write_atomic(manifest, ("\n".join(lines) + "\n").encode("utf-8"))
+    manifest = ("\n".join(lines) + "\n").encode("utf-8")
+    write_all_atomic(writes + [(os.path.join(out_dir, MANIFEST_NAME), manifest)])
 
 
 def load_dataset(in_dir):

@@ -33,15 +33,6 @@ def pgm_bytes(img, offset=0.0, scale=1.0):
     return ("\n".join(header) + "\n").encode("ascii") + samples.tobytes()
 
 
-def write_pgm(path, img, offset=0.0, scale=1.0):
-    """Write ``pgm_bytes(img, offset, scale)`` to ``path`` in place and
-    return those bytes."""
-    blob = pgm_bytes(img, offset, scale)
-    with open(path, "wb") as fh:
-        fh.write(blob)
-    return blob
-
-
 def read_pgm(path, sha256=None):
     """Read a P5 file back into float64, applying any offset/scale comment.
 

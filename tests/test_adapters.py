@@ -10,7 +10,7 @@ from craftlora.adapters import (
     default_routing,
     make_adapter,
 )
-from craftlora.denoiser import init_backbone
+from craftlora.denoiser import Backbone, backward_pass, forward_pass, init_backbone
 from craftlora.exceptions import (
     ConfigInvalid,
     MarkerMissing,
@@ -32,6 +32,55 @@ def backbone():
 @pytest.fixture()
 def routing(backbone):
     return default_routing(backbone.names)
+
+
+def generic_adapter(backbone, routing, kind, seed):
+    """An adapter at a nonzero point: random up factors and gate."""
+    seeded = make_adapter(kind, backbone, routing, rank=3, seed=seed)
+    gen = np.random.default_rng(seed)
+    return LoraAdapter(
+        kind,
+        seeded.rank,
+        {
+            name: (b, 0.05 * gen.standard_normal(a.shape))
+            for name, (b, a) in seeded.factors.items()
+        },
+        0.1 * gen.standard_normal(64),
+        0.3,
+        routing,
+    )
+
+
+def merged_adapter_loss(w_init, adapter, reference, e_sem, schedule, draw):
+    """``adapter_loss`` of one draw through a merged host.
+
+    The adapter is merged with ``aggregate_weights``, the host's dense
+    weight gradients come from ``backward_pass`` and are turned into factor
+    and gate gradients by the chain rule through ``W + gate * B @ A``.
+    """
+    t, noise = draw
+    pair = (adapter, None) if adapter.kind == "content" else (None, adapter)
+    merged = aggregate_weights(w_init, *pair, 1.0, 1.0, e_sem)
+    gate = adapter.gate(e_sem)
+    ab = schedule.alpha_bar(t)
+    z_t = np.sqrt(ab) * reference.reshape(1, -1) + np.sqrt(1.0 - ab) * noise.reshape(1, -1)
+    pred, cache = forward_pass(z_t, t, e_sem[None, :], merged)
+    resid = pred - noise.reshape(1, -1)
+    weight_grads = backward_pass(cache, merged, 2.0 * resid / resid.size)
+    factor_grads = {}
+    gate_grad = 0.0
+    for name, (b, a) in adapter.factors.items():
+        g = weight_grads[name]
+        factor_grads[name] = (gate * (g @ a.T), gate * (b.T @ g))
+        gate_grad += float(np.sum(g * (b @ a)))
+    d_gate_in = gate_grad * gate * (1.0 - gate)
+    return float(np.mean(resid * resid)), factor_grads, (d_gate_in * e_sem, d_gate_in)
+
+
+def assert_close_relative(actual, expected, rel=1e-12):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.shape == expected.shape
+    assert float(np.abs(actual - expected).max()) <= rel * float(np.abs(expected).max())
 
 
 class TestLayerRouting:
@@ -173,10 +222,47 @@ class TestAdapterLoss:
         e_sem = make_rng(7, "e").standard_normal(64)
         draw = (3, make_rng(8, "n").standard_normal((8, 8)))
         _, fgrads, _ = adapter_loss(backbone, adapter, reference, e_sem, schedule, draw)
-        for name in routing.content:
-            gb, ga = fgrads[name]
-            assert float(np.abs(gb).sum()) == 0.0
-            assert float(np.abs(ga).sum()) == 0.0
+        # layers outside the set are frozen: they carry no gradient at all
+        assert set(fgrads) == set(routing.style)
+
+    @pytest.mark.parametrize("kind", ["content", "style"])
+    def test_batch_of_draws_is_the_mean_of_single_draws(self, backbone, routing, schedule, kind):
+        adapter = generic_adapter(backbone, routing, kind, seed=18)
+        reference = style_render(1, 8)
+        e_sem = make_rng(9, "e").standard_normal(64)
+        ts = [3, 17, 17, 50]
+        noises = make_rng(10, "n").standard_normal((4, 8, 8))
+        loss, fgrads, (gw, gb) = adapter_loss(
+            backbone, adapter, reference, e_sem, schedule, (ts, noises)
+        )
+        singles = [
+            adapter_loss(backbone, adapter, reference, e_sem, schedule, (t, noise))
+            for t, noise in zip(ts, noises)
+        ]
+        assert_close_relative(loss, np.mean([s[0] for s in singles]))
+        for name, (d_down, d_up) in fgrads.items():
+            assert_close_relative(d_down, np.mean([s[1][name][0] for s in singles], axis=0))
+            assert_close_relative(d_up, np.mean([s[1][name][1] for s in singles], axis=0))
+        assert_close_relative(gw, np.mean([s[2][0] for s in singles], axis=0))
+        assert_close_relative(gb, np.mean([s[2][1] for s in singles]))
+
+    @pytest.mark.parametrize("kind", ["content", "style"])
+    def test_matches_the_merged_reference(self, backbone, routing, schedule, kind):
+        adapter = generic_adapter(backbone, routing, kind, seed=19)
+        reference = content_render(2, 8)
+        e_sem = make_rng(11, "e").standard_normal(64)
+        draw = (23, make_rng(12, "n").standard_normal((8, 8)))
+        loss, fgrads, (gw, gb) = adapter_loss(backbone, adapter, reference, e_sem, schedule, draw)
+        ref_loss, ref_grads, (ref_gw, ref_gb) = merged_adapter_loss(
+            backbone, adapter, reference, e_sem, schedule, draw
+        )
+        assert_close_relative(loss, ref_loss)
+        assert set(fgrads) == set(ref_grads)
+        for name, (d_down, d_up) in fgrads.items():
+            assert_close_relative(d_down, ref_grads[name][0])
+            assert_close_relative(d_up, ref_grads[name][1])
+        assert_close_relative(gw, ref_gw)
+        assert_close_relative(gb, ref_gb)
 
 
 class TestLoraTrainer:
@@ -216,6 +302,23 @@ class TestLoraTrainer:
         trainer.fit(backbone, style_render(2, 8), "in checker style <s>")
         assert len(records) == 25
         assert all(total == 0.0 for total in records)
+
+    def test_fit_builds_no_backbone(self, backbone, routing, monkeypatch):
+        built = []
+        real_init = Backbone.__init__
+
+        def counting_init(self, layers):
+            built.append(1)
+            real_init(self, layers)
+
+        monkeypatch.setattr(Backbone, "__init__", counting_init)
+        LoraTrainer("style", rank=2, steps=5, batch_size=3, routing=routing, seed=15).fit(
+            backbone, style_render(2, 8), "in checker style <s>"
+        )
+        assert built == []
+        # the counter does see a merge
+        aggregate_weights(backbone, None, make_adapter("style", backbone, routing, 2), 0.0, 1.0)
+        assert built == [1]
 
     def test_determinism(self, backbone, routing):
         runs = []

@@ -4,6 +4,8 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from craftlora import checkpoint
 from craftlora.adapters import LoraAdapter, default_routing, make_adapter
@@ -17,9 +19,10 @@ from craftlora.checkpoint import (
     save_backbone,
     save_tensor_set,
 )
+from craftlora.cli import main as cli_main
 from craftlora.denoiser import init_backbone
 from craftlora.exceptions import CorruptCheckpoint
-from craftlora.pgm import read_pgm, write_pgm
+from craftlora.pgm import pgm_bytes, read_pgm
 from craftlora.utils import make_rng
 
 
@@ -250,6 +253,46 @@ class TestTrailingBytes:
                 inspect_checkpoint(path)
 
 
+@pytest.fixture(scope="module")
+def small_checkpoints(tmp_path_factory):
+    """A temporary directory and the bytes of a small backbone, adapter and
+    tensor-set checkpoint, keyed by their loaders."""
+    root = tmp_path_factory.mktemp("small")
+    bb = init_backbone(4, 4, 2, seed=15)
+    adapter = make_adapter("style", bb, default_routing(bb.names), rank=1, seed=16)
+    blobs = {}
+    for save, load, obj in (
+        (save_backbone, load_backbone, bb),
+        (save_adapter, load_adapter, adapter),
+        (save_tensor_set, load_tensor_set, bb.items()),
+    ):
+        path = root / f"{load.__name__}.crft"
+        save(path, obj)
+        blobs[load] = path.read_bytes()
+    return root, blobs
+
+
+class TestDamagedBytes:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(which=st.integers(0, 2), flip=st.booleans(), data=st.data())
+    def test_truncation_or_bit_flip_is_corrupt(self, small_checkpoints, which, flip, data):
+        root, blobs = small_checkpoints
+        load, blob = list(blobs.items())[which]
+        if flip:
+            bit = data.draw(st.integers(0, 8 * len(blob) - 1), label="bit")
+            damaged = bytearray(blob)
+            damaged[bit // 8] ^= 1 << (bit % 8)
+        else:
+            damaged = blob[: data.draw(st.integers(0, len(blob) - 1), label="length")]
+        path = root / "damaged.crft"
+        path.write_bytes(bytes(damaged))
+        with pytest.raises(CorruptCheckpoint):
+            load(path)
+        with pytest.raises(SystemExit) as exited:
+            cli_main(["inspect", str(path)])
+        assert exited.value.code == 2
+
+
 class TestFileHash:
     def test_stable(self, tmp_path):
         path = tmp_path / "x.bin"
@@ -261,7 +304,7 @@ class TestPgm:
     def test_roundtrip_16bit(self, tmp_path):
         img = make_rng(10).random((12, 16))
         path = tmp_path / "img.pgm"
-        write_pgm(path, img)
+        path.write_bytes(pgm_bytes(img))
         back = read_pgm(path)
         assert back.shape == img.shape
         assert np.abs(back - img).max() <= 0.5 / 65535 + 1e-12
@@ -269,7 +312,7 @@ class TestPgm:
     def test_header_is_big_endian_p5(self, tmp_path):
         img = np.ones((2, 3))
         path = tmp_path / "img.pgm"
-        write_pgm(path, img)
+        path.write_bytes(pgm_bytes(img))
         blob = path.read_bytes()
         assert blob.startswith(b"P5\n")
         assert b"3 2" in blob and b"65535" in blob
@@ -279,14 +322,14 @@ class TestPgm:
         signed = make_rng(11).standard_normal((8, 8)) * 0.4
         off, scale = float(signed.min()), float(np.ptp(signed))
         path = tmp_path / "res.pgm"
-        write_pgm(path, signed, offset=off, scale=scale)
+        path.write_bytes(pgm_bytes(signed, offset=off, scale=scale))
         back = read_pgm(path)
         assert np.abs(back - signed).max() <= 0.5 * scale / 65535 + 1e-12
 
     def test_truncated_rejected(self, tmp_path):
         img = np.zeros((4, 4))
         path = tmp_path / "img.pgm"
-        write_pgm(path, img)
+        path.write_bytes(pgm_bytes(img))
         path.write_bytes(path.read_bytes()[:-3])
         with pytest.raises(CorruptCheckpoint):
             read_pgm(path)

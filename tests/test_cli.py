@@ -8,7 +8,7 @@ import pytest
 from craftlora.checkpoint import inspect_checkpoint, load_backbone, save_backbone
 from craftlora.cli import main
 from craftlora.denoiser import init_backbone
-from craftlora.pgm import read_pgm, write_pgm
+from craftlora.pgm import pgm_bytes, read_pgm
 
 LIGHT_CONFIG = {
     "seed": 11,
@@ -240,7 +240,8 @@ class TestTrainTrunk:
         root, config_path = workspace
         pairs = tmp_path / "pairs"
         shutil.copytree(root / "pairs", pairs)
-        blob = write_pgm(pairs / "images" / "pair_001_style.pgm", np.full((8, 8), 0.5))
+        blob = pgm_bytes(np.full((8, 8), 0.5))
+        (pairs / "images" / "pair_001_style.pgm").write_bytes(blob)
         manifest = pairs / "manifest.tsv"
         lines = manifest.read_text(encoding="utf-8").splitlines()
         lines[1] = lines[1].rsplit("\t", 1)[0] + "\t" + hashlib.sha256(blob).hexdigest()
@@ -249,34 +250,38 @@ class TestTrainTrunk:
         assert "mixes image shapes" in capsys.readouterr().err
         assert not (tmp_path / "mixed.crft").exists()
 
-    def test_save_failing_partway_leaves_a_refused_dataset(
+    def test_save_failing_partway_keeps_the_old_dataset(
         self, workspace, tmp_path, capsys, monkeypatch
     ):
-        # a save at another sigma over the dataset fails after three images;
-        # the old manifest no longer matches them, so training refuses it
-        from craftlora import pairs as pairs_module
+        # a save at another sigma over the dataset fails while writing its
+        # fourth file; the old dataset stays byte for byte, no temporary
+        # file is left behind, and training still accepts the dataset
+        from craftlora import checkpoint
 
         root, config_path = workspace
         pairs = tmp_path / "pairs"
         shutil.copytree(root / "pairs", pairs)
-        written = []
+        before = {p: p.read_bytes() for p in pairs.rglob("*") if p.is_file()}
+        synced = []
+        real_fsync = checkpoint.os.fsync
 
-        def failing_write(path, img):
-            if len(written) == 3:
+        def failing_fsync(fd):
+            if len(synced) == 3:
                 raise OSError("disk full")
-            written.append(path)
-            return write_pgm(path, img)
+            synced.append(fd)
+            real_fsync(fd)
 
-        monkeypatch.setattr(pairs_module, "write_pgm", failing_write)
+        monkeypatch.setattr(checkpoint.os, "fsync", failing_fsync)
         assert run_cli(
             ["gen-pairs", "--config", config_path, "--sigma", 0.3, "--out", pairs]
         ) == 2
         monkeypatch.undo()
+        assert len(synced) == 3
+        after = {p: p.read_bytes() for p in pairs.rglob("*") if p.is_file()}
+        assert after == before
         capsys.readouterr()
-        assert self.run_trunk(config_path, pairs, tmp_path / "torn.crft") == 2
-        assert "does not match its SHA-256 checksum" in capsys.readouterr().err
-        assert not (tmp_path / "torn.crft").exists()
-        assert not (tmp_path / "torn.crft.bases").exists()
+        assert self.run_trunk(config_path, pairs, tmp_path / "kept.crft") == 0
+        assert (tmp_path / "kept.crft").exists()
 
     def test_loss_far_above_first_step_exits_three(self, workspace, tmp_path):
         # at peak_lr 1e4 the base loss stays finite but passes a thousand
@@ -324,6 +329,26 @@ class TestTrainLora:
             ]
         )
         assert code == 1
+
+
+    def test_reference_of_another_size_exits_one_without_output(
+        self, workspace, tmp_path, capsys
+    ):
+        # an 8x8 reference for the 16x16 host is refused as a ShapeMismatch,
+        # a usage error; a raw NumPy ValueError would escape main instead
+        root, config_path = workspace
+        reference = tmp_path / "small.pgm"
+        reference.write_bytes(pgm_bytes(np.full((8, 8), 0.5)))
+        out = tmp_path / "small.crft"
+        code = run_cli([
+            "train-lora", "--config", config_path, "--kind", "content",
+            "--reference", reference, "--prompt", "a filled disc <c>",
+            "--backbone", root / "trunk.crft", "--out", out,
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "the host expects 256" in err
+        assert not out.exists()
 
 
 class TestSample:

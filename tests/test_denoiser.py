@@ -177,6 +177,54 @@ class TestPredictEps:
             assert abs(fd - an) <= 1e-3 * max(abs(fd), abs(an), 1e-8)
 
 
+class TestBackwardTerms:
+    @pytest.mark.parametrize("row_scale", [False, True], ids=["scalar-scale", "row-scale"])
+    def test_term_gradients_match_finite_differences(self, row_scale):
+        # terms on the first, a middle and the last layer, with a bare layer
+        # between them, so the input gradient chains through both kinds
+        backbone = init_backbone(image_size=4, hidden_width=6, n_layers=4, seed=5)
+        rng = make_rng(30, "terms")
+        rows = 3
+        x = rng.standard_normal((rows, 16))
+        ts = np.array([2, 9, 31])
+        cond = rng.standard_normal((rows, 64))
+        probe = rng.standard_normal((rows, 16))
+        terms = {}
+        for name in ("layer1", "layer2", "layer4"):
+            m, n = backbone.shape(name)
+            scale = rng.uniform(0.5, 1.5, size=(rows, 1)) if row_scale else 0.8
+            terms[name] = (
+                scale,
+                0.5 * rng.standard_normal((m, 2)),
+                0.5 * rng.standard_normal((2, n)),
+            )
+
+        def value(perturbed):
+            out, _ = forward_pass(x, ts, cond, backbone, perturbed)
+            return float(np.sum(probe * out))
+
+        _, cache = forward_pass(x, ts, cond, backbone, terms)
+        grads = backward_pass(cache, backbone, probe, terms)
+        assert set(grads) == set(terms)
+        h = 1e-6
+        for name, term in terms.items():
+            d_down, d_up, d_scale = grads[name]
+            assert np.shape(d_scale) == np.shape(term[0])
+            for which, grad in enumerate((d_scale, d_down, d_up)):
+                base = np.asarray(term[which], dtype=np.float64)
+                for idx in np.ndindex(base.shape):
+                    shifted = []
+                    for step in (h, -h):
+                        arr = base.copy()
+                        arr[idx] += step
+                        part = list(term)
+                        part[which] = float(arr) if arr.ndim == 0 else arr
+                        shifted.append(value({**terms, name: tuple(part)}))
+                    fd = (shifted[0] - shifted[1]) / (2 * h)
+                    an = np.asarray(grad)[idx]
+                    assert abs(fd - an) <= 1e-6 * max(abs(fd), abs(an), 1e-3)
+
+
 class TestDdpmStep:
     def test_final_step_deterministic(self, schedule):
         x = make_rng(9).standard_normal((8, 8))

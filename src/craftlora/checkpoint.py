@@ -22,7 +22,7 @@ import zlib
 
 import numpy as np
 
-from .adapters import LayerRouting, LoraAdapter
+from .adapters import KINDS, LayerRouting, LoraAdapter
 from .denoiser import Backbone
 from .exceptions import CorruptCheckpoint, RoutingViolation
 from .prompts import EMB_DIM
@@ -217,23 +217,26 @@ def save_adapter(path, adapter):
     _finish(path, buf)
 
 
+def _read_adapter_header(reader):
+    """Kind tag, rank, host hash and routing of an adapter file, each checked."""
+    kind_tag = reader.text()
+    if kind_tag not in KINDS:
+        raise CorruptCheckpoint(f"{reader.path} has unknown adapter kind {kind_tag!r}")
+    rank = reader.u32()
+    host_hash = reader.text()
+    sides = [tuple(reader.text() for _ in range(reader.u32())) for _ in range(2)]
+    try:
+        routing = LayerRouting(content=sides[0], style=sides[1])
+    except RoutingViolation as exc:
+        raise CorruptCheckpoint(f"{reader.path} has an invalid routing manifest: {exc}") from exc
+    return kind_tag, rank, host_hash, routing
+
+
 def load_adapter(path):
     reader, kind = _open(path)
     if kind != "adapter":
         raise CorruptCheckpoint(f"{path} holds a {kind} checkpoint, expected adapter")
-    kind_tag = reader.text()
-    if kind_tag not in ("content", "style"):
-        raise CorruptCheckpoint(f"{path} has unknown adapter kind {kind_tag!r}")
-    rank = reader.u32()
-    host_hash = reader.text()
-    sides = []
-    for _ in range(2):
-        count = reader.u32()
-        sides.append(tuple(reader.text() for _ in range(count)))
-    try:
-        routing = LayerRouting(content=sides[0], style=sides[1])
-    except RoutingViolation as exc:
-        raise CorruptCheckpoint(f"{path} has an invalid routing manifest: {exc}") from exc
+    kind_tag, rank, host_hash, routing = _read_adapter_header(reader)
     tensors, _ = _read_tensors(reader)
     try:
         gate_w = tensors.pop("gate.w").reshape(-1)
@@ -277,17 +280,11 @@ def inspect_checkpoint(path):
     reader, kind = _open(path)
     summary = {"kind": kind, "version": VERSION, "crc_ok": True}
     if kind == "adapter":
-        summary["adapter_kind"] = reader.text()
-        summary["rank"] = reader.u32()
-        summary["host_hash"] = reader.text()
-        sides = []
-        for _ in range(2):
-            count = reader.u32()
-            sides.append(tuple(reader.text() for _ in range(count)))
-        overlap = set(sides[0]) & set(sides[1])
-        if overlap:
-            raise CorruptCheckpoint(f"{path} routing sets overlap: {sorted(overlap)}")
-        summary["routing"] = {"content": sides[0], "style": sides[1]}
+        kind_tag, rank, host_hash, routing = _read_adapter_header(reader)
+        summary["adapter_kind"] = kind_tag
+        summary["rank"] = rank
+        summary["host_hash"] = host_hash
+        summary["routing"] = {"content": routing.content, "style": routing.style}
     tensors, order = _read_tensors(reader)
     summary["tensors"] = [(name, tensors[name].shape) for name in order]
     return summary

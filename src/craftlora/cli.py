@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage or config error, 2 data or corruption error,
 
 import dataclasses
 import json
+import math
 import sys
 
 import click
@@ -318,33 +319,28 @@ def evaluate_grid(backbone, content_adapter, style_adapter, config, n_content, n
 
     extractor = ImageFeatureExtractor(seed=derive_seed(config.seed, "eval-features"))
     sigma = config.dataset.sigma
-    pairs_out = []
-    s_c_rows = []
-    for i in range(n_content):
-        ref = content_render(i, size)
-        s_c_rows.append(content_preservation(extractor, grid[i], ref))
-    s_s_cols = []
-    for j in range(n_style):
-        ref = style_render(j, size)
-        column = [grid[i][j] for i in range(n_content)]
-        s_s_cols.append(style_fidelity(extractor, column, ref, sigma=sigma))
-    for i in range(n_content):
-        for j in range(n_style):
-            pairs_out.append(
-                {
-                    "content_index": i,
-                    "style_index": j,
-                    "content_prompt": CONTENT_PROMPTS[i],
-                    "style_prompt": STYLE_PROMPTS[j],
-                    "content_similarity": s_c_rows[i],
-                    "style_similarity": s_s_cols[j],
-                }
-            )
-    s_x = cross_influence(extractor, grid, sigma=sigma)
+    s_c_rows = [
+        content_preservation(extractor, grid[i], content_render(i, size)) for i in range(n_content)
+    ]
+    s_s_cols = [
+        style_fidelity(extractor, [row[j] for row in grid], style_render(j, size), sigma)
+        for j in range(n_style)
+    ]
+    pairs_out = [
+        {
+            "content_index": i,
+            "style_index": j,
+            "content_prompt": CONTENT_PROMPTS[i],
+            "style_prompt": STYLE_PROMPTS[j],
+            "content_similarity": s_c_rows[i],
+            "style_similarity": s_s_cols[j],
+        }
+        for i, j in cells
+    ]
     return EvalReport(
-        s_c=float(np.mean(s_c_rows)),
-        s_s=float(np.mean(s_s_cols)),
-        s_x=s_x,
+        s_c=math.fsum(s_c_rows) / n_content,
+        s_s=math.fsum(s_s_cols) / n_style,
+        s_x=cross_influence(extractor, grid, sigma=sigma),
         pairs=pairs_out,
         seed=config.seed,
         config_hash=config_hash(config),

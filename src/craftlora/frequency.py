@@ -10,23 +10,18 @@ import numpy as np
 from scipy.fft import dctn, idctn
 
 from .exceptions import BadCutoff, ShapeMismatch
-from .validation import as_image
-
-
-def _image_axes(x):
-    # the last two axes; naming them costs scipy about 4 us a call, which
-    # the metrics' many single-image filters would feel, so an (H, W)
-    # image takes the all-axes default
-    return None if np.ndim(x) == 2 else (-2, -1)
+from .validation import as_images
 
 
 def dct2(x):
-    """Orthonormal DCT-II of an (H, W) image or of each image of a stack."""
-    return dctn(x, type=2, norm="ortho", axes=_image_axes(x))
+    """Orthonormal DCT-II over the last two axes: one image or each of a stack."""
+    return dctn(x, type=2, norm="ortho", axes=(-2, -1))
 
 
 def idct2(x):
-    return idctn(x, type=2, norm="ortho", axes=_image_axes(x))
+    """Inverse of ``dct2``. It may overwrite ``x``, which every caller builds as
+    a scratch product, to spare a stack-sized buffer."""
+    return idctn(x, type=2, norm="ortho", axes=(-2, -1), overwrite_x=True)
 
 
 def radial_frequency(height, width):
@@ -39,27 +34,33 @@ def radial_frequency(height, width):
 def gaussian_lowpass(img, sigma):
     """Gaussian low-pass: spectrum scaled by exp(-(f / (sigma * f_nyq))^2 / 2).
 
-    The DC coefficient is preserved exactly, so the output mean equals the
-    input mean; constant images pass through unchanged.
+    ``img`` is one (H, W) image or an (N, H, W) stack filtered image by
+    image. The DC coefficient is preserved exactly, so each output mean
+    equals its input mean; constant images pass through unchanged, bit for
+    bit.
     """
-    img = as_image(img)
+    img = as_images(img)
     if not 0.0 < sigma <= 1.0:
         raise BadCutoff(f"sigma must lie in (0, 1], got {sigma}")
-    if np.all(img == img.flat[0]):
-        return img.copy()  # pure DC; the filter is the identity
-    rho = radial_frequency(*img.shape)
+    rho = radial_frequency(*img.shape[-2:])
     gain = np.exp(-0.5 * (rho / sigma) ** 2)
     gain[0, 0] = 1.0
-    return idct2(gain * dct2(img))
+    coeffs = dct2(img)
+    coeffs *= gain
+    out = idct2(coeffs)
+    # a constant image is pure DC, where the filter is the identity
+    constant = np.all(img == img[..., :1, :1], axis=(-2, -1))
+    out[constant] = img[constant]
+    return out
 
 
 def style_residual(img, sigma):
     """High-frequency remainder ``img - gaussian_lowpass(img, sigma)``.
 
     Values are signed; together with the low-pass part it reconstructs the
-    input exactly.
+    input exactly. Takes an image or a stack, like the low-pass.
     """
-    img = as_image(img)
+    img = as_images(img)
     return img - gaussian_lowpass(img, sigma)
 
 
@@ -96,10 +97,7 @@ def freq_mask_filter(latent, mask):
     ``latent`` is one (H, W) image or an (N, H, W) stack filtered image by
     image.
     """
-    latent = np.asarray(latent, dtype=np.float64)
-    if latent.ndim not in (2, 3):
-        raise ShapeMismatch(f"latent must be (H, W) or (N, H, W), got shape {latent.shape}")
-    as_image(latent.reshape(-1, latent.shape[-1]), "latent")
+    latent = as_images(latent, "latent")
     if not isinstance(mask, FrequencyMask):
         raise ShapeMismatch("mask must be a FrequencyMask")
     return idct2(mask.array(*latent.shape[-2:]) * dct2(latent))

@@ -9,6 +9,7 @@ drift when only the style prompt changes.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +18,7 @@ from .checkpoint import write_atomic
 from .exceptions import EmptySet, GridIncomplete
 from .frequency import gaussian_lowpass, style_residual
 from .utils import make_rng
-from .validation import as_image
+from .validation import as_image, as_images, check_same_shape
 
 CALIBRATION_DRAWS = 200
 
@@ -25,9 +26,11 @@ CALIBRATION_DRAWS = 200
 class ImageFeatureExtractor:
     """Fixed projection from images to unit-normalized 128-dim features.
 
-    ``transform`` accepts a single (H, W) image or a stack (n, H, W). Zero
-    images map to the zero vector, which the metrics exclude from
-    similarities. Deterministic given the seed.
+    ``transform`` maps a stack (n, H, W) to (n, 128) features in one matrix
+    product, or a single (H, W) image to one 128-vector. Zero images map to
+    the zero vector, which the metrics exclude from similarities. Each row
+    depends only on its own image, never on its position in the stack.
+    Deterministic given the seed.
     """
 
     def __init__(self, n_features=128, seed=0):
@@ -46,75 +49,66 @@ class ImageFeatureExtractor:
         return proj
 
     def transform(self, images):
-        arr = np.asarray(images, dtype=np.float64)
-        if arr.ndim == 2:
-            return self._single(arr)
-        if arr.ndim != 3:
-            raise ValueError(f"expected (H, W) or (n, H, W), got shape {arr.shape}")
-        return np.stack([self._single(img) for img in arr])
-
-    def _single(self, img):
-        img = as_image(img)
-        raw = np.tanh(img.reshape(-1) @ self._projection(*img.shape))
-        norm = np.linalg.norm(raw)
-        if norm == 0.0:
-            return np.zeros(self.n_features)
-        return raw / norm
+        arr = as_images(images)
+        height, width = arr.shape[-2:]
+        feats = arr.reshape(-1, height * width) @ self._projection(height, width)
+        np.tanh(feats, out=feats)
+        norms = np.linalg.norm(feats, axis=1, keepdims=True)
+        # a zero-norm row is all zeros already and stays so
+        np.divide(feats, norms, out=feats, where=norms > 0.0)
+        return feats[0] if arr.ndim == 2 else feats
 
 
-def _cosine_pairs(features, reference_feature):
-    if np.linalg.norm(reference_feature) == 0.0:
+def _with_reference(reference, images, what):
+    """The reference image stacked in front of the images, as (1 + n, H, W)."""
+    if len(images) == 0:
+        raise EmptySet(f"{what} needs a nonempty generated set")
+    reference = as_image(reference, "reference")
+    images = as_images(images, "generated images")
+    check_same_shape(reference, images[0], "the reference", "each generated image")
+    return np.concatenate([reference[None], images])
+
+
+def _mean_cosine(features, reference):
+    """Mean cosine of the nonzero feature rows to the reference feature."""
+    if not reference.any():
         raise EmptySet("the reference maps to the zero feature vector")
-    sims = []
-    for f in features:
-        if np.linalg.norm(f) > 0.0:
-            sims.append(float(f @ reference_feature))
-    if not sims:
+    kept = features[features.any(axis=1)]
+    if len(kept) == 0:
         raise EmptySet("no generated image yields a nonzero feature vector")
-    return sims
+    return math.fsum((kept * reference).sum(axis=1)) / len(kept)
 
 
 def content_preservation(extractor, generated, content_reference):
     """Mean cosine similarity of generations to the content reference."""
-    if len(generated) == 0:
-        raise EmptySet("content preservation needs a nonempty generated set")
-    ref = extractor.transform(as_image(content_reference))
-    feats = [extractor.transform(as_image(img)) for img in generated]
-    return float(np.mean(_cosine_pairs(feats, ref)))
+    stack = _with_reference(content_reference, generated, "content preservation")
+    feats = extractor.transform(stack)
+    return _mean_cosine(feats[1:], feats[0])
 
 
-def style_fidelity(extractor, generated, style_reference, sigma=0.35):
+def style_fidelity(extractor, generated, style_reference, sigma):
     """Mean cosine similarity on the style channel (high-frequency residual).
 
     Constant images have a zero residual and are reported as an error, since
     their style features are undefined.
     """
-    if len(generated) == 0:
-        raise EmptySet("style fidelity needs a nonempty generated set")
-    ref = extractor.transform(style_residual(as_image(style_reference), sigma))
-    feats = [extractor.transform(style_residual(as_image(img), sigma)) for img in generated]
-    return float(np.mean(_cosine_pairs(feats, ref)))
+    stack = _with_reference(style_reference, generated, "style fidelity")
+    feats = extractor.transform(style_residual(stack, sigma))
+    return _mean_cosine(feats[1:], feats[0])
 
 
-def _content_channel_feature(extractor, img, sigma):
-    return extractor.transform(gaussian_lowpass(as_image(img), sigma))
-
-
-def random_pair_distance(extractor, height, width, sigma=0.35, draws=CALIBRATION_DRAWS):
+def random_pair_distance(extractor, height, width, sigma):
     """Monte-Carlo ceiling: mean content-channel feature distance between
     independent uniform-random images. Normalizes cross-influence to [0, 1]."""
     rng = make_rng(extractor.seed, "cross-influence-calibration", height, width, sigma)
-    total = 0.0
-    for _ in range(draws):
-        a = rng.random((height, width))
-        b = rng.random((height, width))
-        fa = _content_channel_feature(extractor, a, sigma)
-        fb = _content_channel_feature(extractor, b, sigma)
-        total += float(np.linalg.norm(fa - fb))
-    return total / draws
+    # pair k is images 2k and 2k + 1; the stack is held only while filtered
+    feats = extractor.transform(
+        gaussian_lowpass(rng.random((2 * CALIBRATION_DRAWS, height, width)), sigma)
+    )
+    return math.fsum(np.linalg.norm(feats[0::2] - feats[1::2], axis=1)) / CALIBRATION_DRAWS
 
 
-def cross_influence(extractor, grid, sigma=0.35):
+def cross_influence(extractor, grid, sigma):
     """Style-induced drift of content-channel features, in [0, 1].
 
     ``grid[i][j]`` is the generation for content prompt i and style prompt
@@ -134,17 +128,14 @@ def cross_influence(extractor, grid, sigma=0.35):
         raise GridIncomplete("cross influence needs at least two style columns")
 
     first = as_image(grid[0][0])
+    cells = as_images(np.reshape(grid, (-1, *first.shape)), "grid")
     ceiling = random_pair_distance(extractor, *first.shape, sigma=sigma)
-    row_means = []
-    for row in grid:
-        feats = [_content_channel_feature(extractor, img, sigma) for img in row]
-        dists = [
-            float(np.linalg.norm(feats[a] - feats[b]))
-            for a in range(width)
-            for b in range(a + 1, width)
-        ]
-        row_means.append(float(np.mean(dists)))
-    return float(np.clip(np.mean(row_means) / ceiling, 0.0, 1.0))
+    feats = extractor.transform(gaussian_lowpass(cells, sigma)).reshape(len(grid), width, -1)
+    a, b = np.triu_indices(width, k=1)
+    # every row has the same number of pairs, so the mean over all pairs is
+    # the mean of the row means
+    dists = np.linalg.norm(feats[:, a] - feats[:, b], axis=-1)
+    return float(np.clip(math.fsum(dists.ravel()) / dists.size / ceiling, 0.0, 1.0))
 
 
 @dataclass

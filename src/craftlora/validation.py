@@ -15,13 +15,24 @@ def as_matrix(x, name="matrix"):
     return arr
 
 
-def as_image(x, name="image"):
-    """Coerce to a finite 2-D float64 pixel field (signed values allowed)."""
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-        raise ShapeMismatch(f"{name} must be a non-empty 2-D array, got shape {arr.shape}")
+def as_images(x, name="images"):
+    """Coerce to a finite float64 image (H, W) or stack (N, H, W); no axis empty."""
+    try:
+        arr = np.asarray(x, dtype=np.float64)
+    except ValueError as exc:  # images of different shapes, or not numbers
+        raise ShapeMismatch(f"{name} is not one numeric array: {exc}") from exc
+    if arr.ndim not in (2, 3) or 0 in arr.shape:
+        raise ShapeMismatch(f"{name} must be (H, W) or (N, H, W), got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
+    return arr
+
+
+def as_image(x, name="image"):
+    """``as_images`` restricted to one (H, W) image."""
+    arr = as_images(x, name)
+    if arr.ndim != 2:
+        raise ShapeMismatch(f"{name} must be one (H, W) image, got shape {arr.shape}")
     return arr
 
 

@@ -408,7 +408,7 @@ def test_directional_disentanglement():
                             )
                         )
                     grid.append(row)
-                return cross_influence(ImageFeatureExtractor(seed=0), grid)
+                return cross_influence(ImageFeatureExtractor(seed=0), grid, sigma=0.35)
 
             sx_rank = measure_sx(tuner.backbone_)
             sx_plain = measure_sx(base)

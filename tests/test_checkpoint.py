@@ -199,6 +199,22 @@ class TestAdapterCheckpoint:
             inspect_checkpoint(path)
 
 
+    def test_unknown_kind_tag_is_corrupt_for_load_and_inspect(self, tmp_path):
+        # the same header parser serves both, so neither accepts the bad tag
+        path = tmp_path / "ad.crft"
+        save_adapter(path, self.make_adapter())
+        payload = path.read_bytes()[:-4]
+        assert payload.count(b"style") == 1
+        write_with_crc(path, payload.replace(b"style", b"bogus"))
+        with pytest.raises(CorruptCheckpoint, match="unknown adapter kind 'bogus'"):
+            load_adapter(path)
+        with pytest.raises(CorruptCheckpoint, match="unknown adapter kind 'bogus'"):
+            inspect_checkpoint(path)
+        with pytest.raises(SystemExit) as exited:
+            cli_main(["inspect", str(path)])
+        assert exited.value.code == 2
+
+
 class TestTensorSet:
     def test_roundtrip_preserves_order(self, tmp_path):
         rng = make_rng(9)

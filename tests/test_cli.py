@@ -1,6 +1,7 @@
 import hashlib
 import json
 import shutil
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -588,6 +589,37 @@ class TestEval:
             reports.append(out.read_bytes())
         assert reports[0] == reports[1]
         assert len(json.loads(reports[0])["pairs"]) == 12
+
+    def test_scores_a_grid_as_stacks(self, workspace, tmp_path, monkeypatch):
+        # each metric call filters and transforms its whole input at once; one
+        # image at a time, this 2x3 grid took 423 transforms and 415 filters
+        from craftlora import frequency, metrics
+
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        extractor = metrics.ImageFeatureExtractor
+        monkeypatch.setattr(extractor, "transform", counted("transform", extractor.transform))
+        lowpass = counted("lowpass", frequency.gaussian_lowpass)
+        monkeypatch.setattr(frequency, "gaussian_lowpass", lowpass)
+        monkeypatch.setattr(metrics, "gaussian_lowpass", lowpass)
+        root, config_path = workspace
+        code = run_cli([
+            "eval", "--config", config_path,
+            "--backbone", root / "trunk.crft",
+            "--content-adapter", root / "content.crft",
+            "--style-adapter", root / "style.crft",
+            "--out", tmp_path / "report.json", "--n-content", 2, "--n-style", 3,
+        ])
+        assert code == 0
+        assert 0 < calls["transform"] <= 12
+        assert 0 < calls["lowpass"] <= 8
 
     def test_zero_threads_is_usage_error(self, workspace, tmp_path):
         root, config_path = workspace

@@ -34,6 +34,19 @@ class TestGaussianLowpass:
         img = np.full((16, 16), 0.375)
         out = gaussian_lowpass(img, 0.35)
         assert np.array_equal(out, img)
+        # a constant row of a stack passes through bit for bit too
+        stack = np.random.default_rng(8).random((3, 16, 16))
+        stack[1] = 0.1
+        out = gaussian_lowpass(stack, 0.35)
+        assert out[1].tobytes() == stack[1].tobytes()
+        assert not np.array_equal(out[0], stack[0])
+
+    @pytest.mark.parametrize("fn", [gaussian_lowpass, style_residual])
+    def test_stack_equals_one_image_at_a_time(self, fn):
+        stack = np.random.default_rng(9).random((5, 12, 20))
+        stack[2] = 0.5
+        single = np.stack([fn(img, 0.35) for img in stack])
+        assert fn(stack, 0.35).tobytes() == single.tobytes()
 
     def test_partition_reconstructs(self):
         rng = np.random.default_rng(0)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from craftlora.exceptions import EmptySet, GridIncomplete
+from craftlora.exceptions import EmptySet, GridIncomplete, ShapeMismatch
 from craftlora.metrics import (
     EvalReport,
     ImageFeatureExtractor,
@@ -15,6 +15,8 @@ from craftlora.metrics import (
 )
 from craftlora.pairs import content_render, style_render
 from craftlora.utils import make_rng
+
+SIGMA = 0.35
 
 
 @pytest.fixture(scope="module")
@@ -32,6 +34,14 @@ class TestFeatureExtractor:
     def test_zero_image_zero_vector(self, extractor):
         assert np.array_equal(extractor.transform(np.zeros((16, 16))), np.zeros(128))
 
+    def test_neither_image_nor_stack_is_shape_mismatch(self, extractor):
+        ragged = [np.zeros((4, 4)), np.zeros((3, 4))]
+        for bad in (np.zeros(16), np.zeros((2, 2, 4, 4)), np.zeros((0, 4, 4)), ragged):
+            with pytest.raises(ShapeMismatch):
+                extractor.transform(bad)
+        with pytest.raises(ShapeMismatch):
+            content_preservation(extractor, ragged, np.zeros((4, 4)))
+
     def test_deterministic_given_seed(self):
         img = make_rng(1).random((16, 16))
         a = ImageFeatureExtractor(seed=7).transform(img)
@@ -39,6 +49,22 @@ class TestFeatureExtractor:
         c = ImageFeatureExtractor(seed=8).transform(img)
         assert np.array_equal(a, b)
         assert not np.allclose(a, c)
+
+    def test_stack_matches_single_images(self, extractor):
+        # one matrix product over the stack against one image at a time
+        images = make_rng(5).random((7, 16, 16))
+        images[3] = 0.0
+        feats = extractor.transform(images)
+        single = np.stack([extractor.transform(img) for img in images])
+        assert feats.shape == (7, 128)
+        assert np.abs(feats - single).max() <= 1e-15
+        assert not feats[3].any()
+
+    def test_row_permutation_permutes_features(self, extractor):
+        images = make_rng(6).random((9, 16, 16))
+        perm = make_rng(7).permutation(9)
+        feats = extractor.transform(images)
+        assert extractor.transform(images[perm]).tobytes() == feats[perm].tobytes()
 
 
 class TestContentPreservation:
@@ -49,10 +75,8 @@ class TestContentPreservation:
     def test_orthogonal_features_give_zero(self):
         class AxisExtractor(ImageFeatureExtractor):
             def transform(self, images):
-                img = np.asarray(images)
-                vec = np.zeros(4)
-                vec[int(img.flat[0])] = 1.0
-                return vec
+                # one-hot on the first pixel of each image of the stack
+                return np.eye(4)[np.asarray(images)[:, 0, 0].astype(int)]
 
         ex = AxisExtractor()
         base = np.zeros((2, 2))
@@ -70,29 +94,48 @@ class TestContentPreservation:
         with pytest.raises(EmptySet):
             content_preservation(extractor, [], content_render(0))
 
-    def test_permutation_invariant(self, extractor):
+    @pytest.mark.parametrize("score", ["s_c", "s_s", "s_x"])
+    def test_permutation_invariant(self, extractor, score):
+        # reordering the generated images, or the rows and the columns of a
+        # grid, leaves every score byte-identical
         rng = make_rng(3)
-        images = [rng.random((16, 16)) for _ in range(6)]
-        ref = content_render(1)
-        forward = content_preservation(extractor, images, ref)
-        backward = content_preservation(extractor, images[::-1], ref)
-        assert forward == backward
+        images = [
+            np.clip(0.7 * content_render(k % 3) + 0.3 * rng.random((16, 16)), 0, 1)
+            for k in range(12)
+        ]
+        if score == "s_x":
+            grid = [images[4 * i:4 * i + 4] for i in range(3)]
+            forward = cross_influence(extractor, grid, sigma=SIGMA)
+            assert 0.0 < forward < 1.0
+            for _ in range(8):
+                rows, cols = rng.permutation(3), rng.permutation(4)
+                permuted = [[grid[i][j] for j in cols] for i in rows]
+                assert cross_influence(extractor, permuted, sigma=SIGMA) == forward
+            return
+
+        def measure(imgs):
+            if score == "s_c":
+                return content_preservation(extractor, imgs, content_render(1))
+            return style_fidelity(extractor, imgs, style_render(1), sigma=SIGMA)
+
+        forward = measure(images)
+        for _ in range(8):
+            assert measure([images[k] for k in rng.permutation(12)]) == forward
 
 
 class TestStyleFidelity:
     def test_reference_against_itself(self, extractor):
         ref = style_render(0)
-        assert style_fidelity(extractor, [ref], ref) == pytest.approx(1.0)
+        assert style_fidelity(extractor, [ref], ref, sigma=SIGMA) == pytest.approx(1.0)
 
     def test_constant_images_error(self, extractor):
         flat = np.full((16, 16), 0.5)
         with pytest.raises(EmptySet):
-            style_fidelity(extractor, [flat], flat)
+            style_fidelity(extractor, [flat], flat, sigma=SIGMA)
 
     def test_matched_style_beats_mismatched(self, extractor):
         # three contents dressed in style 0 vs style 5; similarity is
         # measured against style 0's residual channel
-        sigma = 0.35
         ref = style_render(0)
         matched = [
             np.clip(0.6 * content_render(i) + 0.4 * style_render(0), 0, 1) for i in range(3)
@@ -100,8 +143,8 @@ class TestStyleFidelity:
         mismatched = [
             np.clip(0.6 * content_render(i) + 0.4 * style_render(5), 0, 1) for i in range(3)
         ]
-        s_match = style_fidelity(extractor, matched, ref, sigma=sigma)
-        s_mismatch = style_fidelity(extractor, mismatched, ref, sigma=sigma)
+        s_match = style_fidelity(extractor, matched, ref, sigma=SIGMA)
+        s_mismatch = style_fidelity(extractor, mismatched, ref, sigma=SIGMA)
         assert s_match > s_mismatch
 
 
@@ -109,25 +152,25 @@ class TestCrossInfluence:
     def test_identical_grid_scores_zero(self, extractor):
         img = content_render(0)
         grid = [[img, img, img], [img, img, img]]
-        assert cross_influence(extractor, grid) == 0.0
+        assert cross_influence(extractor, grid, sigma=SIGMA) == 0.0
 
     def test_random_grid_near_ceiling(self, extractor):
         rng = make_rng(4)
         grid = [[rng.random((16, 16)) for _ in range(4)] for _ in range(4)]
-        assert cross_influence(extractor, grid) > 0.9
+        assert cross_influence(extractor, grid, sigma=SIGMA) > 0.9
 
     def test_incomplete_grid_rejected(self, extractor):
         img = content_render(0)
         with pytest.raises(GridIncomplete):
-            cross_influence(extractor, [[img, img], [img]])
+            cross_influence(extractor, [[img, img], [img]], sigma=SIGMA)
         with pytest.raises(GridIncomplete):
-            cross_influence(extractor, [[img, None], [img, img]])
+            cross_influence(extractor, [[img, None], [img, img]], sigma=SIGMA)
         with pytest.raises(GridIncomplete):
-            cross_influence(extractor, [[img], [img]])
+            cross_influence(extractor, [[img], [img]], sigma=SIGMA)
 
     def test_calibration_deterministic(self, extractor):
-        a = random_pair_distance(extractor, 16, 16)
-        b = random_pair_distance(extractor, 16, 16)
+        a = random_pair_distance(extractor, 16, 16, sigma=SIGMA)
+        b = random_pair_distance(extractor, 16, 16, sigma=SIGMA)
         assert a == b
 
 

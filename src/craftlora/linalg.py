@@ -13,6 +13,12 @@ from .validation import as_matrix
 # column norm are treated as linearly dependent and dropped.
 DROP_TOL_FACTOR = 1e-10
 
+# The same test on the Cholesky pivots of a Gram matrix B^T B. Forming B^T B
+# rounds at eps times the squared column norms, so a pivot of an exactly
+# dependent column comes out near sqrt(eps) ~ 1.5e-8 of the largest column
+# norm rather than near eps; the tolerance sits well above that level.
+GRAM_PIVOT_TOL_FACTOR = 1e-6
+
 ORTHO_TOL = 1e-6
 
 

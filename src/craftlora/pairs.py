@@ -18,7 +18,7 @@ import numpy as np
 from .checkpoint import write_all_atomic
 from .denoiser import NoiseSchedule, ddpm_step, forward_pass
 from .exceptions import ConfigInvalid, CorruptCheckpoint, ModelUntrained, ShapeMismatch
-from .frequency import FrequencyMask, freq_mask_filter, gaussian_lowpass, style_residual
+from .frequency import FrequencyMask, freq_mask_filter, gaussian_lowpass
 from .pgm import pgm_bytes, read_pgm
 from .prompts import encode_semantic
 from .utils import make_rng, run_row_blocks
@@ -174,9 +174,9 @@ def _clip01(img):
 def synthetic_pair_images(content_index, style_index, sigma, size=16):
     """Frequency-split blend of one shape layout and one texture."""
     blend = _clip01(0.55 * content_render(content_index, size) + 0.45 * style_render(style_index, size))
-    content_member = _clip01(gaussian_lowpass(blend, sigma))
-    style_member = _clip01(0.5 + style_residual(blend, sigma))
-    return content_member, style_member
+    low = gaussian_lowpass(blend, sigma)
+    # the style member is the residual ``style_residual`` would return
+    return _clip01(low), _clip01(0.5 + (blend - low))
 
 
 # Filtered clean estimates are clamped to this range, which keeps the long

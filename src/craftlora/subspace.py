@@ -1,11 +1,14 @@
 """Rank-limited backbone fine-tuning.
 
-Per-layer learnable bases are orthonormalized by QR every step; the weights
-seen by the loss are the base weights with the learned subspace projected
-out, W_l = W0_l - Q_l Q_l^T W0_l. The content pair member supervises only the
-content bases and the style member only the style bases; after training the
-two subspaces are merged per layer and projected out once to produce the
-frozen host for all adapter work.
+Per-layer learnable bases B_l enter the loss only through the orthogonal
+projector onto their span, P_l = B_l K_l B_l^T with K_l = (B_l^T B_l)^-1; the
+weights seen by the loss are the base weights with that subspace projected
+out, W_l = W0_l - P_l W0_l. No QR runs inside the training loop: K_l comes
+from a Cholesky factor of the r x r Gram matrix. The content pair member
+supervises only the content bases and the style member only the style
+bases; after training the two subspaces are orthonormalized by QR, merged
+per layer and projected out once to produce the frozen host for all adapter
+work.
 """
 
 import math
@@ -24,7 +27,7 @@ from .exceptions import (
     OutOfRange,
     ShapeMismatch,
 )
-from .linalg import DROP_TOL_FACTOR, householder_qr, project_out, qr_backward
+from .linalg import GRAM_PIVOT_TOL_FACTOR, householder_qr, project_out
 from .prompts import encode_semantic
 from .utils import check_loss, lr_at, make_rng
 from .validation import as_matrix
@@ -79,8 +82,9 @@ def init_bases(backbone, schedule, seed=0, init_scale=0.02):
     """I.i.d. small-uniform bases per layer at the scheduled rank.
 
     Only the spanned subspace reaches the projection; the entry scale sets
-    the optimization geometry (gradients through QR grow as the scale
-    shrinks), and 0.02 trains well at desk scale.
+    the optimization geometry (the projector's basis gradient carries
+    (B^T B)^-1, so it grows as the scale shrinks), and 0.02 trains well at
+    desk scale.
     """
     if schedule.n_layers != backbone.n_layers:
         raise ConfigInvalid(
@@ -205,40 +209,51 @@ BLOCK_ROWS = 16
 
 
 def _member_weights(backbone, basis_map):
-    """Project each layer by its own basis; returns weights and QR caches.
+    """Project each layer by its own basis; returns weights and caches.
 
-    The QR is LAPACK's with column signs flipped so that diag(R) >= 0, the
-    convention of ``householder_qr``. A column whose pivot falls below the
-    tolerance at which ``householder_qr`` would drop it means the basis lost
-    rank, which training cannot recover from; a zero or non-finite basis
-    fails the same check.
+    With G = B^T B and K = G^-1 from G's Cholesky factor, the projected
+    weights are W = W0 - (B K)(B^T W0), and each layer caches (B, B K, K).
+    The Cholesky pivots are the QR pivots |diag(R)| of B, but they carry
+    the rounding of forming G; a pivot below ``GRAM_PIVOT_TOL_FACTOR`` times
+    the largest column norm, or a Gram matrix the factorization rejects,
+    means the basis lost rank, which training cannot recover from. A zero
+    or non-finite basis fails the same check.
     """
     updates = {}
     cache = {}
     for name, w in backbone.items():
         b = basis_map[name]
-        tol = DROP_TOL_FACTOR * np.sqrt(np.einsum("ij,ij->j", b, b)).max()
-        q, r = np.linalg.qr(b)
-        pivots = np.diagonal(r)
-        if not np.abs(pivots).min() >= tol > 0.0:
+        gram = b.T @ b
+        tol = GRAM_PIVOT_TOL_FACTOR * np.sqrt(np.diagonal(gram).max())
+        try:
+            chol = np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            chol = None
+        if chol is None or not np.diagonal(chol).min() >= tol > 0.0:
             raise NumericalError(
                 f"basis for layer {name!r} lost rank during training"
             )
-        signs = np.where(pivots < 0.0, -1.0, 1.0)
-        q = q * signs
-        updates[name] = w - q @ (q.T @ w)
-        cache[name] = (q, r * signs[:, None])
+        chol_inv = np.linalg.inv(chol)
+        k = chol_inv.T @ chol_inv
+        bk = b @ k
+        updates[name] = w - bk @ (b.T @ w)
+        cache[name] = (b, bk, k)
     return backbone.replace(updates), cache
 
 
 def _basis_grads_from_weight_grads(backbone, cache, weight_grads):
-    """Chain dLoss/dW through W = W0 - Q Q^T W0 and the QR map to the basis."""
+    """Chain dLoss/dW through W = W0 - B K B^T W0 to the basis.
+
+    The derivative of the projector B K B^T (variable projection, Golub and
+    Pereyra 1973) gives dLoss/dB = B K (B^T M K) - M K with
+    M = g (W0^T B) + W0 (g^T B), where g is dLoss/dW.
+    """
     out = {}
     for name, g in weight_grads.items():
         w0 = backbone.weight(name)
-        q, r = cache[name]
-        grad_q = -(g @ (w0.T @ q) + w0 @ (g.T @ q))
-        out[name] = qr_backward(q, r, grad_q)
+        b, bk, k = cache[name]
+        mk = (g @ (w0.T @ b) + w0 @ (g.T @ b)) @ k
+        out[name] = bk @ (b.T @ mk) - mk
     return out
 
 
@@ -257,13 +272,28 @@ def member_embeddings(pairs):
     }
 
 
-def _member_block(weights, pairs, draws, embs, member, schedule, alpha_perc, perceptual):
-    """Summed task loss of one member over a row block of pairs, with the
-    gradient of that sum w.r.t. the block's output noise estimates."""
-    targets = np.stack([
+def _member_targets(pairs, member):
+    """One member's target images as flat rows, ``(len(pairs), pixels)``."""
+    return np.stack([
         (p.content_image if member == "content" else p.style_image).reshape(-1)
         for p in pairs
     ])
+
+
+def member_target_features(pairs, perceptual):
+    """Both members' target features, ``{member: [per-layer (len(pairs), size)]}``."""
+    return {
+        member: perceptual.features(_member_targets(pairs, member))
+        for member in ("content", "style")
+    }
+
+
+def _member_block(weights, pairs, draws, embs, feats_ref, member, schedule, alpha_perc, perceptual):
+    """Summed task loss of one member over a row block of pairs, with the
+    gradient of that sum w.r.t. the block's output noise estimates.
+    ``feats_ref`` holds the block's target features, or None without the
+    perceptual term."""
+    targets = _member_targets(pairs, member)
     noise = np.stack([d[member][1].reshape(-1) for d in draws])
     ts = np.array([d[member][0] for d in draws])
 
@@ -277,9 +307,8 @@ def _member_block(weights, pairs, draws, embs, member, schedule, alpha_perc, per
     diff = x0_hat - targets
     task = float(np.abs(diff).sum())
     d_x0 = np.sign(diff)
-    if perceptual is not None and alpha_perc > 0.0:
+    if feats_ref is not None:
         feats_pred = perceptual.features(x0_hat)
-        feats_ref = perceptual.features(targets)
         d_feats = []
         for fp, fr, size in zip(feats_pred, feats_ref, perceptual.layer_sizes):
             fdiff = fp - fr
@@ -299,6 +328,7 @@ def trunk_loss(
     draws,
     perceptual=None,
     embeddings=None,
+    target_features=None,
 ):
     """Trunk objective and its exact gradients w.r.t. every basis entry.
 
@@ -313,14 +343,16 @@ def trunk_loss(
 
     The projected weights depend only on the member, so each member runs
     its pairs as the rows of one batched pass, in blocks of ``BLOCK_ROWS``.
-    Both the projection and the QR map are linear in the weight gradient,
-    so the gradients are summed over all rows first and chained to the
-    bases once per layer per member.
+    The basis gradient is linear in the weight gradient, so the gradients
+    are summed over all rows first and chained to the bases once per layer
+    per member.
 
     ``draws`` supplies one (t, noise) per member per pair so the value is a
     pure function of its arguments (finite-difference checkable).
-    ``embeddings`` optionally holds the batch's ``member_embeddings``,
-    which are computed here when omitted.
+    ``embeddings`` and ``target_features`` optionally hold the batch's
+    ``member_embeddings`` and ``member_target_features``, which are
+    computed here when omitted; both depend only on the pairs, so a caller
+    that draws many batches from one dataset computes them once.
     """
     if lambda_reg < 0.0 or alpha_perc < 0.0:
         raise ConfigInvalid("lambda_reg and alpha_perc must be nonnegative")
@@ -331,6 +363,10 @@ def trunk_loss(
 
     if embeddings is None:
         embeddings = member_embeddings(batch)
+    if perceptual is None or alpha_perc == 0.0:
+        target_features = None
+    elif target_features is None:
+        target_features = member_target_features(batch, perceptual)
 
     n = len(batch)
     task = 0.0
@@ -340,9 +376,13 @@ def trunk_loss(
         weight_grads = {}
         for start in range(0, n, BLOCK_ROWS):
             stop = start + BLOCK_ROWS
+            feats_ref = (
+                None if target_features is None
+                else [f[start:stop] for f in target_features[member]]
+            )
             block_task, acts, d_eps = _member_block(
-                weights, batch[start:stop], draws[start:stop],
-                embeddings[member][start:stop], member, schedule, alpha_perc, perceptual,
+                weights, batch[start:stop], draws[start:stop], embeddings[member][start:stop],
+                feats_ref, member, schedule, alpha_perc, perceptual,
             )
             task += block_task
             for name, g in backward_pass(acts, weights, d_eps / n).items():
@@ -407,6 +447,9 @@ class TrunkFinetuner:
         perceptual = PerceptualProxy(image_size=image_size) if cfg.alpha_perc > 0.0 else None
         rng = make_rng(self.seed, "trunk-train")
         embeddings = member_embeddings(pairs)
+        target_features = (
+            None if perceptual is None else member_target_features(pairs, perceptual)
+        )
         history = []
         for step in range(cfg.steps):
             lr = lr_at(step, cfg.steps, cfg.peak_lr, cfg.start_lr, cfg.floor_lr, cfg.warmup)
@@ -423,6 +466,10 @@ class TrunkFinetuner:
                 draws,
                 perceptual=perceptual,
                 embeddings={member: rows[idx] for member, rows in embeddings.items()},
+                target_features=None if target_features is None else {
+                    member: [f[idx] for f in layers]
+                    for member, layers in target_features.items()
+                },
             )
             check_loss(loss, history, "trunk")
             history.append(loss)

@@ -15,6 +15,10 @@ UNCALLED_EXPORTS = {
     # the paper's standard classifier-free guidance baseline, which the
     # acceptance tests compare the guided sampler with
     "cfg_sample",
+    # the QR backward pass, checked against finite differences; the trunk's
+    # projector-form basis gradient is tested against it, and the benchmark
+    # harness wraps it to count calls
+    "qr_backward",
 }
 
 

@@ -10,7 +10,7 @@ from craftlora.exceptions import (
     OutOfRange,
     ShapeMismatch,
 )
-from craftlora.linalg import householder_qr
+from craftlora.linalg import householder_qr, qr_backward
 from craftlora.subspace import (
     BLOCK_ROWS,
     PerceptualProxy,
@@ -20,6 +20,7 @@ from craftlora.subspace import (
     init_bases,
     make_trunk_draws,
     merge_subspaces,
+    _basis_grads_from_weight_grads,
     _member_weights,
     trunk_loss,
 )
@@ -239,11 +240,14 @@ class TestMemberWeights:
         bb = init_backbone(16, 16, 3, seed=7)
         bases = init_bases(bb, RankSchedule(4, 2, 3), seed=3)
         weights, cache = _member_weights(bb, bases.content)
-        for name, (q, r) in cache.items():
-            q_ref, r_ref = householder_qr(bases.content[name])
-            assert np.abs(q - q_ref).max() < 1e-12
-            assert np.abs(r - r_ref).max() < 1e-12 * np.abs(r_ref).max()
-            assert np.abs(q.T @ weights.weight(name)).max() < 1e-12
+        for name, (b, bk, k) in cache.items():
+            assert b is bases.content[name]
+            assert np.abs(bk - b @ k).max() < 1e-12 * np.abs(bk).max()
+            q_ref, _ = householder_qr(b)
+            w0 = bb.weight(name)
+            expected = w0 - q_ref @ (q_ref.T @ w0)
+            assert np.abs(weights.weight(name) - expected).max() < 1e-12
+            assert np.abs(b.T @ weights.weight(name)).max() < 1e-12 * np.abs(b.T @ w0).max()
 
     def test_rank_deficient_basis_raises(self):
         bb = init_backbone(16, 16, 3, seed=7)
@@ -255,6 +259,52 @@ class TestMemberWeights:
         bases.content["layer2"] = np.zeros_like(b)
         with pytest.raises(NumericalError):
             _member_weights(bb, bases.content)
+
+    def test_nearly_dependent_column_raises(self):
+        bb = init_backbone(16, 16, 3, seed=7)
+        bases = init_bases(bb, RankSchedule(4, 2, 3), seed=3)
+        b = bases.content["layer2"]
+        noise = np.random.default_rng(8).standard_normal(b.shape[0])
+        b[:, 1] = 3.0 * b[:, 0] + 1e-9 * np.linalg.norm(b[:, 0]) * noise
+        with pytest.raises(NumericalError):
+            _member_weights(bb, bases.content)
+
+    def test_small_but_independent_pivot_is_kept(self):
+        bb = init_backbone(16, 16, 3, seed=7)
+        bases = init_bases(bb, RankSchedule(4, 2, 3), seed=3)
+        q = random_orthonormal(16, bases.content["layer2"].shape[1], np.random.default_rng(9))
+        scales = np.ones(q.shape[1])
+        scales[-1] = 1e-3
+        bases.content["layer2"] = q * scales
+        _, r = householder_qr(bases.content["layer2"])
+        assert abs(np.diagonal(r).min() - 1e-3) < 1e-12
+        weights, _ = _member_weights(bb, bases.content)
+        w0 = bb.weight("layer2")
+        assert np.abs(weights.weight("layer2") - (w0 - q @ (q.T @ w0))).max() < 1e-9
+
+
+class TestBasisGradient:
+    """The projector-form basis gradient against the QR chain it replaces:
+    dLoss/dQ of W = W0 - Q Q^T W0 pulled back through ``qr_backward``."""
+
+    @staticmethod
+    def qr_chain(w0, b, g):
+        q, r = householder_qr(b)
+        grad_q = -(g @ (w0.T @ q) + w0 @ (g.T @ q))
+        return qr_backward(q, r, grad_q)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_qr_chain_at_desk_shapes(self, seed):
+        # a 256 x 16 first layer, then 64-row layers at ranks 14 down to 4
+        bb = init_backbone(16, 64, 8, seed=seed)
+        bases = init_bases(bb, RankSchedule(16, 4, 8), seed=seed)
+        rng = np.random.default_rng(seed)
+        weight_grads = {name: rng.standard_normal(bb.shape(name)) for name in bb.names}
+        _, cache = _member_weights(bb, bases.content)
+        grads = _basis_grads_from_weight_grads(bb, cache, weight_grads)
+        for name in bb.names:
+            expected = self.qr_chain(bb.weight(name), bases.content[name], weight_grads[name])
+            assert np.abs(grads[name] - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def loop_conv_matrix(weights, in_h, in_w, out_h, out_w):
@@ -332,6 +382,56 @@ class TestTrunkFinetuner:
             runs.append(tuner.backbone_)
         for name in runs[0].names:
             assert np.array_equal(runs[0].weight(name), runs[1].weight(name))
+
+    def test_fit_runs_no_qr_and_one_target_feature_pass(
+        self, trained_base, pair_dataset, monkeypatch
+    ):
+        import craftlora.linalg
+        import craftlora.subspace
+
+        calls = {"qr": 0, "qr_backward": 0}
+        real_qr = np.linalg.qr
+
+        def counting_qr(*args, **kwargs):
+            calls["qr"] += 1
+            return real_qr(*args, **kwargs)
+
+        def counting_qr_backward(*args, **kwargs):
+            calls["qr_backward"] += 1
+            return qr_backward(*args, **kwargs)
+
+        feature_inputs = []
+        real_features = PerceptualProxy.features
+
+        def recording_features(self, x_flat):
+            feature_inputs.append(np.array(x_flat))
+            return real_features(self, x_flat)
+
+        monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        monkeypatch.setattr(craftlora.linalg, "qr_backward", counting_qr_backward)
+        monkeypatch.setattr(craftlora.subspace, "qr_backward", counting_qr_backward, raising=False)
+        monkeypatch.setattr(PerceptualProxy, "features", recording_features)
+        pairs = pair_dataset[:6]
+        TrunkFinetuner(steps=5, batch_size=3, seed=7).fit(trained_base, pairs)
+        assert calls == {"qr": 0, "qr_backward": 0}
+        # every step still scores its predictions
+        assert len(feature_inputs) == 2 + 2 * 5
+        targets = {
+            "content": np.stack([p.content_image.reshape(-1) for p in pairs]),
+            "style": np.stack([p.style_image.reshape(-1) for p in pairs]),
+        }
+        target_calls = [
+            member
+            for x in feature_inputs
+            for member, rows in targets.items()
+            if all((rows == row).all(axis=1).any() for row in x)
+        ]
+        assert sorted(target_calls) == ["content", "style"]
+        # the counters do see a QR chain
+        q, r = householder_qr(np.eye(4, 2))
+        craftlora.linalg.qr_backward(q, r, np.zeros((4, 2)))
+        np.linalg.qr(np.eye(3))
+        assert calls == {"qr": 1, "qr_backward": 1}
 
     def test_empty_dataset_rejected(self, trained_base):
         with pytest.raises(ConfigInvalid):

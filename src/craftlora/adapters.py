@@ -17,7 +17,7 @@ from .denoiser import NoiseSchedule, backward_pass, forward_pass
 from .exceptions import ConfigInvalid, MarkerMissing, RoutingViolation, ShapeMismatch
 from .optim import Adam
 from .prompts import EMB_DIM, encode_semantic, parse_prompt
-from .utils import check_loss, lr_at, make_rng
+from .utils import check_loss, check_trained, lr_at, make_rng
 from .validation import as_image, as_vector
 
 KINDS = ("content", "style")
@@ -278,7 +278,16 @@ class LoraTrainer:
                 frozen[name] = (np.zeros((m, cfg.rank)), np.zeros((cfg.rank, n)))
         e_sem = encode_semantic(spec.stripped)
         rng = make_rng(self.seed, "adapter-train", self.kind)
-        optimizer = Adam()
+        params = {"gate.w": adapter.gate_w, "gate.b": adapter.gate_b}
+        for name, (b, a) in adapter.factors.items():
+            params[f"{name}.down"] = b
+            params[f"{name}.up"] = a
+        optimizer = Adam(params)
+        views = optimizer.params  # the adapter trains in place
+        adapter.gate_w = views["gate.w"]
+        adapter.factors = {
+            name: (views[f"{name}.down"], views[f"{name}.up"]) for name in adapter.factors
+        }
         history = []
         for step in range(cfg.steps):
             lr = lr_at(step, cfg.steps, cfg.peak_lr, cfg.start_lr, cfg.floor_lr, cfg.warmup)
@@ -293,18 +302,13 @@ class LoraTrainer:
             history.append(loss)
             if self.on_step is not None:
                 self.on_step(step, {**factor_grads, **frozen}, loss)
-            params = {"gate.w": adapter.gate_w, "gate.b": np.array(adapter.gate_b)}
-            grads = {"gate.w": g_w, "gate.b": np.array(g_b)}
-            for name, (b, a) in adapter.factors.items():
-                params[f"{name}.down"] = b
-                params[f"{name}.up"] = a
-                grads[f"{name}.down"], grads[f"{name}.up"] = factor_grads[name]
-            new = optimizer.step(params, grads, lr)
-            adapter.factors = {
-                name: (new[f"{name}.down"], new[f"{name}.up"]) for name in adapter.factors
-            }
-            adapter.gate_w = new["gate.w"]
-            adapter.gate_b = float(new["gate.b"])
+            grads = {"gate.w": g_w, "gate.b": g_b}
+            for name, (d_down, d_up) in factor_grads.items():
+                grads[f"{name}.down"] = d_down
+                grads[f"{name}.up"] = d_up
+            optimizer.step(grads, lr)
+            adapter.gate_b = float(views["gate.b"])
+        check_trained([optimizer.flat], "adapter")
         self.adapter_ = adapter
         self.loss_history_ = history
         return self

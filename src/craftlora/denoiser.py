@@ -17,7 +17,7 @@ from .config import DenoiserSettings, ScheduleSettings
 from .exceptions import ConfigInvalid, OutOfRange, ShapeMismatch
 from .optim import Adam
 from .prompts import EMB_DIM
-from .utils import check_loss, lr_at, make_rng
+from .utils import check_loss, check_trained, lr_at, make_rng
 from .validation import as_image, as_matrix, check_same_shape
 
 
@@ -224,17 +224,23 @@ def forward_pass(x, t, cond, backbone, terms=None):
     """Batched forward through the named layers.
 
     ``x`` is (batch, d_in); ``t`` scalar or (batch,); ``cond`` is None (the
-    null embedding) or (batch, emb_dim). ``terms`` optionally maps layer
-    names to unmerged low-rank updates ``(s, B, A)``, where ``s`` is a
+    null embedding) or (batch, emb_dim). ``backbone`` is a ``Backbone`` or
+    any ordered mapping of layer names to weights. ``terms`` optionally maps
+    layer names to unmerged low-rank updates ``(s, B, A)``, where ``s`` is a
     scalar or a (batch, 1) column holding one scale per row; such a layer
     computes ``h @ W + ((h @ B) * s) @ A``, which for each row equals
     ``h @ (W + s B @ A)`` up to rounding.
+
+    Without terms the weights may carry a leading stack axis, (k, d_in,
+    d_out), with ``x`` (k, batch, d_in), ``t`` (k, batch) and ``cond``
+    (k, batch, emb_dim): k independent networks in one pass, each slice of
+    the result bit for bit the 2-D call on that slice.
     Returns the prediction and the cache (inputs and pre-activations) needed
     for the backward pass.
     """
     terms = terms or {}
     (first, w_first), *middle, (last, w_last) = backbone.items()
-    a = _linear(x, w_first, terms.get(first)) + _injection(t, cond, w_first.shape[1])
+    a = _linear(x, w_first, terms.get(first)) + _injection(t, cond, w_first.shape[-1])
     cache = [x, a]
     h = activation(a)
     for name, w in middle:
@@ -248,20 +254,21 @@ def backward_pass(cache, backbone, d_out, terms=None):
     """Gradients of a scalar loss w.r.t. the trainable parameters.
 
     ``d_out`` is the loss gradient at the network output, same shape as the
-    forward result; ``cache`` and ``terms`` are those of the ``forward_pass``
-    call. Without terms every layer weight trains and the result maps each
-    layer name to its weight gradient. With terms the host is frozen: the
+    forward result; ``cache``, ``backbone`` and ``terms`` are those of the
+    ``forward_pass`` call. Without terms every layer weight trains and the
+    result maps each layer name to its weight gradient, stacked like the
+    weight when the call was stacked. With terms the host is frozen: the
     input gradient of a term layer chains through ``W + s B @ A`` and the
     result maps each term's layer to ``(dB, dA, ds)``, computed in factored
     form without forming a dense update; ``ds`` has the shape of ``s`` (a
     float, or an (n, 1) column of per-row sums).
     """
     terms = terms or {}
-    names = backbone.names
+    layers = list(backbone.items())
     grads = {}
     g = d_out
-    for k in range(len(names) - 1, -1, -1):
-        name = names[k]
+    for k in range(len(layers) - 1, -1, -1):
+        name, w = layers[k]
         term = terms.get(name)
         if term is not None or not terms:
             h = activation(cache[k]) if k else cache[0]
@@ -276,9 +283,9 @@ def backward_pass(cache, backbone, d_out, terms=None):
                 float(ds.sum()) if np.ndim(scale) == 0 else ds,
             )
         elif not terms:
-            grads[name] = h.T @ g
+            grads[name] = h.swapaxes(-1, -2) @ g
         if k:
-            g_in = g @ backbone.weight(name).T
+            g_in = g @ w.swapaxes(-1, -2)
             if term is not None:
                 g_in = g_in + (gu * scale) @ down.T
             g = g_in * activation_grad(cache[k])
@@ -376,8 +383,9 @@ class DenoiserTrainer:
         cfg = self.settings
         schedule = self.schedule
         backbone = init_backbone(cfg.image_size, cfg.hidden_width, cfg.n_layers, self.seed)
+        optimizer = Adam(dict(backbone.items()))
+        weights = optimizer.params  # views of the optimizer's buffer, trained in place
         rng = make_rng(self.seed, "denoiser-train")
-        optimizer = Adam()
         pixels = flat.shape[1]
         batch = cfg.batch_size
         history = []
@@ -391,16 +399,16 @@ class DenoiserTrainer:
             ab = schedule.alpha_bars[ts - 1][:, None]
             x_t = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * noise
             cond = embeddings[idx] * keep[:, None]
-            pred, acts = forward_pass(x_t, ts, cond, backbone)
+            pred, acts = forward_pass(x_t, ts, cond, weights)
             resid = pred - noise
             loss = float(np.mean(resid * resid))
             check_loss(loss, history, "denoiser")
             history.append(loss)
             d_out = 2.0 * resid / resid.size
-            grads = backward_pass(acts, backbone, d_out)
-            backbone = backbone.replace(
-                optimizer.step(dict(backbone.items()), grads, lr)
-            )
+            optimizer.step(backward_pass(acts, weights, d_out), lr)
+        check_trained([optimizer.flat], "denoiser")
+        for name, w in backbone.items():
+            w[...] = weights[name]
         self.backbone_ = backbone
         self.loss_history_ = history
         return self

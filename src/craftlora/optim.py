@@ -4,33 +4,63 @@ import numpy as np
 
 
 class Adam:
-    """Adam over a dict of named arrays; state keyed by parameter name."""
+    """Adam over named arrays held in one flat float64 buffer.
 
-    def __init__(self, beta1=0.9, beta2=0.999, eps=1e-8):
+    The constructor copies ``params`` (name -> array of any shape, 0-d
+    included) into the buffer, and ``params`` then maps each name to a view
+    of it with the array's shape. A trainer builds its model from these
+    views once; ``step`` copies a step's gradients in and updates the
+    buffer in place, so the model sees every update without a rebuild.
+    """
+
+    def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8):
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
-        self._m = {}
-        self._v = {}
+        arrays = {name: np.asarray(value, dtype=np.float64) for name, value in params.items()}
+        size = sum(a.size for a in arrays.values())
+        self.flat = np.empty(size)
+        self._grad = np.empty(size)
+        self._m = np.zeros(size)
+        self._v = np.zeros(size)
+        self._scratch = np.empty(size)
+        self.params = {}
+        self._grads = {}
+        offset = 0
+        for name, a in arrays.items():
+            span = slice(offset, offset + a.size)
+            self.params[name] = self.flat[span].reshape(a.shape)
+            self.params[name][...] = a
+            self._grads[name] = self._grad[span].reshape(a.shape)
+            offset += a.size
         self._t = 0
 
-    def step(self, params, grads, lr):
-        """Return updated parameters; iteration order follows ``params``."""
+    def step(self, grads, lr):
+        """Copy in ``grads`` (name -> array shaped like the parameter) and
+        update every parameter in place.
+
+        The arithmetic is the textbook per-array update, term by term:
+        m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g^2 and
+        p - lr (m / bias1) / (sqrt(v / bias2) + eps).
+        """
+        for name, buf in self._grads.items():
+            buf[...] = grads[name]
         self._t += 1
         b1, b2 = self.beta1, self.beta2
         bias1 = 1.0 - b1 ** self._t
         bias2 = 1.0 - b2 ** self._t
-        out = {}
-        for name, value in params.items():
-            g = grads[name]
-            m = self._m.get(name)
-            if m is None:
-                m = np.zeros_like(value)
-                self._v[name] = np.zeros_like(value)
-            v = self._v[name]
-            m = b1 * m + (1.0 - b1) * g
-            v = b2 * v + (1.0 - b2) * (g * g)
-            self._m[name] = m
-            self._v[name] = v
-            out[name] = value - lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
-        return out
+        g, m, v, tmp = self._grad, self._m, self._v, self._scratch
+        m *= b1
+        np.multiply(g, 1.0 - b1, out=tmp)
+        m += tmp
+        v *= b2
+        np.multiply(g, g, out=tmp)
+        tmp *= 1.0 - b2
+        v += tmp
+        np.divide(v, bias2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += self.eps
+        upd = np.divide(m, bias1, out=g)  # the gradient is spent: reuse its buffer
+        upd *= lr
+        upd /= tmp
+        self.flat -= upd

@@ -6,9 +6,10 @@ weights seen by the loss are the base weights with that subspace projected
 out, W_l = W0_l - P_l W0_l. No QR runs inside the training loop: K_l comes
 from a Cholesky factor of the r x r Gram matrix. The content pair member
 supervises only the content bases and the style member only the style
-bases; after training the two subspaces are orthonormalized by QR, merged
-per layer and projected out once to produce the frozen host for all adapter
-work.
+bases; a training step runs both members at once, each layer's two bases
+as one stack and both members' pairs as one stacked pass. After training
+the two subspaces are orthonormalized by QR, merged per layer and
+projected out once to produce the frozen host for all adapter work.
 """
 
 import math
@@ -29,7 +30,7 @@ from .exceptions import (
 )
 from .linalg import GRAM_PIVOT_TOL_FACTOR, householder_qr, project_out
 from .prompts import encode_semantic
-from .utils import check_loss, lr_at, make_rng
+from .utils import check_loss, check_trained, lr_at, make_rng
 from .validation import as_matrix
 
 
@@ -203,57 +204,67 @@ class PerceptualProxy:
         return upstream
 
 
-# Pair members run through the projected model in row blocks of at most
-# this many, which bounds the working set when a whole dataset is scored.
+# Pairs run through the projected model in blocks of at most this many,
+# each block one stacked pass over both members' rows, which bounds the
+# working set when a whole dataset is scored.
 BLOCK_ROWS = 16
+
+# The pair members in stack order: every per-member array of the trunk step
+# carries them on its leading axis.
+MEMBERS = ("content", "style")
 
 
 def _member_weights(backbone, basis_map):
-    """Project each layer by its own basis; returns weights and caches.
+    """Project each layer by a stack of bases; returns weights and caches.
 
-    With G = B^T B and K = G^-1 from G's Cholesky factor, the projected
-    weights are W = W0 - (B K)(B^T W0), and each layer caches (B, B K, K).
+    ``basis_map`` maps each layer to a (k, m, r) stack of bases, one per
+    member, and each layer's result is the (k, m, n) stack of the base
+    weights projected by each basis in turn. With G = B^T B and K = G^-1
+    from G's Cholesky factor, the projected weights are
+    W = W0 - (B K)(B^T W0), and each layer caches the stacks (B, B K, K).
     The Cholesky pivots are the QR pivots |diag(R)| of B, but they carry
     the rounding of forming G; a pivot below ``GRAM_PIVOT_TOL_FACTOR`` times
     the largest column norm, or a Gram matrix the factorization rejects,
-    means the basis lost rank, which training cannot recover from. A zero
+    means a basis lost rank, which training cannot recover from. A zero
     or non-finite basis fails the same check.
     """
-    updates = {}
+    weights = {}
     cache = {}
     for name, w in backbone.items():
         b = basis_map[name]
-        gram = b.T @ b
-        tol = GRAM_PIVOT_TOL_FACTOR * np.sqrt(np.diagonal(gram).max())
+        gram = b.swapaxes(-1, -2) @ b
+        tol = GRAM_PIVOT_TOL_FACTOR * np.sqrt(np.diagonal(gram, 0, -2, -1).max(axis=-1))
         try:
             chol = np.linalg.cholesky(gram)
+            pivots = np.diagonal(chol, 0, -2, -1).min(axis=-1)
         except np.linalg.LinAlgError:
-            chol = None
-        if chol is None or not np.diagonal(chol).min() >= tol > 0.0:
+            pivots = None
+        if pivots is None or not np.all((pivots >= tol) & (tol > 0.0)):
             raise NumericalError(
                 f"basis for layer {name!r} lost rank during training"
             )
         chol_inv = np.linalg.inv(chol)
-        k = chol_inv.T @ chol_inv
+        k = chol_inv.swapaxes(-1, -2) @ chol_inv
         bk = b @ k
-        updates[name] = w - bk @ (b.T @ w)
+        weights[name] = w - bk @ (b.swapaxes(-1, -2) @ w)
         cache[name] = (b, bk, k)
-    return backbone.replace(updates), cache
+    return weights, cache
 
 
 def _basis_grads_from_weight_grads(backbone, cache, weight_grads):
-    """Chain dLoss/dW through W = W0 - B K B^T W0 to the basis.
+    """Chain dLoss/dW through W = W0 - B K B^T W0 to the basis, per member.
 
     The derivative of the projector B K B^T (variable projection, Golub and
     Pereyra 1973) gives dLoss/dB = B K (B^T M K) - M K with
-    M = g (W0^T B) + W0 (g^T B), where g is dLoss/dW.
+    M = g (W0^T B) + W0 (g^T B), where g is dLoss/dW; ``weight_grads`` and
+    the caches of ``_member_weights`` hold one stack slice per member.
     """
     out = {}
     for name, g in weight_grads.items():
         w0 = backbone.weight(name)
         b, bk, k = cache[name]
-        mk = (g @ (w0.T @ b) + w0 @ (g.T @ b)) @ k
-        out[name] = bk @ (b.T @ mk) - mk
+        mk = (g @ (w0.T @ b) + w0 @ (g.swapaxes(-1, -2) @ b)) @ k
+        out[name] = bk @ (b.swapaxes(-1, -2) @ mk) - mk
     return out
 
 
@@ -265,39 +276,47 @@ def member_embedding(pair, member):
 
 
 def member_embeddings(pairs):
-    """Both members' prompt embeddings, ``{member: (len(pairs), EMB_DIM)}``."""
-    return {
-        member: np.stack([member_embedding(p, member) for p in pairs])
-        for member in ("content", "style")
-    }
-
-
-def _member_targets(pairs, member):
-    """One member's target images as flat rows, ``(len(pairs), pixels)``."""
+    """Both members' prompt embeddings, a (2, len(pairs), EMB_DIM) stack."""
     return np.stack([
-        (p.content_image if member == "content" else p.style_image).reshape(-1)
-        for p in pairs
+        np.stack([member_embedding(p, member) for p in pairs]) for member in MEMBERS
+    ])
+
+
+def _member_targets(pairs):
+    """Both members' target images as flat rows, a (2, len(pairs), pixels) stack."""
+    return np.stack([
+        np.stack([p.content_image.reshape(-1) for p in pairs]),
+        np.stack([p.style_image.reshape(-1) for p in pairs]),
     ])
 
 
 def member_target_features(pairs, perceptual):
-    """Both members' target features, ``{member: [per-layer (len(pairs), size)]}``."""
-    return {
-        member: perceptual.features(_member_targets(pairs, member))
-        for member in ("content", "style")
-    }
+    """Both members' target features, per layer a (2, len(pairs), size) stack,
+    from one ``features`` call over all the target rows."""
+    targets = _member_targets(pairs)
+    members, n, pixels = targets.shape
+    # the maps come back column-major, so splitting their transposes is a
+    # view where a plain reshape would copy every map once more
+    return [
+        f.T.reshape(-1, members, n).transpose(1, 2, 0)
+        for f in perceptual.features(targets.reshape(-1, pixels))
+    ]
 
 
-def _member_block(weights, pairs, draws, embs, feats_ref, member, schedule, alpha_perc, perceptual):
-    """Summed task loss of one member over a row block of pairs, with the
-    gradient of that sum w.r.t. the block's output noise estimates.
-    ``feats_ref`` holds the block's target features, or None without the
-    perceptual term."""
-    targets = _member_targets(pairs, member)
-    noise = np.stack([d[member][1].reshape(-1) for d in draws])
-    ts = np.array([d[member][0] for d in draws])
+def _member_block(weights, pairs, draws, embs, feats_ref, schedule, alpha_perc, perceptual):
+    """Both members' summed task losses over a row block of pairs, with the
+    gradient of each sum w.r.t. the block's output noise estimates.
 
-    ab = np.array([schedule.alpha_bar(t) for t in ts])[:, None]
+    Everything is stacked by member: ``weights`` and ``embs`` as given, the
+    returned (2,) losses, the forward cache and the (2, rows, pixels)
+    gradient. ``feats_ref`` holds the block's target features, or None
+    without the perceptual term.
+    """
+    targets = _member_targets(pairs)
+    noise = np.stack([np.stack([d[m][1].reshape(-1) for d in draws]) for m in MEMBERS])
+    ts = np.array([[d[m][0] for d in draws] for m in MEMBERS])
+
+    ab = schedule.alpha_bars[ts - 1][..., None]
     root_ab = np.sqrt(ab)
     root_1mab = np.sqrt(1.0 - ab)
     z_t = root_ab * targets + root_1mab * noise
@@ -305,16 +324,17 @@ def _member_block(weights, pairs, draws, embs, feats_ref, member, schedule, alph
     x0_hat = (z_t - root_1mab * eps) / root_ab
 
     diff = x0_hat - targets
-    task = float(np.abs(diff).sum())
+    task = np.abs(diff).sum(axis=(1, 2))
     d_x0 = np.sign(diff)
     if feats_ref is not None:
-        feats_pred = perceptual.features(x0_hat)
+        # both members' rows go through the perceptual stack as one batch
+        feats_pred = perceptual.features(x0_hat.reshape(-1, diff.shape[-1]))
         d_feats = []
         for fp, fr, size in zip(feats_pred, feats_ref, perceptual.layer_sizes):
-            fdiff = fp - fr
-            task += alpha_perc * float(np.abs(fdiff).sum()) / size
-            d_feats.append(np.sign(fdiff) / size)
-        d_x0 = d_x0 + alpha_perc * perceptual.input_grad(feats_pred, d_feats)
+            fdiff = fp.reshape(fr.shape) - fr
+            task += alpha_perc * np.abs(fdiff).sum(axis=(1, 2)) / size
+            d_feats.append((np.sign(fdiff) / size).reshape(fp.shape))
+        d_x0 = d_x0 + alpha_perc * perceptual.input_grad(feats_pred, d_feats).reshape(diff.shape)
     return task, acts, d_x0 * (-root_1mab / root_ab)
 
 
@@ -341,11 +361,11 @@ def trunk_loss(
     regularizer is added once over both sides, so the value is the mean of
     the single-pair values.
 
-    The projected weights depend only on the member, so each member runs
-    its pairs as the rows of one batched pass, in blocks of ``BLOCK_ROWS``.
+    The projected weights depend only on the member, so each layer's two
+    bases run as one (2, m, r) stack, and both members' pairs run as the
+    two slices of one stacked pass, in row blocks of ``BLOCK_ROWS`` pairs.
     The basis gradient is linear in the weight gradient, so the gradients
-    are summed over all rows first and chained to the bases once per layer
-    per member.
+    are summed over all rows first and chained to the bases once per layer.
 
     ``draws`` supplies one (t, noise) per member per pair so the value is a
     pure function of its arguments (finite-difference checkable).
@@ -368,33 +388,41 @@ def trunk_loss(
     elif target_features is None:
         target_features = member_target_features(batch, perceptual)
 
+    stacks = {name: np.stack((b, bases.style[name])) for name, b in bases.content.items()}
+    weights, cache = _member_weights(backbone, stacks)
     n = len(batch)
-    task = 0.0
-    grads = {}
-    for member in ("content", "style"):
-        weights, cache = _member_weights(backbone, bases.side(member))
-        weight_grads = {}
-        for start in range(0, n, BLOCK_ROWS):
-            stop = start + BLOCK_ROWS
-            feats_ref = (
-                None if target_features is None
-                else [f[start:stop] for f in target_features[member]]
-            )
-            block_task, acts, d_eps = _member_block(
-                weights, batch[start:stop], draws[start:stop], embeddings[member][start:stop],
-                feats_ref, member, schedule, alpha_perc, perceptual,
-            )
-            task += block_task
-            for name, g in backward_pass(acts, weights, d_eps / n).items():
-                weight_grads[name] = weight_grads.get(name, 0.0) + g
-        grads[member] = _basis_grads_from_weight_grads(backbone, cache, weight_grads)
+    block_tasks = []
+    weight_grads = {}
+    for start in range(0, n, BLOCK_ROWS):
+        stop = start + BLOCK_ROWS
+        feats_ref = (
+            None if target_features is None else [f[:, start:stop] for f in target_features]
+        )
+        block_task, acts, d_eps = _member_block(
+            weights, batch[start:stop], draws[start:stop], embeddings[:, start:stop],
+            feats_ref, schedule, alpha_perc, perceptual,
+        )
+        block_tasks.append(block_task)
+        for name, g in backward_pass(acts, weights, d_eps / n).items():
+            if name in weight_grads:
+                weight_grads[name] += g
+            else:
+                weight_grads[name] = g
+    grads = _basis_grads_from_weight_grads(backbone, cache, weight_grads)
 
+    # Python floats summed member-major: first every content value, then every style one
+    task = 0.0
+    for value in np.transpose(block_tasks).ravel().tolist():
+        task += value
     loss = task / n
-    for kind in ("content", "style"):
-        for name, b in bases.side(kind).items():
-            loss += lambda_reg * float(np.sum(b * b))
-            grads[kind][name] += 2.0 * lambda_reg * b
-    return loss, grads
+    squares = [np.sum(b * b, axis=(1, 2)) for b in stacks.values()]
+    for value in np.transpose(squares).ravel().tolist():
+        loss += lambda_reg * value
+    for name, b in stacks.items():
+        grads[name] += 2.0 * lambda_reg * b
+    return loss, {
+        member: {name: g[i] for name, g in grads.items()} for i, member in enumerate(MEMBERS)
+    }
 
 
 def make_trunk_draws(batch, schedule, rng):
@@ -402,7 +430,7 @@ def make_trunk_draws(batch, schedule, rng):
     draws = []
     for pair in batch:
         record = {}
-        for member in ("content", "style"):
+        for member in MEMBERS:
             t = int(rng.integers(1, schedule.total_steps + 1))
             noise = rng.standard_normal(pair.content_image.shape)
             record[member] = (t, noise)
@@ -465,18 +493,18 @@ class TrunkFinetuner:
                 self.schedule,
                 draws,
                 perceptual=perceptual,
-                embeddings={member: rows[idx] for member, rows in embeddings.items()},
-                target_features=None if target_features is None else {
-                    member: [f[idx] for f in layers]
-                    for member, layers in target_features.items()
-                },
+                embeddings=embeddings[:, idx],
+                target_features=None if target_features is None else [
+                    f[:, idx] for f in target_features
+                ],
             )
             check_loss(loss, history, "trunk")
             history.append(loss)
-            for kind in ("content", "style"):
+            for kind in MEMBERS:
                 side = bases.side(kind)
                 for name in side:
                     side[name] = side[name] - lr * grads[kind][name]
+        check_trained([*bases.content.values(), *bases.style.values()], "trunk")
 
         merged = {}
         ranks = {}

@@ -56,6 +56,15 @@ def check_loss(loss, history, stage):
         raise NumericalError(f"{stage} loss diverged at step {len(history)}")
 
 
+def check_trained(arrays, stage):
+    """Raise ``NumericalError`` when any of ``arrays`` holds a non-finite
+    value. A trainer calls it once after its loop: each step's loss check
+    sees the updates before it but not the last one, and no model is
+    rebuilt (and re-validated) from the updated parameters."""
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise NumericalError(f"{stage} parameters are non-finite after the last update")
+
+
 def run_row_blocks(fn, n_rows, threads=1, max_rows=None):
     """Concatenated results of ``fn(start, stop)`` over contiguous row blocks.
 

@@ -14,6 +14,7 @@ from craftlora.denoiser import Backbone, backward_pass, forward_pass, init_backb
 from craftlora.exceptions import (
     ConfigInvalid,
     MarkerMissing,
+    NumericalError,
     RoutingViolation,
 )
 from craftlora.pairs import content_render, style_render
@@ -319,6 +320,27 @@ class TestLoraTrainer:
         # the counter does see a merge
         aggregate_weights(backbone, None, make_adapter("style", backbone, routing, 2), 0.0, 1.0)
         assert built == [1]
+
+    def test_non_finite_last_update_is_numerical_error(self, backbone, routing, monkeypatch):
+        # the last step's loss is finite, so only the check after the loop
+        # can see the update it makes; the adapter must not be returned
+        import craftlora.adapters
+
+        calls = []
+
+        def last_gradient_nan(*args):
+            loss, factor_grads, gate_grads = adapter_loss(*args)
+            calls.append(1)
+            if len(calls) == 6:
+                factor_grads["layer1"][1][0, 0] = np.nan
+            return loss, factor_grads, gate_grads
+
+        monkeypatch.setattr(craftlora.adapters, "adapter_loss", last_gradient_nan)
+        trainer = LoraTrainer("content", rank=2, steps=6, routing=routing, seed=16)
+        with pytest.raises(NumericalError, match="adapter parameters are non-finite"):
+            trainer.fit(backbone, content_render(1, 8), "a hollow ring <c>")
+        assert len(calls) == 6
+        assert not hasattr(trainer, "adapter_")
 
     def test_determinism(self, backbone, routing):
         runs = []

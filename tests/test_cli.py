@@ -352,6 +352,37 @@ class TestTrainLora:
         assert not out.exists()
 
 
+    def test_non_finite_last_update_exits_three_without_output(
+        self, workspace, tmp_path, capsys, monkeypatch
+    ):
+        # a non-finite gradient at the last of the 8 steps leaves every loss
+        # finite; the adapter it produces must be refused, not saved
+        import craftlora.adapters
+
+        real_loss = craftlora.adapters.adapter_loss
+        calls = []
+
+        def last_gradient_nan(*args):
+            loss, factor_grads, (g_w, g_b) = real_loss(*args)
+            calls.append(1)
+            if len(calls) == LIGHT_CONFIG["adapter"]["steps"]:
+                g_b = float("nan")
+            return loss, factor_grads, (g_w, g_b)
+
+        monkeypatch.setattr(craftlora.adapters, "adapter_loss", last_gradient_nan)
+        root, config_path = workspace
+        out = tmp_path / "nan.crft"
+        code = run_cli([
+            "train-lora", "--config", config_path, "--kind", "content",
+            "--reference", root / "pairs" / "images" / "pair_000_content.pgm",
+            "--prompt", "a filled disc <c>", "--backbone", root / "trunk.crft", "--out", out,
+        ])
+        assert code == 3
+        assert "numerical failure" in capsys.readouterr().err
+        assert len(calls) == LIGHT_CONFIG["adapter"]["steps"]
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestSample:
     def test_sample_writes_image_and_trace(self, workspace, tmp_path):
         root, config_path = workspace

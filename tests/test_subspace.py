@@ -13,6 +13,7 @@ from craftlora.exceptions import (
 from craftlora.linalg import householder_qr, qr_backward
 from craftlora.subspace import (
     BLOCK_ROWS,
+    MEMBERS,
     PerceptualProxy,
     RankSchedule,
     TrunkFinetuner,
@@ -235,39 +236,50 @@ class TestTrunkLoss:
         self.assert_batch_is_mean_of_singles(bb, schedule, bases, pairs, draws, perc)
 
 
+def stacked(bases):
+    """Each layer's content and style bases as one (2, m, r) stack."""
+    return {name: np.stack((b, bases.style[name])) for name, b in bases.content.items()}
+
+
 class TestMemberWeights:
     def test_qr_matches_householder(self):
         bb = init_backbone(16, 16, 3, seed=7)
         bases = init_bases(bb, RankSchedule(4, 2, 3), seed=3)
-        weights, cache = _member_weights(bb, bases.content)
+        stacks = stacked(bases)
+        weights, cache = _member_weights(bb, stacks)
         for name, (b, bk, k) in cache.items():
-            assert b is bases.content[name]
-            assert np.abs(bk - b @ k).max() < 1e-12 * np.abs(bk).max()
-            q_ref, _ = householder_qr(b)
+            assert b is stacks[name]
+            assert weights[name].shape == (2,) + bb.shape(name)
             w0 = bb.weight(name)
-            expected = w0 - q_ref @ (q_ref.T @ w0)
-            assert np.abs(weights.weight(name) - expected).max() < 1e-12
-            assert np.abs(b.T @ weights.weight(name)).max() < 1e-12 * np.abs(b.T @ w0).max()
+            for i, member in enumerate(MEMBERS):
+                assert np.abs(bk[i] - b[i] @ k[i]).max() < 1e-12 * np.abs(bk[i]).max()
+                q_ref, _ = householder_qr(bases.side(member)[name])
+                expected = w0 - q_ref @ (q_ref.T @ w0)
+                assert np.abs(weights[name][i] - expected).max() < 1e-12
+                assert np.abs(b[i].T @ weights[name][i]).max() < 1e-12 * np.abs(b[i].T @ w0).max()
 
     def test_rank_deficient_basis_raises(self):
+        # either member's basis losing rank fails the whole stack
         bb = init_backbone(16, 16, 3, seed=7)
-        bases = init_bases(bb, RankSchedule(4, 2, 3), seed=3)
-        b = bases.content["layer2"]
-        b[:, 1] = 3.0 * b[:, 0]
-        with pytest.raises(NumericalError):
-            _member_weights(bb, bases.content)
-        bases.content["layer2"] = np.zeros_like(b)
-        with pytest.raises(NumericalError):
-            _member_weights(bb, bases.content)
+        for member in MEMBERS:
+            bases = init_bases(bb, RankSchedule(4, 2, 3), seed=3)
+            b = bases.side(member)["layer2"]
+            b[:, 1] = 3.0 * b[:, 0]
+            with pytest.raises(NumericalError):
+                _member_weights(bb, stacked(bases))
+            bases.side(member)["layer2"] = np.zeros_like(b)
+            with pytest.raises(NumericalError):
+                _member_weights(bb, stacked(bases))
 
     def test_nearly_dependent_column_raises(self):
         bb = init_backbone(16, 16, 3, seed=7)
-        bases = init_bases(bb, RankSchedule(4, 2, 3), seed=3)
-        b = bases.content["layer2"]
-        noise = np.random.default_rng(8).standard_normal(b.shape[0])
-        b[:, 1] = 3.0 * b[:, 0] + 1e-9 * np.linalg.norm(b[:, 0]) * noise
-        with pytest.raises(NumericalError):
-            _member_weights(bb, bases.content)
+        for member in MEMBERS:
+            bases = init_bases(bb, RankSchedule(4, 2, 3), seed=3)
+            b = bases.side(member)["layer2"]
+            noise = np.random.default_rng(8).standard_normal(b.shape[0])
+            b[:, 1] = 3.0 * b[:, 0] + 1e-9 * np.linalg.norm(b[:, 0]) * noise
+            with pytest.raises(NumericalError):
+                _member_weights(bb, stacked(bases))
 
     def test_small_but_independent_pivot_is_kept(self):
         bb = init_backbone(16, 16, 3, seed=7)
@@ -278,14 +290,15 @@ class TestMemberWeights:
         bases.content["layer2"] = q * scales
         _, r = householder_qr(bases.content["layer2"])
         assert abs(np.diagonal(r).min() - 1e-3) < 1e-12
-        weights, _ = _member_weights(bb, bases.content)
+        weights, _ = _member_weights(bb, stacked(bases))
         w0 = bb.weight("layer2")
-        assert np.abs(weights.weight("layer2") - (w0 - q @ (q.T @ w0))).max() < 1e-9
+        assert np.abs(weights["layer2"][0] - (w0 - q @ (q.T @ w0))).max() < 1e-9
 
 
 class TestBasisGradient:
     """The projector-form basis gradient against the QR chain it replaces:
-    dLoss/dQ of W = W0 - Q Q^T W0 pulled back through ``qr_backward``."""
+    dLoss/dQ of W = W0 - Q Q^T W0 pulled back through ``qr_backward``, for
+    each member of a stacked pair of bases."""
 
     @staticmethod
     def qr_chain(w0, b, g):
@@ -299,12 +312,17 @@ class TestBasisGradient:
         bb = init_backbone(16, 64, 8, seed=seed)
         bases = init_bases(bb, RankSchedule(16, 4, 8), seed=seed)
         rng = np.random.default_rng(seed)
-        weight_grads = {name: rng.standard_normal(bb.shape(name)) for name in bb.names}
-        _, cache = _member_weights(bb, bases.content)
+        weight_grads = {
+            name: rng.standard_normal((2,) + bb.shape(name)) for name in bb.names
+        }
+        _, cache = _member_weights(bb, stacked(bases))
         grads = _basis_grads_from_weight_grads(bb, cache, weight_grads)
         for name in bb.names:
-            expected = self.qr_chain(bb.weight(name), bases.content[name], weight_grads[name])
-            assert np.abs(grads[name] - expected).max() <= 1e-12 * np.abs(expected).max()
+            for i, member in enumerate(MEMBERS):
+                expected = self.qr_chain(
+                    bb.weight(name), bases.side(member)[name], weight_grads[name][i]
+                )
+                assert np.abs(grads[name][i] - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def loop_conv_matrix(weights, in_h, in_w, out_h, out_w):
@@ -389,8 +407,9 @@ class TestTrunkFinetuner:
         import craftlora.linalg
         import craftlora.subspace
 
-        calls = {"qr": 0, "qr_backward": 0}
+        calls = {"qr": 0, "qr_backward": 0, "cholesky": 0}
         real_qr = np.linalg.qr
+        real_cholesky = np.linalg.cholesky
 
         def counting_qr(*args, **kwargs):
             calls["qr"] += 1
@@ -400,6 +419,10 @@ class TestTrunkFinetuner:
             calls["qr_backward"] += 1
             return qr_backward(*args, **kwargs)
 
+        def counting_cholesky(*args, **kwargs):
+            calls["cholesky"] += 1
+            return real_cholesky(*args, **kwargs)
+
         feature_inputs = []
         real_features = PerceptualProxy.features
 
@@ -408,30 +431,51 @@ class TestTrunkFinetuner:
             return real_features(self, x_flat)
 
         monkeypatch.setattr(np.linalg, "qr", counting_qr)
+        monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
         monkeypatch.setattr(craftlora.linalg, "qr_backward", counting_qr_backward)
         monkeypatch.setattr(craftlora.subspace, "qr_backward", counting_qr_backward, raising=False)
         monkeypatch.setattr(PerceptualProxy, "features", recording_features)
         pairs = pair_dataset[:6]
         TrunkFinetuner(steps=5, batch_size=3, seed=7).fit(trained_base, pairs)
-        assert calls == {"qr": 0, "qr_backward": 0}
-        # every step still scores its predictions
-        assert len(feature_inputs) == 2 + 2 * 5
-        targets = {
-            "content": np.stack([p.content_image.reshape(-1) for p in pairs]),
-            "style": np.stack([p.style_image.reshape(-1) for p in pairs]),
-        }
+        # both members' bases factor as one stack: one Cholesky per layer per step
+        assert calls == {"qr": 0, "qr_backward": 0, "cholesky": trained_base.n_layers * 5}
+        # one pass over both members' targets, then one over each step's predictions
+        assert len(feature_inputs) == 1 + 5
+        targets = np.concatenate([
+            np.stack([p.content_image.reshape(-1) for p in pairs]),
+            np.stack([p.style_image.reshape(-1) for p in pairs]),
+        ])
         target_calls = [
-            member
-            for x in feature_inputs
-            for member, rows in targets.items()
-            if all((rows == row).all(axis=1).any() for row in x)
+            x for x in feature_inputs if all((targets == row).all(axis=1).any() for row in x)
         ]
-        assert sorted(target_calls) == ["content", "style"]
+        assert len(target_calls) == 1
+        assert np.array_equal(target_calls[0], targets)
         # the counters do see a QR chain
         q, r = householder_qr(np.eye(4, 2))
         craftlora.linalg.qr_backward(q, r, np.zeros((4, 2)))
         np.linalg.qr(np.eye(3))
-        assert calls == {"qr": 1, "qr_backward": 1}
+        assert calls["qr"] == 1 and calls["qr_backward"] == 1
+
+    def test_non_finite_last_update_is_numerical_error(
+        self, trained_base, pair_dataset, monkeypatch
+    ):
+        # the last step's loss is finite, so only the check after the loop
+        # can see the update it makes
+        import craftlora.subspace
+
+        steps = []
+
+        def last_gradient_nan(*args, **kwargs):
+            loss, grads = trunk_loss(*args, **kwargs)
+            steps.append(loss)
+            if len(steps) == 3:
+                grads["style"]["layer4"][0, 0] = np.nan
+            return loss, grads
+
+        monkeypatch.setattr(craftlora.subspace, "trunk_loss", last_gradient_nan)
+        with pytest.raises(NumericalError, match="trunk parameters are non-finite"):
+            TrunkFinetuner(steps=3, seed=8).fit(trained_base, pair_dataset[:4])
+        assert len(steps) == 3
 
     def test_empty_dataset_rejected(self, trained_base):
         with pytest.raises(ConfigInvalid):

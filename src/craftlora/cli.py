@@ -291,9 +291,14 @@ def cmd_eval(config_path, seed, threads, backbone_path, content_path, style_path
     )
 
 
-# Rows per sample_batch call in evaluate_grid. It bounds the sampler's
-# working set: on the 10x10 grid benchmark, one block of 100 rows peaked
-# about 2 MB higher in RSS than two blocks of 50, for a 12% faster grid.
+# Images per sample_batch call in evaluate_grid; each step's forward pass
+# runs twice that many rows (conditional and unconditional). It bounds the
+# sampler's working set: on the 10x10 grid benchmark, one block of 100
+# images peaked about 2 MB higher in RSS than two blocks of 50, for a 12%
+# faster grid. With both predictions in one pass, 64 still measured flat
+# on the grid. Larger passes do not pay: with rank-16 terms on the first
+# half of the rows, a 100-row pass cost 8.5-11.7 us per row against
+# 6.0-9.5 us at 64-80 rows (2-vCPU Xeon, one BLAS thread).
 GRID_BLOCK_ROWS = 64
 
 

@@ -18,7 +18,7 @@ from .exceptions import ConfigInvalid, OutOfRange, ShapeMismatch
 from .optim import Adam
 from .prompts import EMB_DIM
 from .utils import check_loss, check_trained, lr_at, make_rng
-from .validation import as_image, as_matrix, check_same_shape
+from .validation import as_matrix, check_same_shape
 
 
 class NoiseSchedule:
@@ -216,7 +216,8 @@ def _linear(h, w, term):
     out = h @ w
     if term is not None:
         scale, down, up = term
-        out = out + ((h @ down) * scale) @ up
+        rows = len(scale) if np.ndim(scale) else None
+        out[:rows] += ((h[:rows] @ down) * scale) @ up
     return out
 
 
@@ -227,9 +228,11 @@ def forward_pass(x, t, cond, backbone, terms=None):
     null embedding) or (batch, emb_dim). ``backbone`` is a ``Backbone`` or
     any ordered mapping of layer names to weights. ``terms`` optionally maps
     layer names to unmerged low-rank updates ``(s, B, A)``, where ``s`` is a
-    scalar or a (batch, 1) column holding one scale per row; such a layer
+    scalar or a (k, 1) column holding one scale per row; such a layer
     computes ``h @ W + ((h @ B) * s) @ A``, which for each row equals
-    ``h @ (W + s B @ A)`` up to rounding.
+    ``h @ (W + s B @ A)`` up to rounding. A column shorter than the batch
+    applies its term to the first k rows only; the later rows get the bare
+    ``h @ W``. ``backward_pass`` takes only full-batch columns.
 
     Without terms the weights may carry a leading stack axis, (k, d_in,
     d_out), with ``x`` (k, batch, d_in), ``t`` (k, batch) and ``cond``
@@ -302,31 +305,38 @@ def ddpm_step(x_t, t, eps_hat, schedule, rng=None, x0_map=None):
     through the map (a clip, a frequency filter, ...) and the posterior
     update uses the mapped estimate, which at t == 1 is the output itself;
     under the identity map the two branches agree up to rounding. The
-    state, the noise estimate and the clean estimate are each checked once
-    per call.
+    state, the noise estimate and the clean estimate must be finite, of
+    one (H, W) shape.
     """
-    x_t = as_image(x_t, "x_t")
-    eps_hat = as_image(eps_hat, "eps_hat")
+    x_t = _finite(x_t, "x_t")
+    eps_hat = _finite(eps_hat, "eps_hat")
     check_same_shape(x_t, eps_hat, "x_t", "eps_hat")
-    t = int(t)
-    ab = schedule.alpha_bar(t)
-    bt = schedule.beta(t)
+    if x_t.ndim != 2 or x_t.size == 0:
+        raise ShapeMismatch(f"x_t must be one (H, W) image, got shape {x_t.shape}")
+    t = schedule._check_t(t)
+    ab = schedule.alpha_bars[t - 1]
+    bt = schedule.betas[t - 1]
+    at = schedule.alphas[t - 1]
+    abp = schedule.alpha_bars[t - 2] if t > 1 else 1.0
     if x0_map is None:
-        mean = (x_t - bt / math.sqrt(1.0 - ab) * eps_hat) / math.sqrt(schedule.alpha(t))
+        mean = (x_t - bt / math.sqrt(1.0 - ab) * eps_hat) / math.sqrt(at)
     else:
-        x0_hat = as_image(x0_map((x_t - math.sqrt(1.0 - ab) * eps_hat) / math.sqrt(ab)), "x0_hat")
+        x0_hat = _finite(x0_map((x_t - math.sqrt(1.0 - ab) * eps_hat) / math.sqrt(ab)), "x0_hat")
         check_same_shape(x_t, x0_hat, "x_t", "x0_hat")
         if t == 1:
             return x0_hat
-        abp = schedule.alpha_bar_prev(t)
-        mean = (
-            math.sqrt(abp) * bt * x0_hat
-            + math.sqrt(schedule.alpha(t)) * (1.0 - abp) * x_t
-        ) / (1.0 - ab)
+        mean = (math.sqrt(abp) * bt * x0_hat + math.sqrt(at) * (1.0 - abp) * x_t) / (1.0 - ab)
     if t == 1:
         return mean
-    sigma = math.sqrt(schedule.posterior_variance(t))
+    sigma = math.sqrt((1.0 - abp) / (1.0 - ab) * bt)
     return mean + sigma * _reverse_noise(rng, x_t.shape)
+
+
+def _finite(x, name):
+    arr = np.asarray(x, dtype=np.float64)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    return arr
 
 
 def _reverse_noise(rng, shape):

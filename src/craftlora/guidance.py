@@ -1,22 +1,24 @@
 """Timestep-scheduled asymmetric classifier-free guidance.
 
-The conditional pass runs on the host backbone with gated, windowed adapter
-updates applied as unmerged low-rank terms; the unconditional pass is
+The conditional prediction runs on the host backbone with gated, windowed
+adapter updates applied as unmerged low-rank terms; the unconditional one is
 pinned to the bare host with the null embedding, so the guidance gap
-isolates the adapters' effect. The sampler costs exactly two network
-evaluations per step, like standard CFG.
+isolates the adapters' effect. Both come from one fused forward pass per
+step, whose 2N rows are the N conditional and the N unconditional inputs:
+two network evaluations per step, like standard CFG, in one call.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from .adapters import adapter_terms
 from .config import GuidanceSettings
 from .denoiser import NoiseSchedule, ddpm_step, forward_pass
-from .exceptions import ConfigInvalid, OutOfRange, ShapeMismatch
+from .exceptions import ConfigInvalid, NumericalError, OutOfRange, ShapeMismatch
 from .prompts import encode_semantic, parse_prompt
-from .utils import EvalCounter, make_rng
+from .utils import make_rng
 from .validation import as_image
 
 
@@ -45,6 +47,38 @@ def temporal_alpha(t, settings, total_steps):
     return settings.alpha_min + (settings.alpha_max - settings.alpha_min) * g
 
 
+class _Plan(NamedTuple):
+    """What the guided steps of one call share: built and checked once."""
+
+    n_rows: int
+    embeddings: np.ndarray  # (2N, EMB_DIM): the rows' embeddings, then N null ones
+    layers: tuple  # (layer, branch, scale column, B, A); branch 0 content, 1 style
+    peaks: tuple  # the largest gain of each branch, 0.0 without its adapter
+
+
+def _plan(
+    w_init, content_adapter, style_adapter, gamma_content, gamma_style, e_sem, n_rows, symmetric
+):
+    e_rows = np.atleast_2d(np.asarray(e_sem, dtype=np.float64))
+    if e_rows.ndim != 2 or e_rows.shape[0] != n_rows:
+        raise ShapeMismatch(f"e_sem must hold one embedding per row of x_t, got {e_rows.shape}")
+    if not np.isfinite(e_rows).all():
+        raise ValueError("e_sem contains non-finite entries")
+    terms = adapter_terms(
+        w_init, content_adapter, style_adapter, gamma_content, gamma_style, e_rows
+    )
+    content_layers = content_adapter.factors if content_adapter is not None else {}
+    layers = tuple(
+        (name, int(name not in content_layers), np.concatenate([s, s]) if symmetric else s, b, a)
+        for name, (s, b, a) in terms.items()
+    )
+    peaks = tuple(
+        float(np.max(gamma)) if adapter is not None else 0.0
+        for adapter, gamma in ((content_adapter, gamma_content), (style_adapter, gamma_style))
+    )
+    return _Plan(n_rows, np.concatenate([e_rows, np.zeros_like(e_rows)]), layers, peaks)
+
+
 def guided_eps_parts(
     x_t,
     t,
@@ -57,58 +91,60 @@ def guided_eps_parts(
     settings,
     total_steps,
     symmetric=False,
-    counter=None,
-    terms=None,
+    plan=None,
 ):
     """Conditional and unconditional noise predictions at one timestep.
 
     ``x_t`` is one (H, W) image with one embedding ``e_sem`` and scalar
     gains, or a batch (N, H, W) with (N, EMB_DIM) embeddings and one gain
-    per row; either way both passes run once over all rows. Effective gains
-    compose multiplicatively: temporal alpha times the branch gain times
-    the window indicator. The conditional pass applies each active
-    adapter's gated update unmerged, as ``adapter_terms``; the
-    unconditional pass always uses the bare host and the null embedding
-    (``cond=None`` in ``forward_pass``), shared by every row, except under
-    the symmetric ablation which reuses the same terms. ``terms`` may carry
-    the ``adapter_terms`` of these adapters, gains and embeddings already
-    built, so a sampler checks and gates its adapters once per batch
-    rather than once per step.
+    per row. Both predictions come from one forward pass over 2N rows:
+    ``[x; x]`` with embeddings ``[e; 0]``, split back into its halves.
+    Effective gains compose multiplicatively: temporal alpha times the
+    branch gain times the window indicator. Each active adapter's gated
+    update acts unmerged, as ``adapter_terms``, on the N conditional rows;
+    the unconditional rows see the bare host and the null embedding (a
+    zero embedding adds exactly nothing to the injection), except under
+    the symmetric ablation, where the same terms act on all 2N rows.
+    ``plan`` may carry the checked per-call state that ``_plan`` built for
+    these adapters, gains and embeddings, so a sampler checks its inputs
+    once per batch rather than once per step. A non-finite prediction
+    raises ``NumericalError``.
 
     The third item is ``(eff_c, eff_s, alpha)`` as floats; with one gain
     per row, an effective gain is the one of the largest row gain.
     """
     x_t = np.asarray(x_t, dtype=np.float64)
     n_rows = x_t.shape[0] if x_t.ndim == 3 else 1
-    rows = as_image(x_t.reshape(n_rows, -1), "x_t")
-    if rows.shape[1] != w_init.input_dim:
-        raise ShapeMismatch(
-            f"image has {rows.shape[1]} pixels but the backbone expects {w_init.input_dim}"
+    rows = x_t.reshape(n_rows, -1)
+    if plan is None:
+        as_image(rows, "x_t")
+        plan = _plan(
+            w_init, content_adapter, style_adapter, gamma_content, gamma_style, e_sem, n_rows,
+            symmetric,
         )
-    e_rows = np.atleast_2d(np.asarray(e_sem, dtype=np.float64))
-    if terms is None:
-        terms = adapter_terms(
-            w_init, content_adapter, style_adapter, gamma_content, gamma_style, e_rows
+    if rows.shape != (plan.n_rows, w_init.input_dim):
+        raise ShapeMismatch(
+            f"x_t has {n_rows} rows of {rows.shape[1]} pixels, but the backbone expects "
+            f"{plan.n_rows} rows of {w_init.input_dim}"
         )
     ind_c, ind_s = gamma_schedule(t, settings.content_window, settings.style_window)
     alpha = temporal_alpha(t, settings, total_steps)
-    step_c, step_s = alpha * ind_c, alpha * ind_s
-    content_layers = content_adapter.factors if content_adapter is not None else {}
-    windowed = {}
-    for name, (scale, down, up) in terms.items():
-        step = step_c if name in content_layers else step_s
-        if step != 0.0:
-            windowed[name] = (step * scale, down, up)
-
+    steps = (alpha * ind_c, alpha * ind_s)
+    terms = {
+        name: (steps[branch] * scale, down, up)
+        for name, branch, scale, down, up in plan.layers
+        if steps[branch] != 0.0
+    }
     t = int(t)
-    eps_cond, _ = forward_pass(rows, t, e_rows, w_init, windowed)
-    eps_uncond, _ = forward_pass(rows, t, None, w_init, windowed if symmetric else None)
-    if counter is not None:
-        counter.bump()
-        counter.bump()
-    eff_c = alpha * float(np.max(gamma_content)) * ind_c if content_adapter is not None else 0.0
-    eff_s = alpha * float(np.max(gamma_style)) * ind_s if style_adapter is not None else 0.0
-    return eps_cond.reshape(x_t.shape), eps_uncond.reshape(x_t.shape), (eff_c, eff_s, alpha)
+    eps, _ = forward_pass(np.concatenate([rows, rows]), t, plan.embeddings, w_init, terms)
+    if not np.isfinite(eps).all():
+        raise NumericalError(f"the noise prediction at t={t} is non-finite")
+    eff_c, eff_s = (step * peak for step, peak in zip(steps, plan.peaks))
+    return (
+        eps[:n_rows].reshape(x_t.shape),
+        eps[n_rows:].reshape(x_t.shape),
+        (eff_c, eff_s, alpha),
+    )
 
 
 def guided_eps(eps_cond, eps_uncond, omega):
@@ -132,12 +168,13 @@ class GuidedSampler:
     returns one image. A branch gain is its ``gamma_content``/
     ``gamma_style`` override when given, else 1.0 when the prompt carries
     the branch's marker and 0.0 when it does not. After a run,
-    ``n_network_evals_`` holds the instrumented forward count (always two
-    per step, whatever the batch size), ``trace_`` the per-step diagnostic
-    records of each row and ``trajectory_`` the state sequence when
-    recording is enabled; ``sample`` leaves its single row's records and
-    states. ``clip_x0=(lo, hi)`` clamps every step's clean estimate (the
-    ``x0_map`` of ``ddpm_step``); None leaves it unclamped.
+    ``n_network_evals_`` holds the network evaluations (two per step, one
+    conditional and one unconditional, whatever the batch size),
+    ``trace_`` the per-step diagnostic records of each row and
+    ``trajectory_`` the state sequence when recording is enabled;
+    ``sample`` leaves its single row's records and states.
+    ``clip_x0=(lo, hi)`` clamps every step's clean estimate (the ``x0_map``
+    of ``ddpm_step``); None leaves it unclamped.
     """
 
     def __init__(
@@ -188,10 +225,11 @@ class GuidedSampler:
 
         Returns an (N, side, side) array. Row i starts from, and draws every
         step's noise from, its own ``make_rng(seeds[i], "sample")`` stream,
-        in the order a single image would. The adapters' checks and gates
-        run once per call; each step then makes two forward passes over all
-        rows. A row's image equals what ``sample`` returns for that prompt
-        and seed up to rounding.
+        in the order a single image would. The inputs are checked, and the
+        embeddings, scale columns and peak gains built, once per call; each
+        step then makes one forward pass over 2N rows and one reverse step.
+        A row's image equals what ``sample`` returns for that prompt and
+        seed up to rounding.
         """
         prompts = list(prompts)
         seeds = list(seeds)
@@ -204,9 +242,9 @@ class GuidedSampler:
             self.content_adapter is not None,
             self.style_adapter is not None,
         )
-        terms = adapter_terms(
+        plan = _plan(
             self.backbone, self.content_adapter, self.style_adapter,
-            gains[:, 0], gains[:, 1], e_rows,
+            gains[:, 0], gains[:, 1], e_rows, len(seeds), self.symmetric_cfg,
         )
         settings = self.settings
         schedule = self.schedule
@@ -214,7 +252,7 @@ class GuidedSampler:
         shape = (len(seeds), side, side)
         rngs = [make_rng(seed, "sample") for seed in seeds]
         x = np.stack([rng.standard_normal(self.backbone.input_dim) for rng in rngs])
-        counter = EvalCounter()
+        n_evals = 0
         trace = [[] for _ in seeds]
         trajectory = [x.reshape(shape).copy()] if self.record_trajectory else None
         x0_map = None if self.clip_x0 is None else (lambda x0: np.clip(x0, *self.clip_x0))
@@ -232,9 +270,9 @@ class GuidedSampler:
                 settings,
                 schedule.total_steps,
                 symmetric=self.symmetric_cfg,
-                counter=counter,
-                terms=terms,
+                plan=plan,
             )
+            n_evals += 2  # one conditional and one unconditional evaluation
             eps = guided_eps(eps_cond, eps_uncond, settings.omega).reshape(x.shape)
             if self.record_trace:
                 windows = gamma_schedule(t, settings.content_window, settings.style_window)
@@ -248,7 +286,7 @@ class GuidedSampler:
             if trajectory is not None:
                 trajectory.append(x.reshape(shape).copy())
 
-        self.n_network_evals_ = counter.count
+        self.n_network_evals_ = n_evals
         self.trace_ = trace
         self.trajectory_ = trajectory
         return x.reshape(shape)
@@ -261,7 +299,6 @@ def cfg_sample(
     schedule=None,
     seed=0,
     clip_x0=(0.0, 1.0),
-    counter=None,
     trajectory=None,
 ):
     """Standard classifier-free guidance baseline on fixed weights.
@@ -282,8 +319,6 @@ def cfg_sample(
         record_trajectory=trajectory is not None,
     )
     image = sampler.sample(prompt, seed)
-    if counter is not None:
-        counter.count += sampler.n_network_evals_
     if trajectory is not None:
         trajectory.extend(sampler.trajectory_)
     return image

@@ -85,14 +85,3 @@ def run_row_blocks(fn, n_rows, threads=1, max_rows=None):
             return np.concatenate(list(pool.map(lambda block: fn(*block), blocks)))
     return np.concatenate([fn(start, stop) for start, stop in blocks])
 
-
-class EvalCounter:
-    """Counts network forward evaluations for the two-pass cost contract."""
-
-    __slots__ = ("count",)
-
-    def __init__(self):
-        self.count = 0
-
-    def bump(self):
-        self.count += 1

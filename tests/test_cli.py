@@ -414,6 +414,40 @@ class TestSample:
         assert len(lines) == 50
         assert lines[0].startswith("t=50 ")
 
+    def test_non_finite_prediction_exits_3_and_keeps_old_image(
+        self, workspace, tmp_path, monkeypatch
+    ):
+        from craftlora import guidance
+
+        root, config_path = workspace
+        out = tmp_path / "img.pgm"
+        out.write_bytes(pgm_bytes(np.full((16, 16), 0.5)))
+        before = out.read_bytes()
+        real_forward = guidance.forward_pass
+
+        def poisoned(x, t, *args, **kwargs):
+            result, cache = real_forward(x, t, *args, **kwargs)
+            if t == 30:
+                result[0, 0] = np.inf
+            return result, cache
+
+        monkeypatch.setattr(guidance, "forward_pass", poisoned)
+        code = run_cli(
+            [
+                "sample",
+                "--config",
+                config_path,
+                "--prompt",
+                "a filled disc <c> in fine stripe style <s>",
+                "--backbone",
+                root / "trunk.crft",
+                "--out",
+                out,
+            ]
+        )
+        assert code == 3
+        assert out.read_bytes() == before
+
     def test_zero_gammas_match_bare_sample(self, workspace, tmp_path):
         root, config_path = workspace
         args = [

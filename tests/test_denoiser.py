@@ -227,6 +227,31 @@ class TestBackwardTerms:
                     assert abs(fd - an) <= 1e-6 * max(abs(fd), abs(an), 1e-3)
 
 
+class TestPartialRowTerms:
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_short_scale_column_acts_on_the_first_rows(self, k):
+        # terms on the first, a middle and the last layer; rows past k see
+        # the bare host, rows up to k the same terms as a full-batch column
+        backbone = init_backbone(image_size=4, hidden_width=6, n_layers=4, seed=6)
+        rng = make_rng(31, "partial-terms")
+        rows = 5
+        x = rng.standard_normal((rows, 16))
+        cond = rng.standard_normal((rows, 64))
+        short, full = {}, {}
+        for name in ("layer1", "layer2", "layer4"):
+            m, n = backbone.shape(name)
+            scale = rng.uniform(0.5, 1.5, size=(rows, 1))
+            down = 0.5 * rng.standard_normal((m, 3))
+            up = 0.5 * rng.standard_normal((3, n))
+            short[name] = (scale[:k], down, up)
+            full[name] = (scale, down, up)
+        out, _ = forward_pass(x, 7, cond, backbone, short)
+        bare, _ = forward_pass(x, 7, cond, backbone)
+        with_terms, _ = forward_pass(x, 7, cond, backbone, full)
+        assert out[k:].tobytes() == bare[k:].tobytes()
+        assert np.abs(out[:k] - with_terms[:k]).max() <= 1e-12 * np.abs(with_terms[:k]).max()
+
+
 class TestStackedPasses:
     """A leading stack axis on the input and on every weight runs k
     networks in one pass; each slice must be the 2-D call bit for bit."""

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from craftlora.adapters import LoraTrainer, aggregate_weights, default_routing
 from craftlora.config import GuidanceSettings
-from craftlora.denoiser import Backbone, NoiseSchedule, ddpm_step
-from craftlora.exceptions import ConfigInvalid, OutOfRange
+from craftlora.denoiser import Backbone, NoiseSchedule, ddpm_step, forward_pass
+from craftlora.exceptions import ConfigInvalid, NumericalError, OutOfRange
 from craftlora.guidance import (
     GuidedSampler,
     cfg_sample,
@@ -184,17 +184,21 @@ class TestGuidedParts:
         uncond_host = merged if symmetric else trained_base
         assert_close_relative(eps_uncond, one_row_eps(x, t, np.zeros(EMB_DIM), uncond_host))
 
-    def test_schedule_gates_adapters(self, trained_base, adapters, one_row_eps):
+    def test_schedule_gates_adapters(self, trained_base, adapters):
         content, style = adapters
         x = make_rng(9).standard_normal((16, 16))
         e_sem = encode_semantic("a filled disc in fine stripe style")
         config = GuidanceSettings(content_window=(1, 20), style_window=(30, 50))
-        # t in neither window: conditional equals the bare-host prediction
+        # t in neither window: conditional equals the bare-host prediction,
+        # row 0 of the same two-row pass [x; x] with embeddings [e; 0]
         eps_cond, eps_uncond, (eff_c, eff_s, _) = guided_eps_parts(
             x, 25, e_sem, trained_base, content, style, 1.0, 1.0, config, 50
         )
         assert eff_c == 0.0 and eff_s == 0.0
-        assert np.array_equal(eps_cond, one_row_eps(x, 25, e_sem, trained_base))
+        bare, _ = forward_pass(
+            np.stack([x.ravel(), x.ravel()]), 25, np.stack([e_sem, np.zeros(EMB_DIM)]), trained_base
+        )
+        assert np.array_equal(eps_cond, bare[0].reshape(x.shape))
         # t in the content window only
         _, _, (eff_c, eff_s, alpha) = guided_eps_parts(
             x, 10, e_sem, trained_base, content, style, 1.0, 1.0, config, 50
@@ -476,7 +480,13 @@ class TestSampleBatch:
         assert permuted.tobytes() == batch[list(order)].tobytes()
 
     @pytest.mark.parametrize("n_rows", [1, 3, 7])
-    def test_two_evaluations_per_step_for_any_batch(self, trained_base, adapters, schedule, n_rows):
+    def test_two_evaluations_per_step_for_any_batch(
+        self, trained_base, adapters, schedule, monkeypatch, n_rows
+    ):
+        # both evaluations are one forward pass of 2N rows per step, with
+        # one guided_eps_parts and one ddpm_step call around it
+        from craftlora import guidance
+
         content, style = adapters
         sampler = GuidedSampler(
             trained_base,
@@ -486,12 +496,59 @@ class TestSampleBatch:
             record_trajectory=True,
             record_trace=True,
         )
+        calls = {"forward_pass": [], "guided_eps_parts": 0, "ddpm_step": 0}
+        real = {name: getattr(guidance, name) for name in calls}
+
+        def forward(x, *args, **kwargs):
+            calls["forward_pass"].append(x.shape[0])
+            return real["forward_pass"](x, *args, **kwargs)
+
+        def counted(name):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real[name](*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(guidance, "forward_pass", forward)
+        monkeypatch.setattr(guidance, "guided_eps_parts", counted("guided_eps_parts"))
+        monkeypatch.setattr(guidance, "ddpm_step", counted("ddpm_step"))
         images = sampler.sample_batch([BOTH_MARKERS] * n_rows, list(range(n_rows)))
+        steps = schedule.total_steps
+        assert calls == {
+            "forward_pass": [2 * n_rows] * steps,
+            "guided_eps_parts": steps,
+            "ddpm_step": steps,
+        }
         assert images.shape == (n_rows, 16, 16)
-        assert sampler.n_network_evals_ == 2 * schedule.total_steps
+        assert sampler.n_network_evals_ == 2 * steps
         assert [len(rows) for rows in sampler.trace_] == [schedule.total_steps] * n_rows
         assert len(sampler.trajectory_) == schedule.total_steps + 1
         assert np.array_equal(sampler.trajectory_[-1], images)
+
+    def test_non_finite_prediction_is_numerical_error(
+        self, trained_base, adapters, schedule, monkeypatch
+    ):
+        from craftlora import guidance
+
+        content, style = adapters
+        sampler = GuidedSampler(
+            trained_base, content_adapter=content, style_adapter=style, schedule=schedule
+        )
+        real_forward = guidance.forward_pass
+        seen = []
+
+        def poisoned(x, t, *args, **kwargs):
+            out, cache = real_forward(x, t, *args, **kwargs)
+            seen.append(t)
+            if t == 25:
+                out[-1, 0] = np.nan
+            return out, cache
+
+        monkeypatch.setattr(guidance, "forward_pass", poisoned)
+        with pytest.raises(NumericalError, match="t=25"):
+            sampler.sample_batch([BOTH_MARKERS] * 2, [0, 1])
+        assert seen == list(range(schedule.total_steps, 24, -1))
 
     def test_one_seed_per_prompt_required(self, trained_base, schedule):
         sampler = GuidedSampler(trained_base, schedule=schedule)

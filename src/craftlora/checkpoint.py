@@ -8,7 +8,8 @@ UTF-8, tensors row-major 32-bit little-endian floats):
     tensor count | tensors (name, rows, cols, data) | CRC32 of all prior bytes
 
 Kind codes: 0 backbone, 1 adapter, 3 tensor set; code 2 is retired and
-reads as unknown. No bytes may follow the last tensor. Tensors are widened
+reads as unknown. No bytes may follow the last tensor, and a tensor holding
+a NaN or an infinity makes the file corrupt. Tensors are widened
 to float64 on load and narrowed with round-to-nearest on save, so a
 save/load round trip is bit-exact at 32-bit precision. The CRC is validated
 before anything is interpreted.
@@ -144,6 +145,8 @@ def _read_tensors(reader):
     order = []
     for _ in range(count):
         name, arr = reader.tensor()
+        if not np.isfinite(arr).all():
+            raise CorruptCheckpoint(f"{reader.path} has non-finite entries in tensor {name!r}")
         out[name] = arr
         order.append(name)
     if reader.pos != len(reader.blob):

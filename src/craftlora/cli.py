@@ -13,7 +13,7 @@ import click
 import numpy as np
 
 from . import checkpoint as ckpt
-from .adapters import LoraTrainer
+from .adapters import KINDS, LoraTrainer
 from .config import ENV_CONFIG, config_hash, load_config
 from .denoiser import DenoiserTrainer, NoiseSchedule
 from .exceptions import (
@@ -167,10 +167,11 @@ def cmd_train_trunk(config_path, seed, dataset_dir, out_path, base_path, save_ba
     )
     tuner.fit(base, dataset)
     ckpt.save_backbone(out_path, tuner.backbone_)
-    sidecar = []
-    for name in tuner.backbone_.names:
-        sidecar.append((f"{name}.content", tuner.bases_.content[name]))
-        sidecar.append((f"{name}.style", tuner.bases_.style[name]))
+    sidecar = [
+        (f"{name}.{kind}", basis)
+        for name in tuner.backbone_.names
+        for kind, basis in zip(KINDS, tuner.bases_.stacks[name])
+    ]
     ckpt.save_tensor_set(out_path + ".bases", sidecar)
     final_loss = tuner.loss_history_[-1] if tuner.loss_history_ else float("nan")
     click.echo(f"final trunk loss: {final_loss:.6f}")
@@ -308,12 +309,13 @@ def evaluate_grid(backbone, content_adapter, style_adapter, config, n_content, n
     The grid cells are sampled as the rows of ``sample_batch`` calls, in
     the contiguous blocks of ``run_row_blocks`` with at most
     ``GRID_BLOCK_ROWS`` rows each, so the thread count never changes the
-    report.
+    report. The cells of one content row share one noise seed, so the
+    cross-influence score compares styles under the same noise.
     """
     size = config.denoiser.image_size
     cells = [(i, j) for i in range(n_content) for j in range(n_style)]
     prompts = [f"{CONTENT_PROMPTS[i]} <c> {STYLE_PROMPTS[j]} <s>" for i, j in cells]
-    seeds = [derive_seed(config.seed, "eval", i, j) for i, j in cells]
+    seeds = [derive_seed(config.seed, "eval", i) for i, _ in cells]
 
     def generate(start, stop):
         sampler = _sampler(config, backbone, content_adapter, style_adapter)

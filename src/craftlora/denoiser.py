@@ -58,22 +58,8 @@ class NoiseSchedule:
             raise OutOfRange(f"t must lie in [1, {self.total_steps}], got {t}")
         return t
 
-    def beta(self, t):
-        return self.betas[self._check_t(t) - 1]
-
-    def alpha(self, t):
-        return self.alphas[self._check_t(t) - 1]
-
     def alpha_bar(self, t):
         return self.alpha_bars[self._check_t(t) - 1]
-
-    def alpha_bar_prev(self, t):
-        t = self._check_t(t)
-        return 1.0 if t == 1 else self.alpha_bars[t - 2]
-
-    def posterior_variance(self, t):
-        t = self._check_t(t)
-        return (1.0 - self.alpha_bar_prev(t)) / (1.0 - self.alpha_bar(t)) * self.beta(t)
 
 
 class Backbone:
@@ -132,7 +118,12 @@ def default_layer_names(n_layers):
     return tuple(f"layer{i}" for i in range(1, n_layers + 1))
 
 
-def init_backbone(image_size=16, hidden_width=64, n_layers=8, seed=0):
+def init_backbone(
+    image_size=DenoiserSettings.image_size,
+    hidden_width=DenoiserSettings.hidden_width,
+    n_layers=DenoiserSettings.n_layers,
+    seed=0,
+):
     """Glorot-uniform initialized stack: image -> hidden x (n-2) -> image."""
     if n_layers < 2:
         raise ConfigInvalid("n_layers must be at least 2")

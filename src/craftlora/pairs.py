@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoint import write_all_atomic
+from .config import DatasetSettings, DenoiserSettings
 from .denoiser import NoiseSchedule, ddpm_step, forward_pass
 from .exceptions import ConfigInvalid, CorruptCheckpoint, ModelUntrained, ShapeMismatch
 from .frequency import FrequencyMask, freq_mask_filter, gaussian_lowpass
@@ -103,7 +104,7 @@ def _soft(mask_value, softness=0.08):
     return 0.5 * (1.0 + np.tanh(mask_value / softness))
 
 
-def content_render(index, size=16):
+def content_render(index, size=DenoiserSettings.image_size):
     """Smooth-edged geometric layout for content index 0..9, values in [0, 1]."""
     x, y = _coords(size)
     r = np.hypot(x, y)
@@ -137,7 +138,7 @@ def content_render(index, size=16):
     return 0.1 + 0.8 * fig
 
 
-def style_render(index, size=16):
+def style_render(index, size=DenoiserSettings.image_size):
     """High-frequency texture for style index 0..9, values in [0, 1]."""
     idx = np.arange(size)
     col, row = np.meshgrid(idx, idx, indexing="xy")
@@ -171,7 +172,7 @@ def _clip01(img):
     return np.clip(img, 0.0, 1.0)
 
 
-def synthetic_pair_images(content_index, style_index, sigma, size=16):
+def synthetic_pair_images(content_index, style_index, sigma, size=DenoiserSettings.image_size):
     """Frequency-split blend of one shape layout and one texture."""
     blend = _clip01(0.55 * content_render(content_index, size) + 0.45 * style_render(style_index, size))
     low = gaussian_lowpass(blend, sigma)
@@ -207,12 +208,12 @@ def _filtered_trajectories(prompts, rngs, mask, backbone, schedule, size):
 
 
 def generate_pair_dataset(
-    n_content=10,
-    n_style=10,
-    mode="synthetic",
+    n_content=DatasetSettings.n_content,
+    n_style=DatasetSettings.n_style,
+    mode=DatasetSettings.mode,
     seed=0,
-    sigma=0.35,
-    size=16,
+    sigma=DatasetSettings.sigma,
+    size=DenoiserSettings.image_size,
     backbone=None,
     schedule=None,
     threads=1,

@@ -8,7 +8,7 @@ from a Cholesky factor of the r x r Gram matrix. The content pair member
 supervises only the content bases and the style member only the style
 bases; a training step runs both members at once, each layer's two bases
 as one stack and both members' pairs as one stacked pass. After training
-the two subspaces are orthonormalized by QR, merged per layer and
+the union of each layer's two subspaces is orthonormalized by one QR and
 projected out once to produce the frozen host for all adapter work.
 """
 
@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse
 
-from .config import TrunkSettings
+from .adapters import KINDS
+from .config import DenoiserSettings, TrunkSettings
 from .denoiser import NoiseSchedule, backward_pass, forward_pass
 from .exceptions import (
     ConfigInvalid,
@@ -60,23 +61,20 @@ class RankSchedule:
 
 @dataclass
 class SubspaceBases:
-    """Learnable per-layer bases, one content and one style matrix each."""
+    """Learnable per-layer bases: each layer's content and style matrices as
+    one (2, m, r) stack, in ``KINDS`` order."""
 
-    content: dict = field(default_factory=dict)
-    style: dict = field(default_factory=dict)
+    stacks: dict = field(default_factory=dict)
 
     def side(self, kind):
-        if kind == "content":
-            return self.content
-        if kind == "style":
-            return self.style
-        raise ValueError(f"unknown basis kind {kind!r}")
+        """One member's bases by layer, as views into the stacks."""
+        if kind not in KINDS:
+            raise ValueError(f"unknown basis kind {kind!r}")
+        i = KINDS.index(kind)
+        return {name: b[i] for name, b in self.stacks.items()}
 
     def copy(self):
-        return SubspaceBases(
-            content={k: v.copy() for k, v in self.content.items()},
-            style={k: v.copy() for k, v in self.style.items()},
-        )
+        return SubspaceBases({name: b.copy() for name, b in self.stacks.items()})
 
 
 def init_bases(backbone, schedule, seed=0, init_scale=0.02):
@@ -99,31 +97,33 @@ def init_bases(backbone, schedule, seed=0, init_scale=0.02):
             raise ConfigInvalid(
                 f"rank {r} exceeds the {w.shape[0]} input rows of layer {name!r}"
             )
-        bases.content[name] = rng.uniform(-init_scale, init_scale, size=(w.shape[0], r))
-        bases.style[name] = rng.uniform(-init_scale, init_scale, size=(w.shape[0], r))
+        bases.stacks[name] = rng.uniform(
+            -init_scale, init_scale, size=(len(KINDS), w.shape[0], r)
+        )
     return bases
 
 
-def merge_subspaces(q_content, q_style):
+def merge_subspaces(b_content, b_style):
     """Orthonormal basis of the union span via concatenation and QR.
 
-    Degenerate (dependent) columns are dropped, so identical operands come
-    back at their original width and disjoint ones at the summed width.
+    The operands need not be orthonormal. Degenerate (dependent) columns
+    are dropped, so identical operands come back at their original width
+    and disjoint ones at the summed width.
     """
-    q_content = as_matrix(q_content, "q_content")
-    q_style = as_matrix(q_style, "q_style")
-    if q_content.shape[1] == 0:
-        stacked = q_style
-    elif q_style.shape[1] == 0:
-        stacked = q_content
+    b_content = as_matrix(b_content, "b_content")
+    b_style = as_matrix(b_style, "b_style")
+    if b_content.shape[1] == 0:
+        stacked = b_style
+    elif b_style.shape[1] == 0:
+        stacked = b_content
     else:
-        if q_content.shape[0] != q_style.shape[0]:
+        if b_content.shape[0] != b_style.shape[0]:
             raise ShapeMismatch(
-                f"row counts differ: {q_content.shape[0]} vs {q_style.shape[0]}"
+                f"row counts differ: {b_content.shape[0]} vs {b_style.shape[0]}"
             )
-        stacked = np.hstack([q_content, q_style])
+        stacked = np.hstack([b_content, b_style])
     if stacked.shape[1] == 0:
-        return np.zeros((q_content.shape[0], 0))
+        return np.zeros((b_content.shape[0], 0))
     q, _ = householder_qr(stacked)
     return q
 
@@ -152,7 +152,7 @@ class PerceptualProxy:
     nonzero), so both passes are sparse-times-dense products over rows.
     """
 
-    def __init__(self, image_size=16, channels=(4, 4, 4), kernel=3, seed=0):
+    def __init__(self, image_size=DenoiserSettings.image_size, channels=(4, 4, 4), kernel=3, seed=0):
         self.image_size = image_size
         self.channels = tuple(channels)
         self.kernel = kernel
@@ -208,10 +208,6 @@ class PerceptualProxy:
 # each block one stacked pass over both members' rows, which bounds the
 # working set when a whole dataset is scored.
 BLOCK_ROWS = 16
-
-# The pair members in stack order: every per-member array of the trunk step
-# carries them on its leading axis.
-MEMBERS = ("content", "style")
 
 
 def _member_weights(backbone, basis_map):
@@ -278,7 +274,7 @@ def member_embedding(pair, member):
 def member_embeddings(pairs):
     """Both members' prompt embeddings, a (2, len(pairs), EMB_DIM) stack."""
     return np.stack([
-        np.stack([member_embedding(p, member) for p in pairs]) for member in MEMBERS
+        np.stack([member_embedding(p, member) for p in pairs]) for member in KINDS
     ])
 
 
@@ -303,18 +299,17 @@ def member_target_features(pairs, perceptual):
     ]
 
 
-def _member_block(weights, pairs, draws, embs, feats_ref, schedule, alpha_perc, perceptual):
+def _member_block(weights, pairs, ts, noise, embs, feats_ref, schedule, alpha_perc, perceptual):
     """Both members' summed task losses over a row block of pairs, with the
     gradient of each sum w.r.t. the block's output noise estimates.
 
-    Everything is stacked by member: ``weights`` and ``embs`` as given, the
-    returned (2,) losses, the forward cache and the (2, rows, pixels)
-    gradient. ``feats_ref`` holds the block's target features, or None
-    without the perceptual term.
+    Everything is stacked by member: ``weights``, ``embs`` and the block's
+    (2, rows) timesteps and (2, rows, pixels) noise as given, the returned
+    (2,) losses, the forward cache and the (2, rows, pixels) gradient.
+    ``feats_ref`` holds the block's target features, or None without the
+    perceptual term.
     """
     targets = _member_targets(pairs)
-    noise = np.stack([np.stack([d[m][1].reshape(-1) for d in draws]) for m in MEMBERS])
-    ts = np.array([[d[m][0] for d in draws] for m in MEMBERS])
 
     ab = schedule.alpha_bars[ts - 1][..., None]
     root_ab = np.sqrt(ab)
@@ -361,14 +356,16 @@ def trunk_loss(
     regularizer is added once over both sides, so the value is the mean of
     the single-pair values.
 
-    The projected weights depend only on the member, so each layer's two
-    bases run as one (2, m, r) stack, and both members' pairs run as the
-    two slices of one stacked pass, in row blocks of ``BLOCK_ROWS`` pairs.
-    The basis gradient is linear in the weight gradient, so the gradients
-    are summed over all rows first and chained to the bases once per layer.
+    The projected weights depend only on the member, so each layer's
+    (2, m, r) stack of bases runs as it is, and both members' pairs run as
+    the two slices of one stacked pass, in row blocks of ``BLOCK_ROWS``
+    pairs. The basis gradient is linear in the weight gradient, so the
+    gradients are summed over all rows first and chained to the bases once
+    per layer; they come back as one (2, m, r) stack per layer.
 
-    ``draws`` supplies one (t, noise) per member per pair so the value is a
-    pure function of its arguments (finite-difference checkable).
+    ``draws`` is the ``(ts, noise)`` of ``make_trunk_draws``, one timestep
+    and noise image per member per pair, so the value is a pure function of
+    its arguments (finite-difference checkable).
     ``embeddings`` and ``target_features`` optionally hold the batch's
     ``member_embeddings`` and ``member_target_features``, which are
     computed here when omitted; both depend only on the pairs, so a caller
@@ -378,8 +375,10 @@ def trunk_loss(
         raise ConfigInvalid("lambda_reg and alpha_perc must be nonnegative")
     if len(batch) == 0:
         raise EmptyBatch("trunk loss needs at least one pair")
-    if len(draws) != len(batch):
-        raise ShapeMismatch("need one draw record per pair")
+    ts, noise = draws
+    n = len(batch)
+    if ts.shape != (len(KINDS), n) or noise.shape[:2] != (len(KINDS), n):
+        raise ShapeMismatch("need one draw per member per pair")
 
     if embeddings is None:
         embeddings = member_embeddings(batch)
@@ -388,9 +387,8 @@ def trunk_loss(
     elif target_features is None:
         target_features = member_target_features(batch, perceptual)
 
-    stacks = {name: np.stack((b, bases.style[name])) for name, b in bases.content.items()}
+    stacks = bases.stacks
     weights, cache = _member_weights(backbone, stacks)
-    n = len(batch)
     block_tasks = []
     weight_grads = {}
     for start in range(0, n, BLOCK_ROWS):
@@ -399,8 +397,8 @@ def trunk_loss(
             None if target_features is None else [f[:, start:stop] for f in target_features]
         )
         block_task, acts, d_eps = _member_block(
-            weights, batch[start:stop], draws[start:stop], embeddings[:, start:stop],
-            feats_ref, schedule, alpha_perc, perceptual,
+            weights, batch[start:stop], ts[:, start:stop], noise[:, start:stop],
+            embeddings[:, start:stop], feats_ref, schedule, alpha_perc, perceptual,
         )
         block_tasks.append(block_task)
         for name, g in backward_pass(acts, weights, d_eps / n).items():
@@ -420,22 +418,24 @@ def trunk_loss(
         loss += lambda_reg * value
     for name, b in stacks.items():
         grads[name] += 2.0 * lambda_reg * b
-    return loss, {
-        member: {name: g[i] for name, g in grads.items()} for i, member in enumerate(MEMBERS)
-    }
+    return loss, grads
 
 
 def make_trunk_draws(batch, schedule, rng):
-    """One (t, noise) record per member per pair, in pair order."""
-    draws = []
-    for pair in batch:
-        record = {}
-        for member in MEMBERS:
-            t = int(rng.integers(1, schedule.total_steps + 1))
-            noise = rng.standard_normal(pair.content_image.shape)
-            record[member] = (t, noise)
-        draws.append(record)
-    return draws
+    """Per member per pair a timestep and a noise image, as the (2, n)
+    array ``ts`` and the (2, n, pixels) array ``noise``.
+
+    They are drawn pair by pair, each pair's content member before its
+    style member, and each member's timestep before its noise.
+    """
+    pixels = batch[0].content_image.size if batch else 0
+    ts = np.empty((len(KINDS), len(batch)), dtype=np.int64)
+    noise = np.empty((len(KINDS), len(batch), pixels))
+    for i in range(len(batch)):
+        for m in range(len(KINDS)):
+            ts[m, i] = rng.integers(1, schedule.total_steps + 1)
+            noise[m, i] = rng.standard_normal(pixels)
+    return ts, noise
 
 
 class TrunkFinetuner:
@@ -500,19 +500,12 @@ class TrunkFinetuner:
             )
             check_loss(loss, history, "trunk")
             history.append(loss)
-            for kind in MEMBERS:
-                side = bases.side(kind)
-                for name in side:
-                    side[name] = side[name] - lr * grads[kind][name]
-        check_trained([*bases.content.values(), *bases.style.values()], "trunk")
+            for name, b in bases.stacks.items():
+                b -= lr * grads[name]
+        check_trained(bases.stacks.values(), "trunk")
 
-        merged = {}
-        ranks = {}
-        for name in backbone.names:
-            q_c, _ = householder_qr(bases.content[name])
-            q_s, _ = householder_qr(bases.style[name])
-            merged[name] = merge_subspaces(q_c, q_s)
-            ranks[name] = merged[name].shape[1]
+        merged = {name: merge_subspaces(*bases.stacks[name]) for name in backbone.names}
+        ranks = {name: q.shape[1] for name, q in merged.items()}
         self.backbone_ = apply_rank_limited_update(backbone, merged)
         self.bases_ = bases
         self.merged_q_ = merged

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from craftlora.adapters import LoraTrainer, adapter_loss, default_routing, make_adapter
+from craftlora.adapters import KINDS, LoraTrainer, adapter_loss, default_routing, make_adapter
 from craftlora.cli import main as cli_main
 from craftlora.config import GuidanceSettings
 from craftlora.denoiser import DenoiserTrainer, NoiseSchedule, init_backbone
@@ -274,7 +274,7 @@ def test_gradient_checks():
             minus = bases.copy()
             minus.side(kind)[name][i, j] -= step
             fd = (trunk_value(plus) - trunk_value(minus)) / (2 * step)
-            an = grads[kind][name][i, j]
+            an = grads[name][KINDS.index(kind), i, j]
             assert abs(fd - an) <= rel_tol * max(abs(fd), abs(an), 1e-8)
 
         # adapter-training loss at a generic (nonzero) parameter point

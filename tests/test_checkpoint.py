@@ -269,6 +269,27 @@ class TestTrailingBytes:
                 inspect_checkpoint(path)
 
 
+class TestNonFiniteTensors:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_every_reader_refuses_a_non_finite_entry(self, tmp_path, value):
+        bb = init_backbone(8, 16, 4, seed=13)
+        adapter = make_adapter("content", bb, default_routing(bb.names), rank=2, seed=14)
+        for save, load, obj in (
+            (save_backbone, load_backbone, bb),
+            (save_adapter, load_adapter, adapter),
+            (save_tensor_set, load_tensor_set, bb.items()),
+        ):
+            path = tmp_path / f"{load.__name__}.crft"
+            save(path, obj)
+            # the last entry of the last tensor, under a CRC recomputed over it
+            payload = path.read_bytes()[:-4]
+            write_with_crc(path, payload[:-4] + struct.pack("<f", value))
+            with pytest.raises(CorruptCheckpoint, match="non-finite entries"):
+                load(path)
+            with pytest.raises(CorruptCheckpoint, match="non-finite entries"):
+                inspect_checkpoint(path)
+
+
 @pytest.fixture(scope="module")
 def small_checkpoints(tmp_path_factory):
     """A temporary directory and the bytes of a small backbone, adapter and

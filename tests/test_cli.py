@@ -1,6 +1,8 @@
 import hashlib
 import json
 import shutil
+import struct
+import zlib
 from collections import Counter
 
 import numpy as np
@@ -19,6 +21,13 @@ LIGHT_CONFIG = {
     "dataset": {"n_content": 2, "n_style": 2},
     "guidance": {"omega": 2.0},
 }
+
+
+def write_nan_checkpoint(source, target):
+    """A copy of a checkpoint whose last stored value is NaN, under a valid CRC."""
+    payload = source.read_bytes()[:-4]
+    payload = payload[:-4] + struct.pack("<f", np.nan)
+    target.write_bytes(payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
 
 
 def run_cli(args):
@@ -535,6 +544,21 @@ class TestSample:
         ]) == 0
         assert read_pgm(tmp_path / "plain.pgm").shape == (16, 16)
 
+    def test_non_finite_backbone_is_data_error(self, workspace, tmp_path, capsys):
+        root, config_path = workspace
+        host = tmp_path / "nan.crft"
+        write_nan_checkpoint(root / "trunk.crft", host)
+        capsys.readouterr()
+        code = run_cli([
+            "sample", "--config", config_path,
+            "--prompt", "a filled disc",
+            "--backbone", host,
+            "--out", tmp_path / "never.pgm",
+        ])
+        assert code == 2
+        assert "non-finite entries" in capsys.readouterr().err
+        assert not (tmp_path / "never.pgm").exists()
+
     def test_bases_sidecar_as_backbone_is_data_error(self, workspace, tmp_path):
         root, config_path = workspace
         code = run_cli([
@@ -686,6 +710,33 @@ class TestEval:
         assert 0 < calls["transform"] <= 12
         assert 0 < calls["lowpass"] <= 8
 
+    def test_one_noise_seed_per_content_row(self, workspace, tmp_path, monkeypatch):
+        from craftlora.guidance import GuidedSampler
+
+        cells = []
+        real_sample_batch = GuidedSampler.sample_batch
+
+        def recording(self, prompts, seeds, *args, **kwargs):
+            cells.extend((p.split(" <c> ")[0], seed) for p, seed in zip(prompts, seeds))
+            return real_sample_batch(self, prompts, seeds, *args, **kwargs)
+
+        monkeypatch.setattr(GuidedSampler, "sample_batch", recording)
+        root, config_path = workspace
+        code = run_cli([
+            "eval", "--config", config_path,
+            "--backbone", root / "trunk.crft",
+            "--content-adapter", root / "content.crft",
+            "--style-adapter", root / "style.crft",
+            "--out", tmp_path / "report.json", "--n-content", 3, "--n-style", 2,
+        ])
+        assert code == 0
+        seeds_by_row = {}
+        for content, seed in cells:
+            seeds_by_row.setdefault(content, set()).add(seed)
+        assert len(cells) == 6 and len(seeds_by_row) == 3
+        assert all(len(seeds) == 1 for seeds in seeds_by_row.values())
+        assert len(set().union(*seeds_by_row.values())) == 3
+
     def test_zero_threads_is_usage_error(self, workspace, tmp_path):
         root, config_path = workspace
         out = tmp_path / "report.json"
@@ -713,6 +764,17 @@ class TestInspect:
         broken = tmp_path / "broken.crft"
         broken.write_bytes((root / "trunk.crft").read_bytes()[:50])
         assert run_cli(["inspect", broken]) == 2
+
+    def test_non_finite_checkpoint_exit_two(self, workspace, tmp_path, capsys):
+        root, _ = workspace
+        for name in ("trunk.crft", "content.crft", "trunk.crft.bases"):
+            broken = tmp_path / name
+            write_nan_checkpoint(root / name, broken)
+            capsys.readouterr()
+            assert run_cli(["inspect", broken]) == 2
+            captured = capsys.readouterr()
+            assert "non-finite entries" in captured.err
+            assert "crc ok" not in captured.out
 
     def test_unknown_command_is_usage_error(self):
         assert run_cli(["frobnicate"]) == 1

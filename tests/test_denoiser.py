@@ -44,10 +44,7 @@ class TestNoiseSchedule:
         with pytest.raises(OutOfRange):
             schedule.alpha_bar(0)
         with pytest.raises(OutOfRange):
-            schedule.beta(51)
-
-    def test_posterior_variance_zero_at_first_step(self, schedule):
-        assert schedule.posterior_variance(1) == 0.0
+            schedule.alpha_bar(51)
 
 
 class TestBackbone:
@@ -307,11 +304,6 @@ class TestDdpmStep:
         x = np.zeros((4, 4))
         with pytest.raises(ValueError):
             ddpm_step(x, 2, x, schedule)
-
-    def test_posterior_variance_vanishes_at_t1(self, schedule):
-        # the zero-variance limit: the t == 1 update adds no noise by
-        # construction, matching the vanishing posterior variance
-        assert schedule.posterior_variance(1) == 0.0
 
     def test_clipped_branch_matches_plain_when_inside_range(self, schedule):
         rng = make_rng(11)

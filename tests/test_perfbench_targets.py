@@ -1,26 +1,29 @@
-"""The benchmark's traced mode wraps callables by name; each must still exist.
+"""The benchmark reaches into the package: its traced mode wraps callables
+by name, and its ``train`` workload scores the trunk through the trunk's
+own API. Both must keep working.
 
-A rename in the package would otherwise surface only when the traced
-benchmark run fails to install its recorder.
+A rename or a changed call shape in the package would otherwise surface
+only when a benchmark run fails.
 """
 
 import importlib
 import importlib.util
+import math
 import pathlib
 
 import pytest
 
-TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-tracer = load_tracer()
+tracer = load_perfbench("tracer")
 
 
 @pytest.mark.parametrize(
@@ -36,3 +39,16 @@ def test_traced_target_resolves(module_name, path):
         assert attr in vars(getattr(module, cls_name))
     else:
         assert callable(getattr(module, path))
+
+
+def test_train_workload_scores_a_tiny_pipeline(tmp_path):
+    # the pipeline writes the trunk's bases through ``bases_.side``, and the
+    # quality runs ``make_trunk_draws`` and ``trunk_loss`` on its trunk_parts
+    workloads = load_perfbench("workloads")
+    config = workloads.make_config(0, tiny=True)
+    ok, record = workloads.run_pipeline(config, str(tmp_path), 0, 0)
+    assert ok
+    train = workloads.TrainWorkload(None, str(tmp_path), 0, tiny=True)
+    train.config = config
+    train.records = [record]
+    assert math.isfinite(train.quality())

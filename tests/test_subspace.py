@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from craftlora.denoiser import init_backbone
+from craftlora.adapters import KINDS
+from craftlora.denoiser import NoiseSchedule, init_backbone
 from craftlora.exceptions import (
     ConfigInvalid,
     EmptyBatch,
@@ -13,9 +14,9 @@ from craftlora.exceptions import (
 from craftlora.linalg import householder_qr, qr_backward
 from craftlora.subspace import (
     BLOCK_ROWS,
-    MEMBERS,
     PerceptualProxy,
     RankSchedule,
+    SubspaceBases,
     TrunkFinetuner,
     apply_rank_limited_update,
     init_bases,
@@ -77,6 +78,52 @@ class TestRankSchedule:
             RankSchedule(2, 4, 8)
 
 
+class TestSubspaceBases:
+    def test_init_draws_the_two_per_side_draws(self):
+        # one (2, m, r) draw per layer is the content draw, then the style one
+        bb = init_backbone(16, 16, 3, seed=7)
+        bases = init_bases(bb, RankSchedule(4, 2, 3), seed=3, init_scale=0.05)
+        rng = make_rng(3, "bases-init")
+        for idx, name in enumerate(bb.names, start=1):
+            shape = (bb.shape(name)[0], RankSchedule(4, 2, 3).rank_at(idx))
+            for kind in KINDS:
+                expected = rng.uniform(-0.05, 0.05, size=shape)
+                assert np.array_equal(bases.side(kind)[name], expected)
+
+    def test_side_views_write_through(self):
+        bases = SubspaceBases({"layer1": np.zeros((2, 5, 3))})
+        bases.side("style")["layer1"][4, 2] = 7.0
+        bases.side("content")["layer1"][:, 0] += 1.0
+        assert bases.stacks["layer1"][1, 4, 2] == 7.0
+        assert np.array_equal(bases.stacks["layer1"][0, :, 0], np.ones(5))
+        assert np.count_nonzero(bases.stacks["layer1"]) == 6
+        with pytest.raises(ValueError):
+            bases.side("texture")
+
+    def test_copy_is_deep(self):
+        bases = SubspaceBases({"layer1": np.zeros((2, 5, 3))})
+        copied = bases.copy()
+        copied.side("content")["layer1"][0, 0] = 1.0
+        assert not bases.stacks["layer1"].any()
+
+
+class TestTrunkDraws:
+    def test_pair_by_pair_member_by_member(self):
+        from craftlora.pairs import generate_pair_dataset
+
+        schedule = NoiseSchedule.linear()
+        pairs = generate_pair_dataset(2, 2, seed=0)
+        ts, noise = make_trunk_draws(pairs, schedule, make_rng(11, "draws"))
+        assert ts.shape == (2, len(pairs))
+        assert noise.shape == (2, len(pairs), pairs[0].content_image.size)
+        rng = make_rng(11, "draws")
+        for i, pair in enumerate(pairs):
+            for m in range(len(KINDS)):
+                assert ts[m, i] == rng.integers(1, schedule.total_steps + 1)
+                expected = rng.standard_normal(pair.content_image.shape).reshape(-1)
+                assert np.array_equal(noise[m, i], expected)
+
+
 class TestMergeSubspaces:
     def test_empty_style_operand(self):
         rng = np.random.default_rng(1)
@@ -111,6 +158,17 @@ class TestMergeSubspaces:
     def test_row_mismatch(self):
         with pytest.raises(ShapeMismatch):
             merge_subspaces(np.eye(4, 2), np.eye(5, 2))
+
+    def test_raw_bases_merge_to_the_orthonormalized_span(self):
+        # the trunk merges its bases as trained; a column of the style basis
+        # that repeats a content direction is dropped, as after a QR of each
+        rng = np.random.default_rng(4)
+        b_c = rng.uniform(-0.02, 0.02, (16, 4))
+        b_s = np.hstack([3.0 * b_c[:, :1], rng.uniform(-0.02, 0.02, (16, 2))])
+        merged = merge_subspaces(b_c, b_s)
+        reference = merge_subspaces(householder_qr(b_c)[0], householder_qr(b_s)[0])
+        assert merged.shape == reference.shape == (16, 6)
+        assert np.abs(merged @ merged.T - reference @ reference.T).max() < 1e-12
 
 
 class TestApplyRankLimitedUpdate:
@@ -156,7 +214,6 @@ class TestLearningRateSchedule:
 
 class TestTrunkLoss:
     def make_setup(self, alpha_perc=0.1):
-        from craftlora.denoiser import NoiseSchedule
         from craftlora.pairs import generate_pair_dataset
 
         bb = init_backbone(16, 16, 3, seed=7)
@@ -172,8 +229,7 @@ class TestTrunkLoss:
         bb, schedule, bases, pairs, draws, perc = self.make_setup()
         loss_reg, _ = trunk_loss(bb, bases, pairs, 1e-2, 0.1, schedule, draws, perceptual=perc)
         loss_noreg, _ = trunk_loss(bb, bases, pairs, 0.0, 0.1, schedule, draws, perceptual=perc)
-        frob = sum(float(np.sum(b * b)) for b in bases.content.values())
-        frob += sum(float(np.sum(b * b)) for b in bases.style.values())
+        frob = sum(float(np.sum(b * b)) for b in bases.stacks.values())
         assert abs((loss_reg - loss_noreg) - 1e-2 * frob) < 1e-9
 
     def test_empty_batch_rejected(self):
@@ -201,7 +257,7 @@ class TestTrunkLoss:
             minus = bases.copy()
             minus.side(kind)[name][i, j] -= h
             fd = (value(plus) - value(minus)) / (2 * h)
-            an = grads[kind][name][i, j]
+            an = grads[name][KINDS.index(kind), i, j]
             assert abs(fd - an) <= 1e-4 * max(abs(fd), abs(an), 1e-8)
 
     # batching and summing gradients before the QR chain reorder the
@@ -210,17 +266,22 @@ class TestTrunkLoss:
 
     def assert_batch_is_mean_of_singles(self, bb, schedule, bases, pairs, draws, perc):
         loss, grads = trunk_loss(bb, bases, pairs, 1e-2, 0.1, schedule, draws, perceptual=perc)
+        ts, noise = draws
         singles = [
-            trunk_loss(bb, bases, [p], 1e-2, 0.1, schedule, [d], perceptual=perc)
-            for p, d in zip(pairs, draws)
+            trunk_loss(
+                bb, bases, [p], 1e-2, 0.1, schedule, (ts[:, i:i + 1], noise[:, i:i + 1]),
+                perceptual=perc,
+            )
+            for i, p in enumerate(pairs)
         ]
         # each single value carries the regularizer once, so their mean does
         mean_loss = np.mean([value for value, _ in singles])
         assert abs(loss - mean_loss) <= self.BATCH_RTOL * abs(mean_loss)
-        for kind in ("content", "style"):
-            for name, g in grads[kind].items():
-                mean_g = np.mean([single[kind][name] for _, single in singles], axis=0)
-                assert np.abs(g - mean_g).max() <= self.BATCH_RTOL * np.abs(mean_g).max()
+        for name, g in grads.items():
+            assert g.shape == bases.stacks[name].shape
+            for m in range(len(KINDS)):
+                mean_g = np.mean([single[name][m] for _, single in singles], axis=0)
+                assert np.abs(g[m] - mean_g).max() <= self.BATCH_RTOL * np.abs(mean_g).max()
 
     def test_batch_is_mean_of_single_pairs(self):
         bb, schedule, bases, pairs, draws, perc = self.make_setup()
@@ -235,23 +296,23 @@ class TestTrunkLoss:
         draws = make_trunk_draws(pairs, schedule, make_rng(12, "draws"))
         self.assert_batch_is_mean_of_singles(bb, schedule, bases, pairs, draws, perc)
 
-
-def stacked(bases):
-    """Each layer's content and style bases as one (2, m, r) stack."""
-    return {name: np.stack((b, bases.style[name])) for name, b in bases.content.items()}
+    def test_draws_must_cover_every_pair(self):
+        bb, schedule, bases, pairs, (ts, noise), _ = self.make_setup(alpha_perc=0.0)
+        with pytest.raises(ShapeMismatch):
+            trunk_loss(bb, bases, pairs, 0.0, 0.0, schedule, (ts[:, 1:], noise[:, 1:]))
 
 
 class TestMemberWeights:
     def test_qr_matches_householder(self):
         bb = init_backbone(16, 16, 3, seed=7)
         bases = init_bases(bb, RankSchedule(4, 2, 3), seed=3)
-        stacks = stacked(bases)
+        stacks = bases.stacks
         weights, cache = _member_weights(bb, stacks)
         for name, (b, bk, k) in cache.items():
             assert b is stacks[name]
             assert weights[name].shape == (2,) + bb.shape(name)
             w0 = bb.weight(name)
-            for i, member in enumerate(MEMBERS):
+            for i, member in enumerate(KINDS):
                 assert np.abs(bk[i] - b[i] @ k[i]).max() < 1e-12 * np.abs(bk[i]).max()
                 q_ref, _ = householder_qr(bases.side(member)[name])
                 expected = w0 - q_ref @ (q_ref.T @ w0)
@@ -261,36 +322,37 @@ class TestMemberWeights:
     def test_rank_deficient_basis_raises(self):
         # either member's basis losing rank fails the whole stack
         bb = init_backbone(16, 16, 3, seed=7)
-        for member in MEMBERS:
+        for member in KINDS:
             bases = init_bases(bb, RankSchedule(4, 2, 3), seed=3)
             b = bases.side(member)["layer2"]
             b[:, 1] = 3.0 * b[:, 0]
             with pytest.raises(NumericalError):
-                _member_weights(bb, stacked(bases))
-            bases.side(member)["layer2"] = np.zeros_like(b)
+                _member_weights(bb, bases.stacks)
+            b[...] = 0.0
             with pytest.raises(NumericalError):
-                _member_weights(bb, stacked(bases))
+                _member_weights(bb, bases.stacks)
 
     def test_nearly_dependent_column_raises(self):
         bb = init_backbone(16, 16, 3, seed=7)
-        for member in MEMBERS:
+        for member in KINDS:
             bases = init_bases(bb, RankSchedule(4, 2, 3), seed=3)
             b = bases.side(member)["layer2"]
             noise = np.random.default_rng(8).standard_normal(b.shape[0])
             b[:, 1] = 3.0 * b[:, 0] + 1e-9 * np.linalg.norm(b[:, 0]) * noise
             with pytest.raises(NumericalError):
-                _member_weights(bb, stacked(bases))
+                _member_weights(bb, bases.stacks)
 
     def test_small_but_independent_pivot_is_kept(self):
         bb = init_backbone(16, 16, 3, seed=7)
         bases = init_bases(bb, RankSchedule(4, 2, 3), seed=3)
-        q = random_orthonormal(16, bases.content["layer2"].shape[1], np.random.default_rng(9))
+        b = bases.side("content")["layer2"]
+        q = random_orthonormal(16, b.shape[1], np.random.default_rng(9))
         scales = np.ones(q.shape[1])
         scales[-1] = 1e-3
-        bases.content["layer2"] = q * scales
-        _, r = householder_qr(bases.content["layer2"])
+        b[...] = q * scales
+        _, r = householder_qr(b)
         assert abs(np.diagonal(r).min() - 1e-3) < 1e-12
-        weights, _ = _member_weights(bb, stacked(bases))
+        weights, _ = _member_weights(bb, bases.stacks)
         w0 = bb.weight("layer2")
         assert np.abs(weights["layer2"][0] - (w0 - q @ (q.T @ w0))).max() < 1e-9
 
@@ -315,10 +377,10 @@ class TestBasisGradient:
         weight_grads = {
             name: rng.standard_normal((2,) + bb.shape(name)) for name in bb.names
         }
-        _, cache = _member_weights(bb, stacked(bases))
+        _, cache = _member_weights(bb, bases.stacks)
         grads = _basis_grads_from_weight_grads(bb, cache, weight_grads)
         for name in bb.names:
-            for i, member in enumerate(MEMBERS):
+            for i, member in enumerate(KINDS):
                 expected = self.qr_chain(
                     bb.weight(name), bases.side(member)[name], weight_grads[name][i]
                 )
@@ -370,8 +432,8 @@ class TestTrunkFinetuner:
         plan = RankSchedule(tuner.settings.r_max, tuner.settings.r_min, trained_base.n_layers)
         bases = init_bases(trained_base, plan, seed=4)
         for name in trained_base.names:
-            q_c, _ = householder_qr(bases.content[name])
-            q_s, _ = householder_qr(bases.style[name])
+            q_c, _ = householder_qr(bases.side("content")[name])
+            q_s, _ = householder_qr(bases.side("style")[name])
             merged = merge_subspaces(q_c, q_s)
             expected = trained_base.weight(name) - merged @ (
                 merged.T @ trained_base.weight(name)
@@ -469,7 +531,7 @@ class TestTrunkFinetuner:
             loss, grads = trunk_loss(*args, **kwargs)
             steps.append(loss)
             if len(steps) == 3:
-                grads["style"]["layer4"][0, 0] = np.nan
+                grads["layer4"][1, 0, 0] = np.nan
             return loss, grads
 
         monkeypatch.setattr(craftlora.subspace, "trunk_loss", last_gradient_nan)

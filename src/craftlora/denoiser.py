@@ -10,19 +10,36 @@ embedding, so checkpoints of the named layers fully determine sampling.
 
 import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from .config import DenoiserSettings, ScheduleSettings
-from .exceptions import ConfigInvalid, OutOfRange, ShapeMismatch
+from .exceptions import ConfigInvalid, NumericalError, OutOfRange, ShapeMismatch
 from .optim import Adam
 from .prompts import EMB_DIM
 from .utils import check_loss, check_trained, lr_at, make_rng
 from .validation import as_matrix, check_same_shape
 
 
+class StepCoefficients(NamedTuple):
+    """The scalars of one reverse step at t, with ab = alpha_bar(t), abp =
+    alpha_bar(t - 1) (1.0 at t == 1), bt = beta_t and at = 1 - bt."""
+
+    sqrt_ab: float  # sqrt(ab)
+    sqrt_one_minus_ab: float  # sqrt(1 - ab)
+    x0_coef: float  # sqrt(abp) * bt
+    xt_coef: float  # sqrt(at) * (1 - abp)
+    one_minus_ab: float  # 1 - ab
+    sigma: float  # sqrt((1 - abp) / (1 - ab) * bt)
+
+
 class NoiseSchedule:
-    """Forward-process variances and their cumulative products, 1-based t."""
+    """Forward-process variances and their cumulative products, 1-based t.
+
+    The reverse step's per-timestep scalars are built once, here, and read
+    with ``coefficients(t)``.
+    """
 
     def __init__(self, betas):
         betas = np.asarray(betas, dtype=np.float64)
@@ -35,6 +52,21 @@ class NoiseSchedule:
         self.betas = betas
         self.alphas = 1.0 - betas
         self.alpha_bars = np.cumprod(self.alphas)
+        coefs = []
+        # Python floats: the same IEEE arithmetic as NumPy scalars, faster to read
+        ab_prev = [1.0] + self.alpha_bars[:-1].tolist()
+        for ab, bt, at, abp in zip(
+            self.alpha_bars.tolist(), betas.tolist(), self.alphas.tolist(), ab_prev
+        ):
+            coefs.append(StepCoefficients(
+                math.sqrt(ab),
+                math.sqrt(1.0 - ab),
+                math.sqrt(abp) * bt,
+                math.sqrt(at) * (1.0 - abp),
+                1.0 - ab,
+                math.sqrt((1.0 - abp) / (1.0 - ab) * bt),
+            ))
+        self._coefs = tuple(coefs)
 
     @classmethod
     def linear(
@@ -61,6 +93,10 @@ class NoiseSchedule:
     def alpha_bar(self, t):
         return self.alpha_bars[self._check_t(t) - 1]
 
+    def coefficients(self, t):
+        """The ``StepCoefficients`` of the reverse step at t."""
+        return self._coefs[self._check_t(t) - 1]
+
 
 class Backbone:
     """Ordered, named weight layers forming a valid forward chain."""
@@ -82,6 +118,7 @@ class Backbone:
                 )
         self._names = tuple(name for name, _ in named)
         self._weights = {name: w for name, w in named}
+        self._items = tuple(named)
 
     @property
     def names(self):
@@ -99,7 +136,7 @@ class Backbone:
         return self._weights[name]
 
     def items(self):
-        return [(name, self._weights[name]) for name in self._names]
+        return self._items
 
     def shape(self, name):
         return self._weights[name].shape
@@ -177,6 +214,23 @@ def _step_embedding(t, dim):
     return emb
 
 
+class ProjectedConditioning(NamedTuple):
+    """Conditioning rows already mapped into the hidden width.
+
+    ``forward_pass`` takes it for ``cond`` and adds the rows as they are,
+    so a caller whose conditioning is fixed over many passes projects it
+    once (see ``project_conditioning``).
+    """
+
+    rows: np.ndarray
+
+
+def project_conditioning(cond, hidden_width):
+    """``cond @ conditioning_projection(...)``, what ``forward_pass`` injects."""
+    cond = np.asarray(cond, dtype=np.float64)
+    return ProjectedConditioning(cond @ conditioning_projection(cond.shape[-1], hidden_width))
+
+
 def _injection(t, cond, hidden_width):
     if isinstance(t, int):
         emb = _step_embedding(t, hidden_width)
@@ -184,8 +238,9 @@ def _injection(t, cond, hidden_width):
         emb = sinusoidal_embedding(t, hidden_width)
     if cond is None:
         return emb
-    cond = np.asarray(cond, dtype=np.float64)
-    return cond @ conditioning_projection(cond.shape[-1], hidden_width) + emb
+    if not isinstance(cond, ProjectedConditioning):
+        cond = project_conditioning(cond, hidden_width)
+    return cond.rows + emb
 
 
 # Soft, non-saturating pointwise nonlinearity: smooth everywhere (finite
@@ -195,7 +250,9 @@ _LEAK = 0.2
 
 
 def activation(a):
-    return np.tanh(a) + _LEAK * a
+    h = np.tanh(a)
+    h += _LEAK * a
+    return h
 
 
 def activation_grad(a):
@@ -207,7 +264,7 @@ def _linear(h, w, term):
     out = h @ w
     if term is not None:
         scale, down, up = term
-        rows = len(scale) if np.ndim(scale) else None
+        rows = len(scale) if getattr(scale, "ndim", 0) else None
         out[:rows] += ((h[:rows] @ down) * scale) @ up
     return out
 
@@ -216,7 +273,8 @@ def forward_pass(x, t, cond, backbone, terms=None):
     """Batched forward through the named layers.
 
     ``x`` is (batch, d_in); ``t`` scalar or (batch,); ``cond`` is None (the
-    null embedding) or (batch, emb_dim). ``backbone`` is a ``Backbone`` or
+    null embedding), (batch, emb_dim), or its ``ProjectedConditioning``,
+    with the same result. ``backbone`` is a ``Backbone`` or
     any ordered mapping of layer names to weights. ``terms`` optionally maps
     layer names to unmerged low-rank updates ``(s, B, A)``, where ``s`` is a
     scalar or a (k, 1) column holding one scale per row; such a layer
@@ -295,39 +353,61 @@ def ddpm_step(x_t, t, eps_hat, schedule, rng=None, x0_map=None):
     ``_reverse_noise``). With ``x0_map`` the implied clean estimate goes
     through the map (a clip, a frequency filter, ...) and the posterior
     update uses the mapped estimate, which at t == 1 is the output itself;
-    under the identity map the two branches agree up to rounding. The
-    state, the noise estimate and the clean estimate must be finite, of
-    one (H, W) shape.
+    under the identity map the two branches agree up to rounding. The map
+    receives a fresh array, which it may overwrite and return. The scalars
+    come from ``schedule.coefficients(t)``. The state, the noise estimate,
+    the clean estimate before and after the map and, without a map, the
+    posterior mean must be finite, or ``NumericalError`` names t; the
+    state, the noise estimate and the clean estimate share one (H, W)
+    shape.
     """
-    x_t = _finite(x_t, "x_t")
-    eps_hat = _finite(eps_hat, "eps_hat")
+    c = schedule.coefficients(t)
+    t = int(t)
+    x_t = np.asarray(x_t, dtype=np.float64)
+    eps_hat = np.asarray(eps_hat, dtype=np.float64)
     check_same_shape(x_t, eps_hat, "x_t", "eps_hat")
     if x_t.ndim != 2 or x_t.size == 0:
         raise ShapeMismatch(f"x_t must be one (H, W) image, got shape {x_t.shape}")
-    t = schedule._check_t(t)
-    ab = schedule.alpha_bars[t - 1]
-    bt = schedule.betas[t - 1]
-    at = schedule.alphas[t - 1]
-    abp = schedule.alpha_bars[t - 2] if t > 1 else 1.0
+    # a non-finite x_t or eps_hat makes the mean or the estimate non-finite
+    # too, so one check covers all three; the estimate can also overflow
+    # where both are finite, and a clipping map would hide that
     if x0_map is None:
-        mean = (x_t - bt / math.sqrt(1.0 - ab) * eps_hat) / math.sqrt(at)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = x_t - schedule.betas[t - 1] / c.sqrt_one_minus_ab * eps_hat
+            mean /= math.sqrt(schedule.alphas[t - 1])
+        _check_finite(mean, "the posterior mean", t, x_t, eps_hat)
     else:
-        x0_hat = _finite(x0_map((x_t - math.sqrt(1.0 - ab) * eps_hat) / math.sqrt(ab)), "x0_hat")
+        with np.errstate(over="ignore", invalid="ignore"):
+            x0_hat = x_t - c.sqrt_one_minus_ab * eps_hat
+            x0_hat /= c.sqrt_ab
+        _check_finite(x0_hat, "the clean estimate", t, x_t, eps_hat)
+        x0_hat = np.asarray(x0_map(x0_hat), dtype=np.float64)
+        _check_finite(x0_hat, "the mapped clean estimate", t)
         check_same_shape(x_t, x0_hat, "x_t", "x0_hat")
         if t == 1:
             return x0_hat
-        mean = (math.sqrt(abp) * bt * x0_hat + math.sqrt(at) * (1.0 - abp) * x_t) / (1.0 - ab)
+        mean = c.x0_coef * x0_hat
+        mean += c.xt_coef * x_t
+        mean /= c.one_minus_ab
     if t == 1:
         return mean
-    sigma = math.sqrt((1.0 - abp) / (1.0 - ab) * bt)
-    return mean + sigma * _reverse_noise(rng, x_t.shape)
+    noise = _reverse_noise(rng, x_t.shape)
+    noise *= c.sigma
+    mean += noise
+    return mean
 
 
-def _finite(x, name):
-    arr = np.asarray(x, dtype=np.float64)
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
+def _check_finite(arr, name, t, x_t=None, eps_hat=None):
+    """``NumericalError`` naming t unless ``arr`` is finite; when ``arr`` was
+    computed from ``x_t`` and ``eps_hat``, it names the first of those
+    inputs that is itself non-finite."""
+    if np.isfinite(arr).all():
+        return
+    for given, label in ((x_t, "x_t"), (eps_hat, "eps_hat")):
+        if given is not None and not np.isfinite(given).all():
+            name = label
+            break
+    raise NumericalError(f"{name} at t={t} contains non-finite entries")
 
 
 def _reverse_noise(rng, shape):

@@ -15,7 +15,13 @@ import numpy as np
 
 from .adapters import adapter_terms
 from .config import GuidanceSettings
-from .denoiser import NoiseSchedule, ddpm_step, forward_pass
+from .denoiser import (
+    NoiseSchedule,
+    ProjectedConditioning,
+    ddpm_step,
+    forward_pass,
+    project_conditioning,
+)
 from .exceptions import ConfigInvalid, NumericalError, OutOfRange, ShapeMismatch
 from .prompts import encode_semantic, parse_prompt
 from .utils import make_rng
@@ -51,13 +57,14 @@ class _Plan(NamedTuple):
     """What the guided steps of one call share: built and checked once."""
 
     n_rows: int
-    embeddings: np.ndarray  # (2N, EMB_DIM): the rows' embeddings, then N null ones
-    layers: tuple  # (layer, branch, scale column, B, A); branch 0 content, 1 style
-    peaks: tuple  # the largest gain of each branch, 0.0 without its adapter
+    cond: ProjectedConditioning  # (2N, width): the rows' embeddings, then N null ones
+    steps: dict  # t -> (terms, (eff_c, eff_s, alpha)) of the step at t
+    inputs: np.ndarray  # (2N, pixels): each step's [x; x], rewritten in place
 
 
 def _plan(
-    w_init, content_adapter, style_adapter, gamma_content, gamma_style, e_sem, n_rows, symmetric
+    w_init, content_adapter, style_adapter, gamma_content, gamma_style, e_sem, n_rows, symmetric,
+    settings, total_steps, timesteps,
 ):
     e_rows = np.atleast_2d(np.asarray(e_sem, dtype=np.float64))
     if e_rows.ndim != 2 or e_rows.shape[0] != n_rows:
@@ -76,7 +83,29 @@ def _plan(
         float(np.max(gamma)) if adapter is not None else 0.0
         for adapter, gamma in ((content_adapter, gamma_content), (style_adapter, gamma_style))
     )
-    return _Plan(n_rows, np.concatenate([e_rows, np.zeros_like(e_rows)]), layers, peaks)
+    timesteps = [int(t) for t in timesteps]
+    alphas = [temporal_alpha(t, settings, total_steps) for t in timesteps]
+    # per timestep, alpha times each branch's window indicator
+    gains = np.array([
+        [alpha * ind for ind in gamma_schedule(t, settings.content_window, settings.style_window)]
+        for t, alpha in zip(timesteps, alphas)
+    ])
+    # every timestep's scale columns in one product per layer, split into
+    # one (rows, 1) column per timestep
+    scaled = [list(gains[:, branch, None, None] * scale) for _, branch, scale, _, _ in layers]
+    steps = {}
+    for i, (t, alpha) in enumerate(zip(timesteps, alphas)):
+        step_gains = gains[i].tolist()
+        step_terms = {
+            name: (columns[i], down, up)
+            for (name, branch, _, down, up), columns in zip(layers, scaled)
+            if step_gains[branch] != 0.0
+        }
+        eff_c, eff_s = (gain * peak for gain, peak in zip(step_gains, peaks))
+        steps[t] = (step_terms, (eff_c, eff_s, alpha))
+    width = w_init.shape(w_init.names[0])[1]
+    cond = project_conditioning(np.concatenate([e_rows, np.zeros_like(e_rows)]), width)
+    return _Plan(n_rows, cond, steps, np.empty((2 * n_rows, w_init.input_dim)))
 
 
 def guided_eps_parts(
@@ -106,9 +135,10 @@ def guided_eps_parts(
     zero embedding adds exactly nothing to the injection), except under
     the symmetric ablation, where the same terms act on all 2N rows.
     ``plan`` may carry the checked per-call state that ``_plan`` built for
-    these adapters, gains and embeddings, so a sampler checks its inputs
-    once per batch rather than once per step. A non-finite prediction
-    raises ``NumericalError``.
+    these adapters, gains, embeddings and timesteps: each step's terms and
+    gains, the projected conditioning and the input buffer, so a sampler
+    checks and builds them once per batch rather than once per step. A
+    non-finite prediction raises ``NumericalError``.
 
     The third item is ``(eff_c, eff_s, alpha)`` as floats; with one gain
     per row, an effective gain is the one of the largest row gain.
@@ -116,35 +146,26 @@ def guided_eps_parts(
     x_t = np.asarray(x_t, dtype=np.float64)
     n_rows = x_t.shape[0] if x_t.ndim == 3 else 1
     rows = x_t.reshape(n_rows, -1)
+    t = int(t)
     if plan is None:
         as_image(rows, "x_t")
         plan = _plan(
             w_init, content_adapter, style_adapter, gamma_content, gamma_style, e_sem, n_rows,
-            symmetric,
+            symmetric, settings, total_steps, (t,),
         )
     if rows.shape != (plan.n_rows, w_init.input_dim):
         raise ShapeMismatch(
             f"x_t has {n_rows} rows of {rows.shape[1]} pixels, but the backbone expects "
             f"{plan.n_rows} rows of {w_init.input_dim}"
         )
-    ind_c, ind_s = gamma_schedule(t, settings.content_window, settings.style_window)
-    alpha = temporal_alpha(t, settings, total_steps)
-    steps = (alpha * ind_c, alpha * ind_s)
-    terms = {
-        name: (steps[branch] * scale, down, up)
-        for name, branch, scale, down, up in plan.layers
-        if steps[branch] != 0.0
-    }
-    t = int(t)
-    eps, _ = forward_pass(np.concatenate([rows, rows]), t, plan.embeddings, w_init, terms)
+    terms, gains = plan.steps[t]
+    inputs = plan.inputs
+    inputs[:n_rows] = rows
+    inputs[n_rows:] = rows
+    eps, _ = forward_pass(inputs, t, plan.cond, w_init, terms)
     if not np.isfinite(eps).all():
         raise NumericalError(f"the noise prediction at t={t} is non-finite")
-    eff_c, eff_s = (step * peak for step, peak in zip(steps, plan.peaks))
-    return (
-        eps[:n_rows].reshape(x_t.shape),
-        eps[n_rows:].reshape(x_t.shape),
-        (eff_c, eff_s, alpha),
-    )
+    return eps[:n_rows].reshape(x_t.shape), eps[n_rows:].reshape(x_t.shape), gains
 
 
 def guided_eps(eps_cond, eps_uncond, omega):
@@ -225,9 +246,10 @@ class GuidedSampler:
 
         Returns an (N, side, side) array. Row i starts from, and draws every
         step's noise from, its own ``make_rng(seeds[i], "sample")`` stream,
-        in the order a single image would. The inputs are checked, and the
-        embeddings, scale columns and peak gains built, once per call; each
-        step then makes one forward pass over 2N rows and one reverse step.
+        in the order a single image would. The inputs are checked, and each
+        timestep's terms and gains, the projected conditioning and the input
+        buffer built, once per call; each step then makes one forward pass
+        over 2N rows and one reverse step.
         A row's image equals what ``sample`` returns for that prompt and
         seed up to rounding.
         """
@@ -242,12 +264,13 @@ class GuidedSampler:
             self.content_adapter is not None,
             self.style_adapter is not None,
         )
+        settings = self.settings
+        schedule = self.schedule
         plan = _plan(
             self.backbone, self.content_adapter, self.style_adapter,
             gains[:, 0], gains[:, 1], e_rows, len(seeds), self.symmetric_cfg,
+            settings, schedule.total_steps, range(1, schedule.total_steps + 1),
         )
-        settings = self.settings
-        schedule = self.schedule
         side = int(math.isqrt(self.backbone.input_dim))
         shape = (len(seeds), side, side)
         rngs = [make_rng(seed, "sample") for seed in seeds]
@@ -255,7 +278,13 @@ class GuidedSampler:
         n_evals = 0
         trace = [[] for _ in seeds]
         trajectory = [x.reshape(shape).copy()] if self.record_trajectory else None
-        x0_map = None if self.clip_x0 is None else (lambda x0: np.clip(x0, *self.clip_x0))
+        x0_map = None
+        if self.clip_x0 is not None:
+            lo, hi = self.clip_x0
+
+            def x0_map(x0):
+                # the method keeps np.clip's signed zeros without its dispatch
+                return x0.clip(lo, hi, out=x0)
 
         for t in range(schedule.total_steps, 0, -1):
             eps_cond, eps_uncond, (_, _, alpha) = guided_eps_parts(

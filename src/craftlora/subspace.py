@@ -278,7 +278,7 @@ def member_embeddings(pairs):
     ])
 
 
-def _member_targets(pairs):
+def member_targets(pairs):
     """Both members' target images as flat rows, a (2, len(pairs), pixels) stack."""
     return np.stack([
         np.stack([p.content_image.reshape(-1) for p in pairs]),
@@ -286,10 +286,9 @@ def _member_targets(pairs):
     ])
 
 
-def member_target_features(pairs, perceptual):
-    """Both members' target features, per layer a (2, len(pairs), size) stack,
-    from one ``features`` call over all the target rows."""
-    targets = _member_targets(pairs)
+def member_target_features(targets, perceptual):
+    """Both members' target features, per layer a (2, n, size) stack, from
+    one ``features`` call over all the rows of the ``member_targets`` stack."""
     members, n, pixels = targets.shape
     # the maps come back column-major, so splitting their transposes is a
     # view where a plain reshape would copy every map once more
@@ -299,18 +298,16 @@ def member_target_features(pairs, perceptual):
     ]
 
 
-def _member_block(weights, pairs, ts, noise, embs, feats_ref, schedule, alpha_perc, perceptual):
+def _member_block(weights, targets, ts, noise, embs, feats_ref, schedule, alpha_perc, perceptual):
     """Both members' summed task losses over a row block of pairs, with the
     gradient of each sum w.r.t. the block's output noise estimates.
 
     Everything is stacked by member: ``weights``, ``embs`` and the block's
-    (2, rows) timesteps and (2, rows, pixels) noise as given, the returned
-    (2,) losses, the forward cache and the (2, rows, pixels) gradient.
-    ``feats_ref`` holds the block's target features, or None without the
-    perceptual term.
+    (2, rows, pixels) targets, (2, rows) timesteps and (2, rows, pixels)
+    noise as given, the returned (2,) losses, the forward cache and the
+    (2, rows, pixels) gradient. ``feats_ref`` holds the block's target
+    features, or None without the perceptual term.
     """
-    targets = _member_targets(pairs)
-
     ab = schedule.alpha_bars[ts - 1][..., None]
     root_ab = np.sqrt(ab)
     root_1mab = np.sqrt(1.0 - ab)
@@ -344,6 +341,7 @@ def trunk_loss(
     perceptual=None,
     embeddings=None,
     target_features=None,
+    targets=None,
 ):
     """Trunk objective and its exact gradients w.r.t. every basis entry.
 
@@ -366,10 +364,11 @@ def trunk_loss(
     ``draws`` is the ``(ts, noise)`` of ``make_trunk_draws``, one timestep
     and noise image per member per pair, so the value is a pure function of
     its arguments (finite-difference checkable).
-    ``embeddings`` and ``target_features`` optionally hold the batch's
-    ``member_embeddings`` and ``member_target_features``, which are
-    computed here when omitted; both depend only on the pairs, so a caller
-    that draws many batches from one dataset computes them once.
+    ``embeddings``, ``target_features`` and ``targets`` optionally hold the
+    batch's ``member_embeddings``, ``member_target_features`` and
+    ``member_targets``, which are computed here when omitted; all three
+    depend only on the pairs, so a caller that draws many batches from one
+    dataset computes them once.
     """
     if lambda_reg < 0.0 or alpha_perc < 0.0:
         raise ConfigInvalid("lambda_reg and alpha_perc must be nonnegative")
@@ -382,10 +381,12 @@ def trunk_loss(
 
     if embeddings is None:
         embeddings = member_embeddings(batch)
+    if targets is None:
+        targets = member_targets(batch)
     if perceptual is None or alpha_perc == 0.0:
         target_features = None
     elif target_features is None:
-        target_features = member_target_features(batch, perceptual)
+        target_features = member_target_features(targets, perceptual)
 
     stacks = bases.stacks
     weights, cache = _member_weights(backbone, stacks)
@@ -397,7 +398,7 @@ def trunk_loss(
             None if target_features is None else [f[:, start:stop] for f in target_features]
         )
         block_task, acts, d_eps = _member_block(
-            weights, batch[start:stop], ts[:, start:stop], noise[:, start:stop],
+            weights, targets[:, start:stop], ts[:, start:stop], noise[:, start:stop],
             embeddings[:, start:stop], feats_ref, schedule, alpha_perc, perceptual,
         )
         block_tasks.append(block_task)
@@ -475,8 +476,9 @@ class TrunkFinetuner:
         perceptual = PerceptualProxy(image_size=image_size) if cfg.alpha_perc > 0.0 else None
         rng = make_rng(self.seed, "trunk-train")
         embeddings = member_embeddings(pairs)
+        targets = member_targets(pairs)
         target_features = (
-            None if perceptual is None else member_target_features(pairs, perceptual)
+            None if perceptual is None else member_target_features(targets, perceptual)
         )
         history = []
         for step in range(cfg.steps):
@@ -497,6 +499,7 @@ class TrunkFinetuner:
                 target_features=None if target_features is None else [
                     f[:, idx] for f in target_features
                 ],
+                targets=targets[:, idx],
             )
             check_loss(loss, history, "trunk")
             history.append(loss)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,10 +11,13 @@ from craftlora.denoiser import (
     Backbone,
     DenoiserTrainer,
     NoiseSchedule,
+    ProjectedConditioning,
+    activation,
     backward_pass,
     ddpm_step,
     forward_pass,
     init_backbone,
+    project_conditioning,
 )
 from craftlora.exceptions import ConfigInvalid, NumericalError, OutOfRange, ShapeMismatch
 from craftlora.utils import make_rng
@@ -45,6 +50,24 @@ class TestNoiseSchedule:
             schedule.alpha_bar(0)
         with pytest.raises(OutOfRange):
             schedule.alpha_bar(51)
+
+    def test_step_coefficients_are_the_scalar_formulas(self, schedule):
+        # the reverse step's formulas, one timestep at a time, as scalars
+        for t in range(1, schedule.total_steps + 1):
+            ab = schedule.alpha_bars[t - 1]
+            bt = schedule.betas[t - 1]
+            at = schedule.alphas[t - 1]
+            abp = schedule.alpha_bars[t - 2] if t > 1 else 1.0
+            assert tuple(schedule.coefficients(t)) == (
+                math.sqrt(ab),
+                math.sqrt(1.0 - ab),
+                math.sqrt(abp) * bt,
+                math.sqrt(at) * (1.0 - abp),
+                1.0 - ab,
+                math.sqrt((1.0 - abp) / (1.0 - ab) * bt),
+            )
+        with pytest.raises(OutOfRange):
+            schedule.coefficients(schedule.total_steps + 1)
 
 
 class TestBackbone:
@@ -174,6 +197,30 @@ class TestPredictEps:
             ) / (2 * h)
             an = grads[name][i, j]
             assert abs(fd - an) <= 1e-3 * max(abs(fd), abs(an), 1e-8)
+
+
+class TestActivation:
+    def test_in_place_form_is_bit_identical(self):
+        a = make_rng(31).standard_normal((5, 7)) * 3.0
+        assert activation(a).tobytes() == (np.tanh(a) + 0.2 * a).tobytes()
+
+
+class TestProjectedConditioning:
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_projected_rows_give_the_same_pass(self, small_backbone, stacked):
+        rng = make_rng(32)
+        x = rng.standard_normal((3, 64))
+        cond = rng.standard_normal((3, 16))
+        backbone = small_backbone
+        t = 7
+        if stacked:
+            x, cond, t = np.stack([x, x[::-1]]), np.stack([cond, -cond]), np.full((2, 3), 7)
+            backbone = {name: np.stack([w, 2.0 * w]) for name, w in small_backbone.items()}
+        projected = project_conditioning(cond, 16)
+        assert isinstance(projected, ProjectedConditioning)
+        plain, _ = forward_pass(x, t, cond, backbone)
+        again, _ = forward_pass(x, t, projected, backbone)
+        assert again.tobytes() == plain.tobytes()
 
 
 class TestBackwardTerms:
@@ -324,6 +371,35 @@ class TestDdpmStep:
             return np.tanh(3.0 * x0) - 0.25
 
         assert np.array_equal(ddpm_step(x, 1, eps, schedule, x0_map=squash), squash(estimate))
+
+    @pytest.mark.parametrize("mapped", [False, True])
+    def test_non_finite_inputs_are_numerical_errors_naming_t(self, schedule, mapped):
+        x0_map = (lambda x0: np.clip(x0, 0.0, 1.0)) if mapped else None
+        x = make_rng(16).standard_normal((4, 4))
+        bad = x.copy()
+        bad[1, 2] = np.nan
+        rng = make_rng(17)
+        with pytest.raises(NumericalError, match=r"^x_t at t=9 "):
+            ddpm_step(bad, 9, x, schedule, rng, x0_map=x0_map)
+        with pytest.raises(NumericalError, match=r"^eps_hat at t=9 "):
+            ddpm_step(x, 9, bad, schedule, rng, x0_map=x0_map)
+
+    def test_overflowing_estimate_is_a_numerical_error_before_the_clip(self, schedule):
+        # x_t and the noise estimate are finite, but the clean estimate
+        # divides by sqrt(alpha_bar) < 1 and overflows; a clip would map the
+        # infinities into range, so the step must refuse them first
+        t = schedule.total_steps
+        x = np.zeros((4, 4))
+        eps = np.full((4, 4), -1e308)
+        with np.errstate(all="raise"), pytest.raises(
+            NumericalError, match=rf"^the clean estimate at t={t} "
+        ):
+            ddpm_step(x, t, eps, schedule, make_rng(18), x0_map=lambda x0: np.clip(x0, 0.0, 1.0))
+
+    def test_non_finite_mapped_estimate_is_a_numerical_error(self, schedule):
+        x = make_rng(19).standard_normal((4, 4))
+        with pytest.raises(NumericalError, match=r"^the mapped clean estimate at t=3 "):
+            ddpm_step(x, 3, x, schedule, make_rng(20), x0_map=lambda x0: x0 * np.nan)
 
     def test_golden_trajectory_replays(self, schedule):
         # archived digest of a network-free trajectory (elementwise ops and

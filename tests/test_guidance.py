@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from craftlora.adapters import LoraTrainer, aggregate_weights, default_routing
 from craftlora.config import GuidanceSettings
-from craftlora.denoiser import Backbone, NoiseSchedule, ddpm_step, forward_pass
+from craftlora.denoiser import Backbone, NoiseSchedule, ddpm_step, forward_pass, init_backbone
 from craftlora.exceptions import ConfigInvalid, NumericalError, OutOfRange
 from craftlora.guidance import (
     GuidedSampler,
@@ -414,6 +414,15 @@ class TestGuidedSampler:
         assert out.shape == (16, 16)
         assert sampler.n_network_evals_ == 2
 
+    def test_overflowing_clean_estimate_is_a_numerical_error(self):
+        # the host is finite, but its huge last layer makes the clean
+        # estimate overflow at the first step; the clip would map the
+        # infinities into [0, 1] and hide it
+        host = init_backbone(seed=0)
+        host = host.replace({"layer8": host.weight("layer8") * 1e306})
+        with pytest.raises(NumericalError, match=r"^the clean estimate at t=50 "):
+            GuidedSampler(host, omega=7.5).sample("a cat", seed=0)
+
     def test_window_outside_schedule_rejected(self, trained_base):
         # the default windows (1, 35) and (15, 50) end past a 30-step schedule
         with pytest.raises(ConfigInvalid, match="window must lie inside"):
@@ -464,6 +473,45 @@ class TestSampleBatch:
         assert batch.shape == (len(rows), 16, 16)
         for image, prompt, seed in zip(batch, prompts, seeds):
             assert_close_relative(image, sampler.sample(prompt, seed=seed))
+
+    @pytest.mark.parametrize("clip_x0", [(0.0, 1.0), None])
+    @pytest.mark.parametrize("symmetric", [False, True])
+    @pytest.mark.parametrize("n_rows", [1, 3])
+    def test_matches_a_loop_over_the_public_pieces(
+        self, trained_base, adapters, schedule, n_rows, symmetric, clip_x0
+    ):
+        # the oracle shares nothing across steps: each guided_eps_parts call
+        # checks its inputs and builds its own terms, projection and input
+        # rows, and the clip goes through np.clip on a copy
+        content, style = adapters
+        sampler = GuidedSampler(
+            trained_base,
+            content_adapter=content,
+            style_adapter=style,
+            symmetric_cfg=symmetric,
+            schedule=schedule,
+            clip_x0=clip_x0,
+        )
+        prompts = [marked_prompt(("both", "content", "style")[k], k, 2 * k) for k in range(n_rows)]
+        seeds = [5 + k for k in range(n_rows)]
+        specs = [parse_prompt(p) for p in prompts]
+        e_rows = np.stack([encode_semantic(spec.stripped) for spec in specs])
+        gains = np.array(
+            [(spec.has_content_marker, spec.has_style_marker) for spec in specs], dtype=float
+        )
+        rngs = [make_rng(seed, "sample") for seed in seeds]
+        x = np.stack([rng.standard_normal(trained_base.input_dim) for rng in rngs])
+        x0_map = None if clip_x0 is None else (lambda x0: np.clip(x0, *clip_x0))
+        config = sampler.settings
+        for t in range(schedule.total_steps, 0, -1):
+            eps_cond, eps_uncond, _ = guided_eps_parts(
+                x.reshape(n_rows, 16, 16), t, e_rows, trained_base, content, style,
+                gains[:, 0], gains[:, 1], config, schedule.total_steps, symmetric=symmetric,
+            )
+            eps = guided_eps(eps_cond, eps_uncond, config.omega).reshape(x.shape)
+            x = ddpm_step(x, t, eps, schedule, rngs, x0_map=x0_map)
+        images = sampler.sample_batch(prompts, seeds)
+        assert images.tobytes() == x.reshape(n_rows, 16, 16).tobytes()
 
     @settings(max_examples=10, deadline=None, derandomize=True)
     @given(rows=grid_rows(2), data=st.data())

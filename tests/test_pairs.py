@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from craftlora.denoiser import ddpm_step
-from craftlora.exceptions import ConfigInvalid, CorruptCheckpoint, ModelUntrained
+from craftlora.exceptions import ConfigInvalid, CorruptCheckpoint, ModelUntrained, NumericalError
 from craftlora.frequency import FrequencyMask, freq_mask_filter, style_residual
 from craftlora.pairs import (
     CONTENT_MODIFIERS,
@@ -228,6 +228,14 @@ class TestDiffusionMode:
             s_high = float(np.sum(style_residual(pair.style_image, 0.35) ** 2))
             ratios.append(s_high / max(c_high, 1e-12))
         assert np.median(ratios) >= 2.0
+
+    def test_overflowing_estimate_is_a_numerical_error(self, trained_base, schedule):
+        # a finite host whose noise predictions are near the float64 limit:
+        # the first step's clean estimate cannot be represented
+        host = trained_base.replace({n: trained_base.weight(n) * 1e39 for n in trained_base.names})
+        t = schedule.total_steps
+        with pytest.raises(NumericalError, match=rf"^the clean estimate at t={t} "):
+            generate_pair_dataset(2, 2, mode="diffusion", backbone=host, schedule=schedule)
 
     def test_diffusion_mode_deterministic(self, trained_base, schedule):
         a = generate_pair_dataset(1, 2, mode="diffusion", seed=6, backbone=trained_base, schedule=schedule)

@@ -52,3 +52,24 @@ def test_train_workload_scores_a_tiny_pipeline(tmp_path):
     train.config = config
     train.records = [record]
     assert math.isfinite(train.quality())
+
+
+def test_sample_and_grid_checks_hold_on_a_tiny_host(tmp_path):
+    # the benchmark's per-operation and final output checks on a host
+    # trained in-process, so a sampler change that breaks them fails here
+    workloads = load_perfbench("workloads")
+    host_dir = tmp_path / "host"
+    host_dir.mkdir()
+    workloads.build_host(str(host_dir), tiny=True)
+
+    sample = workloads.SampleWorkload(None, str(tmp_path), 0, tiny=True)
+    sample.host_dir = str(host_dir)
+    sample.setup()
+    assert [sample.run_op(i) for i in range(4)] == [True] * 4
+    assert sample.final_checks() == [True]
+
+    grid = workloads.GridWorkload(None, str(tmp_path), 0, tiny=True)
+    grid.host_dir = str(host_dir)
+    grid.setup()
+    assert grid.run_op(0)
+    assert grid.final_checks() == [True]

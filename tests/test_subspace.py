@@ -21,6 +21,9 @@ from craftlora.subspace import (
     apply_rank_limited_update,
     init_bases,
     make_trunk_draws,
+    member_embeddings,
+    member_target_features,
+    member_targets,
     merge_subspaces,
     _basis_grads_from_weight_grads,
     _member_weights,
@@ -296,6 +299,21 @@ class TestTrunkLoss:
         draws = make_trunk_draws(pairs, schedule, make_rng(12, "draws"))
         self.assert_batch_is_mean_of_singles(bb, schedule, bases, pairs, draws, perc)
 
+    def test_precomputed_pair_inputs_change_nothing(self):
+        # what a fit computes once per dataset and indexes per step
+        bb, schedule, bases, pairs, draws, perc = self.make_setup()
+        loss, grads = trunk_loss(bb, bases, pairs, 1e-2, 0.1, schedule, draws, perceptual=perc)
+        targets = member_targets(pairs)
+        again, grads_again = trunk_loss(
+            bb, bases, pairs, 1e-2, 0.1, schedule, draws, perceptual=perc,
+            embeddings=member_embeddings(pairs),
+            target_features=member_target_features(targets, perc),
+            targets=targets,
+        )
+        assert again == loss
+        for name, g in grads.items():
+            assert grads_again[name].tobytes() == g.tobytes()
+
     def test_draws_must_cover_every_pair(self):
         bb, schedule, bases, pairs, (ts, noise), _ = self.make_setup(alpha_perc=0.0)
         with pytest.raises(ShapeMismatch):
@@ -496,9 +514,18 @@ class TestTrunkFinetuner:
         monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
         monkeypatch.setattr(craftlora.linalg, "qr_backward", counting_qr_backward)
         monkeypatch.setattr(craftlora.subspace, "qr_backward", counting_qr_backward, raising=False)
+        target_stacks = []
+
+        def recording_targets(pairs):
+            target_stacks.append(len(pairs))
+            return member_targets(pairs)
+
         monkeypatch.setattr(PerceptualProxy, "features", recording_features)
+        monkeypatch.setattr(craftlora.subspace, "member_targets", recording_targets)
         pairs = pair_dataset[:6]
         TrunkFinetuner(steps=5, batch_size=3, seed=7).fit(trained_base, pairs)
+        # the targets are stacked once per fit, and each step indexes them
+        assert target_stacks == [len(pairs)]
         # both members' bases factor as one stack: one Cholesky per layer per step
         assert calls == {"qr": 0, "qr_backward": 0, "cholesky": trained_base.n_layers * 5}
         # one pass over both members' targets, then one over each step's predictions

@@ -25,7 +25,6 @@ from .denoiser import (
 from .frequency import FrequencyMask, freq_mask_filter, gaussian_lowpass, style_residual
 from .guidance import (
     GuidedSampler,
-    cfg_sample,
     gamma_schedule,
     guided_eps,
     guided_eps_parts,
@@ -78,7 +77,6 @@ __all__ = [
     "adapter_terms",
     "aggregate_weights",
     "apply_rank_limited_update",
-    "cfg_sample",
     "content_preservation",
     "cross_influence",
     "ddpm_step",

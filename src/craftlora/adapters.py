@@ -3,8 +3,8 @@
 Content adapters own an early subset of layers and style adapters a late
 subset; the two sets never overlap. Each adapter's update on its layer is
 ``gate(e_sem) * B @ A`` where the gate is a learned scalar sigmoid of the
-semantic embedding, so the update stays rank-r. Training confines gradients
-to the adapter's own layer set; everything else receives exactly zero.
+semantic embedding, so the update stays rank-r. Training computes gradients
+for the adapter's own factors and gate only; the host stays frozen.
 """
 
 import math
@@ -21,6 +21,9 @@ from .utils import check_loss, check_trained, lr_at, make_rng
 from .validation import as_image, as_vector
 
 KINDS = ("content", "style")
+
+# Half-width of the uniform draw of a fresh adapter's down factors.
+INIT_SCALE = 0.02
 
 
 @dataclass(frozen=True)
@@ -72,15 +75,13 @@ class LoraAdapter:
         Rows are gated one at a time: a batched matrix-vector product rounds
         a row differently depending on its position in the batch.
         """
-        if e_sem is None:
-            return _sigmoid(self.gate_b)
         e = np.asarray(e_sem, dtype=np.float64)
         if e.ndim == 2:
             return np.array([self.gate(row) for row in e])
         return _sigmoid(float(self.gate_w @ e) + self.gate_b)
 
 
-def make_adapter(kind, backbone, routing, rank, seed=0, init_scale=0.02, host_hash=""):
+def make_adapter(kind, backbone, routing, rank, seed=0, host_hash=""):
     """Fresh adapter: B small uniform, A zero, so the initial update is zero."""
     if kind not in KINDS:
         raise ConfigInvalid(f"adapter kind must be one of {KINDS}, got {kind!r}")
@@ -97,7 +98,7 @@ def make_adapter(kind, backbone, routing, rank, seed=0, init_scale=0.02, host_ha
                 f"rank {rank} exceeds layer {name!r} of shape {(m, n)}"
             )
         factors[name] = (
-            rng.uniform(-init_scale, init_scale, size=(m, rank)),
+            rng.uniform(-INIT_SCALE, INIT_SCALE, size=(m, rank)),
             np.zeros((rank, n)),
         )
     return LoraAdapter(
@@ -120,22 +121,15 @@ def _check_adapter(adapter):
         )
 
 
-def adapter_terms(
-    w_init,
-    content_adapter=None,
-    style_adapter=None,
-    gamma_content=0.0,
-    gamma_style=0.0,
-    e_sem=None,
-):
+def adapter_terms(w_init, content_adapter, style_adapter, gamma_content, gamma_style, e_sem):
     """Scaled adapter updates in unmerged form, ``{layer: (s, B, A)}``.
 
-    ``s`` is ``gamma * gate(e_sem)``, or ``gamma`` alone when ``e_sem`` is
-    None. For one embedding and scalar gains it is a float; for a batch,
-    with ``e_sem`` of shape (n, EMB_DIM) and/or one gain per row, it is an
-    (n, 1) column holding one scale per row. An adapter whose gains are
-    all zero contributes no entry. The terms feed ``forward_pass``, which
-    applies them at two rank-r products per layer without copying the host.
+    ``s`` is ``gamma * gate(e_sem)``; either adapter may be None. For one
+    embedding and scalar gains it is a float; for a batch, with ``e_sem``
+    of shape (n, EMB_DIM) and/or one gain per row, it is an (n, 1) column
+    holding one scale per row. An adapter whose gains are all zero
+    contributes no entry. The terms feed ``forward_pass``, which applies
+    them at two rank-r products per layer without copying the host.
     Checks the gains, each adapter's routing, that no layer is claimed
     twice and that the factors fit the host.
     """
@@ -147,7 +141,7 @@ def adapter_terms(
         if adapter is None or not np.any(gamma != 0.0):
             continue
         _check_adapter(adapter)
-        scale = gamma if e_sem is None else gamma * adapter.gate(e_sem)
+        scale = gamma * adapter.gate(e_sem)
         scale = float(scale) if np.ndim(scale) == 0 else scale.reshape(-1, 1)
         for name, (b, a) in adapter.factors.items():
             if name in terms:
@@ -164,14 +158,7 @@ def adapter_terms(
     return terms
 
 
-def aggregate_weights(
-    w_init,
-    content_adapter=None,
-    style_adapter=None,
-    gamma_content=0.0,
-    gamma_style=0.0,
-    e_sem=None,
-):
+def aggregate_weights(w_init, content_adapter, style_adapter, gamma_content, gamma_style, e_sem):
     """Inject scaled adapter updates into the host backbone.
 
     Returns ``w_init`` with the ``adapter_terms`` of one embedding and
@@ -232,9 +219,10 @@ class LoraTrainer:
     the host's layers.
     fit(backbone, reference, prompt) -> self; the trained adapter lands in
     ``adapter_`` and the loss curve in ``loss_history_``. The prompt must
-    carry the marker matching ``kind``. Parameters outside the kind's layer
-    set receive exactly zero gradient at every step; pass ``on_step`` to
-    observe the full per-step gradient buffers.
+    carry the marker matching ``kind``. Only the adapter's factors and
+    gate train; the host and the layers outside the kind's set get no
+    gradient. Pass ``on_step`` to observe each step's factor gradients,
+    ``{layer: (dB, dA)}`` over the kind's layers.
     """
 
     def __init__(
@@ -271,11 +259,6 @@ class LoraTrainer:
         adapter = make_adapter(
             self.kind, backbone, routing, cfg.rank, seed=self.seed, host_hash=self.host_hash
         )
-        frozen = {}  # what on_step sees outside the adapter's set
-        for name in backbone.names:
-            if name not in adapter.factors:
-                m, n = backbone.shape(name)
-                frozen[name] = (np.zeros((m, cfg.rank)), np.zeros((cfg.rank, n)))
         e_sem = encode_semantic(spec.stripped)
         rng = make_rng(self.seed, "adapter-train", self.kind)
         params = {"gate.w": adapter.gate_w, "gate.b": adapter.gate_b}
@@ -301,7 +284,7 @@ class LoraTrainer:
             check_loss(loss, history, "adapter")
             history.append(loss)
             if self.on_step is not None:
-                self.on_step(step, {**factor_grads, **frozen}, loss)
+                self.on_step(step, factor_grads, loss)
             grads = {"gate.w": g_w, "gate.b": g_b}
             for name, (d_down, d_up) in factor_grads.items():
                 grads[f"{name}.down"] = d_down

@@ -8,11 +8,11 @@ UTF-8, tensors row-major 32-bit little-endian floats):
     tensor count | tensors (name, rows, cols, data) | CRC32 of all prior bytes
 
 Kind codes: 0 backbone, 1 adapter, 3 tensor set; code 2 is retired and
-reads as unknown. No bytes may follow the last tensor, and a tensor holding
-a NaN or an infinity makes the file corrupt. Tensors are widened
-to float64 on load and narrowed with round-to-nearest on save, so a
-save/load round trip is bit-exact at 32-bit precision. The CRC is validated
-before anything is interpreted.
+reads as unknown. No bytes may follow the last tensor, an adapter factor
+must have the header's rank, and a tensor holding a NaN or an infinity
+makes the file corrupt. Tensors are widened to float64 on load and narrowed
+with round-to-nearest on save, so a save/load round trip is bit-exact at
+32-bit precision. The CRC is validated before anything is interpreted.
 """
 
 import hashlib
@@ -220,8 +220,11 @@ def save_adapter(path, adapter):
     _finish(path, buf)
 
 
-def _read_adapter_header(reader):
-    """Kind tag, rank, host hash and routing of an adapter file, each checked."""
+def _read_adapter(reader):
+    """Kind tag, rank, host hash, routing and tensors of an adapter file.
+
+    Each is checked, and every factor must have the header's rank.
+    """
     kind_tag = reader.text()
     if kind_tag not in KINDS:
         raise CorruptCheckpoint(f"{reader.path} has unknown adapter kind {kind_tag!r}")
@@ -232,15 +235,23 @@ def _read_adapter_header(reader):
         routing = LayerRouting(content=sides[0], style=sides[1])
     except RoutingViolation as exc:
         raise CorruptCheckpoint(f"{reader.path} has an invalid routing manifest: {exc}") from exc
-    return kind_tag, rank, host_hash, routing
+    tensors, order = _read_tensors(reader)
+    for name in order:
+        # the rank is the down factor's column count and the up factor's row count
+        axis = {"down": 1, "up": 0}.get(name.rsplit(".", 1)[-1])
+        if axis is not None and tensors[name].shape[axis] != rank:
+            raise CorruptCheckpoint(
+                f"{reader.path} has factor {name!r} of shape {tensors[name].shape}, "
+                f"not of its rank {rank}"
+            )
+    return kind_tag, rank, host_hash, routing, tensors, order
 
 
 def load_adapter(path):
     reader, kind = _open(path)
     if kind != "adapter":
         raise CorruptCheckpoint(f"{path} holds a {kind} checkpoint, expected adapter")
-    kind_tag, rank, host_hash, routing = _read_adapter_header(reader)
-    tensors, _ = _read_tensors(reader)
+    kind_tag, rank, host_hash, routing, tensors, _ = _read_adapter(reader)
     try:
         gate_w = tensors.pop("gate.w").reshape(-1)
         gate_b = float(tensors.pop("gate.b")[0, 0])
@@ -283,11 +294,12 @@ def inspect_checkpoint(path):
     reader, kind = _open(path)
     summary = {"kind": kind, "version": VERSION, "crc_ok": True}
     if kind == "adapter":
-        kind_tag, rank, host_hash, routing = _read_adapter_header(reader)
+        kind_tag, rank, host_hash, routing, tensors, order = _read_adapter(reader)
         summary["adapter_kind"] = kind_tag
         summary["rank"] = rank
         summary["host_hash"] = host_hash
         summary["routing"] = {"content": routing.content, "style": routing.style}
-    tensors, order = _read_tensors(reader)
+    else:
+        tensors, order = _read_tensors(reader)
     summary["tensors"] = [(name, tensors[name].shape) for name in order]
     return summary

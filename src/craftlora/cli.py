@@ -250,7 +250,7 @@ def cmd_sample(config_path, seed, prompt, backbone_path, content_path, style_pat
         record_trace=trace_path is not None,
     )
     image = sampler.sample(prompt, seed=derive_seed(config.seed, "sample"))
-    ckpt.write_atomic(out_path, pgm_bytes(np.clip(image, 0.0, 1.0)))
+    ckpt.write_atomic(out_path, pgm_bytes(image))
     if trace_path is not None:
         ckpt.write_atomic(trace_path, ("\n".join(sampler.trace_) + "\n").encode("utf-8"))
     click.echo(f"wrote {out_path} ({sampler.n_network_evals_} network evals)")

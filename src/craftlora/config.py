@@ -198,15 +198,22 @@ def config_from_dict(doc):
     return RunConfig(**kwargs).validate()
 
 
+def _reject_constant(name):
+    raise ConfigInvalid(f"config values must be finite numbers, got {name}")
+
+
 def load_config(path=None):
-    """Load a config file, falling back to $CRAFTLORA_CONFIG, then defaults."""
+    """Load a config file, falling back to $CRAFTLORA_CONFIG, then defaults.
+
+    The non-standard JSON literals NaN, Infinity and -Infinity are refused.
+    """
     if path is None:
         path = os.environ.get(ENV_CONFIG)
     if path is None:
         return RunConfig().validate()
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
         raise ConfigInvalid(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

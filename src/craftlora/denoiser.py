@@ -345,21 +345,20 @@ def backward_pass(cache, backbone, d_out, terms=None):
 
 
 def ddpm_step(x_t, t, eps_hat, schedule, rng=None, x0_map=None):
-    """One reverse-process sample; at t == 1 the posterior mean, no noise.
+    """One reverse-process sample; at t == 1 the clean estimate, no noise.
 
     The generator is only consumed for t > 1, which keeps trajectory replay
     conventions simple. ``x_t`` may also hold a batch of flattened images
     as its rows, with ``rng`` one generator per row (see
-    ``_reverse_noise``). With ``x0_map`` the implied clean estimate goes
-    through the map (a clip, a frequency filter, ...) and the posterior
-    update uses the mapped estimate, which at t == 1 is the output itself;
-    under the identity map the two branches agree up to rounding. The map
+    ``_reverse_noise``). The step forms the clean estimate implied by the
+    noise estimate, passes it through ``x0_map`` (a clip, a frequency
+    filter, ...; None is the identity) and takes the posterior mean from
+    the mapped estimate, which at t == 1 is the output itself. The map
     receives a fresh array, which it may overwrite and return. The scalars
-    come from ``schedule.coefficients(t)``. The state, the noise estimate,
-    the clean estimate before and after the map and, without a map, the
-    posterior mean must be finite, or ``NumericalError`` names t; the
-    state, the noise estimate and the clean estimate share one (H, W)
-    shape.
+    come from ``schedule.coefficients(t)``. The state, the noise estimate
+    and the clean estimate before and after the map must be finite, or
+    ``NumericalError`` names t; the state, the noise estimate and the
+    clean estimate share one (H, W) shape.
     """
     c = schedule.coefficients(t)
     t = int(t)
@@ -368,29 +367,22 @@ def ddpm_step(x_t, t, eps_hat, schedule, rng=None, x0_map=None):
     check_same_shape(x_t, eps_hat, "x_t", "eps_hat")
     if x_t.ndim != 2 or x_t.size == 0:
         raise ShapeMismatch(f"x_t must be one (H, W) image, got shape {x_t.shape}")
-    # a non-finite x_t or eps_hat makes the mean or the estimate non-finite
-    # too, so one check covers all three; the estimate can also overflow
-    # where both are finite, and a clipping map would hide that
-    if x0_map is None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            mean = x_t - schedule.betas[t - 1] / c.sqrt_one_minus_ab * eps_hat
-            mean /= math.sqrt(schedule.alphas[t - 1])
-        _check_finite(mean, "the posterior mean", t, x_t, eps_hat)
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            x0_hat = x_t - c.sqrt_one_minus_ab * eps_hat
-            x0_hat /= c.sqrt_ab
-        _check_finite(x0_hat, "the clean estimate", t, x_t, eps_hat)
+    # a non-finite x_t or eps_hat makes the estimate non-finite too, so one
+    # check covers all three; the estimate can also overflow where both
+    # are finite, and a clipping map would hide that
+    with np.errstate(over="ignore", invalid="ignore"):
+        x0_hat = x_t - c.sqrt_one_minus_ab * eps_hat
+        x0_hat /= c.sqrt_ab
+    _check_finite(x0_hat, "the clean estimate", t, x_t, eps_hat)
+    if x0_map is not None:
         x0_hat = np.asarray(x0_map(x0_hat), dtype=np.float64)
         _check_finite(x0_hat, "the mapped clean estimate", t)
         check_same_shape(x_t, x0_hat, "x_t", "x0_hat")
-        if t == 1:
-            return x0_hat
-        mean = c.x0_coef * x0_hat
-        mean += c.xt_coef * x_t
-        mean /= c.one_minus_ab
     if t == 1:
-        return mean
+        return x0_hat
+    mean = c.x0_coef * x0_hat
+    mean += c.xt_coef * x_t
+    mean /= c.one_minus_ab
     noise = _reverse_noise(rng, x_t.shape)
     noise *= c.sigma
     mean += noise

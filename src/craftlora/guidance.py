@@ -27,6 +27,9 @@ from .prompts import encode_semantic, parse_prompt
 from .utils import make_rng
 from .validation import as_image
 
+# Every sampling step clamps its clean estimate to this range.
+X0_RANGE = (0.0, 1.0)
+
 
 def gamma_schedule(t, content_window, style_window):
     """Indicator pair: is each adapter's window active at timestep t."""
@@ -193,9 +196,9 @@ class GuidedSampler:
     conditional and one unconditional, whatever the batch size),
     ``trace_`` the per-step diagnostic records of each row and
     ``trajectory_`` the state sequence when recording is enabled;
-    ``sample`` leaves its single row's records and states.
-    ``clip_x0=(lo, hi)`` clamps every step's clean estimate (the ``x0_map``
-    of ``ddpm_step``); None leaves it unclamped.
+    ``sample`` leaves its single row's records and states. Every step
+    clamps its clean estimate to ``X0_RANGE`` (the ``x0_map`` of
+    ``ddpm_step``), so the last step returns images in that range.
     """
 
     def __init__(
@@ -207,7 +210,6 @@ class GuidedSampler:
         gamma_style=None,
         symmetric_cfg=False,
         schedule=None,
-        clip_x0=(0.0, 1.0),
         record_trajectory=False,
         record_trace=False,
         **guidance,
@@ -221,7 +223,6 @@ class GuidedSampler:
         self.schedule = schedule or NoiseSchedule.linear()
         self.settings = GuidanceSettings(**guidance)
         self.settings.validate(self.schedule.total_steps)
-        self.clip_x0 = clip_x0
         self.record_trajectory = record_trajectory
         self.record_trace = record_trace
 
@@ -278,13 +279,10 @@ class GuidedSampler:
         n_evals = 0
         trace = [[] for _ in seeds]
         trajectory = [x.reshape(shape).copy()] if self.record_trajectory else None
-        x0_map = None
-        if self.clip_x0 is not None:
-            lo, hi = self.clip_x0
 
-            def x0_map(x0):
-                # the method keeps np.clip's signed zeros without its dispatch
-                return x0.clip(lo, hi, out=x0)
+        def x0_map(x0):
+            # the method keeps np.clip's signed zeros without its dispatch
+            return x0.clip(*X0_RANGE, out=x0)
 
         for t in range(schedule.total_steps, 0, -1):
             eps_cond, eps_uncond, (_, _, alpha) = guided_eps_parts(
@@ -320,34 +318,3 @@ class GuidedSampler:
         self.trajectory_ = trajectory
         return x.reshape(shape)
 
-
-def cfg_sample(
-    prompt,
-    backbone,
-    omega,
-    schedule=None,
-    seed=0,
-    clip_x0=(0.0, 1.0),
-    trajectory=None,
-):
-    """Standard classifier-free guidance baseline on fixed weights.
-
-    The adapter-free, batch-of-one case of ``GuidedSampler``, so with zero
-    adapters the two trajectories agree bit for bit. Without adapters the
-    windows do nothing; they span the whole schedule only to be valid.
-    """
-    schedule = schedule or NoiseSchedule.linear()
-    whole = (1, schedule.total_steps)
-    sampler = GuidedSampler(
-        backbone,
-        omega=omega,
-        content_window=whole,
-        style_window=whole,
-        schedule=schedule,
-        clip_x0=clip_x0,
-        record_trajectory=trajectory is not None,
-    )
-    image = sampler.sample(prompt, seed)
-    if trajectory is not None:
-        trajectory.extend(sampler.trajectory_)
-    return image

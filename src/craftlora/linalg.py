@@ -22,7 +22,7 @@ GRAM_PIVOT_TOL_FACTOR = 1e-6
 ORTHO_TOL = 1e-6
 
 
-def householder_qr(b, drop_tol_factor=DROP_TOL_FACTOR):
+def householder_qr(b):
     """Reduced QR via Householder reflections with dependent-column dropping.
 
     Returns ``(q, r)`` with ``q`` of shape ``(m, k)`` carrying orthonormal
@@ -41,7 +41,7 @@ def householder_qr(b, drop_tol_factor=DROP_TOL_FACTOR):
     scale = col_norms.max()
     if scale == 0.0:
         raise DegenerateInput("every column of b is zero")
-    tol = drop_tol_factor * scale
+    tol = DROP_TOL_FACTOR * scale
 
     r = b.copy()
     reflectors = []
@@ -106,17 +106,18 @@ def qr_backward(q, r, grad_q):
     return solve_triangular(r, m.T, lower=False).T
 
 
-def check_orthonormal(q, tol=ORTHO_TOL, name="q"):
-    q = as_matrix(q, name)
+def check_orthonormal(q):
+    """``NotOrthonormal`` unless ``q``'s columns are orthonormal within ``ORTHO_TOL``."""
+    q = as_matrix(q, "q")
     if q.shape[1] == 0:
         return q
     dev = np.abs(q.T @ q - np.eye(q.shape[1])).max()
-    if dev > tol:
-        raise NotOrthonormal(f"{name} deviates from orthonormal columns by {dev:.3e}")
+    if dev > ORTHO_TOL:
+        raise NotOrthonormal(f"q deviates from orthonormal columns by {dev:.3e}")
     return q
 
 
-def project_out(w0, q, tol=ORTHO_TOL):
+def project_out(w0, q):
     """Remove the span of ``q`` from ``w0``: returns ``w0 - q q^T w0``.
 
     ``q`` must have orthonormal columns; a zero-column ``q`` leaves ``w0``
@@ -130,5 +131,5 @@ def project_out(w0, q, tol=ORTHO_TOL):
         raise ShapeMismatch(
             f"q has {q.shape[0]} rows but w0 has {w0.shape[0]}"
         )
-    check_orthonormal(q, tol)
+    check_orthonormal(q)
     return w0 - q @ (q.T @ w0)

@@ -21,6 +21,8 @@ from .utils import make_rng
 from .validation import as_image, as_images, check_same_shape
 
 CALIBRATION_DRAWS = 200
+# Width of the feature space.
+N_FEATURES = 128
 
 
 class ImageFeatureExtractor:
@@ -33,8 +35,7 @@ class ImageFeatureExtractor:
     Deterministic given the seed.
     """
 
-    def __init__(self, n_features=128, seed=0):
-        self.n_features = n_features
+    def __init__(self, seed=0):
         self.seed = seed
         self._projections = {}
 
@@ -43,7 +44,7 @@ class ImageFeatureExtractor:
         proj = self._projections.get(key)
         if proj is None:
             rng = make_rng(self.seed, "feature-projection", height, width)
-            proj = rng.standard_normal((height * width, self.n_features))
+            proj = rng.standard_normal((height * width, N_FEATURES))
             proj /= np.sqrt(height * width)
             self._projections[key] = proj
         return proj

@@ -2,6 +2,11 @@
 
 import numpy as np
 
+# Adam's decay rates of the first and second moment and its denominator floor.
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 class Adam:
     """Adam over named arrays held in one flat float64 buffer.
@@ -13,10 +18,7 @@ class Adam:
     buffer in place, so the model sees every update without a rebuild.
     """
 
-    def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    def __init__(self, params):
         arrays = {name: np.asarray(value, dtype=np.float64) for name, value in params.items()}
         size = sum(a.size for a in arrays.values())
         self.flat = np.empty(size)
@@ -46,7 +48,7 @@ class Adam:
         for name, buf in self._grads.items():
             buf[...] = grads[name]
         self._t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = BETA1, BETA2
         bias1 = 1.0 - b1 ** self._t
         bias2 = 1.0 - b2 ** self._t
         g, m, v, tmp = self._grad, self._m, self._v, self._scratch
@@ -59,7 +61,7 @@ class Adam:
         v += tmp
         np.divide(v, bias2, out=tmp)
         np.sqrt(tmp, out=tmp)
-        tmp += self.eps
+        tmp += EPS
         upd = np.divide(m, bias1, out=g)  # the gradient is spent: reuse its buffer
         upd *= lr
         upd /= tmp

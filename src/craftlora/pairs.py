@@ -333,8 +333,8 @@ def load_dataset(in_dir):
     """Read a dataset directory back into ContrastPair records.
 
     A malformed manifest line, an image that does not match its checksum,
-    a pair id listed twice or images of more than one shape make the
-    directory corrupt.
+    a pair id listed twice, images of more than one shape or a manifest
+    without pairs make the directory corrupt.
     """
     manifest = os.path.join(in_dir, MANIFEST_NAME)
     pairs = []
@@ -367,4 +367,6 @@ def load_dataset(in_dir):
                     f"{in_dir} mixes image shapes {sorted(shapes)} at pair {pair.pair_id}"
                 )
             pairs.append(pair)
+    if not pairs:
+        raise CorruptCheckpoint(f"{manifest} lists no pairs")
     return pairs

@@ -77,14 +77,16 @@ class SubspaceBases:
         return SubspaceBases({name: b.copy() for name, b in self.stacks.items()})
 
 
-def init_bases(backbone, schedule, seed=0, init_scale=0.02):
-    """I.i.d. small-uniform bases per layer at the scheduled rank.
+# Half-width of the uniform draw of the initial bases. Only the spanned
+# subspace reaches the projection; the entry scale sets the optimization
+# geometry (the projector's basis gradient carries (B^T B)^-1, so it grows
+# as the scale shrinks), and 0.02 trains well at desk scale.
+BASIS_INIT_SCALE = 0.02
 
-    Only the spanned subspace reaches the projection; the entry scale sets
-    the optimization geometry (the projector's basis gradient carries
-    (B^T B)^-1, so it grows as the scale shrinks), and 0.02 trains well at
-    desk scale.
-    """
+
+def init_bases(backbone, schedule, seed=0):
+    """I.i.d. uniform bases per layer at the scheduled rank, entries within
+    ``BASIS_INIT_SCALE`` of zero."""
     if schedule.n_layers != backbone.n_layers:
         raise ConfigInvalid(
             f"schedule covers {schedule.n_layers} layers, backbone has {backbone.n_layers}"
@@ -98,7 +100,7 @@ def init_bases(backbone, schedule, seed=0, init_scale=0.02):
                 f"rank {r} exceeds the {w.shape[0]} input rows of layer {name!r}"
             )
         bases.stacks[name] = rng.uniform(
-            -init_scale, init_scale, size=(len(KINDS), w.shape[0], r)
+            -BASIS_INIT_SCALE, BASIS_INIT_SCALE, size=(len(KINDS), w.shape[0], r)
         )
     return bases
 
@@ -142,6 +144,12 @@ def apply_rank_limited_update(backbone, q_map):
     return backbone.replace(updates)
 
 
+# Output channels of the perceptual stack's three layers, and their square
+# kernel width.
+PERCEPTUAL_CHANNELS = (4, 4, 4)
+PERCEPTUAL_KERNEL = 3
+
+
 class PerceptualProxy:
     """Frozen random 3-layer convolutional feature stack.
 
@@ -152,15 +160,14 @@ class PerceptualProxy:
     nonzero), so both passes are sparse-times-dense products over rows.
     """
 
-    def __init__(self, image_size=DenoiserSettings.image_size, channels=(4, 4, 4), kernel=3, seed=0):
+    def __init__(self, image_size=DenoiserSettings.image_size, seed=0):
         self.image_size = image_size
-        self.channels = tuple(channels)
-        self.kernel = kernel
         self.seed = seed
-        rng = make_rng(seed, "perceptual-proxy", image_size, kernel, *channels)
+        kernel = PERCEPTUAL_KERNEL
+        rng = make_rng(seed, "perceptual-proxy", image_size, kernel, *PERCEPTUAL_CHANNELS)
         mats = []
         in_ch, in_h, in_w = 1, image_size, image_size
-        for out_ch in self.channels:
+        for out_ch in PERCEPTUAL_CHANNELS:
             out_h, out_w = in_h - kernel + 1, in_w - kernel + 1
             if out_h < 1 or out_w < 1:
                 raise ConfigInvalid("image too small for the perceptual stack")
@@ -347,8 +354,9 @@ def trunk_loss(
 
     For each pair, the clean-image prediction of the projected model is
     compared (L1) to the content-target and to the style-target member,
-    each under its member prompt; an optional perceptual term adds
-    L1-over-features with per-layer element-count normalization. The
+    each under its member prompt; with ``alpha_perc > 0`` a perceptual term
+    adds L1-over-features of the ``perceptual`` proxy, which must then be
+    given, with per-layer element-count normalization. The
     content member's gradient flows only into the content bases and the
     style member's only into the style bases. The basis Frobenius
     regularizer is added once over both sides, so the value is the mean of
@@ -372,6 +380,8 @@ def trunk_loss(
     """
     if lambda_reg < 0.0 or alpha_perc < 0.0:
         raise ConfigInvalid("lambda_reg and alpha_perc must be nonnegative")
+    if alpha_perc > 0.0 and perceptual is None:
+        raise ConfigInvalid("alpha_perc > 0 needs a perceptual proxy")
     if len(batch) == 0:
         raise EmptyBatch("trunk loss needs at least one pair")
     ts, noise = draws
@@ -383,7 +393,7 @@ def trunk_loss(
         embeddings = member_embeddings(batch)
     if targets is None:
         targets = member_targets(batch)
-    if perceptual is None or alpha_perc == 0.0:
+    if alpha_perc == 0.0:
         target_features = None
     elif target_features is None:
         target_features = member_target_features(targets, perceptual)

@@ -16,7 +16,7 @@ from craftlora.cli import main as cli_main
 from craftlora.config import GuidanceSettings
 from craftlora.denoiser import DenoiserTrainer, NoiseSchedule, init_backbone
 from craftlora.frequency import gaussian_lowpass, style_residual
-from craftlora.guidance import GuidedSampler, cfg_sample, guided_eps_parts
+from craftlora.guidance import GuidedSampler, guided_eps_parts
 from craftlora.linalg import householder_qr, project_out
 from craftlora.metrics import ImageFeatureExtractor, cross_influence
 from craftlora.pairs import (
@@ -139,7 +139,7 @@ def test_frequency_partition():
             assert float(np.sum(res * res)) == 0.0
 
 
-def test_acfg_equivalence(trained_base, schedule):
+def test_acfg_equivalence(trained_base, schedule, standard_cfg):
     with criterion("acfg-equivalence", 30):
         prompt = "a filled disc <c> in fine stripe style <s>"
         for seed in range(10):
@@ -147,16 +147,8 @@ def test_acfg_equivalence(trained_base, schedule):
                 trained_base, omega=4.0, schedule=schedule, record_trajectory=True
             )
             image = sampler.sample(prompt, seed=seed)
-            reference_path = []
-            ref = cfg_sample(
-                prompt,
-                trained_base,
-                omega=4.0,
-                schedule=schedule,
-                seed=seed,
-                trajectory=reference_path,
-            )
-            assert image.tobytes() == ref.tobytes()
+            reference_path = standard_cfg(prompt, trained_base, 4.0, schedule, seed)
+            assert image.tobytes() == reference_path[-1].tobytes()
             assert len(sampler.trajectory_) == len(reference_path)
             for a, b in zip(sampler.trajectory_, reference_path):
                 assert a.tobytes() == b.tobytes()
@@ -329,15 +321,12 @@ def test_gradient_checks():
 def test_gradient_masking(trained_base):
     with criterion("gradient-masking", 60):
         routing = default_routing(trained_base.names)
-        for kind, frozen_side in (("style", routing.content), ("content", routing.style)):
-            totals = []
+        host_bytes = [w.tobytes() for _, w in trained_base.items()]
+        for kind in ("style", "content"):
+            seen = []
 
-            def on_step(step, grads, loss, frozen=frozen_side, bucket=totals):
-                leak = 0.0
-                for name in frozen:
-                    gb, ga = grads[name]
-                    leak += float(np.abs(gb).sum()) + float(np.abs(ga).sum())
-                bucket.append(leak)
+            def on_step(step, grads, loss, bucket=seen):
+                bucket.append(set(grads))
 
             reference = style_render(0) if kind == "style" else content_render(0)
             prompt = (
@@ -347,8 +336,10 @@ def test_gradient_masking(trained_base):
                 kind, rank=4, steps=200, routing=routing, seed=55, on_step=on_step
             )
             trainer.fit(trained_base, reference, prompt)
-            assert len(totals) == 200
-            assert all(total == 0.0 for total in totals)
+            # every step computes gradients for the routed layers and no others
+            assert seen == [set(routing.side(kind))] * 200
+            assert set(trainer.adapter_.factors) == set(routing.side(kind))
+            assert [w.tobytes() for _, w in trained_base.items()] == host_bytes
 
 
 def test_directional_disentanglement():

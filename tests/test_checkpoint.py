@@ -214,6 +214,26 @@ class TestAdapterCheckpoint:
             cli_main(["inspect", str(path)])
         assert exited.value.code == 2
 
+    @pytest.mark.parametrize("broken", ["header-rank", "up-factor-rows"])
+    def test_factor_off_the_header_rank_is_corrupt_for_load_and_inspect(self, tmp_path, broken):
+        # save_adapter writes what it is given under a valid CRC, so the
+        # readers must compare each factor with the header's rank
+        adapter = self.make_adapter()
+        if broken == "header-rank":
+            adapter.rank = 5
+        else:
+            down, up = adapter.factors["layer3"]
+            adapter.factors["layer3"] = (down, np.vstack([up, up[:1]]))
+        path = tmp_path / "ad.crft"
+        save_adapter(path, adapter)
+        with pytest.raises(CorruptCheckpoint, match="not of its rank"):
+            load_adapter(path)
+        with pytest.raises(CorruptCheckpoint, match="not of its rank"):
+            inspect_checkpoint(path)
+        with pytest.raises(SystemExit) as exited:
+            cli_main(["inspect", str(path)])
+        assert exited.value.code == 2
+
 
 class TestTensorSet:
     def test_roundtrip_preserves_order(self, tmp_path):
@@ -355,13 +375,12 @@ class TestPgm:
         assert b"3 2" in blob and b"65535" in blob
         assert blob[-2:] == b"\xff\xff"  # 65535 big-endian
 
-    def test_signed_offset_scale_roundtrip(self, tmp_path):
-        signed = make_rng(11).standard_normal((8, 8)) * 0.4
-        off, scale = float(signed.min()), float(np.ptp(signed))
-        path = tmp_path / "res.pgm"
-        path.write_bytes(pgm_bytes(signed, offset=off, scale=scale))
-        back = read_pgm(path)
-        assert np.abs(back - signed).max() <= 0.5 * scale / 65535 + 1e-12
+    def test_header_comments_are_skipped(self, tmp_path):
+        img = make_rng(11).random((3, 5))
+        blob = pgm_bytes(img)
+        path = tmp_path / "img.pgm"
+        path.write_bytes(blob.replace(b"P5\n", b"P5\n# made elsewhere\n", 1))
+        assert np.array_equal(read_pgm(path), np.round(img * 65535) / 65535)
 
     def test_truncated_rejected(self, tmp_path):
         img = np.zeros((4, 4))

@@ -245,6 +245,16 @@ class TestTrainTrunk:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "bad.crft").exists()
 
+    def test_empty_manifest_is_data_error(self, workspace, tmp_path, capsys):
+        root, config_path = workspace
+        pairs = tmp_path / "pairs"
+        shutil.copytree(root / "pairs", pairs)
+        (pairs / "manifest.tsv").write_text("", encoding="utf-8")
+        assert self.run_trunk(config_path, pairs, tmp_path / "empty.crft") == 2
+        err = capsys.readouterr().err
+        assert "data error" in err and "lists no pairs" in err
+        assert not (tmp_path / "empty.crft").exists()
+
     def test_mixed_image_sizes_are_data_error(self, workspace, tmp_path, capsys):
         # the replaced image gets its checksum, so the shape check must catch it
         root, config_path = workspace
@@ -543,6 +553,47 @@ class TestSample:
             "--out", tmp_path / "plain.pgm",
         ]) == 0
         assert read_pgm(tmp_path / "plain.pgm").shape == (16, 16)
+
+    @pytest.mark.parametrize(
+        "section", ['{"omega": NaN}', '{"alpha_max": Infinity}'], ids=["nan", "infinity"]
+    )
+    def test_non_finite_config_constant_is_usage_error(self, workspace, tmp_path, capsys, section):
+        # Python's json accepts these literals; the config loader must not
+        root, _ = workspace
+        conf = tmp_path / "conf.json"
+        conf.write_text('{"guidance": %s}' % section, encoding="utf-8")
+        code = run_cli([
+            "sample", "--config", conf,
+            "--prompt", "a filled disc",
+            "--backbone", root / "trunk.crft",
+            "--out", tmp_path / "never.pgm",
+        ])
+        assert code == 1
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "never.pgm").exists()
+
+    def test_adapter_off_its_rank_is_data_error(self, workspace, tmp_path, capsys):
+        # a CRC-valid adapter whose header rank is not its factors' rank
+        from craftlora.checkpoint import load_adapter, save_adapter
+
+        root, config_path = workspace
+        adapter = load_adapter(root / "style.crft")
+        adapter.rank = 5
+        name = adapter.routing.style[0]
+        down, up = adapter.factors[name]
+        adapter.factors[name] = (down, np.vstack([up, up[:1]]))
+        save_adapter(tmp_path / "style.crft", adapter)
+        capsys.readouterr()
+        code = run_cli([
+            "sample", "--config", config_path,
+            "--prompt", "a filled disc <c> in fine stripe style <s>",
+            "--backbone", root / "trunk.crft",
+            "--style-adapter", tmp_path / "style.crft",
+            "--out", tmp_path / "never.pgm",
+        ])
+        assert code == 2
+        assert "data error" in capsys.readouterr().err
+        assert not (tmp_path / "never.pgm").exists()
 
     def test_non_finite_backbone_is_data_error(self, workspace, tmp_path, capsys):
         root, config_path = workspace

@@ -159,11 +159,9 @@ class TestPredictEps:
     def test_zero_adapters_do_not_change_output(self, small_backbone, one_row_eps):
         routing = default_routing(small_backbone.names)
         adapter = make_adapter("content", small_backbone, routing, rank=2, seed=0)
-        merged = aggregate_weights(
-            small_backbone, content_adapter=adapter, gamma_content=1.0
-        )
         x = make_rng(3).standard_normal((8, 8))
         emb = make_rng(4).standard_normal(64)
+        merged = aggregate_weights(small_backbone, adapter, None, 1.0, 0.0, emb)
         assert (
             np.abs(
                 one_row_eps(x, 2, emb, merged) - one_row_eps(x, 2, emb, small_backbone)
@@ -353,12 +351,24 @@ class TestDdpmStep:
             ddpm_step(x, 2, x, schedule)
 
     def test_clipped_branch_matches_plain_when_inside_range(self, schedule):
+        # oracle: the posterior mean written with the noise estimate,
+        # (x_t - beta_t / sqrt(1 - ab_t) * eps) / sqrt(alpha_t), plus sigma_t
+        # times the step's noise; the step goes through the clean estimate,
+        # unmapped or through a clip whose range it never reaches
         rng = make_rng(11)
-        x = 0.3 * rng.standard_normal((8, 8))
-        eps = 0.1 * rng.standard_normal((8, 8))
-        plain = ddpm_step(x, 1, eps, schedule)
-        clipped = ddpm_step(x, 1, eps, schedule, x0_map=lambda x0: np.clip(x0, -100.0, 100.0))
-        assert np.abs(plain - clipped).max() < 1e-9
+        for t in (1, 2, 10, 25, 50):
+            x = 0.3 * rng.standard_normal((8, 8))
+            eps = 0.1 * rng.standard_normal((8, 8))
+            beta = schedule.betas[t - 1]
+            ab = schedule.alpha_bar(t)
+            plain = (x - beta / np.sqrt(1.0 - ab) * eps) / np.sqrt(1.0 - beta)
+            if t > 1:
+                ab_prev = schedule.alpha_bar(t - 1)
+                sigma = np.sqrt((1.0 - ab_prev) / (1.0 - ab) * beta)
+                plain = plain + sigma * make_rng(t, "noise").standard_normal((8, 8))
+            for x0_map in (None, lambda x0: np.clip(x0, -100.0, 100.0)):
+                out = ddpm_step(x, t, eps, schedule, make_rng(t, "noise"), x0_map=x0_map)
+                assert np.abs(out - plain).max() <= 1e-12 * np.abs(plain).max()
 
     def test_final_step_returns_mapped_estimate(self, schedule):
         rng = make_rng(15)

@@ -9,7 +9,6 @@ from craftlora.denoiser import Backbone, NoiseSchedule, ddpm_step, forward_pass,
 from craftlora.exceptions import ConfigInvalid, NumericalError, OutOfRange
 from craftlora.guidance import (
     GuidedSampler,
-    cfg_sample,
     gamma_schedule,
     guided_eps,
     guided_eps_parts,
@@ -29,9 +28,9 @@ def assert_close_relative(got, ref, rtol=1e-12):
 def merged_reference_sample(backbone, content, style, prompt, seed, schedule, symmetric, eps_of):
     """The sampler loop with the adapters merged into the host every step.
 
-    Mirrors ``GuidedSampler.sample`` at its default guidance settings with
-    clipping off, so no clip boundary can amplify rounding differences.
-    ``eps_of`` is the single-image forward (the ``one_row_eps`` fixture).
+    Mirrors ``GuidedSampler.sample`` at its default guidance settings,
+    clean estimates clipped to [0, 1] like the sampler's. ``eps_of`` is the
+    single-image forward (the ``one_row_eps`` fixture).
     """
     config = GuidanceSettings()
     e_sem = encode_semantic(parse_prompt(prompt).stripped)
@@ -43,7 +42,10 @@ def merged_reference_sample(backbone, content, style, prompt, seed, schedule, sy
         merged = aggregate_weights(backbone, content, style, alpha * ind_c, alpha * ind_s, e_sem)
         eps_cond = eps_of(x, t, e_sem, merged)
         eps_uncond = eps_of(x, t, np.zeros(EMB_DIM), merged if symmetric else backbone)
-        x = ddpm_step(x, t, guided_eps(eps_cond, eps_uncond, config.omega), schedule, rng)
+        x = ddpm_step(
+            x, t, guided_eps(eps_cond, eps_uncond, config.omega), schedule, rng,
+            x0_map=lambda x0: np.clip(x0, 0.0, 1.0),
+        )
     return x
 
 
@@ -224,28 +226,20 @@ class TestGuidedParts:
 
 
 class TestGuidedSampler:
-    def test_matches_plain_cfg_with_no_adapters(self, trained_base, schedule):
+    def test_matches_plain_cfg_with_no_adapters(self, trained_base, schedule, standard_cfg):
         prompt = "a filled disc <c> in fine stripe style <s>"
         for seed in (0, 1, 2):
             sampler = GuidedSampler(
                 trained_base, omega=3.0, schedule=schedule, record_trajectory=True
             )
             image = sampler.sample(prompt, seed=seed)
-            trajectory = []
-            ref = cfg_sample(
-                prompt,
-                trained_base,
-                omega=3.0,
-                schedule=schedule,
-                seed=seed,
-                trajectory=trajectory,
-            )
-            assert np.array_equal(image, ref)
+            trajectory = standard_cfg(prompt, trained_base, 3.0, schedule, seed)
+            assert image.tobytes() == trajectory[-1].tobytes()
             assert len(sampler.trajectory_) == len(trajectory)
             for a, b in zip(sampler.trajectory_, trajectory):
-                assert np.array_equal(a, b)
+                assert a.tobytes() == b.tobytes()
 
-    def test_zero_factor_adapters_match_plain_cfg(self, trained_base, schedule):
+    def test_zero_factor_adapters_match_plain_cfg(self, trained_base, schedule, standard_cfg):
         # adapters whose A factors are still zero contribute nothing: the
         # whole trajectory agrees with standard CFG on the host
         from craftlora.adapters import make_adapter
@@ -263,16 +257,14 @@ class TestGuidedSampler:
             record_trajectory=True,
         )
         image = sampler.sample(prompt, seed=12)
-        trajectory = []
-        ref = cfg_sample(
-            prompt, trained_base, omega=2.0, schedule=schedule, seed=12, trajectory=trajectory
-        )
-        assert np.abs(image - ref).max() < 1e-12
+        trajectory = standard_cfg(prompt, trained_base, 2.0, schedule, 12)
+        assert np.abs(image - trajectory[-1]).max() < 1e-12
+        assert len(sampler.trajectory_) == len(trajectory)
         for a, b in zip(sampler.trajectory_, trajectory):
             assert np.abs(a - b).max() < 1e-12
 
     @pytest.mark.parametrize("symmetric", [False, True], ids=["asymmetric", "symmetric"])
-    def test_matches_merged_reference_without_clipping(
+    def test_matches_merged_reference(
         self, trained_base, adapters, schedule, one_row_eps, symmetric
     ):
         content, style = adapters
@@ -282,7 +274,6 @@ class TestGuidedSampler:
             style_adapter=style,
             symmetric_cfg=symmetric,
             schedule=schedule,
-            clip_x0=None,
         ).sample(BOTH_MARKERS, seed=13)
         ref = merged_reference_sample(
             trained_base, content, style, BOTH_MARKERS, 13, schedule, symmetric, one_row_eps
@@ -318,7 +309,9 @@ class TestGuidedSampler:
         sampler.sample(BOTH_MARKERS, seed=14)
         assert calls == {"aggregate_weights": 0, "Backbone": 0}
         # the counters do see a merge
-        adapters_module.aggregate_weights(trained_base, content, style, 1.0, 1.0)
+        adapters_module.aggregate_weights(
+            trained_base, content, style, 1.0, 1.0, encode_semantic("a filled disc")
+        )
         assert calls == {"aggregate_weights": 1, "Backbone": 1}
 
     def test_two_evaluations_per_step(self, trained_base, adapters, schedule):
@@ -474,11 +467,10 @@ class TestSampleBatch:
         for image, prompt, seed in zip(batch, prompts, seeds):
             assert_close_relative(image, sampler.sample(prompt, seed=seed))
 
-    @pytest.mark.parametrize("clip_x0", [(0.0, 1.0), None])
     @pytest.mark.parametrize("symmetric", [False, True])
     @pytest.mark.parametrize("n_rows", [1, 3])
     def test_matches_a_loop_over_the_public_pieces(
-        self, trained_base, adapters, schedule, n_rows, symmetric, clip_x0
+        self, trained_base, adapters, schedule, n_rows, symmetric
     ):
         # the oracle shares nothing across steps: each guided_eps_parts call
         # checks its inputs and builds its own terms, projection and input
@@ -490,7 +482,6 @@ class TestSampleBatch:
             style_adapter=style,
             symmetric_cfg=symmetric,
             schedule=schedule,
-            clip_x0=clip_x0,
         )
         prompts = [marked_prompt(("both", "content", "style")[k], k, 2 * k) for k in range(n_rows)]
         seeds = [5 + k for k in range(n_rows)]
@@ -501,7 +492,6 @@ class TestSampleBatch:
         )
         rngs = [make_rng(seed, "sample") for seed in seeds]
         x = np.stack([rng.standard_normal(trained_base.input_dim) for rng in rngs])
-        x0_map = None if clip_x0 is None else (lambda x0: np.clip(x0, *clip_x0))
         config = sampler.settings
         for t in range(schedule.total_steps, 0, -1):
             eps_cond, eps_uncond, _ = guided_eps_parts(
@@ -509,7 +499,7 @@ class TestSampleBatch:
                 gains[:, 0], gains[:, 1], config, schedule.total_steps, symmetric=symmetric,
             )
             eps = guided_eps(eps_cond, eps_uncond, config.omega).reshape(x.shape)
-            x = ddpm_step(x, t, eps, schedule, rngs, x0_map=x0_map)
+            x = ddpm_step(x, t, eps, schedule, rngs, x0_map=lambda x0: np.clip(x0, 0.0, 1.0))
         images = sampler.sample_batch(prompts, seeds)
         assert images.tobytes() == x.reshape(n_rows, 16, 16).tobytes()
 

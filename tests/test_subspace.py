@@ -13,6 +13,7 @@ from craftlora.exceptions import (
 )
 from craftlora.linalg import householder_qr, qr_backward
 from craftlora.subspace import (
+    BASIS_INIT_SCALE,
     BLOCK_ROWS,
     PerceptualProxy,
     RankSchedule,
@@ -85,12 +86,12 @@ class TestSubspaceBases:
     def test_init_draws_the_two_per_side_draws(self):
         # one (2, m, r) draw per layer is the content draw, then the style one
         bb = init_backbone(16, 16, 3, seed=7)
-        bases = init_bases(bb, RankSchedule(4, 2, 3), seed=3, init_scale=0.05)
+        bases = init_bases(bb, RankSchedule(4, 2, 3), seed=3)
         rng = make_rng(3, "bases-init")
         for idx, name in enumerate(bb.names, start=1):
             shape = (bb.shape(name)[0], RankSchedule(4, 2, 3).rank_at(idx))
             for kind in KINDS:
-                expected = rng.uniform(-0.05, 0.05, size=shape)
+                expected = rng.uniform(-BASIS_INIT_SCALE, BASIS_INIT_SCALE, size=shape)
                 assert np.array_equal(bases.side(kind)[name], expected)
 
     def test_side_views_write_through(self):
@@ -239,6 +240,14 @@ class TestTrunkLoss:
         bb, schedule, bases, _, _, _ = self.make_setup()
         with pytest.raises(EmptyBatch):
             trunk_loss(bb, bases, [], 0.0, 0.0, schedule, [])
+
+    def test_perceptual_weight_without_a_proxy_rejected(self):
+        # the perceptual term must not drop out silently
+        bb, schedule, bases, pairs, draws, _ = self.make_setup()
+        with pytest.raises(ConfigInvalid, match="needs a perceptual proxy"):
+            trunk_loss(bb, bases, pairs, 1e-4, 0.1, schedule, draws)
+        loss, _ = trunk_loss(bb, bases, pairs, 1e-4, 0.0, schedule, draws)
+        assert np.isfinite(loss)
 
     def test_gradients_match_finite_differences(self):
         bb, schedule, bases, pairs, draws, perc = self.make_setup()

@@ -28,6 +28,7 @@ from .guidance import (
     gamma_schedule,
     guided_eps,
     guided_eps_parts,
+    plan_guidance,
     temporal_alpha,
 )
 from .linalg import householder_qr, project_out, qr_backward
@@ -95,6 +96,7 @@ __all__ = [
     "make_adapter",
     "merge_subspaces",
     "parse_prompt",
+    "plan_guidance",
     "project_out",
     "qr_backward",
     "save_dataset",

@@ -69,16 +69,13 @@ class LoraAdapter:
     routing: LayerRouting
     host_hash: str = ""
 
-    def gate(self, e_sem):
-        """The gate of one embedding, or one gate per row of an (n, EMB_DIM) batch.
+    def gate(self, e_rows):
+        """One gate per row of an (n, EMB_DIM) batch of embeddings.
 
         Rows are gated one at a time: a batched matrix-vector product rounds
         a row differently depending on its position in the batch.
         """
-        e = np.asarray(e_sem, dtype=np.float64)
-        if e.ndim == 2:
-            return np.array([self.gate(row) for row in e])
-        return _sigmoid(float(self.gate_w @ e) + self.gate_b)
+        return np.array([_sigmoid(float(self.gate_w @ e) + self.gate_b) for e in e_rows])
 
 
 def make_adapter(kind, backbone, routing, rank, seed=0, host_hash=""):
@@ -121,15 +118,14 @@ def _check_adapter(adapter):
         )
 
 
-def adapter_terms(w_init, content_adapter, style_adapter, gamma_content, gamma_style, e_sem):
+def adapter_terms(w_init, content_adapter, style_adapter, gamma_content, gamma_style, e_rows):
     """Scaled adapter updates in unmerged form, ``{layer: (s, B, A)}``.
 
-    ``s`` is ``gamma * gate(e_sem)``; either adapter may be None. For one
-    embedding and scalar gains it is a float; for a batch, with ``e_sem``
-    of shape (n, EMB_DIM) and/or one gain per row, it is an (n, 1) column
-    holding one scale per row. An adapter whose gains are all zero
-    contributes no entry. The terms feed ``forward_pass``, which applies
-    them at two rank-r products per layer without copying the host.
+    ``s`` is ``gamma * gate(e_rows)``, an (n, 1) column holding one scale
+    per row of the (n, EMB_DIM) embeddings ``e_rows``; a gain is one per
+    row or one for all. Either adapter may be None. An adapter whose gains
+    are all zero contributes no entry. The terms feed ``forward_pass``,
+    which applies them at two rank-r products per layer without copying the host.
     Checks the gains, each adapter's routing, that no layer is claimed
     twice and that the factors fit the host.
     """
@@ -141,8 +137,7 @@ def adapter_terms(w_init, content_adapter, style_adapter, gamma_content, gamma_s
         if adapter is None or not np.any(gamma != 0.0):
             continue
         _check_adapter(adapter)
-        scale = gamma * adapter.gate(e_sem)
-        scale = float(scale) if np.ndim(scale) == 0 else scale.reshape(-1, 1)
+        scale = (gamma * adapter.gate(e_rows)).reshape(-1, 1)
         for name, (b, a) in adapter.factors.items():
             if name in terms:
                 raise RoutingViolation(f"layer {name!r} claimed by both adapters")
@@ -158,15 +153,17 @@ def adapter_terms(w_init, content_adapter, style_adapter, gamma_content, gamma_s
     return terms
 
 
-def aggregate_weights(w_init, content_adapter, style_adapter, gamma_content, gamma_style, e_sem):
+def aggregate_weights(w_init, content_adapter, style_adapter, gamma_content, gamma_style, e_row):
     """Inject scaled adapter updates into the host backbone.
 
-    Returns ``w_init`` with the ``adapter_terms`` of one embedding and
-    scalar gains merged in, ``W + (s * B) @ A`` on each adapter's own
-    layers; layers outside both sets are untouched, and a zero gamma
-    contributes nothing (bit-exactly).
+    Returns ``w_init`` with the ``adapter_terms`` of one (1, EMB_DIM)
+    embedding row and scalar gains merged in, ``W + (s * B) @ A`` on each
+    adapter's own layers; layers outside both sets are untouched, and a
+    zero gamma contributes nothing (bit-exactly).
     """
-    terms = adapter_terms(w_init, content_adapter, style_adapter, gamma_content, gamma_style, e_sem)
+    if np.shape(e_row) != (1, EMB_DIM):
+        raise ShapeMismatch(f"e_row must be one (1, {EMB_DIM}) row, got {np.shape(e_row)}")
+    terms = adapter_terms(w_init, content_adapter, style_adapter, gamma_content, gamma_style, e_row)
     if not terms:
         return w_init
     return w_init.replace(
@@ -177,18 +174,18 @@ def aggregate_weights(w_init, content_adapter, style_adapter, gamma_content, gam
 def adapter_loss(w_init, adapter, reference, e_sem, schedule, draw):
     """Epsilon-matching objective of the adapted model on one reference.
 
-    ``draw`` is a (t, noise) pair, or a (ts, noises) pair whose leading
-    axis holds one draw per row, so the value is a pure function of its
-    arguments; the draws run as the rows of one forward and backward pass,
-    and a batch's loss and gradients are the means of its draws'. The
-    adapter enters through ``adapter_terms``, the sampler's unmerged form,
-    with its gate as the terms' scale. Returns the loss, the factor
-    gradients ``{layer: (dB, dA)}`` of the adapter's own layers (every
-    other parameter is frozen) and the gate gradients.
+    ``draw`` is a (ts, noises) pair whose leading axis holds one draw per
+    row, so the value is a pure function of its arguments; the draws run
+    as the rows of one forward and backward pass, and the loss and
+    gradients are the means of the draws'. The adapter enters through
+    ``adapter_terms``, the sampler's unmerged form, with its gate as the
+    terms' scale. Returns the loss, the factor gradients ``{layer: (dB,
+    dA)}`` of the adapter's own layers (every other parameter is frozen)
+    and the gate gradients.
     """
     reference = as_image(reference, "reference")
     e_sem = as_vector(e_sem, EMB_DIM, "e_sem")
-    ts = np.atleast_1d(np.asarray(draw[0], dtype=np.int64))
+    ts = np.asarray(draw[0], dtype=np.int64)
     noise = np.asarray(draw[1], dtype=np.float64)
     rows = ts.size
     if ts.ndim != 1 or noise.size != rows * reference.size:
@@ -198,16 +195,17 @@ def adapter_loss(w_init, adapter, reference, e_sem, schedule, draw):
     noise = noise.reshape(rows, -1)
     ab = np.array([schedule.alpha_bar(t) for t in ts])[:, None]
     z_t = np.sqrt(ab) * reference.reshape(1, -1) + np.sqrt(1.0 - ab) * noise
+    e_rows = np.repeat(e_sem[None, :], rows, axis=0)
     pair = (adapter, None) if adapter.kind == "content" else (None, adapter)
-    terms = adapter_terms(w_init, *pair, 1.0, 1.0, e_sem)
-    pred, cache = forward_pass(z_t, ts, np.repeat(e_sem[None, :], rows, axis=0), w_init, terms)
+    terms = adapter_terms(w_init, *pair, 1.0, 1.0, e_rows)
+    pred, cache = forward_pass(z_t, ts, e_rows, w_init, terms)
     resid = pred - noise
     loss = float(np.mean(resid * resid))
     term_grads = backward_pass(cache, w_init, 2.0 * resid / resid.size, terms)
 
     factor_grads = {name: (d_down, d_up) for name, (d_down, d_up, _) in term_grads.items()}
-    gate = adapter.gate(e_sem)
-    d_gate_in = sum(ds for _, _, ds in term_grads.values()) * gate * (1.0 - gate)
+    gate = float(adapter.gate(e_sem[None, :])[0])
+    d_gate_in = sum(float(ds.sum()) for _, _, ds in term_grads.values()) * gate * (1.0 - gate)
     return loss, factor_grads, (d_gate_in * e_sem, d_gate_in)
 
 

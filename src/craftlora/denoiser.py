@@ -236,8 +236,6 @@ def _injection(t, cond, hidden_width):
         emb = _step_embedding(t, hidden_width)
     else:
         emb = sinusoidal_embedding(t, hidden_width)
-    if cond is None:
-        return emb
     if not isinstance(cond, ProjectedConditioning):
         cond = project_conditioning(cond, hidden_width)
     return cond.rows + emb
@@ -264,7 +262,7 @@ def _linear(h, w, term):
     out = h @ w
     if term is not None:
         scale, down, up = term
-        rows = len(scale) if getattr(scale, "ndim", 0) else None
+        rows = len(scale)
         out[:rows] += ((h[:rows] @ down) * scale) @ up
     return out
 
@@ -272,16 +270,16 @@ def _linear(h, w, term):
 def forward_pass(x, t, cond, backbone, terms=None):
     """Batched forward through the named layers.
 
-    ``x`` is (batch, d_in); ``t`` scalar or (batch,); ``cond`` is None (the
-    null embedding), (batch, emb_dim), or its ``ProjectedConditioning``,
-    with the same result. ``backbone`` is a ``Backbone`` or
-    any ordered mapping of layer names to weights. ``terms`` optionally maps
-    layer names to unmerged low-rank updates ``(s, B, A)``, where ``s`` is a
-    scalar or a (k, 1) column holding one scale per row; such a layer
-    computes ``h @ W + ((h @ B) * s) @ A``, which for each row equals
-    ``h @ (W + s B @ A)`` up to rounding. A column shorter than the batch
-    applies its term to the first k rows only; the later rows get the bare
-    ``h @ W``. ``backward_pass`` takes only full-batch columns.
+    ``x`` is (batch, d_in); ``t`` scalar or (batch,); ``cond`` is (batch,
+    emb_dim), a zero row being the null embedding, or its
+    ``ProjectedConditioning``, with the same result. ``backbone`` is a
+    ``Backbone`` or any ordered mapping of layer names to weights.
+    ``terms`` optionally maps layer names to unmerged low-rank updates
+    ``(s, B, A)``, where ``s`` is a (k, 1) column holding one scale per row;
+    such a layer computes ``h @ W + ((h @ B) * s) @ A``, which for each row
+    equals ``h @ (W + s B @ A)`` up to rounding. A column shorter than the
+    batch applies its term to the first k rows only; the later rows get
+    the bare ``h @ W``. ``backward_pass`` takes only full-batch columns.
 
     Without terms the weights may carry a leading stack axis, (k, d_in,
     d_out), with ``x`` (k, batch, d_in), ``t`` (k, batch) and ``cond``
@@ -312,8 +310,8 @@ def backward_pass(cache, backbone, d_out, terms=None):
     weight when the call was stacked. With terms the host is frozen: the
     input gradient of a term layer chains through ``W + s B @ A`` and the
     result maps each term's layer to ``(dB, dA, ds)``, computed in factored
-    form without forming a dense update; ``ds`` has the shape of ``s`` (a
-    float, or an (n, 1) column of per-row sums).
+    form without forming a dense update; ``ds`` is the (n, 1) column of
+    per-row sums, shaped like ``s``.
     """
     terms = terms or {}
     layers = list(backbone.items())
@@ -329,11 +327,7 @@ def backward_pass(cache, backbone, d_out, terms=None):
             hb = h @ down
             gu = g @ up.T
             ds = np.sum(hb * gu, axis=1, keepdims=True)
-            grads[name] = (
-                h.T @ (gu * scale),
-                (hb * scale).T @ g,
-                float(ds.sum()) if np.ndim(scale) == 0 else ds,
-            )
+            grads[name] = (h.T @ (gu * scale), (hb * scale).T @ g, ds)
         elif not terms:
             grads[name] = h.swapaxes(-1, -2) @ g
         if k:
@@ -347,18 +341,16 @@ def backward_pass(cache, backbone, d_out, terms=None):
 def ddpm_step(x_t, t, eps_hat, schedule, rng=None, x0_map=None):
     """One reverse-process sample; at t == 1 the clean estimate, no noise.
 
-    The generator is only consumed for t > 1, which keeps trajectory replay
-    conventions simple. ``x_t`` may also hold a batch of flattened images
-    as its rows, with ``rng`` one generator per row (see
-    ``_reverse_noise``). The step forms the clean estimate implied by the
-    noise estimate, passes it through ``x0_map`` (a clip, a frequency
-    filter, ...; None is the identity) and takes the posterior mean from
-    the mapped estimate, which at t == 1 is the output itself. The map
-    receives a fresh array, which it may overwrite and return. The scalars
-    come from ``schedule.coefficients(t)``. The state, the noise estimate
-    and the clean estimate before and after the map must be finite, or
-    ``NumericalError`` names t; the state, the noise estimate and the
-    clean estimate share one (H, W) shape.
+    ``x_t`` holds flattened images as its rows and ``rng`` one generator per
+    row, consumed only for t > 1 (see ``_reverse_noise``). The step forms
+    the clean estimate implied by the noise estimate, passes it through
+    ``x0_map`` (a clip, a frequency filter, ...; None is the identity) and
+    takes the posterior mean from the mapped estimate, which at t == 1 is
+    the output itself. The map receives a fresh array, which it may
+    overwrite and return. The scalars come from ``schedule.coefficients(t)``.
+    The state, the noise estimate and the clean estimate, all (rows,
+    pixels), must be finite before and after the map, or ``NumericalError``
+    names t.
     """
     c = schedule.coefficients(t)
     t = int(t)
@@ -366,7 +358,7 @@ def ddpm_step(x_t, t, eps_hat, schedule, rng=None, x0_map=None):
     eps_hat = np.asarray(eps_hat, dtype=np.float64)
     check_same_shape(x_t, eps_hat, "x_t", "eps_hat")
     if x_t.ndim != 2 or x_t.size == 0:
-        raise ShapeMismatch(f"x_t must be one (H, W) image, got shape {x_t.shape}")
+        raise ShapeMismatch(f"x_t must be (rows, pixels), got shape {x_t.shape}")
     # a non-finite x_t or eps_hat makes the estimate non-finite too, so one
     # check covers all three; the estimate can also overflow where both
     # are finite, and a clipping map would hide that
@@ -403,16 +395,13 @@ def _check_finite(arr, name, t, x_t=None, eps_hat=None):
 
 
 def _reverse_noise(rng, shape):
-    """Standard normal draws of ``shape`` for one reverse step.
+    """Standard normal draws of a (rows, pixels) ``shape`` for one reverse step.
 
-    ``rng`` is one generator, or a sequence of generators, one per row of a
-    batch; each row then draws from its own stream exactly what a single
-    image of that row's size would draw.
+    ``rng`` holds one generator per row; each row draws from its own stream
+    exactly what a single image of that row's size would draw.
     """
     if rng is None:
         raise ValueError("an rng is required for t > 1")
-    if isinstance(rng, np.random.Generator):
-        return rng.standard_normal(shape)
     if len(rng) != shape[0]:
         raise ShapeMismatch(f"{len(rng)} generators for a batch of {shape[0]} rows")
     out = np.empty(shape)
@@ -426,9 +415,10 @@ class DenoiserTrainer:
 
     The keywords are the fields of ``DenoiserSettings``, with ``steps``
     accepted for ``train_steps``; they are validated here, once.
-    fit(images, embeddings) -> self, with the trained weights in
-    ``backbone_`` and the per-step loss curve in ``loss_history_``.
-    Deterministic given ``seed``.
+    fit(images, embeddings) -> self takes (n, H, W) images and their (n,
+    EMB_DIM) embeddings, a zero row being the null embedding; the trained
+    weights land in ``backbone_`` and the per-step loss curve in
+    ``loss_history_``. Deterministic given ``seed``.
     """
 
     def __init__(self, schedule=None, seed=0, **settings):
@@ -439,20 +429,15 @@ class DenoiserTrainer:
         self.schedule = schedule or NoiseSchedule.linear()
         self.seed = seed
 
-    def fit(self, images, embeddings=None):
+    def fit(self, images, embeddings):
         images = np.asarray(images, dtype=np.float64)
         if images.ndim != 3 or images.shape[0] < 1:
             raise ConfigInvalid("images must be a non-empty (n, H, W) array")
         n = images.shape[0]
         flat = images.reshape(n, -1)
-        if embeddings is None:
-            embeddings = np.zeros((n, EMB_DIM))
-        else:
-            embeddings = np.asarray(embeddings, dtype=np.float64)
-            if embeddings.shape != (n, EMB_DIM):
-                raise ConfigInvalid(
-                    f"embeddings must have shape ({n}, {EMB_DIM}), got {embeddings.shape}"
-                )
+        embeddings = np.asarray(embeddings, dtype=np.float64)
+        if embeddings.shape != (n, EMB_DIM):
+            raise ConfigInvalid(f"embeddings must be ({n}, {EMB_DIM}), got {embeddings.shape}")
         cfg = self.settings
         schedule = self.schedule
         backbone = init_backbone(cfg.image_size, cfg.hidden_width, cfg.n_layers, self.seed)

@@ -16,6 +16,7 @@ import numpy as np
 from .adapters import adapter_terms
 from .config import GuidanceSettings
 from .denoiser import (
+    Backbone,
     NoiseSchedule,
     ProjectedConditioning,
     ddpm_step,
@@ -23,9 +24,8 @@ from .denoiser import (
     project_conditioning,
 )
 from .exceptions import ConfigInvalid, NumericalError, OutOfRange, ShapeMismatch
-from .prompts import encode_semantic, parse_prompt
+from .prompts import EMB_DIM, encode_semantic, parse_prompt
 from .utils import make_rng
-from .validation import as_image
 
 # Every sampling step clamps its clean estimate to this range.
 X0_RANGE = (0.0, 1.0)
@@ -56,24 +56,34 @@ def temporal_alpha(t, settings, total_steps):
     return settings.alpha_min + (settings.alpha_max - settings.alpha_min) * g
 
 
-class _Plan(NamedTuple):
+class GuidancePlan(NamedTuple):
     """What the guided steps of one call share: built and checked once."""
 
+    backbone: Backbone
     n_rows: int
     cond: ProjectedConditioning  # (2N, width): the rows' embeddings, then N null ones
     steps: dict  # t -> (terms, (eff_c, eff_s, alpha)) of the step at t
     inputs: np.ndarray  # (2N, pixels): each step's [x; x], rewritten in place
 
 
-def _plan(
-    w_init, content_adapter, style_adapter, gamma_content, gamma_style, e_sem, n_rows, symmetric,
+def plan_guidance(
+    w_init, content_adapter, style_adapter, gamma_content, gamma_style, e_rows, symmetric,
     settings, total_steps, timesteps,
 ):
-    e_rows = np.atleast_2d(np.asarray(e_sem, dtype=np.float64))
-    if e_rows.ndim != 2 or e_rows.shape[0] != n_rows:
-        raise ShapeMismatch(f"e_sem must hold one embedding per row of x_t, got {e_rows.shape}")
+    """The ``GuidancePlan`` of ``guided_eps_parts`` for N rows over ``timesteps``.
+
+    ``e_rows`` holds the rows' (N, EMB_DIM) embeddings and each gain is one
+    per row or one for all. Each timestep gets its ``adapter_terms`` at the
+    gains times alpha times the window indicator, and its ``(eff_c, eff_s,
+    alpha)``, an effective gain being that of the largest row gain. The
+    ``[e; 0]`` conditioning is projected once (a zero row adds nothing).
+    """
+    e_rows = np.asarray(e_rows, dtype=np.float64)
+    if e_rows.ndim != 2 or e_rows.shape[1] != EMB_DIM:
+        raise ShapeMismatch(f"e_rows must be (N, {EMB_DIM}) embeddings, got {e_rows.shape}")
     if not np.isfinite(e_rows).all():
-        raise ValueError("e_sem contains non-finite entries")
+        raise ValueError("e_rows contains non-finite entries")
+    n_rows = e_rows.shape[0]
     terms = adapter_terms(
         w_init, content_adapter, style_adapter, gamma_content, gamma_style, e_rows
     )
@@ -108,67 +118,37 @@ def _plan(
         steps[t] = (step_terms, (eff_c, eff_s, alpha))
     width = w_init.shape(w_init.names[0])[1]
     cond = project_conditioning(np.concatenate([e_rows, np.zeros_like(e_rows)]), width)
-    return _Plan(n_rows, cond, steps, np.empty((2 * n_rows, w_init.input_dim)))
+    return GuidancePlan(w_init, n_rows, cond, steps, np.empty((2 * n_rows, w_init.input_dim)))
 
 
-def guided_eps_parts(
-    x_t,
-    t,
-    e_sem,
-    w_init,
-    content_adapter,
-    style_adapter,
-    gamma_content,
-    gamma_style,
-    settings,
-    total_steps,
-    symmetric=False,
-    plan=None,
-):
+def guided_eps_parts(x_rows, t, plan):
     """Conditional and unconditional noise predictions at one timestep.
 
-    ``x_t`` is one (H, W) image with one embedding ``e_sem`` and scalar
-    gains, or a batch (N, H, W) with (N, EMB_DIM) embeddings and one gain
-    per row. Both predictions come from one forward pass over 2N rows:
-    ``[x; x]`` with embeddings ``[e; 0]``, split back into its halves.
-    Effective gains compose multiplicatively: temporal alpha times the
-    branch gain times the window indicator. Each active adapter's gated
-    update acts unmerged, as ``adapter_terms``, on the N conditional rows;
-    the unconditional rows see the bare host and the null embedding (a
-    zero embedding adds exactly nothing to the injection), except under
-    the symmetric ablation, where the same terms act on all 2N rows.
-    ``plan`` may carry the checked per-call state that ``_plan`` built for
-    these adapters, gains, embeddings and timesteps: each step's terms and
-    gains, the projected conditioning and the input buffer, so a sampler
-    checks and builds them once per batch rather than once per step. A
-    non-finite prediction raises ``NumericalError``.
-
-    The third item is ``(eff_c, eff_s, alpha)`` as floats; with one gain
-    per row, an effective gain is the one of the largest row gain.
+    ``x_rows`` holds the (N, pixels) states of the rows that ``plan``, a
+    ``plan_guidance`` result over timesteps holding t, was built for. Both
+    predictions come from one forward pass over 2N rows, ``[x; x]`` with
+    embeddings ``[e; 0]``, split into its (N, pixels) halves. The active
+    adapters' gated updates act unmerged on the N conditional rows; the
+    unconditional rows see the bare host and the null embedding, except
+    under the symmetric ablation, where the same terms act on all 2N rows.
+    A non-finite prediction raises ``NumericalError``. The third item is
+    the step's ``(eff_c, eff_s, alpha)`` as floats.
     """
-    x_t = np.asarray(x_t, dtype=np.float64)
-    n_rows = x_t.shape[0] if x_t.ndim == 3 else 1
-    rows = x_t.reshape(n_rows, -1)
     t = int(t)
-    if plan is None:
-        as_image(rows, "x_t")
-        plan = _plan(
-            w_init, content_adapter, style_adapter, gamma_content, gamma_style, e_sem, n_rows,
-            symmetric, settings, total_steps, (t,),
-        )
-    if rows.shape != (plan.n_rows, w_init.input_dim):
+    backbone, n_rows, cond, steps, inputs = plan
+    if np.shape(x_rows) != (n_rows, backbone.input_dim):
         raise ShapeMismatch(
-            f"x_t has {n_rows} rows of {rows.shape[1]} pixels, but the backbone expects "
-            f"{plan.n_rows} rows of {w_init.input_dim}"
+            f"x_rows is {np.shape(x_rows)}; the plan is for {(n_rows, backbone.input_dim)}"
         )
-    terms, gains = plan.steps[t]
-    inputs = plan.inputs
-    inputs[:n_rows] = rows
-    inputs[n_rows:] = rows
-    eps, _ = forward_pass(inputs, t, plan.cond, w_init, terms)
+    if t not in steps:
+        raise OutOfRange(f"the plan holds no step at t={t}")
+    terms, gains = steps[t]
+    inputs[:n_rows] = x_rows
+    inputs[n_rows:] = x_rows
+    eps, _ = forward_pass(inputs, t, cond, backbone, terms)
     if not np.isfinite(eps).all():
         raise NumericalError(f"the noise prediction at t={t} is non-finite")
-    return eps[:n_rows].reshape(x_t.shape), eps[n_rows:].reshape(x_t.shape), gains
+    return eps[:n_rows], eps[n_rows:], gains
 
 
 def guided_eps(eps_cond, eps_uncond, omega):
@@ -191,7 +171,9 @@ class GuidedSampler:
     side) clean images; ``sample(prompt, seed)`` is its batch of one and
     returns one image. A branch gain is its ``gamma_content``/
     ``gamma_style`` override when given, else 1.0 when the prompt carries
-    the branch's marker and 0.0 when it does not. After a run,
+    the branch's marker and 0.0 when it does not; an override must be
+    finite and nonnegative, and each adapter's kind must match its slot,
+    or the constructor raises ``ConfigInvalid``. After a run,
     ``n_network_evals_`` holds the network evaluations (two per step, one
     conditional and one unconditional, whatever the batch size),
     ``trace_`` the per-step diagnostic records of each row and
@@ -214,6 +196,12 @@ class GuidedSampler:
         record_trace=False,
         **guidance,
     ):
+        for kind, adapter in (("content", content_adapter), ("style", style_adapter)):
+            if adapter is not None and adapter.kind != kind:
+                raise ConfigInvalid(f"the {kind} adapter slot holds a {adapter.kind} adapter")
+        for name, gamma in (("gamma_content", gamma_content), ("gamma_style", gamma_style)):
+            if gamma is not None and not (math.isfinite(gamma) and gamma >= 0.0):
+                raise ConfigInvalid(f"{name} must be finite and nonnegative, got {gamma}")
         self.backbone = backbone
         self.content_adapter = content_adapter
         self.style_adapter = style_adapter
@@ -267,9 +255,9 @@ class GuidedSampler:
         )
         settings = self.settings
         schedule = self.schedule
-        plan = _plan(
+        plan = plan_guidance(
             self.backbone, self.content_adapter, self.style_adapter,
-            gains[:, 0], gains[:, 1], e_rows, len(seeds), self.symmetric_cfg,
+            gains[:, 0], gains[:, 1], e_rows, self.symmetric_cfg,
             settings, schedule.total_steps, range(1, schedule.total_steps + 1),
         )
         side = int(math.isqrt(self.backbone.input_dim))
@@ -285,25 +273,12 @@ class GuidedSampler:
             return x0.clip(*X0_RANGE, out=x0)
 
         for t in range(schedule.total_steps, 0, -1):
-            eps_cond, eps_uncond, (_, _, alpha) = guided_eps_parts(
-                x.reshape(shape),
-                t,
-                e_rows,
-                self.backbone,
-                self.content_adapter,
-                self.style_adapter,
-                gains[:, 0],
-                gains[:, 1],
-                settings,
-                schedule.total_steps,
-                symmetric=self.symmetric_cfg,
-                plan=plan,
-            )
+            eps_cond, eps_uncond, (_, _, alpha) = guided_eps_parts(x, t, plan)
             n_evals += 2  # one conditional and one unconditional evaluation
-            eps = guided_eps(eps_cond, eps_uncond, settings.omega).reshape(x.shape)
+            eps = guided_eps(eps_cond, eps_uncond, settings.omega)
             if self.record_trace:
                 windows = gamma_schedule(t, settings.content_window, settings.style_window)
-                gaps = np.linalg.norm((eps_cond - eps_uncond).reshape(x.shape), axis=1)
+                gaps = np.linalg.norm(eps_cond - eps_uncond, axis=1)
                 for row, ((eff_c, eff_s), gap) in enumerate(zip(alpha * gains * windows, gaps)):
                     trace[row].append(
                         f"t={t} gamma_c={eff_c:.9g} gamma_s={eff_s:.9g} "

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from craftlora.denoiser import DenoiserTrainer, NoiseSchedule, ddpm_step, forward_pass
-from craftlora.guidance import guided_eps
+from craftlora.guidance import guided_eps, guided_eps_parts, plan_guidance
 from craftlora.pairs import generate_pair_dataset
 from craftlora.prompts import encode_semantic, parse_prompt
 from craftlora.subspace import member_embedding
@@ -23,14 +23,28 @@ def dataset_arrays(pairs):
 
 
 def eps_of_image(x, t, embedding, backbone):
-    """Noise prediction for one (H, W) image as a one-row forward pass.
+    """Noise prediction for one image as a one-row forward pass.
 
     The single-image reference that the batched paths are compared with;
-    ``embedding`` None is the null embedding.
+    a zero ``embedding`` is the null embedding. The prediction has the
+    shape of ``x``.
     """
-    cond = None if embedding is None else np.asarray(embedding, dtype=np.float64)[None, :]
+    cond = np.asarray(embedding, dtype=np.float64)[None, :]
     out, _ = forward_pass(np.reshape(x, (1, -1)), int(t), cond, backbone)
     return out.reshape(np.shape(x))
+
+
+def parts_of_image(x, t, e_sem, backbone, content, style, gamma_c, gamma_s, settings,
+                   symmetric=False):
+    """``guided_eps_parts`` of one image and embedding at one timestep of a
+    50-step schedule, through a plan of that step alone; the predictions
+    have the shape of ``x``."""
+    plan = plan_guidance(
+        backbone, content, style, gamma_c, gamma_s, np.reshape(e_sem, (1, -1)), symmetric,
+        settings, 50, (t,),
+    )
+    eps_cond, eps_uncond, gains = guided_eps_parts(np.reshape(x, (1, -1)), t, plan)
+    return eps_cond.reshape(np.shape(x)), eps_uncond.reshape(np.shape(x)), gains
 
 
 def standard_cfg_states(prompt, backbone, omega, schedule, seed):
@@ -52,7 +66,7 @@ def standard_cfg_states(prompt, backbone, omega, schedule, seed):
     for t in range(schedule.total_steps, 0, -1):
         eps, _ = forward_pass(np.concatenate([x, x]), t, cond, backbone)
         eps = guided_eps(eps[:1], eps[1:], omega)
-        x = ddpm_step(x, t, eps, schedule, rng, x0_map=lambda x0: np.clip(x0, 0.0, 1.0))
+        x = ddpm_step(x, t, eps, schedule, [rng], x0_map=lambda x0: np.clip(x0, 0.0, 1.0))
         states.append(x)
     side = math.isqrt(backbone.input_dim)
     return [state.reshape(side, side) for state in states]
@@ -61,6 +75,11 @@ def standard_cfg_states(prompt, backbone, omega, schedule, seed):
 @pytest.fixture(scope="session")
 def one_row_eps():
     return eps_of_image
+
+
+@pytest.fixture(scope="session")
+def one_image_parts():
+    return parts_of_image
 
 
 @pytest.fixture(scope="session")

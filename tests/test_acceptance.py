@@ -16,7 +16,7 @@ from craftlora.cli import main as cli_main
 from craftlora.config import GuidanceSettings
 from craftlora.denoiser import DenoiserTrainer, NoiseSchedule, init_backbone
 from craftlora.frequency import gaussian_lowpass, style_residual
-from craftlora.guidance import GuidedSampler, guided_eps_parts
+from craftlora.guidance import GuidedSampler
 from craftlora.linalg import householder_qr, project_out
 from craftlora.metrics import ImageFeatureExtractor, cross_influence
 from craftlora.pairs import (
@@ -139,7 +139,7 @@ def test_frequency_partition():
             assert float(np.sum(res * res)) == 0.0
 
 
-def test_acfg_equivalence(trained_base, schedule, standard_cfg):
+def test_acfg_equivalence(trained_base, schedule, standard_cfg, one_image_parts):
     with criterion("acfg-equivalence", 30):
         prompt = "a filled disc <c> in fine stripe style <s>"
         for seed in range(10):
@@ -156,8 +156,8 @@ def test_acfg_equivalence(trained_base, schedule, standard_cfg):
         x = make_rng(77, "w0").standard_normal((16, 16))
         e_sem = encode_semantic("a filled disc in fine stripe style")
         config = GuidanceSettings(omega=0.0)
-        eps_cond, eps_uncond, _ = guided_eps_parts(
-            x, 25, e_sem, trained_base, None, None, 1.0, 1.0, config, 50
+        eps_cond, eps_uncond, _ = one_image_parts(
+            x, 25, e_sem, trained_base, None, None, 1.0, 1.0, config
         )
         from craftlora.guidance import guided_eps
 
@@ -180,7 +180,7 @@ def acceptance_adapters(trained_base):
     return content, style
 
 
-def test_unconditional_path_purity(trained_base, acceptance_adapters):
+def test_unconditional_path_purity(trained_base, acceptance_adapters, one_image_parts):
     with criterion("unconditional-path-purity", 10):
         content, style = acceptance_adapters
         x = make_rng(78, "purity").standard_normal((16, 16))
@@ -198,7 +198,7 @@ def test_unconditional_path_purity(trained_base, acceptance_adapters):
                 alpha_max=0.5 + float(rng.random() * 0.5),
                 ramp="cosine" if rng.random() < 0.5 else "linear",
             )
-            _, eps_uncond, _ = guided_eps_parts(
+            _, eps_uncond, _ = one_image_parts(
                 x,
                 int(rng.integers(1, 51)) if baseline is None else 17,
                 e_sem,
@@ -208,12 +208,11 @@ def test_unconditional_path_purity(trained_base, acceptance_adapters):
                 float(rng.random() * 2.0),
                 float(rng.random() * 2.0),
                 config,
-                50,
             )
             if baseline is None:
                 # pin t for comparability across configurations
-                _, eps_uncond, _ = guided_eps_parts(
-                    x, 17, e_sem, trained_base, content, style, 1.0, 1.0, config, 50
+                _, eps_uncond, _ = one_image_parts(
+                    x, 17, e_sem, trained_base, content, style, 1.0, 1.0, config
                 )
                 baseline = eps_uncond.tobytes()
             assert eps_uncond.tobytes() == baseline
@@ -288,7 +287,7 @@ def test_gradient_checks():
         )
         reference = pairs[0].style_image
         e_sem = encode_semantic("in fine stripe style")
-        draw = (7, make_rng(6, "noise").standard_normal((16, 16)))
+        draw = ([7], make_rng(6, "noise").standard_normal((1, 16, 16)))
         _, fgrads, (gw, gb) = adapter_loss(
             backbone, adapter, reference, e_sem, schedule, draw
         )

@@ -25,8 +25,8 @@ def svd_rank(mat, threshold=1e-8):
     return int(np.sum(np.linalg.svd(mat, compute_uv=False) > threshold))
 
 
-# the embedding the merged updates are gated on
-E_SEM = make_rng(3, "e").standard_normal(64)
+# the embedding row the merged updates are gated on
+E_ROW = make_rng(3, "e").standard_normal((1, 64))
 
 
 @pytest.fixture()
@@ -57,7 +57,7 @@ def generic_adapter(backbone, routing, kind, seed):
 
 
 def merged_adapter_loss(w_init, adapter, reference, e_sem, schedule, draw):
-    """``adapter_loss`` of one draw through a merged host.
+    """``adapter_loss`` of one (t, noise) draw through a merged host.
 
     The adapter is merged with ``aggregate_weights``, the host's dense
     weight gradients come from ``backward_pass`` and are turned into factor
@@ -65,8 +65,8 @@ def merged_adapter_loss(w_init, adapter, reference, e_sem, schedule, draw):
     """
     t, noise = draw
     pair = (adapter, None) if adapter.kind == "content" else (None, adapter)
-    merged = aggregate_weights(w_init, *pair, 1.0, 1.0, e_sem)
-    gate = adapter.gate(e_sem)
+    merged = aggregate_weights(w_init, *pair, 1.0, 1.0, e_sem[None, :])
+    gate = adapter.gate(e_sem[None, :])[0]
     ab = schedule.alpha_bar(t)
     z_t = np.sqrt(ab) * reference.reshape(1, -1) + np.sqrt(1.0 - ab) * noise.reshape(1, -1)
     pred, cache = forward_pass(z_t, t, e_sem[None, :], merged)
@@ -110,7 +110,7 @@ class TestAggregateWeights:
     def test_zero_gammas_identity(self, backbone, routing):
         ca = make_adapter("content", backbone, routing, rank=2, seed=1)
         sa = make_adapter("style", backbone, routing, rank=2, seed=2)
-        out = aggregate_weights(backbone, ca, sa, 0.0, 0.0, E_SEM)
+        out = aggregate_weights(backbone, ca, sa, 0.0, 0.0, E_ROW)
         for name in backbone.names:
             assert np.array_equal(out.weight(name), backbone.weight(name))
 
@@ -120,7 +120,7 @@ class TestAggregateWeights:
             name: (b, make_rng(0, name).standard_normal(a.shape))
             for name, (b, a) in ca.factors.items()
         }
-        out = aggregate_weights(backbone, ca, None, 1.0, 0.0, E_SEM)
+        out = aggregate_weights(backbone, ca, None, 1.0, 0.0, E_ROW)
         for name in routing.style:
             assert np.array_equal(out.weight(name), backbone.weight(name))
         assert any(
@@ -136,7 +136,7 @@ class TestAggregateWeights:
         }
         deltas = {}
         for gamma in (0.25, 0.5, 1.0):
-            out = aggregate_weights(backbone, ca, None, gamma, 0.0, E_SEM)
+            out = aggregate_weights(backbone, ca, None, gamma, 0.0, E_ROW)
             deltas[gamma] = {
                 name: out.weight(name) - backbone.weight(name)
                 for name in routing.content
@@ -151,7 +151,7 @@ class TestAggregateWeights:
             name: (b, make_rng(2, name).standard_normal(a.shape))
             for name, (b, a) in ca.factors.items()
         }
-        out = aggregate_weights(backbone, ca, None, 0.7, 0.0, E_SEM)
+        out = aggregate_weights(backbone, ca, None, 0.7, 0.0, E_ROW)
         for name in routing.content:
             assert svd_rank(out.weight(name) - backbone.weight(name)) <= 2
 
@@ -159,12 +159,12 @@ class TestAggregateWeights:
         ca = make_adapter("content", backbone, routing, rank=2, seed=6)
         ca.factors["layer4"] = ca.factors["layer1"]  # style-side layer
         with pytest.raises(RoutingViolation):
-            aggregate_weights(backbone, ca, None, 1.0, 0.0, E_SEM)
+            aggregate_weights(backbone, ca, None, 1.0, 0.0, E_ROW)
 
     def test_negative_gamma_rejected(self, backbone, routing):
         ca = make_adapter("content", backbone, routing, rank=2, seed=7)
         with pytest.raises(ConfigInvalid):
-            aggregate_weights(backbone, ca, None, -0.5, 0.0, E_SEM)
+            aggregate_weights(backbone, ca, None, -0.5, 0.0, E_ROW)
 
 
 class TestAdapterLoss:
@@ -184,7 +184,7 @@ class TestAdapterLoss:
         )
         reference = style_render(1, 8)
         e_sem = make_rng(5, "e").standard_normal(64)
-        draw = (7, make_rng(6, "n").standard_normal((8, 8)))
+        draw = ([7], make_rng(6, "n").standard_normal((1, 8, 8)))
         _, fgrads, (gw, gb) = adapter_loss(backbone, adapter, reference, e_sem, schedule, draw)
 
         def value(adp):
@@ -225,7 +225,7 @@ class TestAdapterLoss:
         adapter = make_adapter("style", backbone, routing, rank=2, seed=10)
         reference = style_render(0, 8)
         e_sem = make_rng(7, "e").standard_normal(64)
-        draw = (3, make_rng(8, "n").standard_normal((8, 8)))
+        draw = ([3], make_rng(8, "n").standard_normal((1, 8, 8)))
         _, fgrads, _ = adapter_loss(backbone, adapter, reference, e_sem, schedule, draw)
         # layers outside the set are frozen: they carry no gradient at all
         assert set(fgrads) == set(routing.style)
@@ -241,7 +241,7 @@ class TestAdapterLoss:
             backbone, adapter, reference, e_sem, schedule, (ts, noises)
         )
         singles = [
-            adapter_loss(backbone, adapter, reference, e_sem, schedule, (t, noise))
+            adapter_loss(backbone, adapter, reference, e_sem, schedule, ([t], noise[None]))
             for t, noise in zip(ts, noises)
         ]
         assert_close_relative(loss, np.mean([s[0] for s in singles]))
@@ -256,10 +256,12 @@ class TestAdapterLoss:
         adapter = generic_adapter(backbone, routing, kind, seed=19)
         reference = content_render(2, 8)
         e_sem = make_rng(11, "e").standard_normal(64)
-        draw = (23, make_rng(12, "n").standard_normal((8, 8)))
-        loss, fgrads, (gw, gb) = adapter_loss(backbone, adapter, reference, e_sem, schedule, draw)
+        t, noise = 23, make_rng(12, "n").standard_normal((8, 8))
+        loss, fgrads, (gw, gb) = adapter_loss(
+            backbone, adapter, reference, e_sem, schedule, ([t], noise[None])
+        )
         ref_loss, ref_grads, (ref_gw, ref_gb) = merged_adapter_loss(
-            backbone, adapter, reference, e_sem, schedule, draw
+            backbone, adapter, reference, e_sem, schedule, (t, noise)
         )
         assert_close_relative(loss, ref_loss)
         assert set(fgrads) == set(ref_grads)
@@ -322,7 +324,7 @@ class TestLoraTrainer:
         assert built == []
         # the counter does see a merge
         aggregate_weights(
-            backbone, None, make_adapter("style", backbone, routing, 2), 0.0, 1.0, E_SEM
+            backbone, None, make_adapter("style", backbone, routing, 2), 0.0, 1.0, E_ROW
         )
         assert built == [1]
 

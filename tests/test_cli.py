@@ -488,6 +488,66 @@ class TestSample:
         assert run_cli(args + ["--out", b]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize(
+        "slots",
+        [("style", "content"), ("style", None), (None, "content")],
+        ids=["both-swapped", "style-as-content", "content-as-style"],
+    )
+    def test_adapter_in_the_other_slot_is_usage_error(self, workspace, tmp_path, capsys, slots):
+        # each adapter file carries its kind; a swapped one must not be sampled
+        root, config_path = workspace
+        args = [
+            "sample", "--config", config_path,
+            "--prompt", "a filled disc <c> in fine stripe style <s>",
+            "--backbone", root / "trunk.crft",
+            "--out", tmp_path / "never.pgm",
+        ]
+        for flag, kind in zip(("--content-adapter", "--style-adapter"), slots):
+            if kind is not None:
+                args += [flag, root / f"{kind}.crft"]
+        capsys.readouterr()
+        assert run_cli(args) == 1
+        assert "adapter slot holds a" in capsys.readouterr().err
+        assert not (tmp_path / "never.pgm").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--gamma-c", "nan"), ("--gamma-s", "inf"), ("--gamma-c", "-inf"), ("--gamma-s", "-0.5")],
+    )
+    def test_non_finite_or_negative_gain_is_usage_error(
+        self, workspace, tmp_path, capsys, flag, value
+    ):
+        root, config_path = workspace
+        capsys.readouterr()
+        code = run_cli([
+            "sample", "--config", config_path,
+            "--prompt", "a filled disc <c> in fine stripe style <s>",
+            "--backbone", root / "trunk.crft",
+            "--content-adapter", root / "content.crft",
+            "--style-adapter", root / "style.crft",
+            flag, value,
+            "--out", tmp_path / "never.pgm",
+        ])
+        assert code == 1
+        assert "must be finite and nonnegative" in capsys.readouterr().err
+        assert not (tmp_path / "never.pgm").exists()
+
+    def test_finite_gain_that_overflows_exits_three(self, workspace, tmp_path, capsys):
+        root, config_path = workspace
+        capsys.readouterr()
+        with np.errstate(all="ignore"):
+            code = run_cli([
+                "sample", "--config", config_path,
+                "--prompt", "a filled disc <c> in fine stripe style <s>",
+                "--backbone", root / "trunk.crft",
+                "--style-adapter", root / "style.crft",
+                "--gamma-s", "1e300",
+                "--out", tmp_path / "never.pgm",
+            ])
+        assert code == 3
+        assert "numerical failure" in capsys.readouterr().err
+        assert not (tmp_path / "never.pgm").exists()
+
     def test_symmetric_flag_changes_output(self, workspace, tmp_path):
         root, config_path = workspace
         args = [
@@ -787,6 +847,20 @@ class TestEval:
         assert len(cells) == 6 and len(seeds_by_row) == 3
         assert all(len(seeds) == 1 for seeds in seeds_by_row.values())
         assert len(set().union(*seeds_by_row.values())) == 3
+
+    def test_swapped_adapters_are_usage_error(self, workspace, tmp_path, capsys):
+        root, config_path = workspace
+        capsys.readouterr()
+        code = run_cli([
+            "eval", "--config", config_path,
+            "--backbone", root / "trunk.crft",
+            "--content-adapter", root / "style.crft",
+            "--style-adapter", root / "content.crft",
+            "--out", tmp_path / "never.json",
+        ])
+        assert code == 1
+        assert "adapter slot holds a" in capsys.readouterr().err
+        assert not (tmp_path / "never.json").exists()
 
     def test_zero_threads_is_usage_error(self, workspace, tmp_path):
         root, config_path = workspace

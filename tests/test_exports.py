@@ -8,7 +8,7 @@ import pathlib
 from collections import defaultdict
 
 import craftlora
-from craftlora.config import DatasetSettings, ScheduleSettings
+from craftlora.config import DatasetSettings, RunConfig, ScheduleSettings
 
 PACKAGE_DIR = pathlib.Path(craftlora.__file__).parent
 
@@ -75,6 +75,18 @@ UNSET_KEYWORDS = {
         "the trunk's proxy is the seed-0 stack; tests build their reference "
         "proxies at other seeds"
     ),
+    "adapters.LoraTrainer.on_step": (
+        "a hook through which tests observe each step's gradients, until the "
+        "structured training records of ROADMAP item 6 replace it"
+    ),
+    "adapters.LoraTrainer.routing": (
+        "the package trains on default_routing; the benchmark harness passes "
+        "the routing explicitly"
+    ),
+    "guidance.GuidedSampler.record_trajectory": (
+        "a hook through which tests observe every sampling state, until the "
+        "structured sampling records of ROADMAP item 6 replace it"
+    ),
     **{
         f"config.{cls.__name__}.{f.name}": (
             "a config field, set from the JSON document through cls(**values), "
@@ -137,20 +149,95 @@ def defaulted_parameters():
     return found
 
 
+# RunConfig section name -> the fields of its settings dataclass
+SECTION_FIELDS = {
+    f.name: {g.name for g in dataclasses.fields(f.default_factory)}
+    for f in dataclasses.fields(RunConfig)
+    if f.default_factory is not dataclasses.MISSING
+}
+
+
+def _spread(value, own_kwargs):
+    """What a ``**value`` argument carries: the field names of a
+    ``dataclasses.asdict(<config>.<section>)`` spread, the name of the
+    enclosing callable for a spread of its own ``**kwargs`` (resolved later
+    from its callers), or None for any other spread, whose keys the scan
+    cannot see and which may therefore set any keyword."""
+    if (
+        isinstance(value, ast.Call)
+        and getattr(value.func, "attr", getattr(value.func, "id", None)) == "asdict"
+        and len(value.args) == 1
+        and isinstance(value.args[0], ast.Attribute)
+        and value.args[0].attr in SECTION_FIELDS
+    ):
+        return frozenset(SECTION_FIELDS[value.args[0].attr])
+    if own_kwargs is not None and isinstance(value, ast.Name) and value.id == own_kwargs[0]:
+        return own_kwargs[1]
+    return None
+
+
+def _callables(tree):
+    """Each function node with the name its call sites use: a class's
+    ``__init__`` is called by the class name, anything else by its own."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                    yield item, node.name
+        elif isinstance(node, ast.FunctionDef) and node.name != "__init__":
+            yield node, node.name
+
+
 def calls_in_the_package():
     """Per called name, each call's positional count (infinite past a
-    ``*args``) and keyword names (with None for a ``**kwargs``)."""
-    calls = defaultdict(list)
+    ``*args``) and keyword names; a ``**kwargs`` spread contributes the
+    keywords it is resolved to (None when it cannot be resolved)."""
+    raw = []
+    own_params = defaultdict(set)  # callee -> named parameters of its callables
     for path in PACKAGE_DIR.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        enclosing = {}
+        for func, callee in _callables(tree):
+            args = func.args
+            own_params[callee] |= {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+            for node in ast.walk(func):
+                enclosing[node] = (args.kwarg.arg, callee) if args.kwarg else None
+        for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
             callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
             starred = any(isinstance(arg, ast.Starred) for arg in node.args)
-            calls[callee].append(
-                (math.inf if starred else len(node.args), {kw.arg for kw in node.keywords})
-            )
+            named = {kw.arg for kw in node.keywords if kw.arg is not None}
+            spreads = [
+                _spread(kw.value, enclosing.get(node)) for kw in node.keywords if kw.arg is None
+            ]
+            raw.append((callee, math.inf if starred else len(node.args), named, spreads))
+
+    # the keywords that reach each callable's own **kwargs, to a fixed point
+    carried = defaultdict(set)
+
+    def keywords_of(named, spreads):
+        keywords = set(named)
+        for spread in spreads:
+            if spread is None:
+                keywords.add(None)
+            else:
+                keywords |= carried[spread] if isinstance(spread, str) else spread
+        return keywords
+
+    changed = True
+    while changed:
+        changed = False
+        for callee, _, named, spreads in raw:
+            extra = keywords_of(named, spreads) - own_params[callee] - carried[callee]
+            if extra:
+                carried[callee] |= extra
+                changed = True
+
+    calls = defaultdict(list)
+    for callee, n_positional, named, spreads in raw:
+        calls[callee].append((n_positional, keywords_of(named, spreads)))
     return calls
 
 

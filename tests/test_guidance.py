@@ -6,12 +6,13 @@ from hypothesis import strategies as st
 from craftlora.adapters import LoraTrainer, aggregate_weights, default_routing
 from craftlora.config import GuidanceSettings
 from craftlora.denoiser import Backbone, NoiseSchedule, ddpm_step, forward_pass, init_backbone
-from craftlora.exceptions import ConfigInvalid, NumericalError, OutOfRange
+from craftlora.exceptions import ConfigInvalid, NumericalError, OutOfRange, ShapeMismatch
 from craftlora.guidance import (
     GuidedSampler,
     gamma_schedule,
     guided_eps,
     guided_eps_parts,
+    plan_guidance,
     temporal_alpha,
 )
 from craftlora.pairs import CONTENT_PROMPTS, STYLE_PROMPTS, content_render, style_render
@@ -35,18 +36,20 @@ def merged_reference_sample(backbone, content, style, prompt, seed, schedule, sy
     config = GuidanceSettings()
     e_sem = encode_semantic(parse_prompt(prompt).stripped)
     rng = make_rng(seed, "sample")
-    x = rng.standard_normal((16, 16))
+    x = rng.standard_normal((1, 256))
     for t in range(schedule.total_steps, 0, -1):
         ind_c, ind_s = gamma_schedule(t, config.content_window, config.style_window)
         alpha = temporal_alpha(t, config, schedule.total_steps)
-        merged = aggregate_weights(backbone, content, style, alpha * ind_c, alpha * ind_s, e_sem)
+        merged = aggregate_weights(
+            backbone, content, style, alpha * ind_c, alpha * ind_s, e_sem[None, :]
+        )
         eps_cond = eps_of(x, t, e_sem, merged)
         eps_uncond = eps_of(x, t, np.zeros(EMB_DIM), merged if symmetric else backbone)
         x = ddpm_step(
-            x, t, guided_eps(eps_cond, eps_uncond, config.omega), schedule, rng,
+            x, t, guided_eps(eps_cond, eps_uncond, config.omega), schedule, [rng],
             x0_map=lambda x0: np.clip(x0, 0.0, 1.0),
         )
-    return x
+    return x.reshape(16, 16)
 
 
 @pytest.fixture(scope="module")
@@ -132,7 +135,7 @@ class TestGuidedEps:
 
 
 class TestGuidedParts:
-    def test_unconditional_path_purity(self, trained_base, adapters, schedule):
+    def test_unconditional_path_purity(self, trained_base, adapters, one_image_parts):
         content, style = adapters
         x = make_rng(7).standard_normal((16, 16))
         e_sem = encode_semantic("a filled disc in fine stripe style")
@@ -148,7 +151,7 @@ class TestGuidedParts:
             )
             use_content = rng.random() < 0.5
             use_style = rng.random() < 0.5
-            _, eps_uncond, _ = guided_eps_parts(
+            _, eps_uncond, _ = one_image_parts(
                 x,
                 17,
                 e_sem,
@@ -158,7 +161,6 @@ class TestGuidedParts:
                 float(rng.random()),
                 float(rng.random()),
                 config,
-                50,
             )
             blob = eps_uncond.tobytes()
             if baseline is None:
@@ -171,30 +173,29 @@ class TestGuidedParts:
         ids=["content-window", "style-window", "both-windows", "symmetric"],
     )
     def test_unmerged_terms_match_merged_host(
-        self, trained_base, adapters, one_row_eps, t, symmetric, active
+        self, trained_base, adapters, one_row_eps, one_image_parts, t, symmetric, active
     ):
         content, style = adapters
         x = make_rng(11).standard_normal((16, 16))
         e_sem = encode_semantic("a filled disc in fine stripe style")
-        eps_cond, eps_uncond, (eff_c, eff_s, _) = guided_eps_parts(
-            x, t, e_sem, trained_base, content, style, 1.0, 1.0, GuidanceSettings(), 50,
-            symmetric=symmetric,
+        eps_cond, eps_uncond, (eff_c, eff_s, _) = one_image_parts(
+            x, t, e_sem, trained_base, content, style, 1.0, 1.0, GuidanceSettings(), symmetric
         )
         assert (eff_c > 0.0, eff_s > 0.0) == ("c" in active, "s" in active)
-        merged = aggregate_weights(trained_base, content, style, eff_c, eff_s, e_sem)
+        merged = aggregate_weights(trained_base, content, style, eff_c, eff_s, e_sem[None, :])
         assert_close_relative(eps_cond, one_row_eps(x, t, e_sem, merged))
         uncond_host = merged if symmetric else trained_base
         assert_close_relative(eps_uncond, one_row_eps(x, t, np.zeros(EMB_DIM), uncond_host))
 
-    def test_schedule_gates_adapters(self, trained_base, adapters):
+    def test_schedule_gates_adapters(self, trained_base, adapters, one_image_parts):
         content, style = adapters
         x = make_rng(9).standard_normal((16, 16))
         e_sem = encode_semantic("a filled disc in fine stripe style")
         config = GuidanceSettings(content_window=(1, 20), style_window=(30, 50))
         # t in neither window: conditional equals the bare-host prediction,
         # row 0 of the same two-row pass [x; x] with embeddings [e; 0]
-        eps_cond, eps_uncond, (eff_c, eff_s, _) = guided_eps_parts(
-            x, 25, e_sem, trained_base, content, style, 1.0, 1.0, config, 50
+        eps_cond, eps_uncond, (eff_c, eff_s, _) = one_image_parts(
+            x, 25, e_sem, trained_base, content, style, 1.0, 1.0, config
         )
         assert eff_c == 0.0 and eff_s == 0.0
         bare, _ = forward_pass(
@@ -202,13 +203,13 @@ class TestGuidedParts:
         )
         assert np.array_equal(eps_cond, bare[0].reshape(x.shape))
         # t in the content window only
-        _, _, (eff_c, eff_s, alpha) = guided_eps_parts(
-            x, 10, e_sem, trained_base, content, style, 1.0, 1.0, config, 50
+        _, _, (eff_c, eff_s, alpha) = one_image_parts(
+            x, 10, e_sem, trained_base, content, style, 1.0, 1.0, config
         )
         assert eff_c == alpha and eff_s == 0.0
 
     def test_inactive_schedules_with_null_embedding_collapse_to_uncond(
-        self, trained_base, adapters, null64
+        self, trained_base, adapters, null64, one_image_parts
     ):
         from craftlora.guidance import guided_eps
 
@@ -216,13 +217,26 @@ class TestGuidedParts:
         x = make_rng(10).standard_normal((16, 16))
         config = GuidanceSettings(content_window=(1, 5), style_window=(1, 5))
         for omega in (0.0, 1.0, 7.5):
-            eps_cond, eps_uncond, (eff_c, eff_s, _) = guided_eps_parts(
-                x, 30, null64, trained_base, content, style, 1.0, 1.0, config, 50
+            eps_cond, eps_uncond, (eff_c, eff_s, _) = one_image_parts(
+                x, 30, null64, trained_base, content, style, 1.0, 1.0, config
             )
             assert eff_c == 0.0 and eff_s == 0.0
             assert np.array_equal(eps_cond, eps_uncond)
             out = guided_eps(eps_cond, eps_uncond, omega)
             assert np.abs(out - eps_uncond).max() < 1e-12
+
+    def test_plan_refuses_other_rows_and_unplanned_steps(self, trained_base, null64):
+        plan = plan_guidance(
+            trained_base, None, None, 0.0, 0.0, np.stack([null64, null64]), False,
+            GuidanceSettings(), 50, (7,),
+        )
+        x = make_rng(12).standard_normal((2, 256))
+        with pytest.raises(ShapeMismatch, match=r"is \(1, 256\); the plan is for \(2, 256\)"):
+            guided_eps_parts(x[:1], 7, plan)
+        with pytest.raises(ShapeMismatch):
+            guided_eps_parts(x.reshape(2, 16, 16), 7, plan)
+        with pytest.raises(OutOfRange, match="no step at t=8"):
+            guided_eps_parts(x, 8, plan)
 
 
 class TestGuidedSampler:
@@ -310,7 +324,7 @@ class TestGuidedSampler:
         assert calls == {"aggregate_weights": 0, "Backbone": 0}
         # the counters do see a merge
         adapters_module.aggregate_weights(
-            trained_base, content, style, 1.0, 1.0, encode_semantic("a filled disc")
+            trained_base, content, style, 1.0, 1.0, encode_semantic("a filled disc")[None, :]
         )
         assert calls == {"aggregate_weights": 1, "Backbone": 1}
 
@@ -421,6 +435,28 @@ class TestGuidedSampler:
         with pytest.raises(ConfigInvalid, match="window must lie inside"):
             GuidedSampler(trained_base, schedule=NoiseSchedule.linear(30))
 
+    @pytest.mark.parametrize(
+        "slots",
+        [("style", None), (None, "content"), ("style", "content")],
+        ids=["style-as-content", "content-as-style", "both-swapped"],
+    )
+    def test_adapter_in_the_other_slot_rejected(self, trained_base, adapters, slots):
+        by_kind = dict(zip(("content", "style"), adapters))
+        content, style = (by_kind.get(kind) for kind in slots)
+        with pytest.raises(ConfigInvalid, match="adapter slot holds a"):
+            GuidedSampler(trained_base, content_adapter=content, style_adapter=style)
+
+    @pytest.mark.parametrize("gain", [np.nan, np.inf, -np.inf, -0.5])
+    @pytest.mark.parametrize("name", ["gamma_content", "gamma_style"])
+    def test_gain_override_must_be_finite_and_nonnegative(
+        self, trained_base, adapters, name, gain
+    ):
+        content, style = adapters
+        with pytest.raises(ConfigInvalid, match=f"{name} must be finite and nonnegative"):
+            GuidedSampler(
+                trained_base, content_adapter=content, style_adapter=style, **{name: gain}
+            )
+
 
 def marked_prompt(pattern, i, j):
     content = CONTENT_PROMPTS[i] + (" <c>" if pattern in ("both", "content") else "")
@@ -472,9 +508,10 @@ class TestSampleBatch:
     def test_matches_a_loop_over_the_public_pieces(
         self, trained_base, adapters, schedule, n_rows, symmetric
     ):
-        # the oracle shares nothing across steps: each guided_eps_parts call
-        # checks its inputs and builds its own terms, projection and input
-        # rows, and the clip goes through np.clip on a copy
+        # the oracle shares nothing across steps: each step plans its own
+        # timestep alone, checking its inputs and building its own terms,
+        # projection and input rows, and the clip goes through np.clip on a
+        # copy
         content, style = adapters
         sampler = GuidedSampler(
             trained_base,
@@ -494,11 +531,12 @@ class TestSampleBatch:
         x = np.stack([rng.standard_normal(trained_base.input_dim) for rng in rngs])
         config = sampler.settings
         for t in range(schedule.total_steps, 0, -1):
-            eps_cond, eps_uncond, _ = guided_eps_parts(
-                x.reshape(n_rows, 16, 16), t, e_rows, trained_base, content, style,
-                gains[:, 0], gains[:, 1], config, schedule.total_steps, symmetric=symmetric,
+            plan = plan_guidance(
+                trained_base, content, style, gains[:, 0], gains[:, 1], e_rows, symmetric,
+                config, schedule.total_steps, (t,),
             )
-            eps = guided_eps(eps_cond, eps_uncond, config.omega).reshape(x.shape)
+            eps_cond, eps_uncond, _ = guided_eps_parts(x, t, plan)
+            eps = guided_eps(eps_cond, eps_uncond, config.omega)
             x = ddpm_step(x, t, eps, schedule, rngs, x0_map=lambda x0: np.clip(x0, 0.0, 1.0))
         images = sampler.sample_batch(prompts, seeds)
         assert images.tobytes() == x.reshape(n_rows, 16, 16).tobytes()

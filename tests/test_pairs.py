@@ -112,16 +112,21 @@ class TestGeneratePairDataset:
             )
 
 
+def filtered(mask):
+    """The mask's filter on a one-row state of a 16x16 image."""
+    return lambda x0: freq_mask_filter(x0.reshape(16, 16), mask).reshape(x0.shape)
+
+
 def filter_and_clip(mask):
-    """The x0 map of a diffusion-mode trajectory."""
-    return lambda x0: np.clip(freq_mask_filter(x0, mask), *DIFFUSION_X0_RANGE)
+    """The x0 map of a one-row diffusion-mode trajectory."""
+    return lambda x0: np.clip(filtered(mask)(x0), *DIFFUSION_X0_RANGE)
 
 
 def per_member_dataset(n_content, n_style, seed, sigma, backbone, schedule, eps_of_image):
     """Diffusion-mode members sampled one image at a time.
 
     Each member runs its own trajectory of one-row forward passes and
-    single-image reverse steps, from its own ``pairgen`` stream.
+    one-row reverse steps, from its own ``pairgen`` stream.
     """
     members = []
     for i in range(n_content):
@@ -135,11 +140,11 @@ def per_member_dataset(n_content, n_style, seed, sigma, backbone, schedule, eps_
                 rng = make_rng(seed, "pairgen", pair_id, member)
                 emb = encode_semantic(prompt)
                 x0_map = filter_and_clip(FrequencyMask(kind, sigma))
-                x = rng.standard_normal((16, 16))
+                x = rng.standard_normal((1, 256))
                 for t in range(schedule.total_steps, 0, -1):
                     eps = eps_of_image(x, t, emb, backbone)
-                    x = ddpm_step(x, t, eps, schedule, rng, x0_map=x0_map)
-                images.append(np.clip(x, 0.0, 1.0))
+                    x = ddpm_step(x, t, eps, schedule, [rng], x0_map=x0_map)
+                images.append(np.clip(x.reshape(16, 16), 0.0, 1.0))
             members.append(images)
     return members
 
@@ -147,24 +152,22 @@ def per_member_dataset(n_content, n_style, seed, sigma, backbone, schedule, eps_
 class TestDiffusionMode:
     def test_filtered_step_all_ones_equivalent_mask(self, trained_base, schedule, one_row_eps):
         # a low mask that keeps the whole spectrum matches an unfiltered step
-        x = make_rng(1).standard_normal((16, 16))
+        x = make_rng(1).standard_normal((1, 256))
         emb = encode_semantic("a filled disc")
         mask = FrequencyMask("low", 0.99)
         eps = one_row_eps(x, 9, emb, trained_base)
-        out_filtered = ddpm_step(
-            x, 9, eps, schedule, make_rng(2, "step"), x0_map=lambda x0: freq_mask_filter(x0, mask)
-        )
-        out_plain = ddpm_step(x, 9, eps, schedule, make_rng(2, "step"))
+        out_filtered = ddpm_step(x, 9, eps, schedule, [make_rng(2, "step")], x0_map=filtered(mask))
+        out_plain = ddpm_step(x, 9, eps, schedule, [make_rng(2, "step")])
         assert np.abs(out_filtered - out_plain).max() < 1e-9
 
     def test_final_step_returns_filtered_estimate(self, trained_base, schedule, one_row_eps):
-        x = make_rng(3).standard_normal((16, 16))
+        x = make_rng(3).standard_normal((1, 256))
         emb = encode_semantic("a filled disc")
         mask = FrequencyMask("low", 0.3)
         eps = one_row_eps(x, 1, emb, trained_base)
-        out = ddpm_step(x, 1, eps, schedule, x0_map=lambda x0: freq_mask_filter(x0, mask))
+        out = ddpm_step(x, 1, eps, schedule, x0_map=filtered(mask))
         ab = schedule.alpha_bar(1)
-        expected = freq_mask_filter((x - np.sqrt(1.0 - ab) * eps) / np.sqrt(ab), mask)
+        expected = filtered(mask)((x - np.sqrt(1.0 - ab) * eps) / np.sqrt(ab))
         assert np.array_equal(out, expected)
 
     def test_low_mask_trajectory_sheds_high_band_vs_unfiltered(
@@ -173,7 +176,7 @@ class TestDiffusionMode:
         # paired runs from one seed: the unfiltered trajectory retains at
         # least twice the high-band energy of the low-mask trajectory
         emb = encode_semantic("a filled disc with fine stripe texture")
-        filtered = filter_and_clip(FrequencyMask("low", 0.35))
+        low_band = filter_and_clip(FrequencyMask("low", 0.35))
 
         def clipped(x0):
             return np.clip(x0, *DIFFUSION_X0_RANGE)
@@ -181,13 +184,13 @@ class TestDiffusionMode:
         ratios = []
         for seed in (0, 1, 2):
             ends = []
-            for x0_map in (filtered, clipped):
+            for x0_map in (low_band, clipped):
                 rng = make_rng(seed, "paired")
-                x = rng.standard_normal((16, 16))
+                x = rng.standard_normal((1, 256))
                 for t in range(schedule.total_steps, 0, -1):
                     eps = one_row_eps(x, t, emb, trained_base)
-                    x = ddpm_step(x, t, eps, schedule, rng, x0_map=x0_map)
-                ends.append(float(np.sum(style_residual(x, 0.35) ** 2)))
+                    x = ddpm_step(x, t, eps, schedule, [rng], x0_map=x0_map)
+                ends.append(float(np.sum(style_residual(x.reshape(16, 16), 0.35) ** 2)))
             e_filtered, e_plain = ends
             ratios.append(e_plain / max(e_filtered, 1e-12))
         assert min(ratios) >= 2.0

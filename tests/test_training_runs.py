@@ -6,7 +6,7 @@ import pytest
 from craftlora.adapters import LoraTrainer, default_routing, make_adapter
 from craftlora.denoiser import DenoiserTrainer, NoiseSchedule
 from craftlora.pairs import ContrastPair, generate_pair_dataset, style_render
-from craftlora.prompts import encode_semantic, parse_prompt
+from craftlora.prompts import EMB_DIM, encode_semantic, parse_prompt
 from craftlora.subspace import (
     PerceptualProxy,
     RankSchedule,
@@ -28,7 +28,7 @@ def test_denoiser_training_halves_loss_across_seeds(toy_images_8x8):
     # 2000 steps on 64 toy images; start/end measured as 50-step means
     for seed in (0, 1, 2):
         trainer = DenoiserTrainer(image_size=8, steps=2000, seed=seed)
-        trainer.fit(toy_images_8x8)
+        trainer.fit(toy_images_8x8, np.zeros((len(toy_images_8x8), EMB_DIM)))
         history = np.array(trainer.loss_history_)
         start = history[:50].mean()
         end = history[-50:].mean()
@@ -40,7 +40,7 @@ def test_denoiser_loss_windows_decrease_across_seeds(toy_images_8x8):
     # the converged tail; doubling the window restores strict monotonicity
     for seed in (0, 1, 2):
         trainer = DenoiserTrainer(image_size=8, steps=2000, seed=seed)
-        trainer.fit(toy_images_8x8)
+        trainer.fit(toy_images_8x8, np.zeros((len(toy_images_8x8), EMB_DIM)))
         history = np.array(trainer.loss_history_)
         w100 = history.reshape(-1, 100).mean(axis=1)
         slack = 0.015 * w100[0]
@@ -102,8 +102,9 @@ def test_adapter_thousand_steps_beats_zero_adapter(trained_base, schedule):
     for _ in range(60):
         t = int(rng.integers(1, schedule.total_steps + 1))
         noise = rng.standard_normal(reference.shape)
-        lt, _, _ = adapter_loss(trained_base, trainer.adapter_, reference, e_sem, schedule, (t, noise))
-        lz, _, _ = adapter_loss(trained_base, zero, reference, e_sem, schedule, (t, noise))
+        draw = ([t], noise[None])
+        lt, _, _ = adapter_loss(trained_base, trainer.adapter_, reference, e_sem, schedule, draw)
+        lz, _, _ = adapter_loss(trained_base, zero, reference, e_sem, schedule, draw)
         trained_total += lt
         zero_total += lz
     assert trained_total < zero_total

@@ -190,19 +190,18 @@ def sinusoidal_embedding(t, dim):
 _COND_PROJECTIONS = {}
 
 
-def conditioning_projection(emb_dim, hidden_width):
+def conditioning_projection(hidden_width):
     """Fixed projection from the text embedding into the hidden width.
 
     Deterministic in the architecture alone (not the run seed), so that a
     checkpoint of the named layers is sufficient to reproduce sampling.
     """
-    key = (emb_dim, hidden_width)
-    proj = _COND_PROJECTIONS.get(key)
+    proj = _COND_PROJECTIONS.get(hidden_width)
     if proj is None:
-        rng = make_rng(0, "conditioning-projection", emb_dim, hidden_width)
-        proj = rng.standard_normal((emb_dim, hidden_width)) / math.sqrt(emb_dim)
+        rng = make_rng(0, "conditioning-projection", EMB_DIM, hidden_width)
+        proj = rng.standard_normal((EMB_DIM, hidden_width)) / math.sqrt(EMB_DIM)
         proj.flags.writeable = False
-        _COND_PROJECTIONS[key] = proj
+        _COND_PROJECTIONS[hidden_width] = proj
     return proj
 
 
@@ -226,9 +225,14 @@ class ProjectedConditioning(NamedTuple):
 
 
 def project_conditioning(cond, hidden_width):
-    """``cond @ conditioning_projection(...)``, what ``forward_pass`` injects."""
+    """``cond @ conditioning_projection(...)``, what ``forward_pass`` injects.
+
+    ``ShapeMismatch`` unless each conditioning row is ``EMB_DIM`` wide.
+    """
     cond = np.asarray(cond, dtype=np.float64)
-    return ProjectedConditioning(cond @ conditioning_projection(cond.shape[-1], hidden_width))
+    if cond.shape[-1:] != (EMB_DIM,):
+        raise ShapeMismatch(f"conditioning rows must be {EMB_DIM} wide, got shape {cond.shape}")
+    return ProjectedConditioning(cond @ conditioning_projection(hidden_width))
 
 
 def _injection(t, cond, hidden_width):
@@ -271,8 +275,9 @@ def forward_pass(x, t, cond, backbone, terms=None):
     """Batched forward through the named layers.
 
     ``x`` is (batch, d_in); ``t`` scalar or (batch,); ``cond`` is (batch,
-    emb_dim), a zero row being the null embedding, or its
-    ``ProjectedConditioning``, with the same result. ``backbone`` is a
+    EMB_DIM), a zero row being the null embedding, or its
+    ``ProjectedConditioning``, with the same result; conditioning of any
+    other width is ``ShapeMismatch``. ``backbone`` is a
     ``Backbone`` or any ordered mapping of layer names to weights.
     ``terms`` optionally maps layer names to unmerged low-rank updates
     ``(s, B, A)``, where ``s`` is a (k, 1) column holding one scale per row;
@@ -283,7 +288,7 @@ def forward_pass(x, t, cond, backbone, terms=None):
 
     Without terms the weights may carry a leading stack axis, (k, d_in,
     d_out), with ``x`` (k, batch, d_in), ``t`` (k, batch) and ``cond``
-    (k, batch, emb_dim): k independent networks in one pass, each slice of
+    (k, batch, EMB_DIM): k independent networks in one pass, each slice of
     the result bit for bit the 2-D call on that slice.
     Returns the prediction and the cache (inputs and pre-activations) needed
     for the backward pass.

@@ -7,21 +7,35 @@ normalized cutoff is measured as a fraction of the Nyquist radial frequency.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dctn, idctn
 
 from .exceptions import BadCutoff, ShapeMismatch
 from .validation import as_images
 
+_DCT_MATRICES = {}
+
+
+def _dct_matrix(n):
+    """The orthonormal DCT-II matrix C of size n, so that ``C @ v`` is the DCT
+    of ``v``; built once per size and cached read-only."""
+    mat = _DCT_MATRICES.get(n)
+    if mat is None:
+        k = np.arange(n)[:, None]
+        mat = np.sqrt(2.0 / n) * np.cos(np.pi * k * (2 * np.arange(n) + 1) / (2 * n))
+        mat[0] = np.sqrt(1.0 / n)
+        mat.flags.writeable = False
+        _DCT_MATRICES[n] = mat
+    return mat
+
 
 def dct2(x):
-    """Orthonormal DCT-II over the last two axes: one image or each of a stack."""
-    return dctn(x, type=2, norm="ortho", axes=(-2, -1))
+    """Orthonormal DCT-II over the last two axes, ``C_h @ x @ C_w^T``: one
+    image or each of a stack."""
+    return _dct_matrix(x.shape[-2]) @ x @ _dct_matrix(x.shape[-1]).T
 
 
 def idct2(x):
-    """Inverse of ``dct2``. It may overwrite ``x``, which every caller builds as
-    a scratch product, to spare a stack-sized buffer."""
-    return idctn(x, type=2, norm="ortho", axes=(-2, -1), overwrite_x=True)
+    """Inverse of ``dct2``, ``C_h^T @ x @ C_w``."""
+    return _dct_matrix(x.shape[-2]).T @ x @ _dct_matrix(x.shape[-1])
 
 
 def radial_frequency(height, width):

@@ -4,7 +4,6 @@ All arithmetic is 64-bit. Every function is pure, so concurrent use is safe.
 """
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .exceptions import DegenerateInput, NotOrthonormal, ShapeMismatch
 from .validation import as_matrix
@@ -102,8 +101,9 @@ def qr_backward(q, r, grad_q):
     s = q.T @ grad_q
     p = np.tril(s - s.T, -1)
     m = q @ p + grad_q - q @ s
-    # right-multiply by r^{-T}: (m r^{-T}) = (r^{-1} m^T)^T
-    return solve_triangular(r, m.T, lower=False).T
+    # right-multiply by r^{-T}: (m r^{-T}) = (r^{-1} m^T)^T; r is upper
+    # triangular, so the LU of the solve makes no row swaps
+    return np.linalg.solve(r, m.T).T
 
 
 def check_orthonormal(q):

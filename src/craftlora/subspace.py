@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
 
 from .adapters import KINDS
 from .config import DenoiserSettings, TrunkSettings
@@ -184,6 +183,8 @@ class PerceptualProxy:
     @staticmethod
     def _conv_matrix(weights, in_h, in_w, out_h, out_w):
         """Valid 2-D convolution as a sparse (in_pixels, out_pixels) matrix."""
+        import scipy.sparse  # here, not at the top, so that only a trunk fit loads SciPy
+
         out_ch, in_ch, k, _ = weights.shape
         oc, oy, ox, ic, ky, kx = np.indices((out_ch, out_h, out_w, in_ch, k, k)).reshape(6, -1)
         rows = (ic * in_h + oy + ky) * in_w + ox + kx

@@ -213,7 +213,7 @@ class TestProjectedConditioning:
     def test_projected_rows_give_the_same_pass(self, small_backbone, stacked):
         rng = make_rng(32)
         x = rng.standard_normal((3, 64))
-        cond = rng.standard_normal((3, 16))
+        cond = rng.standard_normal((3, EMB_DIM))
         backbone = small_backbone
         t = 7
         if stacked:
@@ -224,6 +224,10 @@ class TestProjectedConditioning:
         plain, _ = forward_pass(x, t, cond, backbone)
         again, _ = forward_pass(x, t, projected, backbone)
         assert again.tobytes() == plain.tobytes()
+
+    def test_conditioning_of_another_width_is_refused(self):
+        with pytest.raises(ShapeMismatch):
+            forward_pass(np.zeros((2, 256)), 5, np.ones((2, 32)), init_backbone(seed=0))
 
 
 class TestBackwardTerms:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,27 +8,84 @@ from hypothesis import strategies as st
 from craftlora.exceptions import BadCutoff
 from craftlora.frequency import (
     FrequencyMask,
+    _dct_matrix,
     dct2,
     freq_mask_filter,
     gaussian_lowpass,
+    idct2,
     style_residual,
 )
 
 PAPER_SIGMAS = (0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5)
 
 
+def dct_basis(n):
+    """Orthonormal DCT-II matrix, row by row."""
+    mat = np.zeros((n, n))
+    for k in range(n):
+        scale = np.sqrt((1.0 if k == 0 else 2.0) / n)
+        mat[k] = scale * np.cos(np.pi * k * (2 * np.arange(n) + 1) / (2 * n))
+    return mat
+
+
 def dct2_oracle(x):
-    """Direct O(n^2) orthonormal DCT-II, independent of scipy."""
+    """Orthonormal DCT-II of one image as basis products."""
     h, w = x.shape
+    return dct_basis(h) @ x @ dct_basis(w).T
 
-    def basis(n):
-        mat = np.zeros((n, n))
-        for k in range(n):
-            scale = np.sqrt((1.0 if k == 0 else 2.0) / n)
-            mat[k] = scale * np.cos(np.pi * k * (2 * np.arange(n) + 1) / (2 * n))
-        return mat
 
-    return basis(h) @ x @ basis(w).T
+def dct_coefficient(x, k, l):
+    """X[k, l] of one image as the direct double cosine sum, independent of
+    any basis matrix."""
+    h, w = x.shape
+    c_k = math.sqrt((1.0 if k == 0 else 2.0) / h)
+    c_l = math.sqrt((1.0 if l == 0 else 2.0) / w)
+    total = 0.0
+    for y in range(h):
+        for x_ in range(w):
+            total += (
+                x[y, x_]
+                * math.cos(math.pi * k * (2 * y + 1) / (2 * h))
+                * math.cos(math.pi * l * (2 * x_ + 1) / (2 * w))
+            )
+    return c_k * c_l * total
+
+
+class TestDct:
+    @staticmethod
+    def coefficients(h, w):
+        # DC, the highest-frequency corner and an interior coefficient
+        return [(0, 0), (h - 1, w - 1), (h // 2 - 1, w // 3 + 1)]
+
+    def test_single_image_matches_the_cosine_sum(self):
+        img = np.random.default_rng(10).random((16, 16))
+        coeffs = dct2(img)
+        for k, l in self.coefficients(16, 16):
+            assert abs(coeffs[k, l] - dct_coefficient(img, k, l)) < 1e-12
+
+    def test_each_image_of_a_stack_matches_the_cosine_sum(self):
+        stack = np.random.default_rng(11).random((3, 8, 12))
+        coeffs = dct2(stack)
+        assert coeffs.shape == stack.shape
+        for img, img_coeffs in zip(stack, coeffs):
+            for k, l in self.coefficients(8, 12):
+                assert abs(img_coeffs[k, l] - dct_coefficient(img, k, l)) < 1e-12
+
+    def test_round_trip(self):
+        stack = np.random.default_rng(12).random((3, 8, 12))
+        assert np.abs(idct2(dct2(stack)) - stack).max() < 1e-12
+        img = stack[0]
+        assert np.abs(dct2(idct2(img)) - img).max() < 1e-12
+
+    def test_cached_matrix_refuses_writes(self):
+        mat = _dct_matrix(8)
+        assert _dct_matrix(8) is mat
+        with pytest.raises(ValueError):
+            mat[0, 0] = 1.0
+
+
+def low_mask_filter(img, cutoff):
+    return freq_mask_filter(img, FrequencyMask("low", cutoff))
 
 
 class TestGaussianLowpass:
@@ -41,7 +100,7 @@ class TestGaussianLowpass:
         assert out[1].tobytes() == stack[1].tobytes()
         assert not np.array_equal(out[0], stack[0])
 
-    @pytest.mark.parametrize("fn", [gaussian_lowpass, style_residual])
+    @pytest.mark.parametrize("fn", [gaussian_lowpass, style_residual, low_mask_filter])
     def test_stack_equals_one_image_at_a_time(self, fn):
         stack = np.random.default_rng(9).random((5, 12, 20))
         stack[2] = 0.5
@@ -143,20 +202,6 @@ class TestFrequencyMask:
         assert np.abs(out - img).max() < 1e-9
 
     def test_delta_image_truncation_against_direct_dct(self):
-        def idct2_oracle(x):
-            h, w = x.shape
-
-            def basis(n):
-                mat = np.zeros((n, n))
-                for k in range(n):
-                    scale = np.sqrt((1.0 if k == 0 else 2.0) / n)
-                    mat[k] = scale * np.cos(
-                        np.pi * k * (2 * np.arange(n) + 1) / (2 * n)
-                    )
-                return mat
-
-            return basis(h).T @ x @ basis(w)
-
         img = np.zeros((4, 4))
         img[1, 2] = 1.0
         out = freq_mask_filter(img, FrequencyMask("low", 0.5))
@@ -164,7 +209,7 @@ class TestFrequencyMask:
         fy = np.arange(4) / 4.0
         rho = np.hypot(fy[:, None], fy[None, :]) / np.sqrt(2.0)
         keep = (rho <= 0.5).astype(float)
-        expected = idct2_oracle(keep * coeffs)
+        expected = dct_basis(4).T @ (keep * coeffs) @ dct_basis(4)
         assert np.abs(out - expected).max() < 1e-10
 
     def test_linearity(self):

@@ -90,6 +90,16 @@ class TestQrBackward:
             fd = (loss(bp) - loss(bm)) / (2 * h)
             assert abs(fd - grad[i, j]) <= 1e-4 * max(abs(fd), abs(grad[i, j]), 1e-8)
 
+    def test_solve_matches_the_explicit_inverse(self):
+        rng = np.random.default_rng(5)
+        q, r = householder_qr(rng.standard_normal((12, 6)))
+        grad_q = rng.standard_normal((12, 6))
+        s = q.T @ grad_q
+        m = q @ np.tril(s - s.T, -1) + grad_q - q @ s
+        expected = m @ np.linalg.inv(r).T
+        got = qr_backward(q, r, grad_q)
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
     def test_rejects_trapezoidal_r(self):
         with pytest.raises(ShapeMismatch):
             qr_backward(np.eye(3, 2), np.ones((2, 3)), np.zeros((3, 2)))

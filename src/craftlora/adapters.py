@@ -17,7 +17,7 @@ from .denoiser import NoiseSchedule, backward_pass, forward_pass
 from .exceptions import ConfigInvalid, MarkerMissing, RoutingViolation, ShapeMismatch
 from .optim import Adam
 from .prompts import EMB_DIM, encode_semantic, parse_prompt
-from .utils import check_loss, check_trained, lr_at, make_rng
+from .utils import make_rng, train_loop
 from .validation import as_image, as_vector
 
 KINDS = ("content", "style")
@@ -219,13 +219,10 @@ class LoraTrainer:
     ``adapter_`` and the loss curve in ``loss_history_``. The prompt must
     carry the marker matching ``kind``. Only the adapter's factors and
     gate train; the host and the layers outside the kind's set get no
-    gradient. Pass ``on_step`` to observe each step's factor gradients,
-    ``{layer: (dB, dA)}`` over the kind's layers.
+    gradient.
     """
 
-    def __init__(
-        self, kind, routing=None, schedule=None, host_hash="", on_step=None, seed=0, **settings
-    ):
+    def __init__(self, kind, routing=None, schedule=None, host_hash="", seed=0, **settings):
         if kind not in KINDS:
             raise ConfigInvalid(f"adapter kind must be one of {KINDS}, got {kind!r}")
         self.kind = kind
@@ -234,7 +231,6 @@ class LoraTrainer:
         self.routing = routing
         self.schedule = schedule or NoiseSchedule.linear()
         self.host_hash = host_hash
-        self.on_step = on_step
         self.seed = seed
 
     def fit(self, backbone, reference, prompt):
@@ -266,12 +262,12 @@ class LoraTrainer:
         optimizer = Adam(params)
         views = optimizer.params  # the adapter trains in place
         adapter.gate_w = views["gate.w"]
+        adapter.gate_b = views["gate.b"]  # a 0-d view while it trains, a float after
         adapter.factors = {
             name: (views[f"{name}.down"], views[f"{name}.up"]) for name in adapter.factors
         }
-        history = []
-        for step in range(cfg.steps):
-            lr = lr_at(step, cfg.steps, cfg.peak_lr, cfg.start_lr, cfg.floor_lr, cfg.warmup)
+
+        def step():
             ts, noises = [], []
             for _ in range(cfg.batch_size):
                 ts.append(int(rng.integers(1, schedule.total_steps + 1)))
@@ -279,17 +275,14 @@ class LoraTrainer:
             loss, factor_grads, (g_w, g_b) = adapter_loss(
                 backbone, adapter, reference, e_sem, schedule, (ts, np.stack(noises))
             )
-            check_loss(loss, history, "adapter")
-            history.append(loss)
-            if self.on_step is not None:
-                self.on_step(step, factor_grads, loss)
             grads = {"gate.w": g_w, "gate.b": g_b}
             for name, (d_down, d_up) in factor_grads.items():
                 grads[f"{name}.down"] = d_down
                 grads[f"{name}.up"] = d_up
-            optimizer.step(grads, lr)
-            adapter.gate_b = float(views["gate.b"])
-        check_trained([optimizer.flat], "adapter")
+            return loss, grads
+
+        history = train_loop("adapter", cfg, cfg.steps, step, optimizer.step, [optimizer.flat])
+        adapter.gate_b = float(adapter.gate_b)
         self.adapter_ = adapter
         self.loss_history_ = history
         return self

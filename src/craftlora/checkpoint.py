@@ -112,8 +112,19 @@ def write_all_atomic(files):
         raise
 
 
-def _finish(path, buf):
-    """Append the CRC and move the bytes into place with ``write_atomic``."""
+def _save(path, kind, records, header=b""):
+    """Write a ``kind`` file: the magic, version and kind code, ``header``
+    (the adapter's fields), the count and ``records`` of ``(name, array)``
+    tensors, then the CRC, moved into place with ``write_atomic``."""
+    records = list(records)
+    buf = io.BytesIO()
+    buf.write(MAGIC)
+    _w_u32(buf, VERSION)
+    _w_u32(buf, KIND_CODES[kind])
+    buf.write(header)
+    _w_u32(buf, len(records))
+    for name, arr in records:
+        _w_tensor(buf, name, arr)
     payload = buf.getvalue()
     crc = zlib.crc32(payload) & 0xFFFFFFFF
     write_atomic(path, payload + struct.pack("<I", crc))
@@ -154,23 +165,23 @@ def _read_tensors(reader):
     return out, order
 
 
+def _load(path, kind, what):
+    """The ``(name, array)`` tensors, in file order, of a ``kind`` file of
+    the count-plus-tensors layout; another kind is ``CorruptCheckpoint``
+    naming ``what`` was expected."""
+    reader, found = _open(path)
+    if found != kind:
+        raise CorruptCheckpoint(f"{path} holds a {found} checkpoint, expected {what}")
+    tensors, order = _read_tensors(reader)
+    return [(name, tensors[name]) for name in order]
+
+
 def save_backbone(path, backbone):
-    buf = io.BytesIO()
-    buf.write(MAGIC)
-    _w_u32(buf, VERSION)
-    _w_u32(buf, KIND_CODES["backbone"])
-    _w_u32(buf, backbone.n_layers)
-    for name, w in backbone.items():
-        _w_tensor(buf, name, w)
-    _finish(path, buf)
+    _save(path, "backbone", backbone.items())
 
 
 def load_backbone(path):
-    reader, kind = _open(path)
-    if kind != "backbone":
-        raise CorruptCheckpoint(f"{path} holds a {kind} checkpoint, expected backbone")
-    tensors, order = _read_tensors(reader)
-    return Backbone([(name, tensors[name]) for name in order])
+    return Backbone(_load(path, "backbone", "backbone"))
 
 
 def save_tensor_set(path, tensors):
@@ -178,46 +189,29 @@ def save_tensor_set(path, tensors):
 
     Used for the trunk's sidecar bases file; order is preserved.
     """
-    buf = io.BytesIO()
-    buf.write(MAGIC)
-    _w_u32(buf, VERSION)
-    _w_u32(buf, KIND_CODES["tensors"])
-    _w_u32(buf, len(tensors))
-    for name, arr in tensors:
-        _w_tensor(buf, name, arr)
-    _finish(path, buf)
+    _save(path, "tensors", tensors)
 
 
 def load_tensor_set(path):
-    reader, kind = _open(path)
-    if kind != "tensors":
-        raise CorruptCheckpoint(f"{path} holds a {kind} checkpoint, expected a tensor set")
-    tensors, order = _read_tensors(reader)
-    return [(name, tensors[name]) for name in order]
+    return _load(path, "tensors", "a tensor set")
 
 
 def save_adapter(path, adapter):
-    buf = io.BytesIO()
-    buf.write(MAGIC)
-    _w_u32(buf, VERSION)
-    _w_u32(buf, KIND_CODES["adapter"])
-    _w_str(buf, adapter.kind)
-    _w_u32(buf, adapter.rank)
-    _w_str(buf, adapter.host_hash or "")
+    header = io.BytesIO()
+    _w_str(header, adapter.kind)
+    _w_u32(header, adapter.rank)
+    _w_str(header, adapter.host_hash or "")
     for side in (adapter.routing.content, adapter.routing.style):
-        _w_u32(buf, len(side))
+        _w_u32(header, len(side))
         for name in side:
-            _w_str(buf, name)
+            _w_str(header, name)
     records = []
     for name, (b, a) in adapter.factors.items():
         records.append((f"{name}.down", b))
         records.append((f"{name}.up", a))
     records.append(("gate.w", adapter.gate_w))
     records.append(("gate.b", np.array([[adapter.gate_b]])))
-    _w_u32(buf, len(records))
-    for name, arr in records:
-        _w_tensor(buf, name, arr)
-    _finish(path, buf)
+    _save(path, "adapter", records, header.getvalue())
 
 
 def _read_adapter(reader):

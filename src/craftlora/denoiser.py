@@ -18,7 +18,7 @@ from .config import DenoiserSettings, ScheduleSettings
 from .exceptions import ConfigInvalid, NumericalError, OutOfRange, ShapeMismatch
 from .optim import Adam
 from .prompts import EMB_DIM
-from .utils import check_loss, check_trained, lr_at, make_rng
+from .utils import make_rng, train_loop
 from .validation import as_matrix, check_same_shape
 
 
@@ -438,12 +438,17 @@ class DenoiserTrainer:
         images = np.asarray(images, dtype=np.float64)
         if images.ndim != 3 or images.shape[0] < 1:
             raise ConfigInvalid("images must be a non-empty (n, H, W) array")
+        cfg = self.settings
+        if images.shape[1:] != (cfg.image_size, cfg.image_size):
+            raise ShapeMismatch(
+                f"images are {images.shape[1]}x{images.shape[2]}; the denoiser is "
+                f"{cfg.image_size}x{cfg.image_size}"
+            )
         n = images.shape[0]
         flat = images.reshape(n, -1)
         embeddings = np.asarray(embeddings, dtype=np.float64)
         if embeddings.shape != (n, EMB_DIM):
             raise ConfigInvalid(f"embeddings must be ({n}, {EMB_DIM}), got {embeddings.shape}")
-        cfg = self.settings
         schedule = self.schedule
         backbone = init_backbone(cfg.image_size, cfg.hidden_width, cfg.n_layers, self.seed)
         optimizer = Adam(dict(backbone.items()))
@@ -451,9 +456,8 @@ class DenoiserTrainer:
         rng = make_rng(self.seed, "denoiser-train")
         pixels = flat.shape[1]
         batch = cfg.batch_size
-        history = []
-        for step in range(cfg.train_steps):
-            lr = lr_at(step, cfg.train_steps, cfg.peak_lr, cfg.start_lr, cfg.floor_lr, cfg.warmup)
+
+        def step():
             idx = rng.integers(0, n, size=batch)
             ts = rng.integers(1, schedule.total_steps + 1, size=batch)
             noise = rng.standard_normal((batch, pixels))
@@ -464,12 +468,12 @@ class DenoiserTrainer:
             cond = embeddings[idx] * keep[:, None]
             pred, acts = forward_pass(x_t, ts, cond, weights)
             resid = pred - noise
-            loss = float(np.mean(resid * resid))
-            check_loss(loss, history, "denoiser")
-            history.append(loss)
             d_out = 2.0 * resid / resid.size
-            optimizer.step(backward_pass(acts, weights, d_out), lr)
-        check_trained([optimizer.flat], "denoiser")
+            return float(np.mean(resid * resid)), backward_pass(acts, weights, d_out)
+
+        history = train_loop(
+            "denoiser", cfg, cfg.train_steps, step, optimizer.step, [optimizer.flat]
+        )
         for name, w in backbone.items():
             w[...] = weights[name]
         self.backbone_ = backbone

@@ -175,12 +175,11 @@ class GuidedSampler:
     finite and nonnegative, and each adapter's kind must match its slot,
     or the constructor raises ``ConfigInvalid``. After a run,
     ``n_network_evals_`` holds the network evaluations (two per step, one
-    conditional and one unconditional, whatever the batch size),
-    ``trace_`` the per-step diagnostic records of each row and
-    ``trajectory_`` the state sequence when recording is enabled;
-    ``sample`` leaves its single row's records and states. Every step
-    clamps its clean estimate to ``X0_RANGE`` (the ``x0_map`` of
-    ``ddpm_step``), so the last step returns images in that range.
+    conditional and one unconditional, whatever the batch size) and
+    ``trace_`` the per-step diagnostic records of each row; ``sample``
+    leaves its single row's records. Every step clamps its clean estimate
+    to ``X0_RANGE`` (the ``x0_map`` of ``ddpm_step``), so the last step
+    returns images in that range.
     """
 
     def __init__(
@@ -192,7 +191,6 @@ class GuidedSampler:
         gamma_style=None,
         symmetric_cfg=False,
         schedule=None,
-        record_trajectory=False,
         record_trace=False,
         **guidance,
     ):
@@ -211,7 +209,6 @@ class GuidedSampler:
         self.schedule = schedule or NoiseSchedule.linear()
         self.settings = GuidanceSettings(**guidance)
         self.settings.validate(self.schedule.total_steps)
-        self.record_trajectory = record_trajectory
         self.record_trace = record_trace
 
     def _resolve_gammas(self, spec):
@@ -226,8 +223,6 @@ class GuidedSampler:
     def sample(self, prompt, seed=0):
         image = self.sample_batch([prompt], [seed])[0]
         self.trace_ = self.trace_[0]
-        if self.trajectory_ is not None:
-            self.trajectory_ = [state[0] for state in self.trajectory_]
         return image
 
     def sample_batch(self, prompts, seeds):
@@ -266,7 +261,6 @@ class GuidedSampler:
         x = np.stack([rng.standard_normal(self.backbone.input_dim) for rng in rngs])
         n_evals = 0
         trace = [[] for _ in seeds]
-        trajectory = [x.reshape(shape).copy()] if self.record_trajectory else None
 
         def x0_map(x0):
             # the method keeps np.clip's signed zeros without its dispatch
@@ -285,11 +279,8 @@ class GuidedSampler:
                         f"alpha={alpha:.9g} guidance_gap={gap:.9g}"
                     )
             x = ddpm_step(x, t, eps, schedule, rngs, x0_map=x0_map)
-            if trajectory is not None:
-                trajectory.append(x.reshape(shape).copy())
 
         self.n_network_evals_ = n_evals
         self.trace_ = trace
-        self.trajectory_ = trajectory
         return x.reshape(shape)
 

@@ -30,7 +30,7 @@ from .exceptions import (
 )
 from .linalg import GRAM_PIVOT_TOL_FACTOR, householder_qr, project_out
 from .prompts import encode_semantic
-from .utils import check_loss, check_trained, lr_at, make_rng
+from .utils import make_rng, train_loop
 from .validation import as_matrix
 
 
@@ -470,6 +470,13 @@ class TrunkFinetuner:
     def fit(self, backbone, pairs):
         if len(pairs) < 1:
             raise ConfigInvalid("the pair dataset is empty")
+        side = math.isqrt(backbone.input_dim)
+        shapes = {m.shape for p in pairs for m in (p.content_image, p.style_image)}
+        if shapes != {(side, side)} or side * side != backbone.input_dim:
+            raise ShapeMismatch(
+                f"pair images are {', '.join('x'.join(map(str, s)) for s in sorted(shapes))}; "
+                f"the host expects square images of {backbone.input_dim} pixels"
+            )
         degenerate = [
             p.pair_id for p in pairs if np.array_equal(p.content_image, p.style_image)
         ]
@@ -483,21 +490,19 @@ class TrunkFinetuner:
         cfg = self.settings
         rank_plan = RankSchedule(cfg.r_max, cfg.r_min, backbone.n_layers)
         bases = init_bases(backbone, rank_plan, seed=self.seed)
-        image_size = pairs[0].content_image.shape[0]
-        perceptual = PerceptualProxy(image_size=image_size) if cfg.alpha_perc > 0.0 else None
+        perceptual = PerceptualProxy(image_size=side) if cfg.alpha_perc > 0.0 else None
         rng = make_rng(self.seed, "trunk-train")
         embeddings = member_embeddings(pairs)
         targets = member_targets(pairs)
         target_features = (
             None if perceptual is None else member_target_features(targets, perceptual)
         )
-        history = []
-        for step in range(cfg.steps):
-            lr = lr_at(step, cfg.steps, cfg.peak_lr, cfg.start_lr, cfg.floor_lr, cfg.warmup)
+
+        def step():
             idx = rng.integers(0, len(pairs), size=min(cfg.batch_size, len(pairs)))
             batch = [pairs[i] for i in idx]
             draws = make_trunk_draws(batch, self.schedule, rng)
-            loss, grads = trunk_loss(
+            return trunk_loss(
                 backbone,
                 bases,
                 batch,
@@ -512,11 +517,12 @@ class TrunkFinetuner:
                 ],
                 targets=targets[:, idx],
             )
-            check_loss(loss, history, "trunk")
-            history.append(loss)
+
+        def update(grads, lr):
             for name, b in bases.stacks.items():
                 b -= lr * grads[name]
-        check_trained(bases.stacks.values(), "trunk")
+
+        history = train_loop("trunk", cfg, cfg.steps, step, update, bases.stacks.values())
 
         merged = {name: merge_subspaces(*bases.stacks[name]) for name in backbone.names}
         ranks = {name: q.shape[1] for name, q in merged.items()}

@@ -49,20 +49,27 @@ def lr_at(step, total, peak, start, floor, warmup):
     return floor + (peak - floor) * 0.5 * (1.0 + math.cos(math.pi * u))
 
 
-def check_loss(loss, history, stage):
-    """Raise ``NumericalError`` when a step's loss is non-finite or exceeds
-    ``DIVERGENCE_FACTOR`` times the first loss in ``history``."""
-    if not math.isfinite(loss) or (history and loss > DIVERGENCE_FACTOR * history[0]):
-        raise NumericalError(f"{stage} loss diverged at step {len(history)}")
+def train_loop(stage, rates, steps, step, update, params):
+    """Run ``steps`` training steps and return the per-step loss history.
 
-
-def check_trained(arrays, stage):
-    """Raise ``NumericalError`` when any of ``arrays`` holds a non-finite
-    value. A trainer calls it once after its loop: each step's loss check
-    sees the updates before it but not the last one, and no model is
-    rebuilt (and re-validated) from the updated parameters."""
-    if not all(np.isfinite(a).all() for a in arrays):
+    Each step calls ``step()`` for ``(loss, grads)`` and then
+    ``update(grads, lr)`` with the warm-up cosine rate ``lr_at`` of the
+    ``rates`` settings (their ``peak_lr``, ``start_lr``, ``floor_lr`` and
+    ``warmup``). A loss that is non-finite or exceeds ``DIVERGENCE_FACTOR``
+    times the first raises ``NumericalError`` before its update. Each loss
+    sees the updates before it but not the last one, so after the loop
+    every array of ``params`` must be finite, or ``NumericalError``.
+    """
+    history = []
+    for i in range(steps):
+        loss, grads = step()
+        if not math.isfinite(loss) or (history and loss > DIVERGENCE_FACTOR * history[0]):
+            raise NumericalError(f"{stage} loss diverged at step {i}")
+        history.append(loss)
+        update(grads, lr_at(i, steps, rates.peak_lr, rates.start_lr, rates.floor_lr, rates.warmup))
+    if not all(np.isfinite(a).all() for a in params):
         raise NumericalError(f"{stage} parameters are non-finite after the last update")
+    return history
 
 
 def run_row_blocks(fn, n_rows, threads=1, max_rows=None):

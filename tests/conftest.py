@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from craftlora import guidance
 from craftlora.denoiser import DenoiserTrainer, NoiseSchedule, ddpm_step, forward_pass
 from craftlora.guidance import guided_eps, guided_eps_parts, plan_guidance
 from craftlora.pairs import generate_pair_dataset
@@ -85,6 +86,28 @@ def one_image_parts():
 @pytest.fixture(scope="session")
 def standard_cfg():
     return standard_cfg_states
+
+
+@pytest.fixture
+def sampler_states(monkeypatch):
+    """The states of each ``GuidedSampler`` run, seen through ``ddpm_step``.
+
+    Wraps ``guidance.ddpm_step`` and returns a list that gets one list per
+    run: its (rows, pixels) start state, then a copy of each step's output.
+    A run starts at the call whose t is the schedule's last step.
+    """
+    runs = []
+    real = guidance.ddpm_step
+
+    def recording(x_t, t, eps_hat, schedule, *args, **kwargs):
+        if t == schedule.total_steps:
+            runs.append([np.array(x_t)])
+        out = real(x_t, t, eps_hat, schedule, *args, **kwargs)
+        runs[-1].append(out.copy())
+        return out
+
+    monkeypatch.setattr(guidance, "ddpm_step", recording)
+    return runs
 
 
 @pytest.fixture(scope="session")

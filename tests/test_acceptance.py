@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from craftlora import adapters
 from craftlora.adapters import KINDS, LoraTrainer, adapter_loss, default_routing, make_adapter
 from craftlora.cli import main as cli_main
 from craftlora.config import GuidanceSettings
@@ -139,18 +140,20 @@ def test_frequency_partition():
             assert float(np.sum(res * res)) == 0.0
 
 
-def test_acfg_equivalence(trained_base, schedule, standard_cfg, one_image_parts):
+def test_acfg_equivalence(
+    trained_base, schedule, standard_cfg, one_image_parts, sampler_states
+):
     with criterion("acfg-equivalence", 30):
         prompt = "a filled disc <c> in fine stripe style <s>"
         for seed in range(10):
-            sampler = GuidedSampler(
-                trained_base, omega=4.0, schedule=schedule, record_trajectory=True
-            )
+            sampler = GuidedSampler(trained_base, omega=4.0, schedule=schedule)
             image = sampler.sample(prompt, seed=seed)
             reference_path = standard_cfg(prompt, trained_base, 4.0, schedule, seed)
             assert image.tobytes() == reference_path[-1].tobytes()
-            assert len(sampler.trajectory_) == len(reference_path)
-            for a, b in zip(sampler.trajectory_, reference_path):
+            assert len(sampler_states) == seed + 1
+            states = sampler_states[-1]
+            assert len(states) == len(reference_path)
+            for a, b in zip(states, reference_path):
                 assert a.tobytes() == b.tobytes()
         # omega == 0 collapses the guided estimate onto the conditional pass
         x = make_rng(77, "w0").standard_normal((16, 16))
@@ -317,23 +320,24 @@ def test_gradient_checks():
             assert abs(fd - an) <= rel_tol * max(abs(fd), abs(an), 1e-8)
 
 
-def test_gradient_masking(trained_base):
+def test_gradient_masking(trained_base, monkeypatch):
     with criterion("gradient-masking", 60):
         routing = default_routing(trained_base.names)
         host_bytes = [w.tobytes() for _, w in trained_base.items()]
         for kind in ("style", "content"):
             seen = []
 
-            def on_step(step, grads, loss, bucket=seen):
-                bucket.append(set(grads))
+            def recording_loss(*args, bucket=seen):
+                loss, factor_grads, gate_grads = adapter_loss(*args)
+                bucket.append(set(factor_grads))
+                return loss, factor_grads, gate_grads
 
+            monkeypatch.setattr(adapters, "adapter_loss", recording_loss)
             reference = style_render(0) if kind == "style" else content_render(0)
             prompt = (
                 "in fine stripe style <s>" if kind == "style" else "a filled disc <c>"
             )
-            trainer = LoraTrainer(
-                kind, rank=4, steps=200, routing=routing, seed=55, on_step=on_step
-            )
+            trainer = LoraTrainer(kind, rank=4, steps=200, routing=routing, seed=55)
             trainer.fit(trained_base, reference, prompt)
             # every step computes gradients for the routed layers and no others
             assert seen == [set(routing.side(kind))] * 200

@@ -293,16 +293,19 @@ class TestLoraTrainer:
             assert np.array_equal(trainer.adapter_.factors[name][0], ref.factors[name][0])
             assert np.array_equal(trainer.adapter_.factors[name][1], ref.factors[name][1])
 
-    def test_masking_holds_every_step(self, backbone, routing):
+    def test_masking_holds_every_step(self, backbone, routing, monkeypatch):
+        import craftlora.adapters
+
         records = []
         host_bytes = [w.tobytes() for _, w in backbone.items()]
 
-        def on_step(step, grads, loss):
-            records.append(set(grads))
+        def recording_loss(*args):
+            loss, factor_grads, gate_grads = adapter_loss(*args)
+            records.append(set(factor_grads))
+            return loss, factor_grads, gate_grads
 
-        trainer = LoraTrainer(
-            "style", rank=2, steps=25, routing=routing, seed=12, on_step=on_step
-        )
+        monkeypatch.setattr(craftlora.adapters, "adapter_loss", recording_loss)
+        trainer = LoraTrainer("style", rank=2, steps=25, routing=routing, seed=12)
         trainer.fit(backbone, style_render(2, 8), "in checker style <s>")
         # every step computes gradients for the style layers and no others,
         # and the host is never written

@@ -219,9 +219,9 @@ class TestTrainTrunk:
             # f32 narrowing loosens the invariant accordingly
             assert np.abs(merged.T @ host.weight(name)).max() < 1e-6
 
-    def run_trunk(self, config_path, dataset, out):
+    def run_trunk(self, config_path, dataset, out, *extra):
         return run_cli(
-            ["train-trunk", "--config", config_path, "--dataset", dataset, "--out", out]
+            ["train-trunk", "--config", config_path, "--dataset", dataset, "--out", out, *extra]
         )
 
     @pytest.mark.parametrize(
@@ -269,6 +269,30 @@ class TestTrainTrunk:
         assert self.run_trunk(config_path, pairs, tmp_path / "mixed.crft") == 2
         assert "mixes image shapes" in capsys.readouterr().err
         assert not (tmp_path / "mixed.crft").exists()
+
+    @pytest.mark.parametrize("with_base", [False, True], ids=["trained-base", "given-base"])
+    def test_pairs_of_another_size_exit_one_without_output(
+        self, workspace, tmp_path, capsys, with_base
+    ):
+        # 8x8 pairs for the 16x16 denoiser of the config, or for a 16x16
+        # --base host, are refused as a ShapeMismatch, a usage error; a raw
+        # NumPy ValueError would escape main instead
+        root, config_path = workspace
+        small_config = tmp_path / "small.json"
+        small_config.write_text(json.dumps({**LIGHT_CONFIG, "denoiser": {"image_size": 8}}))
+        pairs = tmp_path / "pairs"
+        assert run_cli(["gen-pairs", "--config", small_config, "--out", pairs]) == 0
+        out = tmp_path / "trunk.crft"
+        base = ["--base", root / "trunk.crft"] if with_base else []
+        assert self.run_trunk(config_path, pairs, out, *base) == 1
+        err = capsys.readouterr().err
+        expected = (
+            "the host expects square images of 256 pixels" if with_base
+            else "images are 8x8; the denoiser is 16x16"
+        )
+        assert err.startswith("error:") and expected in err
+        assert not out.exists()
+        assert not (tmp_path / "trunk.crft.bases").exists()
 
     def test_save_failing_partway_keeps_the_old_dataset(
         self, workspace, tmp_path, capsys, monkeypatch

@@ -470,6 +470,11 @@ class TestDenoiserTrainer:
         with pytest.raises(ConfigInvalid):
             DenoiserTrainer(steps=1).fit(np.zeros((0, 16, 16)), np.zeros((0, EMB_DIM)))
 
+    def test_images_of_another_size_rejected(self):
+        images = make_rng(16).random((4, 16, 16))
+        with pytest.raises(ShapeMismatch, match="images are 16x16; the denoiser is 8x8"):
+            DenoiserTrainer(image_size=8, steps=1).fit(images, unconditioned(images))
+
     def test_finite_runaway_loss_raises(self):
         # at peak_lr 1e4 the loss stays finite but runs far past its first value
         images = make_rng(14).random((4, 8, 8))

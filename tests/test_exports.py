@@ -75,17 +75,9 @@ UNSET_KEYWORDS = {
         "the trunk's proxy is the seed-0 stack; tests build their reference "
         "proxies at other seeds"
     ),
-    "adapters.LoraTrainer.on_step": (
-        "a hook through which tests observe each step's gradients, until the "
-        "structured training records of ROADMAP item 6 replace it"
-    ),
     "adapters.LoraTrainer.routing": (
         "the package trains on default_routing; the benchmark harness passes "
         "the routing explicitly"
-    ),
-    "guidance.GuidedSampler.record_trajectory": (
-        "a hook through which tests observe every sampling state, until the "
-        "structured sampling records of ROADMAP item 6 replace it"
     ),
     **{
         f"config.{cls.__name__}.{f.name}": (

@@ -240,20 +240,23 @@ class TestGuidedParts:
 
 
 class TestGuidedSampler:
-    def test_matches_plain_cfg_with_no_adapters(self, trained_base, schedule, standard_cfg):
+    def test_matches_plain_cfg_with_no_adapters(
+        self, trained_base, schedule, standard_cfg, sampler_states
+    ):
         prompt = "a filled disc <c> in fine stripe style <s>"
         for seed in (0, 1, 2):
-            sampler = GuidedSampler(
-                trained_base, omega=3.0, schedule=schedule, record_trajectory=True
-            )
+            sampler = GuidedSampler(trained_base, omega=3.0, schedule=schedule)
             image = sampler.sample(prompt, seed=seed)
             trajectory = standard_cfg(prompt, trained_base, 3.0, schedule, seed)
             assert image.tobytes() == trajectory[-1].tobytes()
-            assert len(sampler.trajectory_) == len(trajectory)
-            for a, b in zip(sampler.trajectory_, trajectory):
+            assert len(sampler_states) == seed + 1
+            assert len(sampler_states[-1]) == len(trajectory)
+            for a, b in zip(sampler_states[-1], trajectory):
                 assert a.tobytes() == b.tobytes()
 
-    def test_zero_factor_adapters_match_plain_cfg(self, trained_base, schedule, standard_cfg):
+    def test_zero_factor_adapters_match_plain_cfg(
+        self, trained_base, schedule, standard_cfg, sampler_states
+    ):
         # adapters whose A factors are still zero contribute nothing: the
         # whole trajectory agrees with standard CFG on the host
         from craftlora.adapters import make_adapter
@@ -268,14 +271,14 @@ class TestGuidedSampler:
             style_adapter=style,
             omega=2.0,
             schedule=schedule,
-            record_trajectory=True,
         )
         image = sampler.sample(prompt, seed=12)
         trajectory = standard_cfg(prompt, trained_base, 2.0, schedule, 12)
         assert np.abs(image - trajectory[-1]).max() < 1e-12
-        assert len(sampler.trajectory_) == len(trajectory)
-        for a, b in zip(sampler.trajectory_, trajectory):
-            assert np.abs(a - b).max() < 1e-12
+        (states,) = sampler_states
+        assert len(states) == len(trajectory)
+        for a, b in zip(states, trajectory):
+            assert np.abs(a.reshape(b.shape) - b).max() < 1e-12
 
     @pytest.mark.parametrize("symmetric", [False, True], ids=["asymmetric", "symmetric"])
     def test_matches_merged_reference(
@@ -557,7 +560,7 @@ class TestSampleBatch:
 
     @pytest.mark.parametrize("n_rows", [1, 3, 7])
     def test_two_evaluations_per_step_for_any_batch(
-        self, trained_base, adapters, schedule, monkeypatch, n_rows
+        self, trained_base, adapters, schedule, monkeypatch, sampler_states, n_rows
     ):
         # both evaluations are one forward pass of 2N rows per step, with
         # one guided_eps_parts and one ddpm_step call around it
@@ -569,7 +572,6 @@ class TestSampleBatch:
             content_adapter=content,
             style_adapter=style,
             schedule=schedule,
-            record_trajectory=True,
             record_trace=True,
         )
         calls = {"forward_pass": [], "guided_eps_parts": 0, "ddpm_step": 0}
@@ -599,8 +601,9 @@ class TestSampleBatch:
         assert images.shape == (n_rows, 16, 16)
         assert sampler.n_network_evals_ == 2 * steps
         assert [len(rows) for rows in sampler.trace_] == [schedule.total_steps] * n_rows
-        assert len(sampler.trajectory_) == schedule.total_steps + 1
-        assert np.array_equal(sampler.trajectory_[-1], images)
+        (states,) = sampler_states
+        assert len(states) == schedule.total_steps + 1
+        assert np.array_equal(states[-1].reshape(images.shape), images)
 
     def test_non_finite_prediction_is_numerical_error(
         self, trained_base, adapters, schedule, monkeypatch

@@ -579,6 +579,20 @@ class TestTrunkFinetuner:
         with pytest.raises(ConfigInvalid):
             TrunkFinetuner(steps=1).fit(trained_base, [])
 
+    def test_pairs_of_another_size_rejected(self, trained_base, pair_dataset):
+        import dataclasses
+
+        from craftlora.pairs import generate_pair_dataset
+
+        # 8x8 pairs for the 16x16 host, and one 8x8 member among 16x16 pairs
+        small = generate_pair_dataset(2, 2, seed=0, size=8)
+        with pytest.raises(ShapeMismatch, match="are 8x8; the host expects square images of 256"):
+            TrunkFinetuner(steps=1).fit(trained_base, small)
+        mixed = list(pair_dataset[:3])
+        mixed[1] = dataclasses.replace(mixed[1], style_image=small[0].style_image)
+        with pytest.raises(ShapeMismatch, match="are 8x8, 16x16; the host expects"):
+            TrunkFinetuner(steps=1).fit(trained_base, mixed)
+
     def test_settings_checked_at_construction(self):
         with pytest.raises(ConfigInvalid):
             TrunkFinetuner(batch_size=0)

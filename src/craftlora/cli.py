@@ -158,14 +158,14 @@ def cmd_train_trunk(config_path, seed, dataset_dir, out_path, base_path, save_ba
         base = ckpt.load_backbone(base_path)
     else:
         base = _train_base_denoiser(config, dataset)
-    if save_base_path:
-        ckpt.save_backbone(save_base_path, base)
     tuner = TrunkFinetuner(
         **dataclasses.asdict(config.trunk),
         schedule=_schedule_from(config),
         seed=derive_seed(config.seed, "trunk"),
     )
     tuner.fit(base, dataset)
+    if save_base_path:
+        ckpt.save_backbone(save_base_path, base)
     ckpt.save_backbone(out_path, tuner.backbone_)
     sidecar = [
         (f"{name}.{kind}", basis)

@@ -154,9 +154,15 @@ class PerceptualProxy:
 
     Stands in for a pretrained perceptual network at desk scale: same
     L1-over-features form with per-layer element-count normalization, but
-    the kernels are seed-initialized and never trained. Convolutions are
-    materialized as fixed sparse matrices (a few percent of entries are
-    nonzero), so both passes are sparse-times-dense products over rows.
+    the kernels are seed-initialized and never trained. Every map is held
+    as (rows, y, channel, x), and each valid convolution is lowered to a
+    matrix product along the image rows only (Chellapilla, Puri and Simard
+    2006): a dense banded (k C_in W, C_out W_out) matrix, whose k blocks
+    are the kernel rows as Toeplitz matrices over (channel, x), maps the k
+    input rows under an output row to that row. A layer is one product of
+    its k row-shifted input views, side by side, with that band, so each
+    layer's output is the next layer's input as it stands. ``features``
+    returns every layer's maps flattened per row in this layout.
     """
 
     def __init__(self, image_size=DenoiserSettings.image_size, seed=0):
@@ -164,7 +170,10 @@ class PerceptualProxy:
         self.seed = seed
         kernel = PERCEPTUAL_KERNEL
         rng = make_rng(seed, "perceptual-proxy", image_size, kernel, *PERCEPTUAL_CHANNELS)
-        mats = []
+        self._heights = []
+        self._bands = []
+        self._bands_flipped = []
+        self.layer_sizes = []
         in_ch, in_h, in_w = 1, image_size, image_size
         for out_ch in PERCEPTUAL_CHANNELS:
             out_h, out_w = in_h - kernel + 1, in_w - kernel + 1
@@ -172,43 +181,52 @@ class PerceptualProxy:
                 raise ConfigInvalid("image too small for the perceptual stack")
             weights = rng.standard_normal((out_ch, in_ch, kernel, kernel))
             weights /= math.sqrt(kernel * kernel * in_ch)
-            mats.append(self._conv_matrix(weights, in_h, in_w, out_h, out_w))
+            oc, ox, ic, ky, kx = np.indices((out_ch, out_w, in_ch, kernel, kernel)).reshape(5, -1)
+            band = np.zeros((kernel * in_ch * in_w, out_ch * out_w))
+            band[(ky * in_ch + ic) * in_w + ox + kx, oc * out_w + ox] = weights[oc, ic, ky, kx]
+            # input_grad pads the gradient by k - 1 rows on each side, and its
+            # shifted view s then meets kernel row k - 1 - s, so the backward
+            # band stacks the transposed kernel-row blocks in reverse order
+            blocks = band.reshape(kernel, in_ch * in_w, out_ch * out_w)
+            self._heights.append(in_h)
+            self._bands.append(band)
+            self._bands_flipped.append(blocks[::-1].transpose(0, 2, 1).reshape(-1, in_ch * in_w))
+            self.layer_sizes.append(out_h * out_ch * out_w)
             in_ch, in_h, in_w = out_ch, out_h, out_w
-        # (in, out) for the backward pass, (out, in) for the forward pass:
-        # CSR times a dense column block is the fast product in both
-        self._mats = mats
-        self._mats_t = [m.T.tocsr() for m in mats]
-        self.layer_sizes = [m.shape[1] for m in mats]
 
     @staticmethod
-    def _conv_matrix(weights, in_h, in_w, out_h, out_w):
-        """Valid 2-D convolution as a sparse (in_pixels, out_pixels) matrix."""
-        import scipy.sparse  # here, not at the top, so that only a trunk fit loads SciPy
-
-        out_ch, in_ch, k, _ = weights.shape
-        oc, oy, ox, ic, ky, kx = np.indices((out_ch, out_h, out_w, in_ch, k, k)).reshape(6, -1)
-        rows = (ic * in_h + oy + ky) * in_w + ox + kx
-        cols = (oc * out_h + oy) * out_w + ox
-        return scipy.sparse.csr_array(
-            (weights[oc, ic, ky, kx], (rows, cols)),
-            shape=(in_ch * in_h * in_w, out_ch * out_h * out_w),
+    def _row_windows(maps, height):
+        """Views ``s`` to ``s + height`` of the (rows, y, cols) ``maps`` for
+        each kernel row s, side by side as one (rows * height, k cols) block."""
+        windows = np.concatenate(
+            [maps[:, s: s + height] for s in range(PERCEPTUAL_KERNEL)], axis=2
         )
+        return windows.reshape(-1, windows.shape[2])
 
     def features(self, x_flat):
         """Per-layer tanh feature maps plus the cache for ``input_grad``."""
-        feats = []
         h = np.asarray(x_flat, dtype=np.float64)
-        for mat_t in self._mats_t:
-            h = np.tanh((mat_t @ h.T).T)
-            feats.append(h)
+        rows = h.shape[0]
+        h = h.reshape(rows, self.image_size, self.image_size)
+        feats = []
+        for in_h, band in zip(self._heights, self._bands):
+            out_h = in_h - PERCEPTUAL_KERNEL + 1
+            h = np.tanh(self._row_windows(h, out_h) @ band).reshape(rows, out_h, -1)
+            feats.append(h.reshape(rows, -1))
         return feats
 
     def input_grad(self, feats, d_feats):
         """Pull per-layer feature gradients back to the input pixels."""
+        pad = PERCEPTUAL_KERNEL - 1
+        rows = feats[0].shape[0]
         upstream = np.zeros_like(feats[-1])
-        for j in range(len(self._mats) - 1, -1, -1):
+        for j in range(len(self._bands) - 1, -1, -1):
+            in_h, band_flipped = self._heights[j], self._bands_flipped[j]
             g = (upstream + d_feats[j]) * (1.0 - feats[j] * feats[j])
-            upstream = (self._mats[j] @ g.T).T
+            g = g.reshape(rows, in_h - pad, -1)
+            padded = np.zeros((rows, in_h + pad, g.shape[2]))
+            padded[:, pad:in_h] = g
+            upstream = (self._row_windows(padded, in_h) @ band_flipped).reshape(rows, -1)
         return upstream
 
 
@@ -298,11 +316,8 @@ def member_target_features(targets, perceptual):
     """Both members' target features, per layer a (2, n, size) stack, from
     one ``features`` call over all the rows of the ``member_targets`` stack."""
     members, n, pixels = targets.shape
-    # the maps come back column-major, so splitting their transposes is a
-    # view where a plain reshape would copy every map once more
     return [
-        f.T.reshape(-1, members, n).transpose(1, 2, 0)
-        for f in perceptual.features(targets.reshape(-1, pixels))
+        f.reshape(members, n, -1) for f in perceptual.features(targets.reshape(-1, pixels))
     ]
 
 

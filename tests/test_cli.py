@@ -294,6 +294,30 @@ class TestTrainTrunk:
         assert not out.exists()
         assert not (tmp_path / "trunk.crft.bases").exists()
 
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-file", "existing-file"])
+    def test_failed_fit_writes_no_save_base(self, workspace, tmp_path, existing):
+        # 8x8 pairs for a 16x16 --base fail the fit; --save-base is written
+        # only after a fit succeeds, so an old file keeps its bytes and no
+        # new file appears
+        root, config_path = workspace
+        small_config = tmp_path / "small.json"
+        small_config.write_text(json.dumps({**LIGHT_CONFIG, "denoiser": {"image_size": 8}}))
+        pairs = tmp_path / "pairs"
+        assert run_cli(["gen-pairs", "--config", small_config, "--out", pairs]) == 0
+        saved = tmp_path / "base.crft"
+        if existing:
+            shutil.copyfile(root / "content.crft", saved)
+            before = saved.read_bytes()
+        code = self.run_trunk(
+            config_path, pairs, tmp_path / "trunk.crft",
+            "--base", root / "trunk.crft", "--save-base", saved,
+        )
+        assert code == 1
+        if existing:
+            assert saved.read_bytes() == before
+        else:
+            assert not saved.exists()
+
     def test_save_failing_partway_keeps_the_old_dataset(
         self, workspace, tmp_path, capsys, monkeypatch
     ):

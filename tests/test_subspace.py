@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,8 @@ from craftlora.linalg import householder_qr, qr_backward
 from craftlora.subspace import (
     BASIS_INIT_SCALE,
     BLOCK_ROWS,
+    PERCEPTUAL_CHANNELS,
+    PERCEPTUAL_KERNEL,
     PerceptualProxy,
     RankSchedule,
     SubspaceBases,
@@ -323,6 +327,19 @@ class TestTrunkLoss:
         for name, g in grads.items():
             assert grads_again[name].tobytes() == g.tobytes()
 
+    def test_matches_dense_chain_proxy(self):
+        # the trunk objective and its basis gradients with the banded proxy
+        # against the dense chain in the (c, y, x) feature layout
+        bb, schedule, bases, pairs, draws, perc = self.make_setup()
+        loss, grads = trunk_loss(bb, bases, pairs, 1e-2, 0.1, schedule, draws, perceptual=perc)
+        ref_loss, ref_grads = trunk_loss(
+            bb, bases, pairs, 1e-2, 0.1, schedule, draws,
+            perceptual=DenseChainProxy(perc.image_size, perc.seed),
+        )
+        assert abs(loss - ref_loss) <= 1e-13 * abs(ref_loss)
+        for name, g in grads.items():
+            assert np.abs(g - ref_grads[name]).max() <= 1e-13 * np.abs(ref_grads[name]).max()
+
     def test_draws_must_cover_every_pair(self):
         bb, schedule, bases, pairs, (ts, noise), _ = self.make_setup(alpha_perc=0.0)
         with pytest.raises(ShapeMismatch):
@@ -429,27 +446,108 @@ def loop_conv_matrix(weights, in_h, in_w, out_h, out_w):
     return mat
 
 
-class TestPerceptualProxy:
-    def test_sparse_conv_matrix_matches_loop_reference(self):
-        weights = np.random.default_rng(6).standard_normal((3, 2, 3, 3))
-        sparse = PerceptualProxy._conv_matrix(weights, 7, 6, 5, 4)
-        assert np.array_equal(sparse.toarray(), loop_conv_matrix(weights, 7, 6, 5, 4))
+def proxy_kernels(image_size, seed):
+    """The proxy's kernels, drawn here from its key in its order, so that a
+    change to the draws fails the band check below."""
+    k = PERCEPTUAL_KERNEL
+    rng = make_rng(seed, "perceptual-proxy", image_size, k, *PERCEPTUAL_CHANNELS)
+    kernels, in_ch = [], 1
+    for out_ch in PERCEPTUAL_CHANNELS:
+        kernels.append(rng.standard_normal((out_ch, in_ch, k, k)) / math.sqrt(k * k * in_ch))
+        in_ch = out_ch
+    return kernels
 
-    def test_passes_match_dense_reference(self):
+
+class DenseChainProxy:
+    """The perceptual stack as dense (c, y, x)-ordered convolution matrices
+    from ``loop_conv_matrix``, one product per layer and pass: the
+    arithmetic of a sparse-matrix convolution, in its layout."""
+
+    def __init__(self, image_size, seed):
+        self.mats = []
+        self.shapes = []  # (channels, side) of each layer's output maps
+        side = image_size
+        for weights in proxy_kernels(image_size, seed):
+            out = side - PERCEPTUAL_KERNEL + 1
+            self.mats.append(loop_conv_matrix(weights, side, side, out, out))
+            self.shapes.append((weights.shape[0], out))
+            side = out
+        self.layer_sizes = [m.shape[1] for m in self.mats]
+
+    def features(self, x):
+        feats, h = [], x
+        for mat in self.mats:
+            h = np.tanh(h @ mat)
+            feats.append(h)
+        return feats
+
+    def input_grad(self, feats, d_feats):
+        upstream = np.zeros_like(feats[-1])
+        for j in range(len(self.mats) - 1, -1, -1):
+            upstream = ((upstream + d_feats[j]) * (1.0 - feats[j] ** 2)) @ self.mats[j].T
+        return upstream
+
+
+def row_major(maps, channels, side):
+    """(rows, c * y * x) maps reordered to the proxy's (rows, y * c * x)."""
+    return maps.reshape(-1, channels, side, side).transpose(0, 2, 1, 3).reshape(maps.shape)
+
+
+class TestPerceptualProxy:
+    # tolerances against the dense chain, whose sums run in another order:
+    # features are tanh values in (-1, 1); the input gradient is checked
+    # at the scale of standard normal feature gradients (about 1-10)
+    FEATURES_ATOL = 1e-14
+    INPUT_GRAD_ATOL = 1e-13
+
+    @pytest.mark.parametrize("image_size, seed", [(16, 5), (9, 2)])
+    def test_bands_are_the_loop_convolutions(self, image_size, seed):
+        # laid along the output rows, each layer's band is its dense
+        # convolution matrix reordered to (y, c, x) on both sides
+        perc = PerceptualProxy(image_size=image_size, seed=seed)
+        dense = DenseChainProxy(image_size, seed)
+        k = PERCEPTUAL_KERNEL
+        in_ch, side = 1, image_size
+        for band, mat, (out_ch, out) in zip(perc._bands, dense.mats, dense.shapes):
+            full = np.zeros(mat.shape)
+            step_in, step_out = in_ch * side, out_ch * out
+            for oy in range(out):
+                full[oy * step_in:(oy + k) * step_in, oy * step_out:(oy + 1) * step_out] = band
+            expected = (
+                mat.reshape(in_ch, side, side, out_ch, out, out)
+                .transpose(1, 0, 2, 4, 3, 5)
+                .reshape(mat.shape)
+            )
+            assert np.array_equal(full, expected)
+            in_ch, side = out_ch, out
+
+    def test_passes_match_dense_chain(self):
         perc = PerceptualProxy(image_size=16, seed=5)
-        dense = [m.toarray() for m in perc._mats]
+        dense = DenseChainProxy(16, 5)
         rng = np.random.default_rng(7)
         x = rng.random((5, 256))
+        feats, ref = perc.features(x), dense.features(x)
+        for f, r, (channels, side) in zip(feats, ref, dense.shapes):
+            assert np.abs(f - row_major(r, channels, side)).max() <= self.FEATURES_ATOL
+        d_ref = [rng.standard_normal(r.shape) for r in ref]
+        d_feats = [row_major(d, *shape) for d, shape in zip(d_ref, dense.shapes)]
+        expected = dense.input_grad(ref, d_ref)
+        assert np.abs(expected).max() > 1.0
+        assert np.abs(perc.input_grad(feats, d_feats) - expected).max() <= self.INPUT_GRAD_ATOL
+
+    def test_a_row_does_not_depend_on_its_batch(self):
+        perc = PerceptualProxy(image_size=16, seed=5)
+        rng = np.random.default_rng(8)
+        x = rng.random((8, 256))
         feats = perc.features(x)
-        h = x
-        for mat, f in zip(dense, feats):
-            h = np.tanh(h @ mat)
-            assert np.abs(f - h).max() < 1e-12
         d_feats = [rng.standard_normal(f.shape) for f in feats]
-        upstream = np.zeros_like(feats[-1])
-        for j in range(len(dense) - 1, -1, -1):
-            upstream = ((upstream + d_feats[j]) * (1.0 - feats[j] ** 2)) @ dense[j].T
-        assert np.abs(perc.input_grad(feats, d_feats) - upstream).max() < 1e-12
+        grads = perc.input_grad(feats, d_feats)
+        for i in range(len(x)):
+            alone = perc.features(x[i: i + 1])
+            for a, f in zip(alone, feats):
+                assert np.abs(a[0] - f[i]).max() <= self.FEATURES_ATOL
+            grad = perc.input_grad(alone, [d[i: i + 1] for d in d_feats])
+            assert np.abs(grad[0] - grads[i]).max() <= self.INPUT_GRAD_ATOL
 
 
 class TestTrunkFinetuner:

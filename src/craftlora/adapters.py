@@ -126,14 +126,17 @@ def adapter_terms(w_init, content_adapter, style_adapter, gamma_content, gamma_s
     row or one for all. Either adapter may be None. An adapter whose gains
     are all zero contributes no entry. The terms feed ``forward_pass``,
     which applies them at two rank-r products per layer without copying the host.
-    Checks the gains, each adapter's routing, that no layer is claimed
-    twice and that the factors fit the host.
+    A gain that is not finite and nonnegative raises ``ConfigInvalid``;
+    also checks each adapter's routing, that no layer is claimed twice and
+    that the factors fit the host.
     """
     terms = {}
-    for adapter, gamma in ((content_adapter, gamma_content), (style_adapter, gamma_style)):
+    for kind, adapter, gamma in (
+        ("content", content_adapter, gamma_content), ("style", style_adapter, gamma_style)
+    ):
         gamma = np.asarray(gamma, dtype=np.float64)
-        if np.any(gamma < 0.0):
-            raise ConfigInvalid("gamma values must be nonnegative")
+        if not (np.isfinite(gamma).all() and (gamma >= 0.0).all()):
+            raise ConfigInvalid(f"gamma_{kind} must be finite and nonnegative")
         if adapter is None or not np.any(gamma != 0.0):
             continue
         _check_adapter(adapter)

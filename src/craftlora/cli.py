@@ -294,13 +294,12 @@ def cmd_eval(config_path, seed, threads, backbone_path, content_path, style_path
 
 # Images per sample_batch call in evaluate_grid; each step's forward pass
 # runs twice that many rows (conditional and unconditional). It bounds the
-# sampler's working set: on the 10x10 grid benchmark, one block of 100
-# images peaked about 2 MB higher in RSS than two blocks of 50, for a 12%
-# faster grid. With both predictions in one pass, 64 still measured flat
-# on the grid. Larger passes do not pay: with rank-16 terms on the first
-# half of the rows, a 100-row pass cost 8.5-11.7 us per row against
-# 6.0-9.5 us at 64-80 rows (2-vCPU Xeon, one BLAS thread).
-GRID_BLOCK_ROWS = 64
+# sampler's working set; the 10x10 grid runs as one block. With one noise
+# stream per distinct seed, one block of 100 took a median 0.96x the time
+# of two blocks of 50 (faster in 21 of 30 interleaved in-process pairs),
+# for a tracemalloc peak of 3.3 MB against 2.2 MB (2-vCPU x86-64 VM, one
+# BLAS thread).
+GRID_BLOCK_ROWS = 128
 
 
 def evaluate_grid(backbone, content_adapter, style_adapter, config, n_content, n_style, threads=1):
@@ -310,7 +309,8 @@ def evaluate_grid(backbone, content_adapter, style_adapter, config, n_content, n
     the contiguous blocks of ``run_row_blocks`` with at most
     ``GRID_BLOCK_ROWS`` rows each, so the thread count never changes the
     report. The cells of one content row share one noise seed, so the
-    cross-influence score compares styles under the same noise.
+    cross-influence score compares styles under the same noise; rows that
+    share a seed share one stream, drawn once.
     """
     size = config.denoiser.image_size
     cells = [(i, j) for i in range(n_content) for j in range(n_style)]

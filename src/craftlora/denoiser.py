@@ -343,19 +343,21 @@ def backward_pass(cache, backbone, d_out, terms=None):
     return grads
 
 
-def ddpm_step(x_t, t, eps_hat, schedule, rng=None, x0_map=None):
+def ddpm_step(x_t, t, eps_hat, schedule, noise=None, x0_map=None):
     """One reverse-process sample; at t == 1 the clean estimate, no noise.
 
-    ``x_t`` holds flattened images as its rows and ``rng`` one generator per
-    row, consumed only for t > 1 (see ``_reverse_noise``). The step forms
-    the clean estimate implied by the noise estimate, passes it through
+    ``x_t`` holds flattened images as its rows and ``noise`` the step's
+    standard-normal draw, one row per state row; it is required for t > 1,
+    must have the shape of ``x_t`` and is ignored at t == 1. The caller
+    owns the noise streams, so the step is pure arithmetic. It forms the
+    clean estimate implied by the noise estimate, passes it through
     ``x0_map`` (a clip, a frequency filter, ...; None is the identity) and
     takes the posterior mean from the mapped estimate, which at t == 1 is
     the output itself. The map receives a fresh array, which it may
-    overwrite and return. The scalars come from ``schedule.coefficients(t)``.
-    The state, the noise estimate and the clean estimate, all (rows,
-    pixels), must be finite before and after the map, or ``NumericalError``
-    names t.
+    overwrite and return; the step may overwrite ``noise`` likewise. The
+    scalars come from ``schedule.coefficients(t)``. The state, the noise
+    estimate and the clean estimate, all (rows, pixels), must be finite
+    before and after the map, or ``NumericalError`` names t.
     """
     c = schedule.coefficients(t)
     t = int(t)
@@ -364,6 +366,11 @@ def ddpm_step(x_t, t, eps_hat, schedule, rng=None, x0_map=None):
     check_same_shape(x_t, eps_hat, "x_t", "eps_hat")
     if x_t.ndim != 2 or x_t.size == 0:
         raise ShapeMismatch(f"x_t must be (rows, pixels), got shape {x_t.shape}")
+    if t > 1:
+        if noise is None:
+            raise ValueError(f"the reverse step at t={t} needs its noise draw")
+        noise = np.asarray(noise, dtype=np.float64)
+        check_same_shape(x_t, noise, "x_t", "noise")
     # a non-finite x_t or eps_hat makes the estimate non-finite too, so one
     # check covers all three; the estimate can also overflow where both
     # are finite, and a clipping map would hide that
@@ -380,7 +387,6 @@ def ddpm_step(x_t, t, eps_hat, schedule, rng=None, x0_map=None):
     mean = c.x0_coef * x0_hat
     mean += c.xt_coef * x_t
     mean /= c.one_minus_ab
-    noise = _reverse_noise(rng, x_t.shape)
     noise *= c.sigma
     mean += noise
     return mean
@@ -397,22 +403,6 @@ def _check_finite(arr, name, t, x_t=None, eps_hat=None):
             name = label
             break
     raise NumericalError(f"{name} at t={t} contains non-finite entries")
-
-
-def _reverse_noise(rng, shape):
-    """Standard normal draws of a (rows, pixels) ``shape`` for one reverse step.
-
-    ``rng`` holds one generator per row; each row draws from its own stream
-    exactly what a single image of that row's size would draw.
-    """
-    if rng is None:
-        raise ValueError("an rng is required for t > 1")
-    if len(rng) != shape[0]:
-        raise ShapeMismatch(f"{len(rng)} generators for a batch of {shape[0]} rows")
-    out = np.empty(shape)
-    for gen, row in zip(rng, out):
-        gen.standard_normal(out=row)
-    return out
 
 
 class DenoiserTrainer:

@@ -25,7 +25,7 @@ from .denoiser import (
 )
 from .exceptions import ConfigInvalid, NumericalError, OutOfRange, ShapeMismatch
 from .prompts import EMB_DIM, encode_semantic, parse_prompt
-from .utils import make_rng
+from .utils import make_rng, standard_normal_rows
 
 # Every sampling step clamps its clean estimate to this range.
 X0_RANGE = (0.0, 1.0)
@@ -226,14 +226,17 @@ class GuidedSampler:
         return image
 
     def sample_batch(self, prompts, seeds):
-        """Clean images of N prompts, row i from ``seeds[i]``'s own noise stream.
+        """Clean images of N prompts, row i from ``seeds[i]``'s noise stream.
 
         Returns an (N, side, side) array. Row i starts from, and draws every
-        step's noise from, its own ``make_rng(seeds[i], "sample")`` stream,
-        in the order a single image would. The inputs are checked, and each
-        timestep's terms and gains, the projected conditioning and the input
-        buffer built, once per call; each step then makes one forward pass
-        over 2N rows and one reverse step.
+        step's noise from, the ``make_rng(seeds[i], "sample")`` stream, in
+        the order a single image would. Rows that share a seed share one
+        stream, drawn once: one generator per distinct seed, in order of
+        first appearance, each drawn once for the start state and once per
+        step, with the draws gathered to their rows. The inputs are checked,
+        and each timestep's terms and gains, the projected conditioning and
+        the input buffer built, once per call; each step then makes one
+        forward pass over 2N rows and one reverse step.
         A row's image equals what ``sample`` returns for that prompt and
         seed up to rounding.
         """
@@ -257,8 +260,16 @@ class GuidedSampler:
         )
         side = int(math.isqrt(self.backbone.input_dim))
         shape = (len(seeds), side, side)
-        rngs = [make_rng(seed, "sample") for seed in seeds]
-        x = np.stack([rng.standard_normal(self.backbone.input_dim) for rng in rngs])
+        # one stream per distinct seed, in order of first appearance
+        streams = {seed: k for k, seed in enumerate(dict.fromkeys(seeds))}
+        rngs = [make_rng(seed, "sample") for seed in streams]
+        rows = None if len(rngs) == len(seeds) else [streams[seed] for seed in seeds]
+
+        def draw():
+            out = standard_normal_rows(rngs, self.backbone.input_dim)
+            return out if rows is None else out[rows]
+
+        x = draw()
         n_evals = 0
         trace = [[] for _ in seeds]
 
@@ -278,7 +289,7 @@ class GuidedSampler:
                         f"t={t} gamma_c={eff_c:.9g} gamma_s={eff_s:.9g} "
                         f"alpha={alpha:.9g} guidance_gap={gap:.9g}"
                     )
-            x = ddpm_step(x, t, eps, schedule, rngs, x0_map=x0_map)
+            x = ddpm_step(x, t, eps, schedule, draw() if t > 1 else None, x0_map=x0_map)
 
         self.n_network_evals_ = n_evals
         self.trace_ = trace

@@ -22,7 +22,7 @@ from .exceptions import ConfigInvalid, CorruptCheckpoint, ModelUntrained, ShapeM
 from .frequency import FrequencyMask, freq_mask_filter, gaussian_lowpass
 from .pgm import pgm_bytes, read_pgm
 from .prompts import encode_semantic
-from .utils import make_rng, run_row_blocks
+from .utils import make_rng, run_row_blocks, standard_normal_rows
 
 CONTENT_PROMPTS = (
     "a filled disc",
@@ -195,7 +195,7 @@ def _filtered_trajectories(prompts, rngs, mask, backbone, schedule, size):
     ``rngs[i]``.
     """
     e_rows = np.stack([encode_semantic(p) for p in prompts])
-    x = np.stack([rng.standard_normal((size, size)) for rng in rngs]).reshape(len(rngs), -1)
+    x = standard_normal_rows(rngs, size * size)
 
     def x0_map(x0):
         band = freq_mask_filter(x0.reshape(-1, size, size), mask).reshape(x0.shape)
@@ -203,7 +203,8 @@ def _filtered_trajectories(prompts, rngs, mask, backbone, schedule, size):
 
     for t in range(schedule.total_steps, 0, -1):
         eps, _ = forward_pass(x, t, e_rows, backbone)
-        x = ddpm_step(x, t, eps, schedule, rngs, x0_map=x0_map)
+        noise = standard_normal_rows(rngs, size * size) if t > 1 else None
+        x = ddpm_step(x, t, eps, schedule, noise, x0_map=x0_map)
     return _clip01(x.reshape(-1, size, size))
 
 

@@ -34,6 +34,15 @@ def make_rng(seed, *labels):
     return np.random.Generator(np.random.Philox(key=int(seed)))
 
 
+def standard_normal_rows(rngs, width):
+    """An (n, width) array whose row i holds the next ``width`` standard
+    normals of ``rngs[i]``, exactly what a single draw of that size takes."""
+    out = np.empty((len(rngs), width))
+    for gen, row in zip(rngs, out):
+        gen.standard_normal(out=row)
+    return out
+
+
 def lr_at(step, total, peak, start, floor, warmup):
     """Warm-up then cosine decay.
 

@@ -67,7 +67,8 @@ def standard_cfg_states(prompt, backbone, omega, schedule, seed):
     for t in range(schedule.total_steps, 0, -1):
         eps, _ = forward_pass(np.concatenate([x, x]), t, cond, backbone)
         eps = guided_eps(eps[:1], eps[1:], omega)
-        x = ddpm_step(x, t, eps, schedule, [rng], x0_map=lambda x0: np.clip(x0, 0.0, 1.0))
+        noise = rng.standard_normal(x.shape)
+        x = ddpm_step(x, t, eps, schedule, noise, x0_map=lambda x0: np.clip(x0, 0.0, 1.0))
         states.append(x)
     side = math.isqrt(backbone.input_dim)
     return [state.reshape(side, side) for state in states]

@@ -6,10 +6,12 @@ from craftlora.adapters import (
     LoraAdapter,
     LoraTrainer,
     adapter_loss,
+    adapter_terms,
     aggregate_weights,
     default_routing,
     make_adapter,
 )
+from craftlora.config import GuidanceSettings
 from craftlora.denoiser import Backbone, backward_pass, forward_pass, init_backbone
 from craftlora.exceptions import (
     ConfigInvalid,
@@ -17,6 +19,7 @@ from craftlora.exceptions import (
     NumericalError,
     RoutingViolation,
 )
+from craftlora.guidance import plan_guidance
 from craftlora.pairs import content_render, style_render
 from craftlora.utils import make_rng
 
@@ -165,6 +168,27 @@ class TestAggregateWeights:
         ca = make_adapter("content", backbone, routing, rank=2, seed=7)
         with pytest.raises(ConfigInvalid):
             aggregate_weights(backbone, ca, None, -0.5, 0.0, E_ROW)
+
+    @pytest.mark.parametrize("gain", [np.nan, np.inf, -1.0])
+    @pytest.mark.parametrize("kind", ["content", "style"])
+    def test_gain_must_be_finite_and_nonnegative_where_it_enters(
+        self, backbone, routing, kind, gain
+    ):
+        # a NaN gain once gave NaN scale columns, an infinite one a bare
+        # ValueError from Backbone, and a plan failed only at its first step
+        ca = generic_adapter(backbone, routing, "content", seed=9)
+        sa = generic_adapter(backbone, routing, "style", seed=10)
+        gains = (gain, 1.0) if kind == "content" else (1.0, gain)
+        calls = {
+            "adapter_terms": lambda: adapter_terms(backbone, ca, sa, *gains, E_ROW),
+            "aggregate_weights": lambda: aggregate_weights(backbone, ca, sa, *gains, E_ROW),
+            "plan_guidance": lambda: plan_guidance(
+                backbone, ca, sa, *gains, E_ROW, False, GuidanceSettings(), 50, (50,)
+            ),
+        }
+        for name, call in calls.items():
+            with pytest.raises(ConfigInvalid, match=f"gamma_{kind} must be finite and nonnegative"):
+                call()
 
 
 class TestAdapterLoss:

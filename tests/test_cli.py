@@ -866,8 +866,10 @@ class TestEval:
             "--out", tmp_path / "report.json", "--n-content", 2, "--n-style", 3,
         ])
         assert code == 0
-        assert 0 < calls["transform"] <= 12
-        assert 0 < calls["lowpass"] <= 8
+        # the calibration ceiling makes one call of each per block of pairs
+        blocks = metrics.CALIBRATION_DRAWS // metrics.CALIBRATION_BLOCK_PAIRS
+        assert 0 < calls["transform"] <= 11 + blocks
+        assert 0 < calls["lowpass"] <= 7 + blocks
 
     def test_one_noise_seed_per_content_row(self, workspace, tmp_path, monkeypatch):
         from craftlora.guidance import GuidedSampler
@@ -895,6 +897,31 @@ class TestEval:
         assert len(cells) == 6 and len(seeds_by_row) == 3
         assert all(len(seeds) == 1 for seeds in seeds_by_row.values())
         assert len(set().union(*seeds_by_row.values())) == 3
+
+    def test_full_grid_is_one_batch_drawing_one_stream_per_seed(self, trained_base, monkeypatch):
+        # the 10x10 grid's 100 cells run as one sample_batch call, and its
+        # ten content rows draw from ten streams, one per distinct seed
+        from craftlora import cli, guidance
+        from craftlora.config import RunConfig
+
+        batches, streams = [], []
+        real_sample_batch = guidance.GuidedSampler.sample_batch
+        real_make_rng = guidance.make_rng
+
+        def recording_batch(self, prompts, seeds):
+            batches.append(len(prompts))
+            return real_sample_batch(self, prompts, seeds)
+
+        def recording_rng(seed, *labels):
+            if labels == ("sample",):
+                streams.append(seed)
+            return real_make_rng(seed, *labels)
+
+        monkeypatch.setattr(guidance.GuidedSampler, "sample_batch", recording_batch)
+        monkeypatch.setattr(guidance, "make_rng", recording_rng)
+        cli.evaluate_grid(trained_base, None, None, RunConfig().validate(), 10, 10, threads=1)
+        assert batches == [100]
+        assert len(streams) == len(set(streams)) == 10
 
     def test_swapped_adapters_are_usage_error(self, workspace, tmp_path, capsys):
         root, config_path = workspace

@@ -125,7 +125,7 @@ def clean_estimate(x_t, t, eps, schedule):
         seen.append(x0)
         return x0
 
-    ddpm_step(x_t.reshape(1, -1), t, eps.reshape(1, -1), schedule, [make_rng(0, "unused")],
+    ddpm_step(x_t.reshape(1, -1), t, eps.reshape(1, -1), schedule, np.zeros((1, x_t.size)),
               x0_map=record)
     return seen[0].reshape(x_t.shape)
 
@@ -351,10 +351,16 @@ class TestDdpmStep:
         b = ddpm_step(x, 1, eps, schedule)
         assert np.array_equal(a, b)
 
-    def test_needs_rng_above_final_step(self, schedule):
+    def test_needs_noise_above_final_step(self, schedule):
         x = np.zeros((1, 16))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="t=2 needs its noise draw"):
             ddpm_step(x, 2, x, schedule)
+
+    @pytest.mark.parametrize("shape", [(1, 15), (2, 16), (16,)])
+    def test_noise_must_have_the_state_shape(self, schedule, shape):
+        x = np.zeros((1, 16))
+        with pytest.raises(ShapeMismatch):
+            ddpm_step(x, 2, x, schedule, np.zeros(shape))
 
     def test_clipped_branch_matches_plain_when_inside_range(self, schedule):
         # oracle: the posterior mean written with the noise estimate,
@@ -373,7 +379,8 @@ class TestDdpmStep:
                 sigma = np.sqrt((1.0 - ab_prev) / (1.0 - ab) * beta)
                 plain = plain + sigma * make_rng(t, "noise").standard_normal((1, 64))
             for x0_map in (None, lambda x0: np.clip(x0, -100.0, 100.0)):
-                out = ddpm_step(x, t, eps, schedule, [make_rng(t, "noise")], x0_map=x0_map)
+                noise = make_rng(t, "noise").standard_normal(x.shape)
+                out = ddpm_step(x, t, eps, schedule, noise, x0_map=x0_map)
                 assert np.abs(out - plain).max() <= 1e-12 * np.abs(plain).max()
 
     def test_final_step_returns_mapped_estimate(self, schedule):
@@ -394,11 +401,11 @@ class TestDdpmStep:
         x = make_rng(16).standard_normal((1, 16))
         bad = x.copy()
         bad[0, 6] = np.nan
-        rng = [make_rng(17)]
+        noise = make_rng(17).standard_normal(x.shape)
         with pytest.raises(NumericalError, match=r"^x_t at t=9 "):
-            ddpm_step(bad, 9, x, schedule, rng, x0_map=x0_map)
+            ddpm_step(bad, 9, x, schedule, noise, x0_map=x0_map)
         with pytest.raises(NumericalError, match=r"^eps_hat at t=9 "):
-            ddpm_step(x, 9, bad, schedule, rng, x0_map=x0_map)
+            ddpm_step(x, 9, bad, schedule, noise, x0_map=x0_map)
 
     def test_overflowing_estimate_is_a_numerical_error_before_the_clip(self, schedule):
         # x_t and the noise estimate are finite, but the clean estimate
@@ -410,12 +417,18 @@ class TestDdpmStep:
         with np.errstate(all="raise"), pytest.raises(
             NumericalError, match=rf"^the clean estimate at t={t} "
         ):
-            ddpm_step(x, t, eps, schedule, [make_rng(18)], x0_map=lambda x0: np.clip(x0, 0.0, 1.0))
+            ddpm_step(
+                x, t, eps, schedule, make_rng(18).standard_normal(x.shape),
+                x0_map=lambda x0: np.clip(x0, 0.0, 1.0),
+            )
 
     def test_non_finite_mapped_estimate_is_a_numerical_error(self, schedule):
         x = make_rng(19).standard_normal((1, 16))
         with pytest.raises(NumericalError, match=r"^the mapped clean estimate at t=3 "):
-            ddpm_step(x, 3, x, schedule, [make_rng(20)], x0_map=lambda x0: x0 * np.nan)
+            ddpm_step(
+                x, 3, x, schedule, make_rng(20).standard_normal(x.shape),
+                x0_map=lambda x0: x0 * np.nan,
+            )
 
     def test_golden_trajectory_replays(self, schedule):
         # archived digest of a network-free trajectory (elementwise ops and
@@ -424,13 +437,13 @@ class TestDdpmStep:
         x = rng.standard_normal((1, 64))
         for t in range(schedule.total_steps, 0, -1):
             eps = np.tanh(x) * 0.5
-            x = ddpm_step(x, t, eps, schedule, [rng] if t > 1 else None)
+            x = ddpm_step(x, t, eps, schedule, rng.standard_normal(x.shape) if t > 1 else None)
         digest = float(np.sum(x * np.arange(64)))
         rng = make_rng(123, "golden")
         y = rng.standard_normal((1, 64))
         for t in range(schedule.total_steps, 0, -1):
             eps = np.tanh(y) * 0.5
-            y = ddpm_step(y, t, eps, schedule, [rng] if t > 1 else None)
+            y = ddpm_step(y, t, eps, schedule, rng.standard_normal(y.shape) if t > 1 else None)
         assert np.array_equal(x, y)
         assert digest == float(np.sum(y * np.arange(64)))
 

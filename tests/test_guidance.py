@@ -46,8 +46,8 @@ def merged_reference_sample(backbone, content, style, prompt, seed, schedule, sy
         eps_cond = eps_of(x, t, e_sem, merged)
         eps_uncond = eps_of(x, t, np.zeros(EMB_DIM), merged if symmetric else backbone)
         x = ddpm_step(
-            x, t, guided_eps(eps_cond, eps_uncond, config.omega), schedule, [rng],
-            x0_map=lambda x0: np.clip(x0, 0.0, 1.0),
+            x, t, guided_eps(eps_cond, eps_uncond, config.omega), schedule,
+            rng.standard_normal(x.shape), x0_map=lambda x0: np.clip(x0, 0.0, 1.0),
         )
     return x.reshape(16, 16)
 
@@ -467,14 +467,14 @@ def marked_prompt(pattern, i, j):
     return f"{content} {style}"
 
 
-def grid_rows(min_size):
+def grid_rows(min_size, seeds=st.integers(0, 2**32 - 1)):
     """Lists of (marker pattern, content index, style index, seed) rows."""
     return st.lists(
         st.tuples(
             st.sampled_from(("both", "content", "style", "none")),
             st.integers(0, len(CONTENT_PROMPTS) - 1),
             st.integers(0, len(STYLE_PROMPTS) - 1),
-            st.integers(0, 2**32 - 1),
+            seeds,
         ),
         min_size=min_size,
         max_size=6,
@@ -505,6 +505,23 @@ class TestSampleBatch:
         assert batch.shape == (len(rows), 16, 16)
         for image, prompt, seed in zip(batch, prompts, seeds):
             assert_close_relative(image, sampler.sample(prompt, seed=seed))
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(rows=grid_rows(1, seeds=st.integers(0, 2)))
+    def test_rows_that_share_a_seed_share_its_stream(self, trained_base, adapters, schedule, rows):
+        # seeds repeat across rows, and the first row is repeated at the end
+        content, style = adapters
+        sampler = GuidedSampler(
+            trained_base, content_adapter=content, style_adapter=style, schedule=schedule
+        )
+        rows = rows + rows[:1]
+        prompts = [marked_prompt(pattern, i, j) for pattern, i, j, _ in rows]
+        seeds = [seed for *_, seed in rows]
+        batch = sampler.sample_batch(prompts, seeds)
+        first = {}
+        for image, prompt, seed in zip(batch, prompts, seeds):
+            assert_close_relative(image, sampler.sample(prompt, seed=seed))
+            assert image.tobytes() == first.setdefault((prompt, seed), image).tobytes()
 
     @pytest.mark.parametrize("symmetric", [False, True])
     @pytest.mark.parametrize("n_rows", [1, 3])
@@ -540,7 +557,8 @@ class TestSampleBatch:
             )
             eps_cond, eps_uncond, _ = guided_eps_parts(x, t, plan)
             eps = guided_eps(eps_cond, eps_uncond, config.omega)
-            x = ddpm_step(x, t, eps, schedule, rngs, x0_map=lambda x0: np.clip(x0, 0.0, 1.0))
+            noise = np.stack([rng.standard_normal(trained_base.input_dim) for rng in rngs])
+            x = ddpm_step(x, t, eps, schedule, noise, x0_map=lambda x0: np.clip(x0, 0.0, 1.0))
         images = sampler.sample_batch(prompts, seeds)
         assert images.tobytes() == x.reshape(n_rows, 16, 16).tobytes()
 

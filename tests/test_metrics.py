@@ -1,10 +1,14 @@
 import json
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from craftlora.exceptions import EmptySet, GridIncomplete, ShapeMismatch
+from craftlora.frequency import gaussian_lowpass
 from craftlora.metrics import (
+    CALIBRATION_DRAWS,
     EvalReport,
     ImageFeatureExtractor,
     content_preservation,
@@ -17,6 +21,14 @@ from craftlora.pairs import content_render, style_render
 from craftlora.utils import make_rng
 
 SIGMA = 0.35
+
+
+def one_stack_ceiling(extractor, height, width, sigma):
+    """The calibration ceiling with all its images drawn and scored as one stack."""
+    rng = make_rng(extractor.seed, "cross-influence-calibration", height, width, sigma)
+    images = rng.random((2 * CALIBRATION_DRAWS, height, width))
+    feats = extractor.transform(gaussian_lowpass(images, sigma))
+    return math.fsum(np.linalg.norm(feats[0::2] - feats[1::2], axis=1)) / CALIBRATION_DRAWS
 
 
 @pytest.fixture(scope="module")
@@ -172,6 +184,27 @@ class TestCrossInfluence:
         a = random_pair_distance(extractor, 16, 16, sigma=SIGMA)
         b = random_pair_distance(extractor, 16, 16, sigma=SIGMA)
         assert a == b
+
+    @pytest.mark.parametrize("sigma", [SIGMA, 0.6])
+    @pytest.mark.parametrize("seed", [0, 1, 12345])
+    def test_calibration_blocks_match_one_stack(self, seed, sigma):
+        extractor = ImageFeatureExtractor(seed=seed)
+        assert random_pair_distance(extractor, 16, 16, sigma) == one_stack_ceiling(
+            extractor, 16, 16, sigma
+        )
+
+    def test_calibration_working_set_is_bounded(self):
+        # one stack of all 400 images peaked at 3.3 MB; the projection is
+        # the extractor's cached constant, built before the measurement
+        extractor = ImageFeatureExtractor(seed=3)
+        extractor.transform(np.zeros((16, 16)))
+        tracemalloc.start()
+        try:
+            random_pair_distance(extractor, 16, 16, sigma=SIGMA)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1_000_000
 
 
 class TestEvalReport:

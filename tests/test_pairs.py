@@ -143,7 +143,7 @@ def per_member_dataset(n_content, n_style, seed, sigma, backbone, schedule, eps_
                 x = rng.standard_normal((1, 256))
                 for t in range(schedule.total_steps, 0, -1):
                     eps = eps_of_image(x, t, emb, backbone)
-                    x = ddpm_step(x, t, eps, schedule, [rng], x0_map=x0_map)
+                    x = ddpm_step(x, t, eps, schedule, rng.standard_normal(x.shape), x0_map=x0_map)
                 images.append(np.clip(x.reshape(16, 16), 0.0, 1.0))
             members.append(images)
     return members
@@ -156,8 +156,9 @@ class TestDiffusionMode:
         emb = encode_semantic("a filled disc")
         mask = FrequencyMask("low", 0.99)
         eps = one_row_eps(x, 9, emb, trained_base)
-        out_filtered = ddpm_step(x, 9, eps, schedule, [make_rng(2, "step")], x0_map=filtered(mask))
-        out_plain = ddpm_step(x, 9, eps, schedule, [make_rng(2, "step")])
+        noise = make_rng(2, "step").standard_normal(x.shape)
+        out_filtered = ddpm_step(x, 9, eps, schedule, noise.copy(), x0_map=filtered(mask))
+        out_plain = ddpm_step(x, 9, eps, schedule, noise)
         assert np.abs(out_filtered - out_plain).max() < 1e-9
 
     def test_final_step_returns_filtered_estimate(self, trained_base, schedule, one_row_eps):
@@ -189,7 +190,7 @@ class TestDiffusionMode:
                 x = rng.standard_normal((1, 256))
                 for t in range(schedule.total_steps, 0, -1):
                     eps = one_row_eps(x, t, emb, trained_base)
-                    x = ddpm_step(x, t, eps, schedule, [rng], x0_map=x0_map)
+                    x = ddpm_step(x, t, eps, schedule, rng.standard_normal(x.shape), x0_map=x0_map)
                 ends.append(float(np.sum(style_residual(x.reshape(16, 16), 0.35) ** 2)))
             e_filtered, e_plain = ends
             ratios.append(e_plain / max(e_filtered, 1e-12))

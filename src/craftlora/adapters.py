@@ -284,7 +284,7 @@ class LoraTrainer:
                 grads[f"{name}.up"] = d_up
             return loss, grads
 
-        history = train_loop("adapter", cfg, cfg.steps, step, optimizer.step, [optimizer.flat])
+        history = train_loop("adapter", cfg, cfg.steps, step, optimizer)
         adapter.gate_b = float(adapter.gate_b)
         self.adapter_ = adapter
         self.loss_history_ = history

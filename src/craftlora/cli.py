@@ -292,36 +292,37 @@ def cmd_eval(config_path, seed, threads, backbone_path, content_path, style_path
     )
 
 
-# Images per sample_batch call in evaluate_grid; each step's forward pass
-# runs twice that many rows (conditional and unconditional). It bounds the
-# sampler's working set; the 10x10 grid runs as one block. With one noise
-# stream per distinct seed, one block of 100 took a median 0.96x the time
-# of two blocks of 50 (faster in 21 of 30 interleaved in-process pairs),
-# for a tracemalloc peak of 3.3 MB against 2.2 MB (2-vCPU x86-64 VM, one
-# BLAS thread).
+# Images per sample_batch call in evaluate_grid, unless one content row
+# holds more; each step's forward pass runs twice that many rows
+# (conditional and unconditional). It bounds the sampler's working set;
+# the 10x10 grid runs as one block. With one noise stream per distinct
+# seed, one block of 100 took a median 0.96x the time of two blocks of 50
+# (faster in 21 of 30 interleaved in-process pairs), for a tracemalloc
+# peak of 3.3 MB against 2.2 MB (2-vCPU x86-64 VM, one BLAS thread).
 GRID_BLOCK_ROWS = 128
 
 
 def evaluate_grid(backbone, content_adapter, style_adapter, config, n_content, n_style, threads=1):
     """Full prompt-grid generation plus the three disentanglement scores.
 
-    The grid cells are sampled as the rows of ``sample_batch`` calls, in
-    the contiguous blocks of ``run_row_blocks`` with at most
-    ``GRID_BLOCK_ROWS`` rows each, so the thread count never changes the
-    report. The cells of one content row share one noise seed, so the
-    cross-influence score compares styles under the same noise; rows that
-    share a seed share one stream, drawn once.
+    The grid cells are sampled as the rows of ``sample_batch`` calls, one
+    call per contiguous block of whole content rows from ``run_row_blocks``
+    (at most ``GRID_BLOCK_ROWS`` cells, never less than one content row),
+    so the thread count never changes the report. The cells of one content
+    row share one noise seed, so the cross-influence score compares styles
+    under the same noise; each content row's stream is drawn once.
     """
     size = config.denoiser.image_size
     cells = [(i, j) for i in range(n_content) for j in range(n_style)]
     prompts = [f"{CONTENT_PROMPTS[i]} <c> {STYLE_PROMPTS[j]} <s>" for i, j in cells]
     seeds = [derive_seed(config.seed, "eval", i) for i, _ in cells]
 
-    def generate(start, stop):
+    def generate(first_row, stop_row):
+        start, stop = first_row * n_style, stop_row * n_style
         sampler = _sampler(config, backbone, content_adapter, style_adapter)
         return sampler.sample_batch(prompts[start:stop], seeds[start:stop])
 
-    flat = run_row_blocks(generate, len(cells), threads, GRID_BLOCK_ROWS)
+    flat = run_row_blocks(generate, n_content, threads, max(1, GRID_BLOCK_ROWS // n_style))
     grid = [list(flat[i * n_style:(i + 1) * n_style]) for i in range(n_content)]
 
     extractor = ImageFeatureExtractor(seed=derive_seed(config.seed, "eval-features"))

@@ -8,12 +8,30 @@ the same keys.
 import dataclasses
 import hashlib
 import json
+import math
+import numbers
 import os
 from dataclasses import dataclass, field
 
 from .exceptions import ConfigInvalid
 
 ENV_CONFIG = "CRAFTLORA_CONFIG"
+
+
+def _validate_rates(settings, label):
+    """Refuse a training schedule that is not a finite ``peak_lr`` > 0,
+    finite ``start_lr`` and ``floor_lr`` >= 0 and an integer ``warmup`` >= 0."""
+    for key in ("peak_lr", "start_lr", "floor_lr"):
+        value = getattr(settings, key)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ConfigInvalid(f"{label}.{key} must be a number, got {value!r}")
+        if not math.isfinite(value) or value < 0.0:
+            raise ConfigInvalid(f"{label}.{key} must be finite and nonnegative, got {value!r}")
+    if settings.peak_lr == 0.0:
+        raise ConfigInvalid(f"{label}.peak_lr must be positive")
+    warmup = settings.warmup
+    if isinstance(warmup, bool) or not isinstance(warmup, numbers.Integral) or warmup < 0:
+        raise ConfigInvalid(f"{label}.warmup must be a nonnegative integer, got {warmup!r}")
 
 
 @dataclass
@@ -51,6 +69,7 @@ class DenoiserSettings:
             raise ConfigInvalid("denoiser training steps/batch are invalid")
         if not 0.0 <= self.cond_dropout < 1.0:
             raise ConfigInvalid("denoiser.cond_dropout must lie in [0, 1)")
+        _validate_rates(self, "denoiser")
 
 
 @dataclass
@@ -59,9 +78,9 @@ class TrunkSettings:
     r_min: int = 4
     steps: int = 500
     batch_size: int = 4
-    peak_lr: float = 1e-4
-    start_lr: float = 1e-5
-    floor_lr: float = 5e-6
+    peak_lr: float = 1e-3
+    start_lr: float = 1e-4
+    floor_lr: float = 5e-5
     warmup: int = 50
     lambda_reg: float = 1e-4
     alpha_perc: float = 0.1
@@ -73,6 +92,7 @@ class TrunkSettings:
             raise ConfigInvalid("trunk steps/batch are invalid")
         if self.lambda_reg < 0.0 or self.alpha_perc < 0.0:
             raise ConfigInvalid("trunk.lambda_reg and trunk.alpha_perc must be nonnegative")
+        _validate_rates(self, "trunk")
 
 
 @dataclass
@@ -90,6 +110,7 @@ class AdapterSettings:
             raise ConfigInvalid("adapter.rank must be positive")
         if self.steps < 0 or self.batch_size < 1:
             raise ConfigInvalid("adapter steps/batch are invalid")
+        _validate_rates(self, "adapter")
 
 
 @dataclass

@@ -461,9 +461,7 @@ class DenoiserTrainer:
             d_out = 2.0 * resid / resid.size
             return float(np.mean(resid * resid)), backward_pass(acts, weights, d_out)
 
-        history = train_loop(
-            "denoiser", cfg, cfg.train_steps, step, optimizer.step, [optimizer.flat]
-        )
+        history = train_loop("denoiser", cfg, cfg.train_steps, step, optimizer)
         for name, w in backbone.items():
             w[...] = weights[name]
         self.backbone_ = backbone

@@ -29,6 +29,7 @@ from .exceptions import (
     ShapeMismatch,
 )
 from .linalg import GRAM_PIVOT_TOL_FACTOR, householder_qr, project_out
+from .optim import Adam
 from .prompts import encode_semantic
 from .utils import make_rng, train_loop
 from .validation import as_matrix
@@ -466,7 +467,7 @@ def make_trunk_draws(batch, schedule, rng):
 
 
 class TrunkFinetuner:
-    """Gradient descent over the per-layer bases with warm-up cosine decay.
+    """Adam over the per-layer bases, views of its buffer, with warm-up cosine decay.
 
     The keywords are the fields of ``TrunkSettings``, validated here, once.
     fit(backbone, pairs) -> self. The frozen host (base weights with the
@@ -505,6 +506,8 @@ class TrunkFinetuner:
         cfg = self.settings
         rank_plan = RankSchedule(cfg.r_max, cfg.r_min, backbone.n_layers)
         bases = init_bases(backbone, rank_plan, seed=self.seed)
+        optimizer = Adam(bases.stacks)
+        bases.stacks = optimizer.params  # views of the optimizer's buffer, trained in place
         perceptual = PerceptualProxy(image_size=side) if cfg.alpha_perc > 0.0 else None
         rng = make_rng(self.seed, "trunk-train")
         embeddings = member_embeddings(pairs)
@@ -533,11 +536,7 @@ class TrunkFinetuner:
                 targets=targets[:, idx],
             )
 
-        def update(grads, lr):
-            for name, b in bases.stacks.items():
-                b -= lr * grads[name]
-
-        history = train_loop("trunk", cfg, cfg.steps, step, update, bases.stacks.values())
+        history = train_loop("trunk", cfg, cfg.steps, step, optimizer)
 
         merged = {name: merge_subspaces(*bases.stacks[name]) for name in backbone.names}
         ranks = {name: q.shape[1] for name, q in merged.items()}

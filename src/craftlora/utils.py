@@ -58,16 +58,16 @@ def lr_at(step, total, peak, start, floor, warmup):
     return floor + (peak - floor) * 0.5 * (1.0 + math.cos(math.pi * u))
 
 
-def train_loop(stage, rates, steps, step, update, params):
+def train_loop(stage, rates, steps, step, optimizer):
     """Run ``steps`` training steps and return the per-step loss history.
 
-    Each step calls ``step()`` for ``(loss, grads)`` and then
-    ``update(grads, lr)`` with the warm-up cosine rate ``lr_at`` of the
-    ``rates`` settings (their ``peak_lr``, ``start_lr``, ``floor_lr`` and
-    ``warmup``). A loss that is non-finite or exceeds ``DIVERGENCE_FACTOR``
-    times the first raises ``NumericalError`` before its update. Each loss
-    sees the updates before it but not the last one, so after the loop
-    every array of ``params`` must be finite, or ``NumericalError``.
+    Each step calls ``step()`` for ``(loss, grads)`` and then the Adam
+    ``optimizer.step(grads, lr)`` at the warm-up cosine rate ``lr_at`` of
+    ``rates`` (its ``peak_lr``, ``start_lr``, ``floor_lr`` and ``warmup``).
+    A loss that is non-finite or exceeds ``DIVERGENCE_FACTOR`` times the
+    first raises ``NumericalError`` before its update. Each loss sees the
+    updates before it but not the last, so after the loop
+    ``optimizer.flat`` must be finite, or ``NumericalError``.
     """
     history = []
     for i in range(steps):
@@ -75,8 +75,9 @@ def train_loop(stage, rates, steps, step, update, params):
         if not math.isfinite(loss) or (history and loss > DIVERGENCE_FACTOR * history[0]):
             raise NumericalError(f"{stage} loss diverged at step {i}")
         history.append(loss)
-        update(grads, lr_at(i, steps, rates.peak_lr, rates.start_lr, rates.floor_lr, rates.warmup))
-    if not all(np.isfinite(a).all() for a in params):
+        lr = lr_at(i, steps, rates.peak_lr, rates.start_lr, rates.floor_lr, rates.warmup)
+        optimizer.step(grads, lr)
+    if not np.isfinite(optimizer.flat).all():
         raise NumericalError(f"{stage} parameters are non-finite after the last update")
     return history
 

@@ -406,10 +406,15 @@ def test_directional_disentanglement():
 
             sx_rank = measure_sx(tuner.backbone_)
             sx_plain = measure_sx(base)
+            # the control projects the untrained initial bases out (reported, not asserted)
+            untrained = TrunkFinetuner(steps=0, seed=derive_seed(seed, "trunk")).fit(base, pairs)
+            sx_control = measure_sx(untrained.backbone_)
             results.append((seed, sx_rank, sx_plain))
             print(
                 f"  seed {seed}: S_x rank-limited {sx_rank:.4f}, plain {sx_plain:.4f}, "
-                f"relative reduction {(sx_plain - sx_rank) / sx_plain * 100:+.1f}%"
+                f"relative reduction {(sx_plain - sx_rank) / sx_plain * 100:+.1f}%; "
+                f"untrained bases {sx_control:.4f}, "
+                f"relative reduction {(sx_plain - sx_control) / sx_plain * 100:+.1f}%"
             )
         for seed, sx_rank, sx_plain in results:
             assert sx_rank <= 0.9 * sx_plain, (

@@ -367,6 +367,18 @@ class TestTrainTrunk:
         assert not (tmp_path / "steep.crft").exists()
         assert not (tmp_path / "base.crft").exists()
 
+    def test_negative_rate_exits_one_without_output(self, workspace, tmp_path, capsys):
+        # a negative rate would train the bases by gradient ascent
+        root, _ = workspace
+        conf = tmp_path / "ascent.json"
+        conf.write_text(json.dumps({**LIGHT_CONFIG, "trunk": {"steps": 6, "peak_lr": -1e-3}}))
+        out = tmp_path / "ascent.crft"
+        assert self.run_trunk(conf, root / "pairs", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "trunk.peak_lr" in err
+        assert not out.exists()
+        assert not (tmp_path / "ascent.crft.bases").exists()
+
 
 class TestTrainLora:
     def test_adapter_checkpoint(self, workspace):
@@ -416,6 +428,24 @@ class TestTrainLora:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "the host expects 256" in err
+        assert not out.exists()
+
+    def test_negative_rates_exit_one_without_output(self, workspace, tmp_path, capsys):
+        # refused with the config, before the adapter loss can diverge (exit 3)
+        root, _ = workspace
+        conf = tmp_path / "ascent.json"
+        rates = {"peak_lr": -5e-3, "start_lr": -5e-4, "floor_lr": -5e-4}
+        conf.write_text(json.dumps({**LIGHT_CONFIG, "adapter": {"rank": 3, "steps": 8, **rates}}))
+        out = tmp_path / "ascent.crft"
+        code = run_cli([
+            "train-lora", "--config", conf, "--kind", "style",
+            "--reference", root / "pairs" / "images" / "pair_000_style.pgm",
+            "--prompt", "in fine stripe style <s>",
+            "--backbone", root / "trunk.crft", "--out", out,
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "adapter.peak_lr" in err
         assert not out.exists()
 
 
@@ -816,9 +846,10 @@ class TestEval:
 
     @pytest.mark.parametrize("block_rows", [64, 5], ids=["one-block", "three-blocks"])
     def test_thread_count_never_changes_bytes(self, workspace, tmp_path, monkeypatch, block_rows):
-        # at one thread the twelve cells run as one batch, or as three
-        # blocks of four when blocks are capped at five rows; at three
-        # threads as three blocks of four either way
+        # the three content rows of four cells run as one batch, or as
+        # three one-row blocks when blocks are capped at five cells, at
+        # either thread count (a block holds at least two rows unless the
+        # cap forces fewer)
         from craftlora import cli
 
         monkeypatch.setattr(cli, "GRID_BLOCK_ROWS", block_rows)
@@ -922,6 +953,30 @@ class TestEval:
         cli.evaluate_grid(trained_base, None, None, RunConfig().validate(), 10, 10, threads=1)
         assert batches == [100]
         assert len(streams) == len(set(streams)) == 10
+
+    def test_threaded_grid_draws_each_rows_stream_once(self, trained_base, monkeypatch):
+        # at three threads the blocks hold whole content rows, so the ten
+        # rows still build ten streams and the report keeps its bytes
+        from craftlora import cli, guidance
+        from craftlora.config import RunConfig
+
+        real_make_rng = guidance.make_rng
+        reports = {}
+        for threads in (1, 3):
+            streams = []
+
+            def recording_rng(seed, *labels, streams=streams):
+                if labels == ("sample",):
+                    streams.append(seed)
+                return real_make_rng(seed, *labels)
+
+            monkeypatch.setattr(guidance, "make_rng", recording_rng)
+            report = cli.evaluate_grid(
+                trained_base, None, None, RunConfig().validate(), 10, 10, threads=threads
+            )
+            assert len(streams) == len(set(streams)) == 10
+            reports[threads] = report.to_json()
+        assert reports[3] == reports[1]
 
     def test_swapped_adapters_are_usage_error(self, workspace, tmp_path, capsys):
         root, config_path = workspace

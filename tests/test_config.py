@@ -1,7 +1,9 @@
 import json
+import math
 
 import pytest
 
+from craftlora.adapters import LoraTrainer
 from craftlora.config import (
     ENV_CONFIG,
     RunConfig,
@@ -9,7 +11,29 @@ from craftlora.config import (
     config_hash,
     load_config,
 )
+from craftlora.denoiser import DenoiserTrainer
 from craftlora.exceptions import ConfigInvalid
+from craftlora.subspace import TrunkFinetuner
+
+BAD_RATES = [
+    ("peak_lr", 0.0),
+    ("peak_lr", -1e-3),
+    ("peak_lr", "fast"),
+    ("peak_lr", math.nan),
+    ("peak_lr", math.inf),
+    ("peak_lr", True),
+    ("start_lr", -1e-5),
+    ("start_lr", "slow"),
+    ("start_lr", math.inf),
+    ("floor_lr", -1e-6),
+    ("floor_lr", math.nan),
+    ("floor_lr", None),
+    ("warmup", -1),
+    ("warmup", 2.5),
+    ("warmup", True),
+    ("warmup", "10"),
+]
+BAD_RATE_IDS = [f"{key}={value!r}" for key, value in BAD_RATES]
 
 
 class TestRunConfig:
@@ -52,6 +76,32 @@ class TestRunConfig:
         assert config.seed == 9
         assert config.trunk.steps == 7
         assert config.trunk.r_max == 16  # untouched default
+
+    @pytest.mark.parametrize("section", ["denoiser", "trunk", "adapter"])
+    @pytest.mark.parametrize("key, value", BAD_RATES, ids=BAD_RATE_IDS)
+    def test_bad_training_rates_rejected(self, section, key, value):
+        with pytest.raises(ConfigInvalid, match=f"^{section}\\.{key} must be"):
+            config_from_dict({section: {key: value}})
+
+    @pytest.mark.parametrize("section", ["denoiser", "trunk", "adapter"])
+    def test_edge_training_rates_accepted(self, section):
+        rates = {"peak_lr": 1e30, "start_lr": 0.0, "floor_lr": 0, "warmup": 0}
+        config = config_from_dict({section: rates})
+        assert getattr(config, section).peak_lr == 1e30
+
+    @pytest.mark.parametrize(
+        "section, trainer",
+        [
+            ("denoiser", DenoiserTrainer),
+            ("trunk", TrunkFinetuner),
+            ("adapter", lambda **rates: LoraTrainer("content", **rates)),
+        ],
+        ids=["denoiser", "trunk", "adapter"],
+    )
+    @pytest.mark.parametrize("key, value", BAD_RATES, ids=BAD_RATE_IDS)
+    def test_trainers_reject_bad_training_rates(self, section, trainer, key, value):
+        with pytest.raises(ConfigInvalid, match=f"^{section}\\.{key} must be"):
+            trainer(**{key: value})
 
     def test_hash_stable_and_sensitive(self):
         a = config_hash(RunConfig())

@@ -565,6 +565,26 @@ class TestTrunkFinetuner:
             )
             assert np.abs(tuner.backbone_.weight(name) - expected).max() < 1e-12
 
+    def test_one_step_is_adams_normalized_first_step(self, trained_base, pair_dataset):
+        # Adam's first step moves each entry by lr * |g| / (|g| + eps), so by
+        # at most the start rate whatever the gradient scale; gradient
+        # descent would move each by lr * |g|
+        tuner = TrunkFinetuner(steps=1, seed=3).fit(trained_base, pair_dataset[:4])
+        initial = init_bases(trained_base, tuner.rank_schedule_, seed=3)
+        moves = np.concatenate([
+            np.abs(tuner.bases_.stacks[name] - initial.stacks[name]).ravel()
+            for name in trained_base.names
+        ])
+        start_lr = tuner.settings.start_lr
+        assert moves.max() <= start_lr
+        assert moves.max() >= 0.99 * start_lr
+        # the trained stacks are views of one optimizer buffer, in layer order
+        stacks = list(tuner.bases_.stacks.values())
+        buffer = stacks[0].base
+        assert buffer.size == sum(b.size for b in stacks)
+        assert all(b.base is buffer for b in stacks)
+        assert np.array_equal(buffer, np.concatenate([b.ravel() for b in stacks]))
+
     def test_projection_invariant_after_fit(self, trained_base, pair_dataset):
         tuner = TrunkFinetuner(steps=8, seed=5)
         tuner.fit(trained_base, pair_dataset[:6])

@@ -10,6 +10,21 @@ from craftlora.utils import DIVERGENCE_FACTOR, lr_at, train_loop
 RATES = AdapterSettings(peak_lr=1e-2, start_lr=1e-4, floor_lr=1e-5, warmup=3)
 
 
+class RecordingOptimizer:
+    """The optimizer interface of ``train_loop``: ``step(grads, lr)`` and a
+    ``flat`` buffer; ``on_step`` may change the buffer."""
+
+    def __init__(self, size=2, on_step=None):
+        self.flat = np.zeros(size)
+        self.steps = []
+        self.on_step = on_step
+
+    def step(self, grads, lr):
+        self.steps.append((grads, lr))
+        if self.on_step is not None:
+            self.on_step(self)
+
+
 class TestTrainLoop:
     def test_each_update_gets_its_steps_rate_in_order(self):
         losses = [4.0, 3.0, 2.5, 2.0, 1.0, 0.5, 0.25, 0.125]
@@ -21,10 +36,10 @@ class TestTrainLoop:
             events.append(("step", i))
             return losses[i], f"grads{i}"
 
-        def update(grads, lr):
-            events.append(("update", grads, lr))
-
-        history = train_loop("toy", RATES, len(losses), step, update, [np.zeros(3)])
+        optimizer = RecordingOptimizer(
+            on_step=lambda opt: events.append(("update",) + opt.steps[-1])
+        )
+        history = train_loop("toy", RATES, len(losses), step, optimizer)
         assert history == losses
         expected = []
         for i in range(len(losses)):
@@ -36,7 +51,9 @@ class TestTrainLoop:
         def never(*args):
             raise AssertionError("no step should run")
 
-        assert train_loop("toy", RATES, 0, never, never, [np.zeros(2)]) == []
+        optimizer = RecordingOptimizer()
+        optimizer.step = never
+        assert train_loop("toy", RATES, 0, never, optimizer) == []
 
     @pytest.mark.parametrize(
         "losses, bad_step",
@@ -51,32 +68,26 @@ class TestTrainLoop:
     )
     def test_bad_loss_raises_before_its_update(self, losses, bad_step):
         loss_iter = iter(losses)
-        updates = []
+        optimizer = RecordingOptimizer()
         with pytest.raises(NumericalError, match=f"^toy loss diverged at step {bad_step}$"):
-            train_loop(
-                "toy", RATES, 10, lambda: (next(loss_iter), None),
-                lambda grads, lr: updates.append(lr), [np.zeros(2)],
-            )
-        assert len(updates) == bad_step
+            train_loop("toy", RATES, 10, lambda: (next(loss_iter), None), optimizer)
+        assert len(optimizer.steps) == bad_step
 
     def test_loss_at_the_divergence_bound_is_kept(self):
         losses = iter([2.0, DIVERGENCE_FACTOR * 2.0])
         history = train_loop(
-            "toy", RATES, 2, lambda: (next(losses), None), lambda grads, lr: None, [np.zeros(2)]
+            "toy", RATES, 2, lambda: (next(losses), None), RecordingOptimizer()
         )
         assert history == [2.0, DIVERGENCE_FACTOR * 2.0]
 
     def test_non_finite_parameter_after_the_last_update_raises(self):
-        params = [np.zeros(3), np.zeros((2, 2))]
-        updates = []
+        def poison_fourth(opt):
+            if len(opt.steps) == 4:
+                opt.flat[5] = np.inf
 
-        def update(grads, lr):
-            updates.append(lr)
-            if len(updates) == 4:
-                params[1][1, 0] = np.inf
-
+        optimizer = RecordingOptimizer(size=7, on_step=poison_fourth)
         with pytest.raises(
             NumericalError, match="^toy parameters are non-finite after the last update$"
         ):
-            train_loop("toy", RATES, 4, lambda: (1.0, None), update, params)
-        assert len(updates) == 4
+            train_loop("toy", RATES, 4, lambda: (1.0, None), optimizer)
+        assert len(optimizer.steps) == 4

@@ -50,7 +50,6 @@ from .subspace import (
     RankSchedule,
     SubspaceBases,
     TrunkFinetuner,
-    apply_rank_limited_update,
     init_bases,
     merge_subspaces,
     trunk_loss,
@@ -77,7 +76,6 @@ __all__ = [
     "adapter_loss",
     "adapter_terms",
     "aggregate_weights",
-    "apply_rank_limited_update",
     "content_preservation",
     "cross_influence",
     "ddpm_step",

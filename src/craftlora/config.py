@@ -18,20 +18,48 @@ from .exceptions import ConfigInvalid
 ENV_CONFIG = "CRAFTLORA_CONFIG"
 
 
+# What each annotated field type admits: an int field takes an integer and
+# a float field any real number, neither a bool; a str field takes a
+# string, and a tuple field (a guidance window) two integers.
+_FIELD_TYPES = {
+    int: (numbers.Integral, "an integer"),
+    float: (numbers.Real, "a number"),
+    str: (str, "a string"),
+    tuple: (tuple, "a pair of integers"),
+}
+
+
+def _has_type(value, kind):
+    """Whether a field annotated ``kind`` admits ``value``."""
+    if kind is tuple:
+        return (
+            isinstance(value, tuple) and len(value) == 2 and all(_has_type(v, int) for v in value)
+        )
+    return not isinstance(value, bool) and isinstance(value, _FIELD_TYPES[kind][0])
+
+
+def _check_types(settings, label):
+    """``ConfigInvalid`` naming the first field of a settings dataclass whose
+    value its annotated type does not admit."""
+    for f in dataclasses.fields(settings):
+        value = getattr(settings, f.name)
+        if not _has_type(value, f.type):
+            raise ConfigInvalid(
+                f"{label}.{f.name} must be {_FIELD_TYPES[f.type][1]}, got {value!r}"
+            )
+
+
 def _validate_rates(settings, label):
     """Refuse a training schedule that is not a finite ``peak_lr`` > 0,
-    finite ``start_lr`` and ``floor_lr`` >= 0 and an integer ``warmup`` >= 0."""
+    finite ``start_lr`` and ``floor_lr`` >= 0 and a ``warmup`` >= 0."""
     for key in ("peak_lr", "start_lr", "floor_lr"):
         value = getattr(settings, key)
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ConfigInvalid(f"{label}.{key} must be a number, got {value!r}")
         if not math.isfinite(value) or value < 0.0:
             raise ConfigInvalid(f"{label}.{key} must be finite and nonnegative, got {value!r}")
     if settings.peak_lr == 0.0:
         raise ConfigInvalid(f"{label}.peak_lr must be positive")
-    warmup = settings.warmup
-    if isinstance(warmup, bool) or not isinstance(warmup, numbers.Integral) or warmup < 0:
-        raise ConfigInvalid(f"{label}.warmup must be a nonnegative integer, got {warmup!r}")
+    if settings.warmup < 0:
+        raise ConfigInvalid(f"{label}.warmup must be nonnegative, got {settings.warmup!r}")
 
 
 @dataclass
@@ -41,6 +69,7 @@ class ScheduleSettings:
     beta_end: float = 0.25
 
     def validate(self):
+        _check_types(self, "schedule")
         if self.total_steps < 1:
             raise ConfigInvalid("schedule.total_steps must be positive")
         if not 0.0 < self.beta_start <= self.beta_end < 1.0:
@@ -61,6 +90,7 @@ class DenoiserSettings:
     cond_dropout: float = 0.1
 
     def validate(self):
+        _check_types(self, "denoiser")
         if self.image_size < 4:
             raise ConfigInvalid("denoiser.image_size must be at least 4")
         if self.n_layers < 2:
@@ -86,6 +116,7 @@ class TrunkSettings:
     alpha_perc: float = 0.1
 
     def validate(self):
+        _check_types(self, "trunk")
         if not self.r_max >= self.r_min >= 1:
             raise ConfigInvalid("trunk ranks must satisfy r_max >= r_min >= 1")
         if self.steps < 0 or self.batch_size < 1:
@@ -106,6 +137,7 @@ class AdapterSettings:
     warmup: int = 50
 
     def validate(self):
+        _check_types(self, "adapter")
         if self.rank < 1:
             raise ConfigInvalid("adapter.rank must be positive")
         if self.steps < 0 or self.batch_size < 1:
@@ -123,10 +155,11 @@ class GuidanceSettings:
     ramp: str = "cosine"
 
     def validate(self, total_steps):
+        _check_types(self, "guidance")
         if self.omega < 0.0:
             raise ConfigInvalid("guidance.omega must be nonnegative")
         for label, window in (("content", self.content_window), ("style", self.style_window)):
-            if len(window) != 2 or not 1 <= window[0] <= window[1] <= total_steps:
+            if not 1 <= window[0] <= window[1] <= total_steps:
                 raise ConfigInvalid(
                     f"guidance.{label}_window must lie inside [1, {total_steps}]"
                 )
@@ -144,6 +177,7 @@ class DatasetSettings:
     mode: str = "synthetic"
 
     def validate(self):
+        _check_types(self, "dataset")
         if not 0.0 < self.sigma <= 1.0:
             raise ConfigInvalid("dataset.sigma must lie in (0, 1]")
         if self.n_content < 1 or self.n_style < 1:
@@ -163,6 +197,8 @@ class RunConfig:
     dataset: DatasetSettings = field(default_factory=DatasetSettings)
 
     def validate(self):
+        if not _has_type(self.seed, int):
+            raise ConfigInvalid(f"seed must be an integer, got {self.seed!r}")
         self.schedule.validate()
         self.denoiser.validate()
         self.trunk.validate()
@@ -197,7 +233,7 @@ def _build_section(cls, doc, label):
         raise ConfigInvalid(f"unknown keys in {label!r}: {sorted(unknown)}")
     values = dict(doc)
     for key in ("content_window", "style_window"):
-        if key in values:
+        if isinstance(values.get(key), list):
             values[key] = tuple(values[key])
     return cls(**values)
 
@@ -208,11 +244,7 @@ def config_from_dict(doc):
     unknown = set(doc) - (set(_SECTIONS) | {"seed"})
     if unknown:
         raise ConfigInvalid(f"unknown top-level config keys: {sorted(unknown)}")
-    kwargs = {}
-    if "seed" in doc:
-        if not isinstance(doc["seed"], int):
-            raise ConfigInvalid("seed must be an integer")
-        kwargs["seed"] = doc["seed"]
+    kwargs = {"seed": doc["seed"]} if "seed" in doc else {}
     for label, cls in _SECTIONS.items():
         if label in doc:
             kwargs[label] = _build_section(cls, doc[label], label)

@@ -17,10 +17,6 @@ class DegenerateInput(CraftLoraError, ValueError):
     """Input carries no usable numerical content (e.g. all-zero basis)."""
 
 
-class NotOrthonormal(CraftLoraError, ValueError):
-    """A matrix that must have orthonormal columns does not, beyond tolerance."""
-
-
 class OutOfRange(CraftLoraError, IndexError):
     """A layer or timestep index lies outside its valid range."""
 

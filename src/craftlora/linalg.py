@@ -1,11 +1,11 @@
-"""Dense linear algebra primitives: QR, orthogonal projection, low-rank updates.
+"""Dense linear algebra primitives: QR, its backward pass, and orthogonal projection.
 
 All arithmetic is 64-bit. Every function is pure, so concurrent use is safe.
 """
 
 import numpy as np
 
-from .exceptions import DegenerateInput, NotOrthonormal, ShapeMismatch
+from .exceptions import DegenerateInput, NumericalError, ShapeMismatch
 from .validation import as_matrix
 
 # Columns whose residual falls below this fraction of the largest input
@@ -17,8 +17,6 @@ DROP_TOL_FACTOR = 1e-10
 # dependent column comes out near sqrt(eps) ~ 1.5e-8 of the largest column
 # norm rather than near eps; the tolerance sits well above that level.
 GRAM_PIVOT_TOL_FACTOR = 1e-6
-
-ORTHO_TOL = 1e-6
 
 
 def householder_qr(b):
@@ -106,30 +104,30 @@ def qr_backward(q, r, grad_q):
     return np.linalg.solve(r, m.T).T
 
 
-def check_orthonormal(q):
-    """``NotOrthonormal`` unless ``q``'s columns are orthonormal within ``ORTHO_TOL``."""
-    q = as_matrix(q, "q")
-    if q.shape[1] == 0:
-        return q
-    dev = np.abs(q.T @ q - np.eye(q.shape[1])).max()
-    if dev > ORTHO_TOL:
-        raise NotOrthonormal(f"q deviates from orthonormal columns by {dev:.3e}")
-    return q
+def project_out(w0, b):
+    """Remove the span of the basis ``b`` from ``w0``: W0 - B K B^T W0.
 
-
-def project_out(w0, q):
-    """Remove the span of ``q`` from ``w0``: returns ``w0 - q q^T w0``.
-
-    ``q`` must have orthonormal columns; a zero-column ``q`` leaves ``w0``
-    untouched and a square orthonormal ``q`` annihilates it. Idempotent.
+    ``b`` is an (m, r) basis of full column rank, orthonormal or not, or a
+    (k, m, r) stack of them, and the result is then the (k, m, n) stack of
+    ``w0`` projected by each. With G = B^T B and K = G^-1 from G's Cholesky
+    factor, the projected weights are W0 - (B K)(B^T W0); they come back
+    with the ``(B K, K)`` pair that the basis gradient reuses. The Cholesky
+    pivots are the QR pivots |diag(R)| of B, but they carry the rounding of
+    forming G; a pivot below ``GRAM_PIVOT_TOL_FACTOR`` times the largest
+    column norm, or a Gram matrix the factorization rejects, means the
+    basis lost rank and raises ``NumericalError``. A zero or non-finite
+    basis fails the same check.
     """
-    w0 = as_matrix(w0, "w0")
-    q = as_matrix(q, "q")
-    if q.shape[1] == 0:
-        return w0.copy()
-    if q.shape[0] != w0.shape[0]:
-        raise ShapeMismatch(
-            f"q has {q.shape[0]} rows but w0 has {w0.shape[0]}"
-        )
-    check_orthonormal(q)
-    return w0 - q @ (q.T @ w0)
+    gram = b.swapaxes(-1, -2) @ b
+    tol = GRAM_PIVOT_TOL_FACTOR * np.sqrt(np.diagonal(gram, 0, -2, -1).max(axis=-1))
+    try:
+        chol = np.linalg.cholesky(gram)
+        pivots = np.diagonal(chol, 0, -2, -1).min(axis=-1)
+    except np.linalg.LinAlgError:
+        pivots = None
+    if pivots is None or not np.all((pivots >= tol) & (tol > 0.0)):
+        raise NumericalError("the basis lost rank")
+    chol_inv = np.linalg.inv(chol)
+    k = chol_inv.swapaxes(-1, -2) @ chol_inv
+    bk = b @ k
+    return w0 - bk @ (b.swapaxes(-1, -2) @ w0), (bk, k)

@@ -28,7 +28,7 @@ from .exceptions import (
     OutOfRange,
     ShapeMismatch,
 )
-from .linalg import GRAM_PIVOT_TOL_FACTOR, householder_qr, project_out
+from .linalg import householder_qr, project_out
 from .optim import Adam
 from .prompts import encode_semantic
 from .utils import make_rng, train_loop
@@ -130,20 +130,6 @@ def merge_subspaces(b_content, b_style):
     return q
 
 
-def apply_rank_limited_update(backbone, q_map):
-    """Project each layer onto the complement of its combined subspace.
-
-    ``q_map`` maps layer names to orthonormal matrices; missing or empty
-    entries leave the layer untouched. The result is the frozen host for all
-    later adapter training.
-    """
-    unknown = set(q_map) - set(backbone.names)
-    if unknown:
-        raise ShapeMismatch(f"q_map names unknown layers {sorted(unknown)}")
-    updates = {name: project_out(backbone.weight(name), q) for name, q in q_map.items()}
-    return backbone.replace(updates)
-
-
 # Output channels of the perceptual stack's three layers, and their square
 # kernel width.
 PERCEPTUAL_CHANNELS = (4, 4, 4)
@@ -242,34 +228,18 @@ def _member_weights(backbone, basis_map):
 
     ``basis_map`` maps each layer to a (k, m, r) stack of bases, one per
     member, and each layer's result is the (k, m, n) stack of the base
-    weights projected by each basis in turn. With G = B^T B and K = G^-1
-    from G's Cholesky factor, the projected weights are
-    W = W0 - (B K)(B^T W0), and each layer caches the stacks (B, B K, K).
-    The Cholesky pivots are the QR pivots |diag(R)| of B, but they carry
-    the rounding of forming G; a pivot below ``GRAM_PIVOT_TOL_FACTOR`` times
-    the largest column norm, or a Gram matrix the factorization rejects,
-    means a basis lost rank, which training cannot recover from. A zero
-    or non-finite basis fails the same check.
+    weights projected by each basis in turn (``project_out``); each layer
+    caches the stacks (B, B K, K). A basis that lost rank, which training
+    cannot recover from, raises ``NumericalError`` naming its layer.
     """
     weights = {}
     cache = {}
     for name, w in backbone.items():
         b = basis_map[name]
-        gram = b.swapaxes(-1, -2) @ b
-        tol = GRAM_PIVOT_TOL_FACTOR * np.sqrt(np.diagonal(gram, 0, -2, -1).max(axis=-1))
         try:
-            chol = np.linalg.cholesky(gram)
-            pivots = np.diagonal(chol, 0, -2, -1).min(axis=-1)
-        except np.linalg.LinAlgError:
-            pivots = None
-        if pivots is None or not np.all((pivots >= tol) & (tol > 0.0)):
-            raise NumericalError(
-                f"basis for layer {name!r} lost rank during training"
-            )
-        chol_inv = np.linalg.inv(chol)
-        k = chol_inv.swapaxes(-1, -2) @ chol_inv
-        bk = b @ k
-        weights[name] = w - bk @ (b.swapaxes(-1, -2) @ w)
+            weights[name], (bk, k) = project_out(w, b)
+        except NumericalError as exc:
+            raise NumericalError(f"basis for layer {name!r} lost rank during training") from exc
         cache[name] = (b, bk, k)
     return weights, cache
 
@@ -540,7 +510,9 @@ class TrunkFinetuner:
 
         merged = {name: merge_subspaces(*bases.stacks[name]) for name in backbone.names}
         ranks = {name: q.shape[1] for name, q in merged.items()}
-        self.backbone_ = apply_rank_limited_update(backbone, merged)
+        self.backbone_ = backbone.replace(
+            {name: project_out(w, merged[name])[0] for name, w in backbone.items()}
+        )
         self.bases_ = bases
         self.merged_q_ = merged
         self.merged_ranks_ = ranks

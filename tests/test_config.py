@@ -4,6 +4,7 @@ import math
 import pytest
 
 from craftlora.adapters import LoraTrainer
+from craftlora.cli import main
 from craftlora.config import (
     ENV_CONFIG,
     RunConfig,
@@ -34,6 +35,25 @@ BAD_RATES = [
     ("warmup", "10"),
 ]
 BAD_RATE_IDS = [f"{key}={value!r}" for key, value in BAD_RATES]
+
+# Documents whose values their fields' types do not admit, with the field
+# each error must name.
+BAD_TYPES = [
+    ({"trunk": {"steps": "many"}}, "trunk.steps"),
+    ({"trunk": {"lambda_reg": None}}, "trunk.lambda_reg"),
+    ({"guidance": {"omega": "x"}}, "guidance.omega"),
+    ({"adapter": {"rank": 2.5}}, "adapter.rank"),
+    ({"denoiser": {"batch_size": 2.5}}, "denoiser.batch_size"),
+    ({"dataset": {"n_content": 1.5}}, "dataset.n_content"),
+    ({"dataset": {"mode": 3}}, "dataset.mode"),
+    ({"schedule": {"beta_end": [0.2]}}, "schedule.beta_end"),
+    ({"guidance": {"content_window": [1.5, 30]}}, "guidance.content_window"),
+    ({"guidance": {"style_window": 20}}, "guidance.style_window"),
+    ({"guidance": {"style_window": [15, 30, 50]}}, "guidance.style_window"),
+    ({"seed": True}, "seed"),
+    ({"seed": 1.0}, "seed"),
+]
+BAD_TYPE_IDS = [json.dumps(doc) for doc, _ in BAD_TYPES]
 
 
 class TestRunConfig:
@@ -82,6 +102,20 @@ class TestRunConfig:
     def test_bad_training_rates_rejected(self, section, key, value):
         with pytest.raises(ConfigInvalid, match=f"^{section}\\.{key} must be"):
             config_from_dict({section: {key: value}})
+
+    @pytest.mark.parametrize("doc, field", BAD_TYPES, ids=BAD_TYPE_IDS)
+    def test_values_of_the_wrong_type_rejected(self, doc, field, tmp_path, capsys):
+        with pytest.raises(ConfigInvalid, match=f"^{field} must be "):
+            config_from_dict(doc)
+        # the command line reports it as a config error, before any output
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps(doc))
+        out = tmp_path / "pairs"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["gen-pairs", "--config", str(conf), "--out", str(out)])
+        assert exit_info.value.code == 1
+        assert capsys.readouterr().err.startswith(f"config error: {field} must be ")
+        assert not out.exists()
 
     @pytest.mark.parametrize("section", ["denoiser", "trunk", "adapter"])
     def test_edge_training_rates_accepted(self, section):

@@ -253,3 +253,55 @@ def test_every_keyword_default_is_set_inside_the_package():
 def test_every_keyword_exemption_is_still_needed():
     stale = sorted(set(UNSET_KEYWORDS) - unset_keywords())
     assert stale == [], f"exempt but gone, or now set inside craftlora: {stale}"
+
+
+# Public classes whose annotated fields some go unread as attributes inside
+# the package, each for a stated reason, as "module.Class".
+UNREAD_FIELDS = {
+    "guidance.GuidancePlan": "guided_eps_parts unpacks the plan whole, as a tuple",
+}
+
+
+def annotated_fields():
+    """Each annotated field of a public class, as "module.Class" -> names."""
+    found = defaultdict(set)
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                for item in node.body:
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                        found[f"{path.stem}.{node.name}"].add(item.target.id)
+    return found
+
+
+def attributes_read_in_the_package():
+    read = set()
+    for path in PACKAGE_DIR.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return read
+
+
+def unread_fields():
+    read = attributes_read_in_the_package()
+    return {
+        owner: sorted(names - read)
+        for owner, names in annotated_fields().items()
+        if names - read
+    }
+
+
+def test_every_annotated_field_is_read_inside_the_package():
+    unread = {
+        f"{owner}.{name}"
+        for owner, names in unread_fields().items()
+        if owner not in UNREAD_FIELDS
+        for name in names
+    }
+    assert sorted(unread) == [], f"fields no code inside craftlora reads: {sorted(unread)}"
+
+
+def test_every_field_exemption_is_still_needed():
+    stale = sorted(set(UNREAD_FIELDS) - set(unread_fields()))
+    assert stale == [], f"exempt but gone, or every field now read: {stale}"

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from craftlora.exceptions import DegenerateInput, NotOrthonormal, ShapeMismatch
+from craftlora.exceptions import DegenerateInput, NumericalError, ShapeMismatch
 from craftlora.linalg import householder_qr, project_out, qr_backward
 
 
@@ -106,42 +106,66 @@ class TestQrBackward:
 
 
 class TestProjectOut:
-    def test_empty_subspace_is_identity(self):
-        w = np.arange(12.0).reshape(3, 4)
-        out = project_out(w, np.zeros((3, 0)))
-        assert np.array_equal(out, w)
-
     def test_full_subspace_annihilates(self):
         rng = np.random.default_rng(5)
         q = random_orthonormal(5, 5, rng)
         w = rng.standard_normal((5, 3))
-        assert np.abs(project_out(w, q)).max() < 1e-12
+        assert np.abs(project_out(w, q)[0]).max() < 1e-12
 
     def test_removed_component_is_gone(self):
         rng = np.random.default_rng(6)
         q = random_orthonormal(16, 4, rng)
         w = rng.standard_normal((16, 16))
-        out = project_out(w, q)
+        out, _ = project_out(w, q)
         assert np.abs(q.T @ out).max() < 1e-8
 
     def test_idempotent(self):
         rng = np.random.default_rng(7)
         q = random_orthonormal(12, 3, rng)
         w = rng.standard_normal((12, 8))
-        once = project_out(w, q)
-        twice = project_out(once, q)
+        once, _ = project_out(w, q)
+        twice, _ = project_out(once, q)
         assert np.abs(twice - once).max() < 1e-12
 
     def test_projection_rank_bounded_by_subspace(self):
         rng = np.random.default_rng(8)
         q = random_orthonormal(10, 3, rng)
         w = rng.standard_normal((10, 10))
-        removed = w - project_out(w, q)
+        removed = w - project_out(w, q)[0]
         assert svd_rank(removed) <= 3
 
-    def test_rejects_non_orthonormal(self):
-        with pytest.raises(NotOrthonormal):
+    def test_non_orthonormal_basis_projects_its_householder_span(self):
+        rng = np.random.default_rng(9)
+        b = rng.uniform(-0.02, 0.02, (16, 5)) @ np.triu(rng.standard_normal((5, 5)) + 3.0)
+        w = rng.standard_normal((16, 7))
+        q, _ = householder_qr(b)
+        out, (bk, k) = project_out(w, b)
+        assert np.abs(out - (w - q @ (q.T @ w))).max() < 1e-12
+        assert np.abs(k - np.linalg.inv(b.T @ b)).max() <= 1e-10 * np.abs(k).max()
+        assert np.abs(bk - b @ k).max() <= 1e-12 * np.abs(bk).max()
+
+    def test_stack_projects_each_member(self):
+        rng = np.random.default_rng(10)
+        stack = rng.standard_normal((2, 12, 3))
+        w = rng.standard_normal((12, 5))
+        out, (bk, k) = project_out(w, stack)
+        assert out.shape == (2, 12, 5) and bk.shape == (2, 12, 3) and k.shape == (2, 3, 3)
+        for i in range(2):
+            alone, (bk_i, k_i) = project_out(w, stack[i])
+            for got, want in ((out[i], alone), (bk[i], bk_i), (k[i], k_i)):
+                assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_rank_deficient_basis_raises(self):
+        # repeated columns, a nearly dependent column, and a zero basis
+        with pytest.raises(NumericalError, match="^the basis lost rank$"):
             project_out(np.eye(3), np.full((3, 2), 0.9))
+        rng = np.random.default_rng(11)
+        b = rng.standard_normal((8, 3))
+        b[:, 2] = 2.0 * b[:, 0] + 1e-9 * rng.standard_normal(8)
+        with pytest.raises(NumericalError):
+            project_out(np.eye(8), b)
+        with pytest.raises(NumericalError):
+            project_out(np.eye(8), np.zeros((8, 2)))
 
 
 @settings(max_examples=40, deadline=None)

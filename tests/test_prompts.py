@@ -16,42 +16,33 @@ from craftlora.prompts import EMB_DIM, encode_semantic, parse_prompt
 class TestParsePrompt:
     def test_reference_example(self):
         spec = parse_prompt("A photo of a person <c> smiling in a watercolor style <s>")
-        assert spec.content_span == "A photo of a person"
-        assert spec.style_span == "smiling in a watercolor style"
         assert spec.has_content_marker and spec.has_style_marker
         assert spec.stripped == "A photo of a person smiling in a watercolor style"
 
     def test_plain_sentence(self):
         spec = parse_prompt("A plain sentence")
-        assert spec.content_span == "" and spec.style_span == ""
         assert not spec.has_content_marker and not spec.has_style_marker
         assert spec.stripped == "A plain sentence"
 
     def test_single_marker(self):
         spec = parse_prompt("A dog <c> running")
         assert spec.has_content_marker and not spec.has_style_marker
-        assert spec.content_span == "A dog"
-        assert spec.style_span == ""
+        assert spec.stripped == "A dog running"
+        # a marker counts wherever it stands, the very start included
+        spec = parse_prompt("<c> leading marker")
+        assert spec.has_content_marker and not spec.has_style_marker
+        assert spec.stripped == "leading marker"
 
     def test_stripped_has_no_marker_tokens(self):
         spec = parse_prompt("x <c> y </c> z <s> w </s>")
         for token in ("<c>", "</c>", "<s>", "</s>"):
             assert token not in spec.stripped
 
-    def test_sentence_boundary_limits_span(self):
-        spec = parse_prompt("First thought. a red car <c>")
-        assert spec.content_span == "a red car"
-
     def test_closer_before_opener_rejected(self):
         with pytest.raises(MalformedMarkers):
             parse_prompt("broken </c> order <c>")
         with pytest.raises(MalformedMarkers):
             parse_prompt("lonely closer </s>")
-
-    def test_span_present_iff_marker(self):
-        spec = parse_prompt("<c> leading marker")
-        assert spec.has_content_marker
-        assert spec.content_span == ""
 
 
 class TestEncodeSemantic:

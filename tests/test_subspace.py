@@ -8,7 +8,6 @@ from craftlora.denoiser import NoiseSchedule, init_backbone
 from craftlora.exceptions import (
     ConfigInvalid,
     EmptyBatch,
-    NotOrthonormal,
     NumericalError,
     OutOfRange,
     ShapeMismatch,
@@ -23,7 +22,6 @@ from craftlora.subspace import (
     RankSchedule,
     SubspaceBases,
     TrunkFinetuner,
-    apply_rank_limited_update,
     init_bases,
     make_trunk_draws,
     member_embeddings,
@@ -177,37 +175,6 @@ class TestMergeSubspaces:
         reference = merge_subspaces(householder_qr(b_c)[0], householder_qr(b_s)[0])
         assert merged.shape == reference.shape == (16, 6)
         assert np.abs(merged @ merged.T - reference @ reference.T).max() < 1e-12
-
-
-class TestApplyRankLimitedUpdate:
-    def test_empty_map_leaves_backbone(self):
-        bb = init_backbone(8, 16, 3, seed=0)
-        out = apply_rank_limited_update(bb, {})
-        for name in bb.names:
-            assert np.array_equal(out.weight(name), bb.weight(name))
-
-    def test_square_orthonormal_zeroes_layer(self):
-        bb = init_backbone(8, 16, 3, seed=1)
-        rng = np.random.default_rng(4)
-        q = random_orthonormal(16, 16, rng)
-        out = apply_rank_limited_update(bb, {"layer2": q})
-        assert np.abs(out.weight("layer2")).max() < 1e-12
-        assert np.array_equal(out.weight("layer1"), bb.weight("layer1"))
-
-    def test_projected_component_removed_per_layer(self):
-        bb = init_backbone(8, 16, 3, seed=2)
-        rng = np.random.default_rng(5)
-        q_map = {
-            name: random_orthonormal(bb.shape(name)[0], 2, rng) for name in bb.names
-        }
-        out = apply_rank_limited_update(bb, q_map)
-        for name in bb.names:
-            assert np.abs(q_map[name].T @ out.weight(name)).max() < 1e-8
-
-    def test_non_orthonormal_rejected(self):
-        bb = init_backbone(8, 16, 3, seed=3)
-        with pytest.raises(NotOrthonormal):
-            apply_rank_limited_update(bb, {"layer1": np.full((64, 2), 0.4)})
 
 
 class TestLearningRateSchedule:
@@ -370,10 +337,11 @@ class TestMemberWeights:
             bases = init_bases(bb, RankSchedule(4, 2, 3), seed=3)
             b = bases.side(member)["layer2"]
             b[:, 1] = 3.0 * b[:, 0]
-            with pytest.raises(NumericalError):
+            message = "^basis for layer 'layer2' lost rank during training$"
+            with pytest.raises(NumericalError, match=message):
                 _member_weights(bb, bases.stacks)
             b[...] = 0.0
-            with pytest.raises(NumericalError):
+            with pytest.raises(NumericalError, match=message):
                 _member_weights(bb, bases.stacks)
 
     def test_nearly_dependent_column_raises(self):
@@ -585,6 +553,17 @@ class TestTrunkFinetuner:
         assert all(b.base is buffer for b in stacks)
         assert np.array_equal(buffer, np.concatenate([b.ravel() for b in stacks]))
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_host_is_w0_minus_the_merged_projection(self, trained_base, pair_dataset, seed):
+        # the host comes from the Cholesky projector of the merged basis,
+        # which is orthonormal, so it is W0 - Q Q^T W0 to rounding
+        tuner = TrunkFinetuner(steps=3, seed=seed).fit(trained_base, pair_dataset[:4])
+        for name in trained_base.names:
+            w0 = trained_base.weight(name)
+            q = tuner.merged_q_[name]
+            expected = w0 - q @ (q.T @ w0)
+            assert np.abs(tuner.backbone_.weight(name) - expected).max() < 1e-12
+
     def test_projection_invariant_after_fit(self, trained_base, pair_dataset):
         tuner = TrunkFinetuner(steps=8, seed=5)
         tuner.fit(trained_base, pair_dataset[:6])
@@ -653,8 +632,9 @@ class TestTrunkFinetuner:
         TrunkFinetuner(steps=5, batch_size=3, seed=7).fit(trained_base, pairs)
         # the targets are stacked once per fit, and each step indexes them
         assert target_stacks == [len(pairs)]
-        # both members' bases factor as one stack: one Cholesky per layer per step
-        assert calls == {"qr": 0, "qr_backward": 0, "cholesky": trained_base.n_layers * 5}
+        # both members' bases factor as one stack: one Cholesky per layer per
+        # step, and one per layer for the merged host
+        assert calls == {"qr": 0, "qr_backward": 0, "cholesky": trained_base.n_layers * (5 + 1)}
         # one pass over both members' targets, then one over each step's predictions
         assert len(feature_inputs) == 1 + 5
         targets = np.concatenate([

@@ -196,7 +196,7 @@ def adapter_loss(w_init, adapter, reference, e_sem, schedule, draw):
             f"{noise.size} noise values for {rows} draws of {reference.size} pixels"
         )
     noise = noise.reshape(rows, -1)
-    ab = np.array([schedule.alpha_bar(t) for t in ts])[:, None]
+    ab = schedule.alpha_bar(ts)[:, None]
     z_t = np.sqrt(ab) * reference.reshape(1, -1) + np.sqrt(1.0 - ab) * noise
     e_rows = np.repeat(e_sem[None, :], rows, axis=0)
     pair = (adapter, None) if adapter.kind == "content" else (None, adapter)

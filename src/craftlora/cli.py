@@ -104,16 +104,11 @@ _config_option = click.option(
     help=f"JSON config file (falls back to ${ENV_CONFIG}, then defaults).",
 )
 _seed_option = click.option("--seed", type=int, default=None, help="Override the config seed.")
-_threads_option = click.option(
-    "--threads", type=click.IntRange(min=1), default=1, show_default=True,
-    help="Worker threads; never changes numerical results.",
-)
 
 
 @cli.command("gen-pairs")
 @_config_option
 @_seed_option
-@_threads_option
 @click.option("--out", "out_dir", required=True, type=click.Path(file_okay=False))
 @click.option("--mode", type=click.Choice(["synthetic", "diffusion"]), default=None)
 @click.option("--sigma", type=float, default=None)
@@ -121,7 +116,7 @@ _threads_option = click.option(
 @click.option("--n-style", type=int, default=None)
 @click.option("--backbone", "backbone_path", type=click.Path(dir_okay=False), default=None,
               help="Trained backbone checkpoint (diffusion mode).")
-def cmd_gen_pairs(config_path, seed, threads, out_dir, mode, sigma, n_content, n_style, backbone_path):
+def cmd_gen_pairs(config_path, seed, out_dir, mode, sigma, n_content, n_style, backbone_path):
     """Write the contrastive pair dataset (images plus manifest)."""
     config = _load_run_config(config_path, seed)
     ds = config.dataset
@@ -135,7 +130,6 @@ def cmd_gen_pairs(config_path, seed, threads, out_dir, mode, sigma, n_content, n
         size=config.denoiser.image_size,
         backbone=backbone,
         schedule=_schedule_from(config),
-        threads=threads,
     )
     save_dataset(out_dir, dataset)
     click.echo(f"wrote {len(dataset)} pairs to {out_dir}")
@@ -259,7 +253,8 @@ def cmd_sample(config_path, seed, prompt, backbone_path, content_path, style_pat
 @cli.command("eval")
 @_config_option
 @_seed_option
-@_threads_option
+@click.option("--threads", type=click.IntRange(min=1), default=1, show_default=True,
+              help="Worker threads; never changes numerical results.")
 @click.option("--backbone", "backbone_path", required=True, type=click.Path(dir_okay=False))
 @click.option("--content-adapter", "content_path", required=True, type=click.Path(dir_okay=False))
 @click.option("--style-adapter", "style_path", required=True, type=click.Path(dir_okay=False))
@@ -292,22 +287,11 @@ def cmd_eval(config_path, seed, threads, backbone_path, content_path, style_path
     )
 
 
-# Images per sample_batch call in evaluate_grid, unless one content row
-# holds more; each step's forward pass runs twice that many rows
-# (conditional and unconditional). It bounds the sampler's working set;
-# the 10x10 grid runs as one block. With one noise stream per distinct
-# seed, one block of 100 took a median 0.96x the time of two blocks of 50
-# (faster in 21 of 30 interleaved in-process pairs), for a tracemalloc
-# peak of 3.3 MB against 2.2 MB (2-vCPU x86-64 VM, one BLAS thread).
-GRID_BLOCK_ROWS = 128
-
-
 def evaluate_grid(backbone, content_adapter, style_adapter, config, n_content, n_style, threads=1):
     """Full prompt-grid generation plus the three disentanglement scores.
 
     The grid cells are sampled as the rows of ``sample_batch`` calls, one
-    call per contiguous block of whole content rows from ``run_row_blocks``
-    (at most ``GRID_BLOCK_ROWS`` cells, never less than one content row),
+    call per contiguous block of whole content rows from ``run_row_blocks``,
     so the thread count never changes the report. The cells of one content
     row share one noise seed, so the cross-influence score compares styles
     under the same noise; each content row's stream is drawn once.
@@ -322,7 +306,7 @@ def evaluate_grid(backbone, content_adapter, style_adapter, config, n_content, n
         sampler = _sampler(config, backbone, content_adapter, style_adapter)
         return sampler.sample_batch(prompts[start:stop], seeds[start:stop])
 
-    flat = run_row_blocks(generate, n_content, threads, max(1, GRID_BLOCK_ROWS // n_style))
+    flat = run_row_blocks(generate, n_content, threads)
     grid = [list(flat[i * n_style:(i + 1) * n_style]) for i in range(n_content)]
 
     extractor = ImageFeatureExtractor(seed=derive_seed(config.seed, "eval-features"))

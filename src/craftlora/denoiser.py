@@ -91,7 +91,12 @@ class NoiseSchedule:
         return t
 
     def alpha_bar(self, t):
-        return self.alpha_bars[self._check_t(t) - 1]
+        """The alpha_bar of each timestep in ``t``, an int or an integer
+        array, in t's shape; a timestep outside [1, T] raises ``OutOfRange``."""
+        t = np.asarray(t)
+        if t.dtype.kind not in "iu" or (t.size and not 1 <= t.min() <= t.max() <= self.total_steps):
+            raise OutOfRange(f"t must be integers in [1, {self.total_steps}], got {t}")
+        return self.alpha_bars[t - 1]
 
     def coefficients(self, t):
         """The ``StepCoefficients`` of the reverse step at t."""
@@ -453,7 +458,7 @@ class DenoiserTrainer:
             noise = rng.standard_normal((batch, pixels))
             keep = rng.random(batch) >= cfg.cond_dropout
             x0 = flat[idx]
-            ab = schedule.alpha_bars[ts - 1][:, None]
+            ab = schedule.alpha_bar(ts)[:, None]
             x_t = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * noise
             cond = embeddings[idx] * keep[:, None]
             pred, acts = forward_pass(x_t, ts, cond, weights)

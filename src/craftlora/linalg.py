@@ -116,8 +116,15 @@ def project_out(w0, b):
     forming G; a pivot below ``GRAM_PIVOT_TOL_FACTOR`` times the largest
     column norm, or a Gram matrix the factorization rejects, means the
     basis lost rank and raises ``NumericalError``. A zero or non-finite
-    basis fails the same check.
+    basis fails the same check. A basis with no columns, or with a row
+    count unlike ``w0``'s, raises ``ShapeMismatch``.
     """
+    w0, b = np.asarray(w0), np.asarray(b)
+    if min(w0.ndim, b.ndim) < 2 or b.shape[-1] == 0 or b.shape[-2] != w0.shape[-2]:
+        raise ShapeMismatch(
+            f"a basis of shape {b.shape} cannot project w0 of shape {w0.shape}: "
+            "it needs at least one column and w0's row count"
+        )
     gram = b.swapaxes(-1, -2) @ b
     tol = GRAM_PIVOT_TOL_FACTOR * np.sqrt(np.diagonal(gram, 0, -2, -1).max(axis=-1))
     try:

@@ -22,7 +22,7 @@ from .exceptions import ConfigInvalid, CorruptCheckpoint, ModelUntrained, ShapeM
 from .frequency import FrequencyMask, freq_mask_filter, gaussian_lowpass
 from .pgm import pgm_bytes, read_pgm
 from .prompts import encode_semantic
-from .utils import make_rng, run_row_blocks, standard_normal_rows
+from .utils import make_rng, standard_normal_rows
 
 CONTENT_PROMPTS = (
     "a filled disc",
@@ -217,7 +217,6 @@ def generate_pair_dataset(
     size=DenoiserSettings.image_size,
     backbone=None,
     schedule=None,
-    threads=1,
 ):
     """Cartesian product of content references and style references.
 
@@ -225,8 +224,7 @@ def generate_pair_dataset(
     ``i * n_style + j``. Diffusion mode runs the content members (low mask)
     as the rows of one batch and the style members (high mask) as another,
     each row on its own ``make_rng(seed, "pairgen", pair_id, member)``
-    stream. Deterministic given the seed; the pairs run in the contiguous
-    blocks of ``run_row_blocks``, so the thread count never changes results.
+    stream. Deterministic given the seed.
     """
     if not (1 <= n_content <= len(CONTENT_PROMPTS)):
         raise ConfigInvalid(f"n_content must lie in [1, {len(CONTENT_PROMPTS)}]")
@@ -237,10 +235,7 @@ def generate_pair_dataset(
     grid = [(i, j) for i in range(n_content) for j in range(n_style)]
 
     if mode == "synthetic":
-        def synthetic(start, stop):
-            return np.array([synthetic_pair_images(i, j, sigma, size) for i, j in grid[start:stop]])
-
-        members = run_row_blocks(synthetic, len(grid), threads)
+        members = np.array([synthetic_pair_images(i, j, sigma, size) for i, j in grid])
         content_images, style_images = members[:, 0], members[:, 1]
     else:
         if backbone is None:
@@ -253,13 +248,8 @@ def generate_pair_dataset(
         schedule = schedule or NoiseSchedule.linear()
 
         def diffusion(prompts, member, mask):
-            def block(start, stop):
-                rngs = [make_rng(seed, "pairgen", pair_id, member) for pair_id in range(start, stop)]
-                return _filtered_trajectories(
-                    prompts[start:stop], rngs, mask, backbone, schedule, size
-                )
-
-            return run_row_blocks(block, len(grid), threads)
+            rngs = [make_rng(seed, "pairgen", pair_id, member) for pair_id in range(len(grid))]
+            return _filtered_trajectories(prompts, rngs, mask, backbone, schedule, size)
 
         content_images = diffusion(
             [f"{CONTENT_PROMPTS[i]} {STYLE_MODIFIERS[j]}" for i, j in grid],

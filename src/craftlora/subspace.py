@@ -302,7 +302,7 @@ def _member_block(weights, targets, ts, noise, embs, feats_ref, schedule, alpha_
     (2, rows, pixels) gradient. ``feats_ref`` holds the block's target
     features, or None without the perceptual term.
     """
-    ab = schedule.alpha_bars[ts - 1][..., None]
+    ab = schedule.alpha_bar(ts)[..., None]
     root_ab = np.sqrt(ab)
     root_1mab = np.sqrt(1.0 - ab)
     z_t = root_ab * targets + root_1mab * noise

@@ -82,19 +82,16 @@ def train_loop(stage, rates, steps, step, optimizer):
     return history
 
 
-def run_row_blocks(fn, n_rows, threads=1, max_rows=None):
+def run_row_blocks(fn, n_rows, threads=1):
     """Concatenated results of ``fn(start, stop)`` over contiguous row blocks.
 
-    The rows split evenly into ``threads`` blocks, or into blocks of at
-    most ``max_rows`` rows when that makes more, and never into blocks of
+    The rows split evenly into ``threads`` blocks, never into blocks of
     fewer than two rows; with ``threads > 1`` the blocks run on a thread
     pool. A batched row's arithmetic does not depend on how many other rows
     share its batch once there are two or more (a batch of one rounds
     differently), so the block count never changes the result.
     """
     n_blocks = max(1, min(threads, n_rows // 2))
-    if max_rows is not None:
-        n_blocks = max(n_blocks, -(-n_rows // max_rows))
     bounds = [n_rows * k // n_blocks for k in range(n_blocks + 1)]
     blocks = list(zip(bounds[:-1], bounds[1:]))
     if threads > 1 and n_blocks > 1:

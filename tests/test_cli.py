@@ -133,37 +133,6 @@ class TestGenPairs:
         manifest = (tmp_path / "one" / "manifest.tsv").read_text(encoding="utf-8")
         assert len(manifest.splitlines()) == 1
 
-    def test_thread_count_never_changes_bytes(self, workspace, tmp_path):
-        root, config_path = workspace
-        out = tmp_path / "threaded"
-        assert run_cli(
-            ["gen-pairs", "--config", config_path, "--threads", 4, "--out", out]
-        ) == 0
-        assert (out / "manifest.tsv").read_bytes() == (
-            root / "pairs" / "manifest.tsv"
-        ).read_bytes()
-        for name in sorted(p.name for p in (out / "images").iterdir()):
-            assert (out / "images" / name).read_bytes() == (
-                root / "pairs" / "images" / name
-            ).read_bytes()
-
-    def test_diffusion_thread_count_never_changes_bytes(self, workspace, tmp_path):
-        # six rows per member: one block at one thread, three at three
-        root, config_path = workspace
-        outs = []
-        for threads in (1, 3):
-            out = tmp_path / f"diffusion{threads}"
-            assert run_cli([
-                "gen-pairs", "--config", config_path, "--mode", "diffusion",
-                "--backbone", root / "trunk.crft", "--n-content", 3,
-                "--threads", threads, "--out", out,
-            ]) == 0
-            outs.append(out)
-        names = ["manifest.tsv"] + [f"images/{p.name}" for p in (outs[0] / "images").iterdir()]
-        assert len(names) == 13
-        for name in names:
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
-
     @pytest.mark.parametrize(
         "host_size, message",
         [(None, "needs a trained backbone"), (8, "expects 64 pixels")],
@@ -186,12 +155,14 @@ class TestGenPairs:
         assert err.startswith("error:") and message in err
         assert not out.exists()
 
-    def test_zero_threads_is_usage_error(self, workspace, tmp_path):
+    def test_threads_is_unknown_option(self, workspace, tmp_path, capsys):
+        # gen-pairs runs every pair as one batch; it takes no thread count
         _, config_path = workspace
         out = tmp_path / "none"
         assert run_cli(
-            ["gen-pairs", "--config", config_path, "--threads", 0, "--out", out]
+            ["gen-pairs", "--config", config_path, "--threads", 2, "--out", out]
         ) == 1
+        assert "No such option" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -844,15 +815,9 @@ class TestEval:
         assert 0.0 <= doc["s_x"] <= 1.0
         assert len(doc["pairs"]) == 4
 
-    @pytest.mark.parametrize("block_rows", [64, 5], ids=["one-block", "three-blocks"])
-    def test_thread_count_never_changes_bytes(self, workspace, tmp_path, monkeypatch, block_rows):
-        # the three content rows of four cells run as one batch, or as
-        # three one-row blocks when blocks are capped at five cells, at
-        # either thread count (a block holds at least two rows unless the
-        # cap forces fewer)
-        from craftlora import cli
-
-        monkeypatch.setattr(cli, "GRID_BLOCK_ROWS", block_rows)
+    def test_thread_count_never_changes_bytes(self, workspace, tmp_path):
+        # the three content rows of four cells run as one batch at either
+        # thread count, since a block holds at least two rows
         root, config_path = workspace
         reports = []
         for threads in (1, 3):

@@ -1,4 +1,4 @@
-"""Every name the package exports has a caller inside the package, and
+"""Every public function and class has a caller inside the package, and
 every keyword parameter with a default is set by some call inside it."""
 
 import ast
@@ -12,15 +12,21 @@ from craftlora.config import DatasetSettings, RunConfig, ScheduleSettings
 
 PACKAGE_DIR = pathlib.Path(craftlora.__file__).parent
 
-# Exports kept without a caller in the package, each for a stated reason.
-UNCALLED_EXPORTS = {
-    # the merged-form reference that the unmerged adapter terms are tested
-    # against; the benchmark harness wraps it to count merges
-    "aggregate_weights",
-    # the QR backward pass, checked against finite differences; the trunk's
-    # projector-form basis gradient is tested against it, and the benchmark
-    # harness wraps it to count calls
-    "qr_backward",
+# Public functions and classes kept without a caller in the package, each
+# for a stated reason, as "module.name".
+UNCALLED = {
+    "adapters.aggregate_weights": (
+        "the merged-form reference that the unmerged adapter terms are tested "
+        "against; the benchmark harness wraps it to count merges"
+    ),
+    "linalg.qr_backward": (
+        "the QR backward pass, checked against finite differences; the trunk's "
+        "projector-form basis gradient is tested against it, and the benchmark "
+        "harness wraps it to count calls"
+    ),
+    "checkpoint.load_tensor_set": (
+        "the only reader of the .bases sidecar that train-trunk writes"
+    ),
 }
 
 
@@ -54,17 +60,40 @@ def names_used_in_the_package():
     return used
 
 
-def test_every_export_has_a_caller_in_the_package():
-    uncalled = sorted(set(craftlora.__all__) - names_used_in_the_package() - UNCALLED_EXPORTS)
-    assert uncalled == [], f"exported but never called inside craftlora: {uncalled}"
+def _is_command(node):
+    """Whether a function is registered with ``@cli.command``; click calls it."""
+    return any(
+        isinstance(d, ast.Call)
+        and isinstance(d.func, ast.Attribute)
+        and d.func.attr == "command"
+        and getattr(d.func.value, "id", None) == "cli"
+        for d in node.decorator_list
+    )
+
+
+def uncalled_definitions():
+    """Each public module-level function and class, other than a CLI
+    command, that no code in the package names, as "module.name"."""
+    used = names_used_in_the_package()
+    return {
+        f"{path.stem}.{node.name}"
+        for path in PACKAGE_DIR.glob("*.py")
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and not _is_command(node)
+        and node.name not in used
+    }
+
+
+def test_every_public_definition_has_a_caller_in_the_package():
+    uncalled = sorted(uncalled_definitions() - set(UNCALLED))
+    assert uncalled == [], f"public but never called inside craftlora: {uncalled}"
 
 
 def test_every_exemption_is_still_needed():
-    used = names_used_in_the_package()
-    stale = sorted(
-        name for name in UNCALLED_EXPORTS if name not in craftlora.__all__ or name in used
-    )
-    assert stale == [], f"exempt but no longer exported, or now called: {stale}"
+    stale = sorted(set(UNCALLED) - uncalled_definitions())
+    assert stale == [], f"exempt but gone, or now called: {stale}"
 
 
 # Keyword parameters with a default that no call inside the package sets,

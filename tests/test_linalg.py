@@ -167,6 +167,26 @@ class TestProjectOut:
         with pytest.raises(NumericalError):
             project_out(np.eye(8), np.zeros((8, 2)))
 
+    @pytest.mark.parametrize(
+        "w0, b, error",
+        [
+            (np.eye(3), np.zeros((3, 0)), r"shape \(3, 0\) cannot project w0 of shape \(3, 3\)"),
+            (np.eye(3).tolist(), [[1.0], [2.0], [2.0]], None),
+            (np.eye(3), np.ones((4, 2)), r"shape \(4, 2\) cannot project w0 of shape \(3, 3\)"),
+        ],
+        ids=["no-columns", "nested-lists", "row-mismatch"],
+    )
+    def test_input_forms(self, w0, b, error):
+        # a shape the projection cannot take is a ShapeMismatch naming both
+        # shapes, not a raw NumPy error; nested lists project as arrays
+        if error is not None:
+            with pytest.raises(ShapeMismatch, match=error):
+                project_out(w0, b)
+            return
+        out, _ = project_out(w0, b)
+        want, _ = project_out(np.array(w0), np.array(b))
+        assert np.array_equal(out, want)
+
 
 @settings(max_examples=40, deadline=None)
 @given(

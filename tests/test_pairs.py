@@ -68,14 +68,6 @@ class TestGeneratePairDataset:
             assert np.array_equal(pa.content_image, pb.content_image)
             assert np.array_equal(pa.style_image, pb.style_image)
 
-    def test_thread_count_does_not_change_results(self):
-        a = generate_pair_dataset(4, 4, seed=3, threads=1)
-        b = generate_pair_dataset(4, 4, seed=3, threads=4)
-        for pa, pb in zip(a, b):
-            assert np.array_equal(pa.content_image, pb.content_image)
-            assert np.array_equal(pa.style_image, pb.style_image)
-            assert pa.content_prompt == pb.content_prompt
-
     def test_images_stored_in_unit_range(self):
         for pair in generate_pair_dataset(2, 2, seed=1):
             for img in (pair.content_image, pair.style_image):
@@ -206,19 +198,6 @@ class TestDiffusionMode:
         for pair, (content_ref, style_ref) in zip(dataset, reference):
             for got, ref in ((pair.content_image, content_ref), (pair.style_image, style_ref)):
                 assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
-
-    def test_thread_count_never_changes_bytes(self, trained_base, schedule):
-        # nine rows per member: one block at one thread, three at three
-        runs = [
-            generate_pair_dataset(
-                3, 3, mode="diffusion", seed=9, backbone=trained_base, schedule=schedule,
-                threads=threads,
-            )
-            for threads in (1, 3)
-        ]
-        for pa, pb in zip(*runs):
-            assert pa.content_image.tobytes() == pb.content_image.tobytes()
-            assert pa.style_image.tobytes() == pb.style_image.tobytes()
 
     def test_low_vs_high_band_split_between_members(self, trained_base, schedule):
         # low-mask trajectories end with less high-band energy than

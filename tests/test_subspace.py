@@ -207,6 +207,14 @@ class TestTrunkLoss:
         frob = sum(float(np.sum(b * b)) for b in bases.stacks.values())
         assert abs((loss_reg - loss_noreg) - 1e-2 * frob) < 1e-9
 
+    @pytest.mark.parametrize("t", [0, -3, 51])
+    def test_timestep_outside_schedule_rejected(self, t):
+        # an index t - 1 below zero would wrap to the schedule's end
+        bb, schedule, bases, pairs, (ts, noise), _ = self.make_setup()
+        ts[1, 0] = t
+        with pytest.raises(OutOfRange, match=r"in \[1, 50\]"):
+            trunk_loss(bb, bases, pairs, 1e-4, 0.0, schedule, (ts, noise))
+
     def test_empty_batch_rejected(self):
         bb, schedule, bases, _, _, _ = self.make_setup()
         with pytest.raises(EmptyBatch):

@@ -318,22 +318,12 @@ def evaluate_grid(backbone, content_adapter, style_adapter, config, n_content, n
         style_fidelity(extractor, [row[j] for row in grid], style_render(j, size), sigma)
         for j in range(n_style)
     ]
-    pairs_out = [
-        {
-            "content_index": i,
-            "style_index": j,
-            "content_prompt": CONTENT_PROMPTS[i],
-            "style_prompt": STYLE_PROMPTS[j],
-            "content_similarity": s_c_rows[i],
-            "style_similarity": s_s_cols[j],
-        }
-        for i, j in cells
-    ]
     return EvalReport(
         s_c=math.fsum(s_c_rows) / n_content,
         s_s=math.fsum(s_s_cols) / n_style,
         s_x=cross_influence(extractor, grid, sigma=sigma),
-        pairs=pairs_out,
+        content_rows=list(zip(CONTENT_PROMPTS, s_c_rows)),
+        style_columns=list(zip(STYLE_PROMPTS, s_s_cols)),
         seed=config.seed,
         config_hash=config_hash(config),
     )

@@ -19,7 +19,7 @@ from .exceptions import ConfigInvalid, NumericalError, OutOfRange, ShapeMismatch
 from .optim import Adam
 from .prompts import EMB_DIM
 from .utils import make_rng, train_loop
-from .validation import as_matrix, check_same_shape
+from .validation import as_matrix, as_timestep, check_same_shape
 
 
 class StepCoefficients(NamedTuple):
@@ -85,7 +85,7 @@ class NoiseSchedule:
         return int(self.betas.size)
 
     def _check_t(self, t):
-        t = int(t)
+        t = as_timestep(t)
         if not 1 <= t <= self.total_steps:
             raise OutOfRange(f"t must lie in [1, {self.total_steps}], got {t}")
         return t
@@ -99,7 +99,8 @@ class NoiseSchedule:
         return self.alpha_bars[t - 1]
 
     def coefficients(self, t):
-        """The ``StepCoefficients`` of the reverse step at t."""
+        """The ``StepCoefficients`` of the reverse step at t, an integer in
+        [1, T]; any other t, a bool or 2.7 too, raises ``OutOfRange``."""
         return self._coefs[self._check_t(t) - 1]
 
 
@@ -211,9 +212,9 @@ def conditioning_projection(hidden_width):
 
 
 @functools.lru_cache(maxsize=1024)
-def _step_embedding(t, dim):
-    """``sinusoidal_embedding`` of one integer timestep, computed once."""
-    emb = sinusoidal_embedding(t, dim)
+def _step_embedding(t, dim, dtype):
+    """``sinusoidal_embedding`` of one integer timestep in ``dtype``, computed once."""
+    emb = sinusoidal_embedding(t, dim).astype(dtype, copy=False)
     emb.flags.writeable = False
     return emb
 
@@ -241,12 +242,12 @@ def project_conditioning(cond, hidden_width):
 
 
 def _injection(t, cond, hidden_width):
-    if isinstance(t, int):
-        emb = _step_embedding(t, hidden_width)
-    else:
-        emb = sinusoidal_embedding(t, hidden_width)
     if not isinstance(cond, ProjectedConditioning):
         cond = project_conditioning(cond, hidden_width)
+    if isinstance(t, int):
+        emb = _step_embedding(t, hidden_width, cond.rows.dtype)
+    else:
+        emb = sinusoidal_embedding(t, hidden_width)
     return cond.rows + emb
 
 
@@ -290,6 +291,11 @@ def forward_pass(x, t, cond, backbone, terms=None):
     equals ``h @ (W + s B @ A)`` up to rounding. A column shorter than the
     batch applies its term to the first k rows only; the later rows get
     the bare ``h @ W``. ``backward_pass`` takes only full-batch columns.
+    The pass runs in NumPy's promotion of its inputs' dtypes: float32 when
+    ``x``, the weights, the terms and a ``ProjectedConditioning`` are all
+    float32 and t is an int (its cached step embedding is cast to the
+    conditioning's dtype), else float64; conditioning given as embedding
+    rows, and the embedding of an array of timesteps, are float64.
 
     Without terms the weights may carry a leading stack axis, (k, d_in,
     d_out), with ``x`` (k, batch, d_in), ``t`` (k, batch) and ``cond``
@@ -362,19 +368,24 @@ def ddpm_step(x_t, t, eps_hat, schedule, noise=None, x0_map=None):
     overwrite and return; the step may overwrite ``noise`` likewise. The
     scalars come from ``schedule.coefficients(t)``. The state, the noise
     estimate and the clean estimate, all (rows, pixels), must be finite
-    before and after the map, or ``NumericalError`` names t.
+    before and after the map, or ``NumericalError`` names t. A float32
+    ``x_t`` and ``eps_hat`` step in float32, the noise and the mapped
+    estimate cast to it; any other input steps in float64.
     """
     c = schedule.coefficients(t)
     t = int(t)
-    x_t = np.asarray(x_t, dtype=np.float64)
-    eps_hat = np.asarray(eps_hat, dtype=np.float64)
+    x_t = np.asarray(x_t)
+    eps_hat = np.asarray(eps_hat)
+    dtype = np.float32 if x_t.dtype == eps_hat.dtype == np.float32 else np.float64
+    x_t = x_t.astype(dtype, copy=False)
+    eps_hat = eps_hat.astype(dtype, copy=False)
     check_same_shape(x_t, eps_hat, "x_t", "eps_hat")
     if x_t.ndim != 2 or x_t.size == 0:
         raise ShapeMismatch(f"x_t must be (rows, pixels), got shape {x_t.shape}")
     if t > 1:
         if noise is None:
             raise ValueError(f"the reverse step at t={t} needs its noise draw")
-        noise = np.asarray(noise, dtype=np.float64)
+        noise = np.asarray(noise, dtype=dtype)
         check_same_shape(x_t, noise, "x_t", "noise")
     # a non-finite x_t or eps_hat makes the estimate non-finite too, so one
     # check covers all three; the estimate can also overflow where both
@@ -384,7 +395,7 @@ def ddpm_step(x_t, t, eps_hat, schedule, noise=None, x0_map=None):
         x0_hat /= c.sqrt_ab
     _check_finite(x0_hat, "the clean estimate", t, x_t, eps_hat)
     if x0_map is not None:
-        x0_hat = np.asarray(x0_map(x0_hat), dtype=np.float64)
+        x0_hat = np.asarray(x0_map(x0_hat), dtype=dtype)
         _check_finite(x0_hat, "the mapped clean estimate", t)
         check_same_shape(x_t, x0_hat, "x_t", "x0_hat")
     if t == 1:

@@ -6,6 +6,9 @@ pinned to the bare host with the null embedding, so the guidance gap
 isolates the adapters' effect. Both come from one fused forward pass per
 step, whose 2N rows are the N conditional and the N unconditional inputs:
 two network evaluations per step, like standard CFG, in one call.
+
+The step loop runs in float32, the precision checkpoints store (see
+``plan_guidance``); the noise draws and everything outside the loop are float64.
 """
 
 import math
@@ -16,7 +19,6 @@ import numpy as np
 from .adapters import adapter_terms
 from .config import GuidanceSettings
 from .denoiser import (
-    Backbone,
     NoiseSchedule,
     ProjectedConditioning,
     ddpm_step,
@@ -26,6 +28,7 @@ from .denoiser import (
 from .exceptions import ConfigInvalid, NumericalError, OutOfRange, ShapeMismatch
 from .prompts import EMB_DIM, encode_semantic, parse_prompt
 from .utils import make_rng, standard_normal_rows
+from .validation import as_timestep
 
 # Every sampling step clamps its clean estimate to this range.
 X0_RANGE = (0.0, 1.0)
@@ -57,13 +60,23 @@ def temporal_alpha(t, settings, total_steps):
 
 
 class GuidancePlan(NamedTuple):
-    """What the guided steps of one call share: built and checked once."""
+    """What the guided steps of one call share: built and checked once, float32."""
 
-    backbone: Backbone
+    weights: dict  # layer name -> the host's float32 weight, in layer order
     n_rows: int
     cond: ProjectedConditioning  # (2N, width): the rows' embeddings, then N null ones
     steps: dict  # t -> (terms, (eff_c, eff_s, alpha)) of the step at t
     inputs: np.ndarray  # (2N, pixels): each step's [x; x], rewritten in place
+
+
+def _float32(arr, what):
+    """``arr`` cast to float32. Called under ``np.errstate(over="raise")``,
+    so a value beyond float32's range raises ``NumericalError`` naming
+    ``what`` instead of becoming an infinity."""
+    try:
+        return arr.astype(np.float32)
+    except FloatingPointError:
+        raise NumericalError(f"{what} lies outside float32's range") from None
 
 
 def plan_guidance(
@@ -77,6 +90,11 @@ def plan_guidance(
     gains times alpha times the window indicator, and its ``(eff_c, eff_s,
     alpha)``, an effective gain being that of the largest row gain. The
     ``[e; 0]`` conditioning is projected once (a zero row adds nothing).
+    Everything the steps read is float32, cast once here: the host weights,
+    each adapted layer's factors, its scale columns (one cast of all
+    timesteps' product) and the projected conditioning. A host weight or
+    an adapter factor or scale beyond float32's range raises
+    ``NumericalError`` naming its layer.
     """
     e_rows = np.asarray(e_rows, dtype=np.float64)
     if e_rows.ndim != 2 or e_rows.shape[1] != EMB_DIM:
@@ -88,10 +106,6 @@ def plan_guidance(
         w_init, content_adapter, style_adapter, gamma_content, gamma_style, e_rows
     )
     content_layers = content_adapter.factors if content_adapter is not None else {}
-    layers = tuple(
-        (name, int(name not in content_layers), np.concatenate([s, s]) if symmetric else s, b, a)
-        for name, (s, b, a) in terms.items()
-    )
     peaks = tuple(
         float(np.max(gamma)) if adapter is not None else 0.0
         for adapter, gamma in ((content_adapter, gamma_content), (style_adapter, gamma_style))
@@ -103,22 +117,34 @@ def plan_guidance(
         [alpha * ind for ind in gamma_schedule(t, settings.content_window, settings.style_window)]
         for t, alpha in zip(timesteps, alphas)
     ])
-    # every timestep's scale columns in one product per layer, split into
-    # one (rows, 1) column per timestep
-    scaled = [list(gains[:, branch, None, None] * scale) for _, branch, scale, _, _ in layers]
+    width = w_init.shape(w_init.names[0])[1]
+    cond = project_conditioning(np.concatenate([e_rows, np.zeros_like(e_rows)]), width)
+    with np.errstate(over="raise"):
+        weights = {name: _float32(w, f"host layer {name!r}") for name, w in w_init.items()}
+        layers = []
+        for name, (scale, down, up) in terms.items():
+            branch = int(name not in content_layers)
+            if symmetric:
+                scale = np.concatenate([scale, scale])
+            # every timestep's scale columns in one product and one cast,
+            # split into one (rows, 1) column per timestep
+            columns = _float32(gains[:, branch, None, None] * scale, f"adapter scale on {name!r}")
+            down = _float32(down, f"adapter factor on {name!r}")
+            up = _float32(up, f"adapter factor on {name!r}")
+            layers.append((name, branch, list(columns), down, up))
+        cond = ProjectedConditioning(_float32(cond.rows, "the projected conditioning"))
     steps = {}
     for i, (t, alpha) in enumerate(zip(timesteps, alphas)):
         step_gains = gains[i].tolist()
         step_terms = {
             name: (columns[i], down, up)
-            for (name, branch, _, down, up), columns in zip(layers, scaled)
+            for name, branch, columns, down, up in layers
             if step_gains[branch] != 0.0
         }
         eff_c, eff_s = (gain * peak for gain, peak in zip(step_gains, peaks))
         steps[t] = (step_terms, (eff_c, eff_s, alpha))
-    width = w_init.shape(w_init.names[0])[1]
-    cond = project_conditioning(np.concatenate([e_rows, np.zeros_like(e_rows)]), width)
-    return GuidancePlan(w_init, n_rows, cond, steps, np.empty((2 * n_rows, w_init.input_dim)))
+    inputs = np.empty((2 * n_rows, w_init.input_dim), dtype=np.float32)
+    return GuidancePlan(weights, n_rows, cond, steps, inputs)
 
 
 def guided_eps_parts(x_rows, t, plan):
@@ -132,20 +158,22 @@ def guided_eps_parts(x_rows, t, plan):
     unconditional rows see the bare host and the null embedding, except
     under the symmetric ablation, where the same terms act on all 2N rows.
     A non-finite prediction raises ``NumericalError``. The third item is
-    the step's ``(eff_c, eff_s, alpha)`` as floats.
+    the step's ``(eff_c, eff_s, alpha)`` as floats. The pass and the
+    predictions are float32, the states cast into the plan's buffer; a t
+    that is not an integer, or is a bool, raises ``OutOfRange``.
     """
-    t = int(t)
-    backbone, n_rows, cond, steps, inputs = plan
-    if np.shape(x_rows) != (n_rows, backbone.input_dim):
+    t = as_timestep(t)
+    weights, n_rows, cond, steps, inputs = plan
+    if np.shape(x_rows) != (n_rows, inputs.shape[1]):
         raise ShapeMismatch(
-            f"x_rows is {np.shape(x_rows)}; the plan is for {(n_rows, backbone.input_dim)}"
+            f"x_rows is {np.shape(x_rows)}; the plan is for {(n_rows, inputs.shape[1])}"
         )
     if t not in steps:
         raise OutOfRange(f"the plan holds no step at t={t}")
     terms, gains = steps[t]
     inputs[:n_rows] = x_rows
     inputs[n_rows:] = x_rows
-    eps, _ = forward_pass(inputs, t, cond, backbone, terms)
+    eps, _ = forward_pass(inputs, t, cond, weights, terms)
     if not np.isfinite(eps).all():
         raise NumericalError(f"the noise prediction at t={t} is non-finite")
     return eps[:n_rows], eps[n_rows:], gains
@@ -236,14 +264,23 @@ class GuidedSampler:
         step, with the draws gathered to their rows. The inputs are checked,
         and each timestep's terms and gains, the projected conditioning and
         the input buffer built, once per call; each step then makes one
-        forward pass over 2N rows and one reverse step.
-        A row's image equals what ``sample`` returns for that prompt and
-        seed up to rounding.
+        forward pass over 2N rows and one reverse step, both in float32:
+        the draws are cast once each, and the images come back as float64.
+        An overflow anywhere in the loop reaches the finite checks of
+        ``guided_eps_parts`` and ``ddpm_step``, so it raises
+        ``NumericalError`` naming its step. A row's image equals what
+        ``sample`` returns for that prompt and seed up to float32 rounding.
         """
         prompts = list(prompts)
         seeds = list(seeds)
         if not prompts or len(prompts) != len(seeds):
             raise ConfigInvalid("sample_batch needs one seed per prompt, and at least one prompt")
+        side = int(math.isqrt(self.backbone.input_dim))
+        # the float64 images come before the plan and the loop's temporaries:
+        # allocated after them, each image a caller keeps splits the heap the
+        # next call reuses (a batch-1 caller keeping 4,096 images read 3.2 MB
+        # more peak RSS)
+        images = np.empty((len(seeds), side, side))
         specs = [parse_prompt(p) for p in prompts]
         e_rows = np.stack([encode_semantic(spec.stripped) for spec in specs])
         # a missing adapter's gains are ignored
@@ -258,8 +295,6 @@ class GuidedSampler:
             gains[:, 0], gains[:, 1], e_rows, self.symmetric_cfg,
             settings, schedule.total_steps, range(1, schedule.total_steps + 1),
         )
-        side = int(math.isqrt(self.backbone.input_dim))
-        shape = (len(seeds), side, side)
         # one stream per distinct seed, in order of first appearance
         streams = {seed: k for k, seed in enumerate(dict.fromkeys(seeds))}
         rngs = [make_rng(seed, "sample") for seed in streams]
@@ -267,7 +302,7 @@ class GuidedSampler:
 
         def draw():
             out = standard_normal_rows(rngs, self.backbone.input_dim)
-            return out if rows is None else out[rows]
+            return (out if rows is None else out[rows]).astype(np.float32)
 
         x = draw()
         n_evals = 0
@@ -277,21 +312,23 @@ class GuidedSampler:
             # the method keeps np.clip's signed zeros without its dispatch
             return x0.clip(*X0_RANGE, out=x0)
 
-        for t in range(schedule.total_steps, 0, -1):
-            eps_cond, eps_uncond, (_, _, alpha) = guided_eps_parts(x, t, plan)
-            n_evals += 2  # one conditional and one unconditional evaluation
-            eps = guided_eps(eps_cond, eps_uncond, settings.omega)
-            if self.record_trace:
-                windows = gamma_schedule(t, settings.content_window, settings.style_window)
-                gaps = np.linalg.norm(eps_cond - eps_uncond, axis=1)
-                for row, ((eff_c, eff_s), gap) in enumerate(zip(alpha * gains * windows, gaps)):
-                    trace[row].append(
-                        f"t={t} gamma_c={eff_c:.9g} gamma_s={eff_s:.9g} "
-                        f"alpha={alpha:.9g} guidance_gap={gap:.9g}"
-                    )
-            x = ddpm_step(x, t, eps, schedule, draw() if t > 1 else None, x0_map=x0_map)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for t in range(schedule.total_steps, 0, -1):
+                eps_cond, eps_uncond, (_, _, alpha) = guided_eps_parts(x, t, plan)
+                n_evals += 2  # one conditional and one unconditional evaluation
+                eps = guided_eps(eps_cond, eps_uncond, settings.omega)
+                if self.record_trace:
+                    windows = gamma_schedule(t, settings.content_window, settings.style_window)
+                    gaps = np.linalg.norm(eps_cond - eps_uncond, axis=1)
+                    for row, ((eff_c, eff_s), gap) in enumerate(zip(alpha * gains * windows, gaps)):
+                        trace[row].append(
+                            f"t={t} gamma_c={eff_c:.9g} gamma_s={eff_s:.9g} "
+                            f"alpha={alpha:.9g} guidance_gap={gap:.9g}"
+                        )
+                x = ddpm_step(x, t, eps, schedule, draw() if t > 1 else None, x0_map=x0_map)
 
         self.n_network_evals_ = n_evals
         self.trace_ = trace
-        return x.reshape(shape)
+        images[...] = x.reshape(images.shape)
+        return images
 

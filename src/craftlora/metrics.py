@@ -148,21 +148,41 @@ def cross_influence(extractor, grid, sigma):
 
 @dataclass
 class EvalReport:
-    """Aggregate disentanglement scores plus the per-cell breakdown."""
+    """Aggregate disentanglement scores plus each grid row's and column's score.
+
+    ``content_rows`` holds one ``(content prompt, s_c of its row)`` pair per
+    content row and ``style_columns`` one ``(style prompt, s_s of its
+    column)`` pair per style column, so the report holds each score once.
+    ``to_json`` lists the grid's cells under ``"pairs"``, row by row, each
+    with its row's and its column's score.
+    """
 
     s_c: float
     s_s: float
     s_x: float
-    pairs: list = field(default_factory=list)
+    content_rows: list = field(default_factory=list)
+    style_columns: list = field(default_factory=list)
     seed: int = 0
     config_hash: str = ""
 
     def to_json(self):
+        pairs = [
+            {
+                "content_index": i,
+                "style_index": j,
+                "content_prompt": content_prompt,
+                "style_prompt": style_prompt,
+                "content_similarity": content_score,
+                "style_similarity": style_score,
+            }
+            for i, (content_prompt, content_score) in enumerate(self.content_rows)
+            for j, (style_prompt, style_score) in enumerate(self.style_columns)
+        ]
         doc = {
             "s_c": self.s_c,
             "s_s": self.s_s,
             "s_x": self.s_x,
-            "pairs": self.pairs,
+            "pairs": pairs,
             "seed": self.seed,
             "config_hash": self.config_hash,
         }

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .exceptions import ShapeMismatch
+from .exceptions import OutOfRange, ShapeMismatch
 
 
 def as_matrix(x, name="matrix"):
@@ -52,3 +52,10 @@ def check_same_shape(a, b, name_a="a", name_b="b"):
         raise ShapeMismatch(
             f"{name_a} has shape {a.shape} but {name_b} has shape {b.shape}"
         )
+
+
+def as_timestep(t):
+    """``t`` as a Python int; a bool or a non-integer raises ``OutOfRange``."""
+    if isinstance(t, bool) or not isinstance(t, (int, np.integer)):
+        raise OutOfRange(f"t must be an integer timestep, got {t!r}")
+    return int(t)

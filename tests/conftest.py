@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 
 from craftlora import guidance
-from craftlora.denoiser import DenoiserTrainer, NoiseSchedule, ddpm_step, forward_pass
+from craftlora.denoiser import (
+    DenoiserTrainer,
+    NoiseSchedule,
+    ProjectedConditioning,
+    ddpm_step,
+    forward_pass,
+    project_conditioning,
+)
 from craftlora.guidance import guided_eps, guided_eps_parts, plan_guidance
 from craftlora.pairs import generate_pair_dataset
 from craftlora.prompts import encode_semantic, parse_prompt
@@ -35,6 +42,19 @@ def eps_of_image(x, t, embedding, backbone):
     return out.reshape(np.shape(x))
 
 
+def float32_host(backbone):
+    """The host's weights as a guidance plan holds them: each layer cast
+    once to float32, in layer order."""
+    return {name: w.astype(np.float32) for name, w in backbone.items()}
+
+
+def float32_conditioning(e_rows, backbone):
+    """Embedding rows projected into the host's hidden width in float64 and
+    cast once to float32, as a guidance plan holds its conditioning."""
+    width = backbone.shape(backbone.names[0])[1]
+    return ProjectedConditioning(project_conditioning(e_rows, width).rows.astype(np.float32))
+
+
 def parts_of_image(x, t, e_sem, backbone, content, style, gamma_c, gamma_s, settings,
                    symmetric=False):
     """``guided_eps_parts`` of one image and embedding at one timestep of a
@@ -55,19 +75,21 @@ def standard_cfg_states(prompt, backbone, omega, schedule, seed):
     pieces and independent of ``GuidedSampler``: each step is one forward
     pass over ``[x; x]`` with embeddings ``[e; 0]``, the guided estimate
     of its two halves and a reverse step whose clean estimate is clipped
-    to [0, 1]. The noise comes from the sampler's ``make_rng(seed,
-    "sample")`` stream. Returns the (H, W) states from the initial noise to
-    the image.
+    to [0, 1]. It runs in float32, as the sampler does: the host and the
+    projected conditioning are cast once, and each draw of the sampler's
+    ``make_rng(seed, "sample")`` stream is made in float64 and cast.
+    Returns the float32 (H, W) states from the initial noise to the image.
     """
     e_sem = encode_semantic(parse_prompt(prompt).stripped)
-    cond = np.stack([e_sem, np.zeros_like(e_sem)])
+    cond = float32_conditioning(np.stack([e_sem, np.zeros_like(e_sem)]), backbone)
+    weights = float32_host(backbone)
     rng = make_rng(seed, "sample")
-    x = rng.standard_normal((1, backbone.input_dim))
+    x = rng.standard_normal((1, backbone.input_dim)).astype(np.float32)
     states = [x]
     for t in range(schedule.total_steps, 0, -1):
-        eps, _ = forward_pass(np.concatenate([x, x]), t, cond, backbone)
+        eps, _ = forward_pass(np.concatenate([x, x]), t, cond, weights)
         eps = guided_eps(eps[:1], eps[1:], omega)
-        noise = rng.standard_normal(x.shape)
+        noise = rng.standard_normal(x.shape).astype(np.float32)
         x = ddpm_step(x, t, eps, schedule, noise, x0_map=lambda x0: np.clip(x0, 0.0, 1.0))
         states.append(x)
     side = math.isqrt(backbone.input_dim)
@@ -87,6 +109,16 @@ def one_image_parts():
 @pytest.fixture(scope="session")
 def standard_cfg():
     return standard_cfg_states
+
+
+@pytest.fixture(scope="session")
+def host32():
+    return float32_host
+
+
+@pytest.fixture(scope="session")
+def cond32():
+    return float32_conditioning
 
 
 @pytest.fixture

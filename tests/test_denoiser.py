@@ -70,6 +70,18 @@ class TestNoiseSchedule:
         with pytest.raises(OutOfRange):
             schedule.coefficients(schedule.total_steps + 1)
 
+    @pytest.mark.parametrize(
+        "t",
+        [2.7, 2.0, True, np.float64(2.0), np.bool_(True)],
+        ids=["2.7", "2.0", "True", "float64-2.0", "bool_-True"],
+    )
+    def test_non_integer_t_refused(self, schedule, t):
+        with pytest.raises(OutOfRange, match="integer timestep"):
+            schedule.coefficients(t)
+
+    def test_numpy_integer_t_accepted(self, schedule):
+        assert schedule.coefficients(np.int64(2)) == schedule.coefficients(2)
+
 
 class TestBackbone:
     def test_requires_two_layers(self):
@@ -206,6 +218,32 @@ class TestActivation:
     def test_in_place_form_is_bit_identical(self):
         a = make_rng(31).standard_normal((5, 7)) * 3.0
         assert activation(a).tobytes() == (np.tanh(a) + 0.2 * a).tobytes()
+
+
+class TestFloat32Pass:
+    def test_float32_inputs_stay_float32(self, small_backbone):
+        # x, the weights and the projected rows all float32: so is every
+        # layer, the step embedding following the conditioning
+        rng = make_rng(33)
+        x = rng.standard_normal((3, 64))
+        cond = project_conditioning(rng.standard_normal((3, EMB_DIM)), 16)
+        weights32 = {name: w.astype(np.float32) for name, w in small_backbone.items()}
+        cond32 = ProjectedConditioning(cond.rows.astype(np.float32))
+        out32, cache = forward_pass(x.astype(np.float32), 7, cond32, weights32)
+        assert out32.dtype == np.float32
+        assert all(a.dtype == np.float32 for a in cache)
+        out64, _ = forward_pass(x, 7, cond, small_backbone)
+        assert out64.dtype == np.float64
+        # float32 rounding of the same pass: 2.1e-7 of max |out| measured
+        assert np.abs(out32 - out64).max() <= 1e-6 * np.abs(out64).max()
+
+    def test_any_float64_input_computes_in_float64(self, small_backbone):
+        x = make_rng(34).standard_normal((3, 64)).astype(np.float32)
+        cond = np.zeros((3, EMB_DIM))
+        out, _ = forward_pass(x, 7, cond, small_backbone)
+        assert out.dtype == np.float64
+        wide, _ = forward_pass(x.astype(np.float64), 7, cond, small_backbone)
+        assert out.tobytes() == wide.tobytes()
 
 
 class TestProjectedConditioning:
@@ -429,6 +467,43 @@ class TestDdpmStep:
                 x, 3, x, schedule, make_rng(20).standard_normal(x.shape),
                 x0_map=lambda x0: x0 * np.nan,
             )
+
+    @pytest.mark.parametrize("t", [2.7, True])
+    def test_non_integer_t_refused(self, schedule, t):
+        # int(2.7) and int(True) would run the t = 2 and t = 1 steps
+        x = make_rng(21).standard_normal((1, 16))
+        with pytest.raises(OutOfRange, match="integer timestep"):
+            ddpm_step(x, t, x, schedule, make_rng(22).standard_normal(x.shape))
+
+    def test_numpy_integer_t_is_its_int(self, schedule):
+        x = make_rng(23).standard_normal((1, 16))
+        noise = make_rng(24).standard_normal(x.shape)
+        got = ddpm_step(x, np.int64(2), x, schedule, noise.copy())
+        assert got.tobytes() == ddpm_step(x, 2, x, schedule, noise.copy()).tobytes()
+
+    def test_float32_step_stays_float32(self, schedule):
+        # float32 state and estimate: the float64 draw is cast once and the
+        # whole step, map included, is float32
+        rng = make_rng(25)
+        x, eps, noise = (rng.standard_normal((2, 16)) for _ in range(3))
+        x32, eps32 = x.astype(np.float32), eps.astype(np.float32)
+        for t in (1, 10, 50):
+            out = ddpm_step(x32, t, eps32, schedule, noise.copy(), x0_map=lambda x0: x0.clip(0, 1))
+            assert out.dtype == np.float32
+            cast_first = ddpm_step(
+                x32, t, eps32, schedule, noise.astype(np.float32), x0_map=lambda x0: x0.clip(0, 1)
+            )
+            assert cast_first.tobytes() == out.tobytes()
+            wide = ddpm_step(
+                x32.astype(np.float64), t, eps32.astype(np.float64), schedule, noise.copy(),
+                x0_map=lambda x0: x0.clip(0, 1),
+            )
+            assert wide.dtype == np.float64
+            # the same step in float64 from the same float32 inputs: up to
+            # 1.1e-7 of max |out| measured (t = 50)
+            assert np.abs(out - wide).max() <= 1e-6 * np.abs(wide).max()
+        # a float32 state with a float64 estimate steps in float64
+        assert ddpm_step(x32, 1, eps, schedule).dtype == np.float64
 
     def test_golden_trajectory_replays(self, schedule):
         # archived digest of a network-free trajectory (elementwise ops and

@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from craftlora.adapters import LoraTrainer, aggregate_weights, default_routing
+from craftlora.adapters import (
+    LoraTrainer,
+    adapter_terms,
+    aggregate_weights,
+    default_routing,
+    make_adapter,
+)
 from craftlora.config import GuidanceSettings
 from craftlora.denoiser import Backbone, NoiseSchedule, ddpm_step, forward_pass, init_backbone
 from craftlora.exceptions import ConfigInvalid, NumericalError, OutOfRange, ShapeMismatch
@@ -22,7 +28,7 @@ from craftlora.utils import make_rng
 BOTH_MARKERS = "a filled disc <c> in fine stripe style <s>"
 
 
-def assert_close_relative(got, ref, rtol=1e-12):
+def assert_close_relative(got, ref, rtol):
     assert np.abs(got - ref).max() <= rtol * np.abs(ref).max()
 
 
@@ -50,6 +56,41 @@ def merged_reference_sample(backbone, content, style, prompt, seed, schedule, sy
             rng.standard_normal(x.shape), x0_map=lambda x0: np.clip(x0, 0.0, 1.0),
         )
     return x.reshape(16, 16)
+
+
+def float64_replay(backbone, content, style, prompts, seeds, schedule):
+    """Marker-gained ``sample_batch`` images replayed in float64.
+
+    The loop from the public pieces at the default guidance settings, with
+    no float32 cast: each step builds its ``adapter_terms`` at alpha times
+    the window indicators times each row's marker gains, makes one float64
+    forward pass over ``[x; x]`` with embeddings ``[e; 0]`` (the terms on
+    the first N rows only) and one float64 reverse step clipped to [0, 1].
+    Row i draws from its own ``make_rng(seeds[i], "sample")`` stream, so
+    the seeds must be distinct.
+    """
+    config = GuidanceSettings()
+    specs = [parse_prompt(p) for p in prompts]
+    e_rows = np.stack([encode_semantic(spec.stripped) for spec in specs])
+    gains = np.array(
+        [(spec.has_content_marker, spec.has_style_marker) for spec in specs], dtype=float
+    )
+    cond = np.concatenate([e_rows, np.zeros_like(e_rows)])
+    rngs = [make_rng(seed, "sample") for seed in seeds]
+    x = np.stack([rng.standard_normal(backbone.input_dim) for rng in rngs])
+    n_rows = len(prompts)
+    for t in range(schedule.total_steps, 0, -1):
+        ind_c, ind_s = gamma_schedule(t, config.content_window, config.style_window)
+        alpha = temporal_alpha(t, config, schedule.total_steps)
+        terms = adapter_terms(
+            backbone, content, style, alpha * ind_c * gains[:, 0], alpha * ind_s * gains[:, 1],
+            e_rows,
+        )
+        eps, _ = forward_pass(np.concatenate([x, x]), t, cond, backbone, terms)
+        eps = guided_eps(eps[:n_rows], eps[n_rows:], config.omega)
+        noise = np.stack([rng.standard_normal(backbone.input_dim) for rng in rngs])
+        x = ddpm_step(x, t, eps, schedule, noise, x0_map=lambda x0: np.clip(x0, 0.0, 1.0))
+    return x.reshape(n_rows, 16, 16)
 
 
 @pytest.fixture(scope="module")
@@ -183,23 +224,31 @@ class TestGuidedParts:
         )
         assert (eff_c > 0.0, eff_s > 0.0) == ("c" in active, "s" in active)
         merged = aggregate_weights(trained_base, content, style, eff_c, eff_s, e_sem[None, :])
-        assert_close_relative(eps_cond, one_row_eps(x, t, e_sem, merged))
+        # the float32 plan against the float64 merged host: 3.3e-7 to 5.3e-7 measured
+        assert_close_relative(eps_cond, one_row_eps(x, t, e_sem, merged), rtol=2e-6)
         uncond_host = merged if symmetric else trained_base
-        assert_close_relative(eps_uncond, one_row_eps(x, t, np.zeros(EMB_DIM), uncond_host))
+        assert_close_relative(
+            eps_uncond, one_row_eps(x, t, np.zeros(EMB_DIM), uncond_host), rtol=2e-6
+        )
 
-    def test_schedule_gates_adapters(self, trained_base, adapters, one_image_parts):
+    def test_schedule_gates_adapters(
+        self, trained_base, adapters, one_image_parts, host32, cond32
+    ):
         content, style = adapters
         x = make_rng(9).standard_normal((16, 16))
         e_sem = encode_semantic("a filled disc in fine stripe style")
         config = GuidanceSettings(content_window=(1, 20), style_window=(30, 50))
         # t in neither window: conditional equals the bare-host prediction,
-        # row 0 of the same two-row pass [x; x] with embeddings [e; 0]
+        # row 0 of the same float32 two-row pass [x; x] with embeddings [e; 0]
         eps_cond, eps_uncond, (eff_c, eff_s, _) = one_image_parts(
             x, 25, e_sem, trained_base, content, style, 1.0, 1.0, config
         )
         assert eff_c == 0.0 and eff_s == 0.0
         bare, _ = forward_pass(
-            np.stack([x.ravel(), x.ravel()]), 25, np.stack([e_sem, np.zeros(EMB_DIM)]), trained_base
+            np.stack([x.ravel(), x.ravel()]).astype(np.float32),
+            25,
+            cond32(np.stack([e_sem, np.zeros(EMB_DIM)]), trained_base),
+            host32(trained_base),
         )
         assert np.array_equal(eps_cond, bare[0].reshape(x.shape))
         # t in the content window only
@@ -223,7 +272,9 @@ class TestGuidedParts:
             assert eff_c == 0.0 and eff_s == 0.0
             assert np.array_equal(eps_cond, eps_uncond)
             out = guided_eps(eps_cond, eps_uncond, omega)
-            assert np.abs(out - eps_uncond).max() < 1e-12
+            # (1 + omega) * u - omega * u rounds in float32: 0, 0 and 5.5e-7
+            # of max |u| measured at omega 0, 1 and 7.5
+            assert np.abs(out - eps_uncond).max() <= 2e-6 * np.abs(eps_uncond).max()
 
     def test_plan_refuses_other_rows_and_unplanned_steps(self, trained_base, null64):
         plan = plan_guidance(
@@ -238,6 +289,49 @@ class TestGuidedParts:
         with pytest.raises(OutOfRange, match="no step at t=8"):
             guided_eps_parts(x, 8, plan)
 
+    def test_non_integer_t_refused(self, trained_base, null64):
+        # int(7.2) and int(True) would run the planned steps 7 and 1
+        plan = plan_guidance(
+            trained_base, None, None, 0.0, 0.0, null64[None, :], False,
+            GuidanceSettings(), 50, (1, 7),
+        )
+        x = make_rng(13).standard_normal((1, 256))
+        for t in (7.2, 7.0, True):
+            with pytest.raises(OutOfRange, match="integer timestep"):
+                guided_eps_parts(x, t, plan)
+        cond, uncond, gains = guided_eps_parts(x, np.int64(7), plan)
+        ref_cond, ref_uncond, ref_gains = guided_eps_parts(x, 7, plan)
+        assert cond.tobytes() == ref_cond.tobytes() and uncond.tobytes() == ref_uncond.tobytes()
+        assert gains == ref_gains
+
+    def test_plan_is_float32(self, trained_base, adapters):
+        content, style = adapters
+        e_rows = encode_semantic("a filled disc")[None, :]
+        plan = plan_guidance(
+            trained_base, content, style, 1.0, 1.0, e_rows, False, GuidanceSettings(), 50,
+            range(1, 51),
+        )
+        assert all(w.dtype == np.float32 for w in plan.weights.values())
+        assert plan.cond.rows.dtype == np.float32 and plan.inputs.dtype == np.float32
+        for terms, _ in plan.steps.values():
+            assert all(a.dtype == np.float32 for term in terms.values() for a in term)
+        x = make_rng(14).standard_normal((1, 256))
+        assert all(part.dtype == np.float32 for part in guided_eps_parts(x, 20, plan)[:2])
+
+    @pytest.mark.parametrize("slot", ["content", "style"])
+    def test_adapter_factor_beyond_float32_is_a_numerical_error(self, trained_base, slot):
+        routing = default_routing(trained_base.names)
+        adapter = make_adapter(slot, trained_base, routing, rank=2, seed=33)
+        layer = routing.side(slot)[0]
+        down, up = adapter.factors[layer]
+        adapter.factors[layer] = (down, np.full_like(up, 1e306))
+        content, style = (adapter, None) if slot == "content" else (None, adapter)
+        with pytest.raises(NumericalError, match=rf"^adapter factor on '{layer}' lies outside"):
+            plan_guidance(
+                trained_base, content, style, 1.0, 1.0, encode_semantic("a filled disc")[None, :],
+                False, GuidanceSettings(), 50, (10,),
+            )
+
 
 class TestGuidedSampler:
     def test_matches_plain_cfg_with_no_adapters(
@@ -248,7 +342,7 @@ class TestGuidedSampler:
             sampler = GuidedSampler(trained_base, omega=3.0, schedule=schedule)
             image = sampler.sample(prompt, seed=seed)
             trajectory = standard_cfg(prompt, trained_base, 3.0, schedule, seed)
-            assert image.tobytes() == trajectory[-1].tobytes()
+            assert image.tobytes() == trajectory[-1].astype(np.float64).tobytes()
             assert len(sampler_states) == seed + 1
             assert len(sampler_states[-1]) == len(trajectory)
             for a, b in zip(sampler_states[-1], trajectory):
@@ -295,7 +389,9 @@ class TestGuidedSampler:
         ref = merged_reference_sample(
             trained_base, content, style, BOTH_MARKERS, 13, schedule, symmetric, one_row_eps
         )
-        assert_close_relative(image, ref)
+        # the float32 sampler against the float64 merged loop: 1.1e-6
+        # (asymmetric) and 7.6e-7 (symmetric) measured
+        assert_close_relative(image, ref, rtol=5e-6)
 
     def test_sample_never_merges_or_builds_a_backbone(
         self, trained_base, adapters, schedule, monkeypatch
@@ -424,13 +520,25 @@ class TestGuidedSampler:
         assert out.shape == (16, 16)
         assert sampler.n_network_evals_ == 2
 
-    def test_overflowing_clean_estimate_is_a_numerical_error(self):
-        # the host is finite, but its huge last layer makes the clean
-        # estimate overflow at the first step; the clip would map the
-        # infinities into [0, 1] and hide it
+    @pytest.mark.parametrize(
+        "factor, message",
+        [
+            (1e37, r"^the clean estimate at t=50 "),
+            (1e38, r"^eps_hat at t=50 "),
+            (1e306, r"^host layer 'layer8' lies outside float32's range"),
+        ],
+        ids=["estimate-overflows", "guided-estimate-overflows", "host-beyond-float32"],
+    )
+    def test_overflowing_clean_estimate_is_a_numerical_error(self, factor, message):
+        # the host is finite, but its huge last layer makes the first step
+        # overflow; the clip would map the infinities into [0, 1] and hide
+        # it. At 1e37 the host fits float32 and the clean estimate
+        # overflows; at 1e38 the guided estimate (1 + omega) * cond already
+        # does; at 1e306 the host does not fit float32 and the plan refuses
+        # its cast. None of them may return an image or warn
         host = init_backbone(seed=0)
-        host = host.replace({"layer8": host.weight("layer8") * 1e306})
-        with pytest.raises(NumericalError, match=r"^the clean estimate at t=50 "):
+        host = host.replace({"layer8": host.weight("layer8") * factor})
+        with pytest.raises(NumericalError, match=message):
             GuidedSampler(host, omega=7.5).sample("a cat", seed=0)
 
     def test_window_outside_schedule_rejected(self, trained_base):
@@ -504,7 +612,9 @@ class TestSampleBatch:
         batch = sampler.sample_batch(prompts, seeds)
         assert batch.shape == (len(rows), 16, 16)
         for image, prompt, seed in zip(batch, prompts, seeds):
-            assert_close_relative(image, sampler.sample(prompt, seed=seed))
+            # a float32 batch of one rounds unlike a batch of two or more:
+            # 1.4e-6 measured
+            assert_close_relative(image, sampler.sample(prompt, seed=seed), rtol=1e-5)
 
     @settings(max_examples=10, deadline=None, derandomize=True)
     @given(rows=grid_rows(1, seeds=st.integers(0, 2)))
@@ -520,7 +630,8 @@ class TestSampleBatch:
         batch = sampler.sample_batch(prompts, seeds)
         first = {}
         for image, prompt, seed in zip(batch, prompts, seeds):
-            assert_close_relative(image, sampler.sample(prompt, seed=seed))
+            # 1.6e-6 measured, as in test_rows_match_single_samples
+            assert_close_relative(image, sampler.sample(prompt, seed=seed), rtol=1e-5)
             assert image.tobytes() == first.setdefault((prompt, seed), image).tobytes()
 
     @pytest.mark.parametrize("symmetric", [False, True])
@@ -531,7 +642,8 @@ class TestSampleBatch:
         # the oracle shares nothing across steps: each step plans its own
         # timestep alone, checking its inputs and building its own terms,
         # projection and input rows, and the clip goes through np.clip on a
-        # copy
+        # copy. Like the sampler it steps in float32, each float64 draw cast
+        # once (the start state here, each step's noise in ddpm_step)
         content, style = adapters
         sampler = GuidedSampler(
             trained_base,
@@ -549,6 +661,7 @@ class TestSampleBatch:
         )
         rngs = [make_rng(seed, "sample") for seed in seeds]
         x = np.stack([rng.standard_normal(trained_base.input_dim) for rng in rngs])
+        x = x.astype(np.float32)
         config = sampler.settings
         for t in range(schedule.total_steps, 0, -1):
             plan = plan_guidance(
@@ -560,7 +673,8 @@ class TestSampleBatch:
             noise = np.stack([rng.standard_normal(trained_base.input_dim) for rng in rngs])
             x = ddpm_step(x, t, eps, schedule, noise, x0_map=lambda x0: np.clip(x0, 0.0, 1.0))
         images = sampler.sample_batch(prompts, seeds)
-        assert images.tobytes() == x.reshape(n_rows, 16, 16).tobytes()
+        assert x.dtype == np.float32 and images.dtype == np.float64
+        assert images.tobytes() == x.astype(np.float64).reshape(n_rows, 16, 16).tobytes()
 
     @settings(max_examples=10, deadline=None, derandomize=True)
     @given(rows=grid_rows(2), data=st.data())
@@ -646,6 +760,21 @@ class TestSampleBatch:
         with pytest.raises(NumericalError, match="t=25"):
             sampler.sample_batch([BOTH_MARKERS] * 2, [0, 1])
         assert seen == list(range(schedule.total_steps, 24, -1))
+
+    def test_matches_a_float64_replay(self, trained_base, adapters, schedule):
+        content, style = adapters
+        sampler = GuidedSampler(
+            trained_base, content_adapter=content, style_adapter=style, schedule=schedule
+        )
+        patterns = ("both", "content", "style", "none", "both", "content")
+        prompts = [marked_prompt(pattern, k, 9 - k) for k, pattern in enumerate(patterns)]
+        seeds = [40 + k for k in range(len(prompts))]
+        images = sampler.sample_batch(prompts, seeds)
+        assert images.dtype == np.float64
+        replay = float64_replay(trained_base, content, style, prompts, seeds, schedule)
+        # float32 steps against float64 steps: 1.3e-6 measured; the 16-bit
+        # PGM step is 1.5e-5
+        assert np.abs(images - replay).max() <= 1e-5
 
     def test_one_seed_per_prompt_required(self, trained_base, schedule):
         sampler = GuidedSampler(trained_base, schedule=schedule)

@@ -209,12 +209,56 @@ class TestCrossInfluence:
 
 class TestEvalReport:
     def test_json_keys_and_roundtrip(self, tmp_path):
-        report = EvalReport(s_c=0.5, s_s=0.25, s_x=0.1, pairs=[{"i": 0}], seed=3, config_hash="ab")
+        report = EvalReport(
+            s_c=0.5, s_s=0.25, s_x=0.1, content_rows=[("a disc", 0.5)],
+            style_columns=[("stripes", 0.2), ("checks", 0.3)], seed=3, config_hash="ab",
+        )
         path = tmp_path / "report.json"
         write_report(path, report)
         doc = json.loads(path.read_text())
         assert set(doc) == {"s_c", "s_s", "s_x", "pairs", "seed", "config_hash"}
         assert doc["s_c"] == 0.5 and doc["seed"] == 3
+        assert [(p["style_prompt"], p["style_similarity"]) for p in doc["pairs"]] == [
+            ("stripes", 0.2), ("checks", 0.3)
+        ]
+
+    def test_json_matches_the_per_cell_construction(self):
+        # the report once held one dict per cell; to_json builds the same
+        # list from the row and column scores, byte for byte
+        rng = make_rng(40)
+        content_scores = rng.random(4).tolist()
+        style_scores = rng.random(3).tolist()
+        content_prompts = [f"content {i}" for i in range(4)]
+        style_prompts = [f"style {j}" for j in range(3)]
+        per_cell = {
+            "s_c": 0.5,
+            "s_s": 0.25,
+            "s_x": 0.125,
+            "pairs": [
+                {
+                    "content_index": i,
+                    "style_index": j,
+                    "content_prompt": content_prompts[i],
+                    "style_prompt": style_prompts[j],
+                    "content_similarity": content_scores[i],
+                    "style_similarity": style_scores[j],
+                }
+                for i in range(4)
+                for j in range(3)
+            ],
+            "seed": 7,
+            "config_hash": "cd",
+        }
+        report = EvalReport(
+            s_c=0.5,
+            s_s=0.25,
+            s_x=0.125,
+            content_rows=list(zip(content_prompts, content_scores)),
+            style_columns=list(zip(style_prompts, style_scores)),
+            seed=7,
+            config_hash="cd",
+        )
+        assert report.to_json() == json.dumps(per_cell, sort_keys=True, indent=2) + "\n"
 
     def test_failed_write_keeps_previous_report(self, tmp_path, monkeypatch):
         from craftlora import checkpoint

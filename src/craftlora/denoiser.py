@@ -408,6 +408,25 @@ def ddpm_step(x_t, t, eps_hat, schedule, noise=None, x0_map=None):
     return mean
 
 
+def reverse_process(draw, estimate, schedule, x0_map):
+    """Every sampler's one loop: the reverse process from t = T down to 1.
+
+    ``draw()`` returns the rows' next standard-normal draws: the start
+    state, then the noise of each step t > 1; none is drawn at t == 1.
+    ``estimate(x, t)`` is the noise estimate of state ``x`` at t, and
+    ``x0_map`` each ``ddpm_step``'s clean-estimate map. Overflow in the
+    loop is silenced, so it reaches the estimate's or the step's finite
+    check and raises ``NumericalError`` naming its step. Returns the t == 1
+    output, in the dtype the draws and estimates give the step.
+    """
+    x = draw()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(schedule.total_steps, 0, -1):
+            eps = estimate(x, t)
+            x = ddpm_step(x, t, eps, schedule, draw() if t > 1 else None, x0_map=x0_map)
+    return x
+
+
 def _check_finite(arr, name, t, x_t=None, eps_hat=None):
     """``NumericalError`` naming t unless ``arr`` is finite; when ``arr`` was
     computed from ``x_t`` and ``eps_hat``, it names the first of those

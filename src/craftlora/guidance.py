@@ -21,9 +21,9 @@ from .config import GuidanceSettings
 from .denoiser import (
     NoiseSchedule,
     ProjectedConditioning,
-    ddpm_step,
     forward_pass,
     project_conditioning,
+    reverse_process,
 )
 from .exceptions import ConfigInvalid, NumericalError, OutOfRange, ShapeMismatch
 from .prompts import EMB_DIM, encode_semantic, parse_prompt
@@ -35,8 +35,8 @@ X0_RANGE = (0.0, 1.0)
 
 
 def gamma_schedule(t, content_window, style_window):
-    """Indicator pair: is each adapter's window active at timestep t."""
-    t = int(t)
+    """Indicator pair: is each adapter's window active at timestep t (an int)."""
+    t = as_timestep(t)
     gc = 1.0 if content_window[0] <= t <= content_window[1] else 0.0
     gs = 1.0 if style_window[0] <= t <= style_window[1] else 0.0
     return gc, gs
@@ -46,9 +46,10 @@ def temporal_alpha(t, settings, total_steps):
     """Smooth gain alpha_min -> alpha_max as sampling proceeds from t=T to 1.
 
     ``settings`` is a ``GuidanceSettings`` and ``total_steps`` the length T
-    of the schedule.
+    of the schedule; a t that is not an integer, or is a bool, raises
+    ``OutOfRange``, as in ``gamma_schedule`` and ``plan_guidance``.
     """
-    t = int(t)
+    t = as_timestep(t)
     if not 1 <= t <= total_steps:
         raise OutOfRange(f"t must lie in [1, {total_steps}], got {t}")
     u = (total_steps - t) / total_steps
@@ -110,7 +111,7 @@ def plan_guidance(
         float(np.max(gamma)) if adapter is not None else 0.0
         for adapter, gamma in ((content_adapter, gamma_content), (style_adapter, gamma_style))
     )
-    timesteps = [int(t) for t in timesteps]
+    timesteps = [as_timestep(t) for t in timesteps]
     alphas = [temporal_alpha(t, settings, total_steps) for t in timesteps]
     # per timestep, alpha times each branch's window indicator
     gains = np.array([
@@ -266,10 +267,10 @@ class GuidedSampler:
         the input buffer built, once per call; each step then makes one
         forward pass over 2N rows and one reverse step, both in float32:
         the draws are cast once each, and the images come back as float64.
-        An overflow anywhere in the loop reaches the finite checks of
-        ``guided_eps_parts`` and ``ddpm_step``, so it raises
-        ``NumericalError`` naming its step. A row's image equals what
-        ``sample`` returns for that prompt and seed up to float32 rounding.
+        The loop is ``reverse_process``: an overflow anywhere in it reaches the
+        finite checks of ``guided_eps_parts`` and ``ddpm_step`` and raises
+        ``NumericalError`` naming its step. A row's image equals what ``sample``
+        returns for that prompt and seed up to float32 rounding.
         """
         prompts = list(prompts)
         seeds = list(seeds)
@@ -304,29 +305,28 @@ class GuidedSampler:
             out = standard_normal_rows(rngs, self.backbone.input_dim)
             return (out if rows is None else out[rows]).astype(np.float32)
 
-        x = draw()
         n_evals = 0
         trace = [[] for _ in seeds]
+
+        def estimate(x, t):
+            nonlocal n_evals
+            eps_cond, eps_uncond, (_, _, alpha) = guided_eps_parts(x, t, plan)
+            n_evals += 2  # one conditional and one unconditional evaluation
+            if self.record_trace:
+                windows = gamma_schedule(t, settings.content_window, settings.style_window)
+                gaps = np.linalg.norm(eps_cond - eps_uncond, axis=1)
+                for row, ((eff_c, eff_s), gap) in enumerate(zip(alpha * gains * windows, gaps)):
+                    trace[row].append(
+                        f"t={t} gamma_c={eff_c:.9g} gamma_s={eff_s:.9g} "
+                        f"alpha={alpha:.9g} guidance_gap={gap:.9g}"
+                    )
+            return guided_eps(eps_cond, eps_uncond, settings.omega)
 
         def x0_map(x0):
             # the method keeps np.clip's signed zeros without its dispatch
             return x0.clip(*X0_RANGE, out=x0)
 
-        with np.errstate(over="ignore", invalid="ignore"):
-            for t in range(schedule.total_steps, 0, -1):
-                eps_cond, eps_uncond, (_, _, alpha) = guided_eps_parts(x, t, plan)
-                n_evals += 2  # one conditional and one unconditional evaluation
-                eps = guided_eps(eps_cond, eps_uncond, settings.omega)
-                if self.record_trace:
-                    windows = gamma_schedule(t, settings.content_window, settings.style_window)
-                    gaps = np.linalg.norm(eps_cond - eps_uncond, axis=1)
-                    for row, ((eff_c, eff_s), gap) in enumerate(zip(alpha * gains * windows, gaps)):
-                        trace[row].append(
-                            f"t={t} gamma_c={eff_c:.9g} gamma_s={eff_s:.9g} "
-                            f"alpha={alpha:.9g} guidance_gap={gap:.9g}"
-                        )
-                x = ddpm_step(x, t, eps, schedule, draw() if t > 1 else None, x0_map=x0_map)
-
+        x = reverse_process(draw, estimate, schedule, x0_map)
         self.n_network_evals_ = n_evals
         self.trace_ = trace
         images[...] = x.reshape(images.shape)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .checkpoint import write_all_atomic
 from .config import DatasetSettings, DenoiserSettings
-from .denoiser import NoiseSchedule, ddpm_step, forward_pass
+from .denoiser import NoiseSchedule, forward_pass, reverse_process
 from .exceptions import ConfigInvalid, CorruptCheckpoint, ModelUntrained, ShapeMismatch
 from .frequency import FrequencyMask, freq_mask_filter, gaussian_lowpass
 from .pgm import pgm_bytes, read_pgm
@@ -185,29 +185,6 @@ def synthetic_pair_images(content_index, style_index, sigma, size=DenoiserSettin
 DIFFUSION_X0_RANGE = (-0.25, 1.25)
 
 
-def _filtered_trajectories(prompts, rngs, mask, backbone, schedule, size):
-    """Frequency-filtered denoising trajectories, one per row.
-
-    Each step predicts the noise of every row in one forward pass, then
-    takes the reverse step with the clean estimate kept to the mask's band
-    and clamped to ``DIFFUSION_X0_RANGE``; at t == 1 that estimate is the
-    output. Row i starts from, and draws every step's noise from,
-    ``rngs[i]``.
-    """
-    e_rows = np.stack([encode_semantic(p) for p in prompts])
-    x = standard_normal_rows(rngs, size * size)
-
-    def x0_map(x0):
-        band = freq_mask_filter(x0.reshape(-1, size, size), mask).reshape(x0.shape)
-        return np.clip(band, *DIFFUSION_X0_RANGE)
-
-    for t in range(schedule.total_steps, 0, -1):
-        eps, _ = forward_pass(x, t, e_rows, backbone)
-        noise = standard_normal_rows(rngs, size * size) if t > 1 else None
-        x = ddpm_step(x, t, eps, schedule, noise, x0_map=x0_map)
-    return _clip01(x.reshape(-1, size, size))
-
-
 def generate_pair_dataset(
     n_content=DatasetSettings.n_content,
     n_style=DatasetSettings.n_style,
@@ -224,7 +201,10 @@ def generate_pair_dataset(
     ``i * n_style + j``. Diffusion mode runs the content members (low mask)
     as the rows of one batch and the style members (high mask) as another,
     each row on its own ``make_rng(seed, "pairgen", pair_id, member)``
-    stream. Deterministic given the seed.
+    stream, through ``reverse_process``: each step predicts every row's
+    noise in one forward pass and keeps the clean estimate to the mask's
+    band, clamped to ``DIFFUSION_X0_RANGE``; at t == 1 that estimate is the
+    output. Deterministic given the seed.
     """
     if not (1 <= n_content <= len(CONTENT_PROMPTS)):
         raise ConfigInvalid(f"n_content must lie in [1, {len(CONTENT_PROMPTS)}]")
@@ -249,7 +229,17 @@ def generate_pair_dataset(
 
         def diffusion(prompts, member, mask):
             rngs = [make_rng(seed, "pairgen", pair_id, member) for pair_id in range(len(grid))]
-            return _filtered_trajectories(prompts, rngs, mask, backbone, schedule, size)
+            e_rows = np.stack([encode_semantic(p) for p in prompts])
+
+            def x0_map(x0):
+                band = freq_mask_filter(x0.reshape(-1, size, size), mask).reshape(x0.shape)
+                return np.clip(band, *DIFFUSION_X0_RANGE)
+
+            x = reverse_process(
+                lambda: standard_normal_rows(rngs, size * size),
+                lambda x_t, t: forward_pass(x_t, t, e_rows, backbone)[0], schedule, x0_map,
+            )
+            return _clip01(x.reshape(-1, size, size))
 
         content_images = diffusion(
             [f"{CONTENT_PROMPTS[i]} {STYLE_MODIFIERS[j]}" for i, j in grid],

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from craftlora import guidance
+from craftlora import denoiser
 from craftlora.denoiser import (
     DenoiserTrainer,
     NoiseSchedule,
@@ -123,14 +123,15 @@ def cond32():
 
 @pytest.fixture
 def sampler_states(monkeypatch):
-    """The states of each ``GuidedSampler`` run, seen through ``ddpm_step``.
+    """The states of each ``reverse_process`` run, seen through ``ddpm_step``.
 
-    Wraps ``guidance.ddpm_step`` and returns a list that gets one list per
-    run: its (rows, pixels) start state, then a copy of each step's output.
-    A run starts at the call whose t is the schedule's last step.
+    Wraps ``denoiser.ddpm_step``, the binding every sampler steps through,
+    and returns a list that gets one list per run: its (rows, pixels) start
+    state, then a copy of each step's output. A run starts at the call whose
+    t is the schedule's last step.
     """
     runs = []
-    real = guidance.ddpm_step
+    real = denoiser.ddpm_step
 
     def recording(x_t, t, eps_hat, schedule, *args, **kwargs):
         if t == schedule.total_steps:
@@ -139,7 +140,7 @@ def sampler_states(monkeypatch):
         runs[-1].append(out.copy())
         return out
 
-    monkeypatch.setattr(guidance, "ddpm_step", recording)
+    monkeypatch.setattr(denoiser, "ddpm_step", recording)
     return runs
 
 

@@ -334,3 +334,29 @@ def test_every_annotated_field_is_read_inside_the_package():
 def test_every_field_exemption_is_still_needed():
     stale = sorted(set(UNREAD_FIELDS) - set(unread_fields()))
     assert stale == [], f"exempt but gone, or every field now read: {stale}"
+
+
+def callers_of(name):
+    """Each def in the package whose own body calls ``name``, as its module
+    and the names of the classes and defs around it, dot-joined."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = scope + (node.name,)
+        if isinstance(node, ast.Call):
+            func = node.func
+            if getattr(func, "id", getattr(func, "attr", None)) == name:
+                found.add(".".join(scope))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    for path in PACKAGE_DIR.glob("*.py"):
+        visit(ast.parse(path.read_text(encoding="utf-8")), (path.stem,))
+    return found
+
+
+def test_one_reverse_loop():
+    # every sampler steps through reverse_process, so a change to the step
+    # sequence or the parameterization lands in one loop
+    assert callers_of("ddpm_step") == {"denoiser.reverse_process"}

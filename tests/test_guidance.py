@@ -290,15 +290,29 @@ class TestGuidedParts:
             guided_eps_parts(x, 8, plan)
 
     def test_non_integer_t_refused(self, trained_base, null64):
-        # int(7.2) and int(True) would run the planned steps 7 and 1
+        # int(7.2) and int(True) would run the planned steps 7 and 1, and
+        # would read the windows and the alpha ramp at those steps; a NumPy
+        # integer is its int
+        settings = GuidanceSettings()
         plan = plan_guidance(
-            trained_base, None, None, 0.0, 0.0, null64[None, :], False,
-            GuidanceSettings(), 50, (1, 7),
+            trained_base, None, None, 0.0, 0.0, null64[None, :], False, settings, 50,
+            (1, np.int64(7)),
         )
         x = make_rng(13).standard_normal((1, 256))
         for t in (7.2, 7.0, True):
             with pytest.raises(OutOfRange, match="integer timestep"):
                 guided_eps_parts(x, t, plan)
+            with pytest.raises(OutOfRange, match="integer timestep"):
+                gamma_schedule(t, settings.content_window, settings.style_window)
+            with pytest.raises(OutOfRange, match="integer timestep"):
+                temporal_alpha(t, settings, 50)
+            with pytest.raises(OutOfRange, match="integer timestep"):
+                plan_guidance(
+                    trained_base, None, None, 0.0, 0.0, null64[None, :], False, settings, 50,
+                    (1, t),
+                )
+        assert gamma_schedule(np.int64(2), (1, 35), (15, 50)) == gamma_schedule(2, (1, 35), (15, 50))
+        assert temporal_alpha(np.int64(2), settings, 50) == temporal_alpha(2, settings, 50)
         cond, uncond, gains = guided_eps_parts(x, np.int64(7), plan)
         ref_cond, ref_uncond, ref_gains = guided_eps_parts(x, 7, plan)
         assert cond.tobytes() == ref_cond.tobytes() and uncond.tobytes() == ref_uncond.tobytes()
@@ -696,7 +710,7 @@ class TestSampleBatch:
     ):
         # both evaluations are one forward pass of 2N rows per step, with
         # one guided_eps_parts and one ddpm_step call around it
-        from craftlora import guidance
+        from craftlora import denoiser, guidance
 
         content, style = adapters
         sampler = GuidedSampler(
@@ -707,7 +721,11 @@ class TestSampleBatch:
             record_trace=True,
         )
         calls = {"forward_pass": [], "guided_eps_parts": 0, "ddpm_step": 0}
-        real = {name: getattr(guidance, name) for name in calls}
+        real = {
+            "forward_pass": guidance.forward_pass,
+            "guided_eps_parts": guidance.guided_eps_parts,
+            "ddpm_step": denoiser.ddpm_step,
+        }
 
         def forward(x, *args, **kwargs):
             calls["forward_pass"].append(x.shape[0])
@@ -722,7 +740,7 @@ class TestSampleBatch:
 
         monkeypatch.setattr(guidance, "forward_pass", forward)
         monkeypatch.setattr(guidance, "guided_eps_parts", counted("guided_eps_parts"))
-        monkeypatch.setattr(guidance, "ddpm_step", counted("ddpm_step"))
+        monkeypatch.setattr(denoiser, "ddpm_step", counted("ddpm_step"))
         images = sampler.sample_batch([BOTH_MARKERS] * n_rows, list(range(n_rows)))
         steps = schedule.total_steps
         assert calls == {

@@ -220,6 +220,44 @@ class TestDiffusionMode:
         with pytest.raises(NumericalError, match=rf"^the clean estimate at t={t} "):
             generate_pair_dataset(2, 2, mode="diffusion", backbone=host, schedule=schedule)
 
+    def test_overflowing_network_is_a_numerical_error(self, trained_base, schedule):
+        # the forward pass itself overflows: the loop silences the warning,
+        # and the step's finite check names the noise estimate
+        host = trained_base.replace({n: trained_base.weight(n) * 1e100 for n in trained_base.names})
+        t = schedule.total_steps
+        with pytest.raises(NumericalError, match=rf"^eps_hat at t={t} "):
+            generate_pair_dataset(1, 1, mode="diffusion", backbone=host, schedule=schedule)
+
+    def test_one_forward_pass_and_one_step_per_timestep(
+        self, trained_base, schedule, monkeypatch, sampler_states
+    ):
+        # each member is one batch of every pair's row, stepped through the
+        # same ddpm_step binding the guided sampler uses
+        from craftlora import denoiser, pairs
+
+        calls = {"forward_pass": [], "ddpm_step": 0}
+        real_forward, real_step = pairs.forward_pass, denoiser.ddpm_step
+
+        def forward(x, *args, **kwargs):
+            calls["forward_pass"].append(x.shape[0])
+            return real_forward(x, *args, **kwargs)
+
+        def step(*args, **kwargs):
+            calls["ddpm_step"] += 1
+            return real_step(*args, **kwargs)
+
+        monkeypatch.setattr(pairs, "forward_pass", forward)
+        monkeypatch.setattr(denoiser, "ddpm_step", step)
+        dataset = generate_pair_dataset(
+            2, 2, mode="diffusion", seed=3, backbone=trained_base, schedule=schedule
+        )
+        steps = schedule.total_steps
+        assert calls == {"forward_pass": [4] * (2 * steps), "ddpm_step": 2 * steps}
+        assert [len(states) for states in sampler_states] == [steps + 1] * 2
+        for states, member in zip(sampler_states, ("content_image", "style_image")):
+            images = np.array([getattr(pair, member) for pair in dataset])
+            assert np.array_equal(np.clip(states[-1], 0.0, 1.0).reshape(images.shape), images)
+
     def test_diffusion_mode_deterministic(self, trained_base, schedule):
         a = generate_pair_dataset(1, 2, mode="diffusion", seed=6, backbone=trained_base, schedule=schedule)
         b = generate_pair_dataset(1, 2, mode="diffusion", seed=6, backbone=trained_base, schedule=schedule)

@@ -52,7 +52,9 @@ NUMERIC_EXIT = 3
 
 
 def _schedule_from(config):
-    return NoiseSchedule.linear(**dataclasses.asdict(config.schedule))
+    """The config's full schedule, which training and gen-pairs run."""
+    s = config.schedule
+    return NoiseSchedule.linear(s.total_steps, s.beta_start, s.beta_end)
 
 
 def _load_run_config(path, seed):
@@ -80,13 +82,14 @@ def _train_base_denoiser(config, dataset):
 
 
 def _sampler(config, backbone, content_adapter, style_adapter, **overrides):
-    """A guided sampler with the config's guidance settings and schedule."""
+    """A guided sampler with the config's guidance settings, on its schedule
+    respaced to ``schedule.sampling_steps``."""
     return GuidedSampler(
         backbone,
         content_adapter=content_adapter,
         style_adapter=style_adapter,
         **dataclasses.asdict(config.guidance),
-        schedule=_schedule_from(config),
+        schedule=_schedule_from(config).respaced(config.schedule.sampling_steps),
         **overrides,
     )
 

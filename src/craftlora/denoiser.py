@@ -23,8 +23,9 @@ from .validation import as_matrix, as_timestep, check_same_shape
 
 
 class StepCoefficients(NamedTuple):
-    """The scalars of one reverse step at t, with ab = alpha_bar(t), abp =
-    alpha_bar(t - 1) (1.0 at t == 1), bt = beta_t and at = 1 - bt."""
+    """The scalars of one reverse step from t to s, the schedule's kept step
+    before t (0 for t == 1), with ab = alpha_bar(t), abp = alpha_bar(s) (1.0
+    at s == 0), at = ab / abp and bt = 1 - at; for s == t - 1, bt = beta_t."""
 
     sqrt_ab: float  # sqrt(ab)
     sqrt_one_minus_ab: float  # sqrt(1 - ab)
@@ -37,11 +38,14 @@ class StepCoefficients(NamedTuple):
 class NoiseSchedule:
     """Forward-process variances and their cumulative products, 1-based t.
 
-    The reverse step's per-timestep scalars are built once, here, and read
-    with ``coefficients(t)``.
+    ``timesteps`` are the steps the reverse process visits, ascending from
+    1 to T (every step by default; see ``respaced``). The reverse step's
+    scalars are built once per kept step, here, and read with
+    ``coefficients(t)``. Everything else (``total_steps``, ``alpha_bar``)
+    reads the full schedule.
     """
 
-    def __init__(self, betas):
+    def __init__(self, betas, timesteps=None):
         betas = np.asarray(betas, dtype=np.float64)
         if betas.ndim != 1 or betas.size < 1:
             raise ConfigInvalid("betas must be a non-empty 1-D sequence")
@@ -52,21 +56,34 @@ class NoiseSchedule:
         self.betas = betas
         self.alphas = 1.0 - betas
         self.alpha_bars = np.cumprod(self.alphas)
-        coefs = []
+        n = betas.size
+        kept = tuple(range(1, n + 1)) if timesteps is None else tuple(map(as_timestep, timesteps))
+        rising = all(a < b for a, b in zip(kept, kept[1:]))
+        if not (kept and kept[0] == 1 and kept[-1] == n and rising):
+            raise ConfigInvalid(f"timesteps must rise from 1 to {n}, got {list(kept)}")
+        self.timesteps = kept
         # Python floats: the same IEEE arithmetic as NumPy scalars, faster to read
-        ab_prev = [1.0] + self.alpha_bars[:-1].tolist()
-        for ab, bt, at, abp in zip(
-            self.alpha_bars.tolist(), betas.tolist(), self.alphas.tolist(), ab_prev
-        ):
-            coefs.append(StepCoefficients(
+        abars, bts, ats = (v.tolist() for v in (self.alpha_bars, betas, self.alphas))
+        coefs = {}
+        s = 0
+        for t in kept:
+            ab = abars[t - 1]
+            abp = abars[s - 1] if s else 1.0
+            if s == t - 1:
+                at, bt = ats[t - 1], bts[t - 1]
+            else:
+                at = ab / abp
+                bt = 1.0 - at
+            coefs[t] = StepCoefficients(
                 math.sqrt(ab),
                 math.sqrt(1.0 - ab),
                 math.sqrt(abp) * bt,
                 math.sqrt(at) * (1.0 - abp),
                 1.0 - ab,
                 math.sqrt((1.0 - abp) / (1.0 - ab) * bt),
-            ))
-        self._coefs = tuple(coefs)
+            )
+            s = t
+        self._coefs = coefs
 
     @classmethod
     def linear(
@@ -80,15 +97,26 @@ class NoiseSchedule:
         essentially pure noise."""
         return cls(np.linspace(beta_start, beta_end, total_steps))
 
+    def respaced(self, k):
+        """The schedule sampled at the k kept steps ``round(linspace(1, T, k))``.
+
+        The kept steps always hold T and 1. Each reverse step jumps from its
+        kept t to the kept s before it (Nichol & Dhariwal 2021), with
+        at = alpha_bar(t) / alpha_bar(s) in place of alpha_t; consecutive
+        steps keep their scalars bit for bit, so ``respaced(T)`` samples
+        exactly as the schedule itself. The network, the guidance windows
+        and the alpha ramp still read the original t. A k outside [2, T]
+        raises ``ConfigInvalid``.
+        """
+        n = self.total_steps
+        if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 2 <= k <= n:
+            raise ConfigInvalid(f"a respaced schedule keeps 2 to {n} steps, got {k!r}")
+        kept = np.round(np.linspace(1, n, k)).astype(int)
+        return NoiseSchedule(self.betas, kept.tolist())
+
     @property
     def total_steps(self):
         return int(self.betas.size)
-
-    def _check_t(self, t):
-        t = as_timestep(t)
-        if not 1 <= t <= self.total_steps:
-            raise OutOfRange(f"t must lie in [1, {self.total_steps}], got {t}")
-        return t
 
     def alpha_bar(self, t):
         """The alpha_bar of each timestep in ``t``, an int or an integer
@@ -99,9 +127,15 @@ class NoiseSchedule:
         return self.alpha_bars[t - 1]
 
     def coefficients(self, t):
-        """The ``StepCoefficients`` of the reverse step at t, an integer in
-        [1, T]; any other t, a bool or 2.7 too, raises ``OutOfRange``."""
-        return self._coefs[self._check_t(t) - 1]
+        """The ``StepCoefficients`` of the reverse step at t, one of the kept
+        ``timesteps``; any other t, a bool or 2.7 too, raises ``OutOfRange``."""
+        c = self._coefs.get(as_timestep(t))
+        if c is None:
+            raise OutOfRange(
+                f"t must be one of the {len(self.timesteps)} kept steps in "
+                f"[1, {self.total_steps}], got {t}"
+            )
+        return c
 
 
 class Backbone:
@@ -409,10 +443,11 @@ def ddpm_step(x_t, t, eps_hat, schedule, noise=None, x0_map=None):
 
 
 def reverse_process(draw, estimate, schedule, x0_map):
-    """Every sampler's one loop: the reverse process from t = T down to 1.
+    """Every sampler's one loop: the reverse process over the schedule's
+    kept ``timesteps``, from T down to 1.
 
     ``draw()`` returns the rows' next standard-normal draws: the start
-    state, then the noise of each step t > 1; none is drawn at t == 1.
+    state, then the noise of each kept step t > 1; none is drawn at t == 1.
     ``estimate(x, t)`` is the noise estimate of state ``x`` at t, and
     ``x0_map`` each ``ddpm_step``'s clean-estimate map. Overflow in the
     loop is silenced, so it reaches the estimate's or the step's finite
@@ -421,7 +456,7 @@ def reverse_process(draw, estimate, schedule, x0_map):
     """
     x = draw()
     with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(schedule.total_steps, 0, -1):
+        for t in reversed(schedule.timesteps):
             eps = estimate(x, t)
             x = ddpm_step(x, t, eps, schedule, draw() if t > 1 else None, x0_map=x0_map)
     return x

@@ -14,7 +14,7 @@ import pytest
 from craftlora import adapters
 from craftlora.adapters import KINDS, LoraTrainer, adapter_loss, default_routing, make_adapter
 from craftlora.cli import main as cli_main
-from craftlora.config import GuidanceSettings
+from craftlora.config import GuidanceSettings, ScheduleSettings
 from craftlora.denoiser import DenoiserTrainer, NoiseSchedule, init_backbone
 from craftlora.frequency import gaussian_lowpass, style_residual
 from craftlora.guidance import GuidedSampler
@@ -349,6 +349,7 @@ def test_gradient_masking(trained_base, monkeypatch):
 def test_directional_disentanglement():
     with criterion("directional-disentanglement", 600):
         results = []
+        results_respaced = []
         for seed in (0, 1, 2):
             pairs = generate_pair_dataset(10, 10, seed=seed)
             images, embeddings = [], []
@@ -365,6 +366,8 @@ def test_directional_disentanglement():
             base_trainer.fit(np.stack(images), np.stack(embeddings))
             base = base_trainer.backbone_
             schedule = NoiseSchedule.linear()
+            # the schedule that `craftlora sample` and `eval` run at the defaults
+            respaced = schedule.respaced(ScheduleSettings.sampling_steps)
 
             tuner = TrunkFinetuner(steps=500, seed=derive_seed(seed, "trunk"))
             tuner.fit(base, pairs)
@@ -385,41 +388,57 @@ def test_directional_disentanglement():
                     .fit(host, style_render(0), f"{STYLE_PROMPTS[0]} <s>")
                     .adapter_
                 )
-                grid = []
-                for i in range(4):
-                    row = []
-                    for j in range(4):
-                        sampler = GuidedSampler(
-                            host,
-                            content_adapter=content,
-                            style_adapter=style,
-                            omega=2.0,
-                            schedule=schedule,
-                        )
-                        row.append(
-                            sampler.sample(
-                                f"{CONTENT_PROMPTS[i]} <c> {STYLE_PROMPTS[j]} <s>",
-                                seed=derive_seed(seed, "grid", i),
+                scores = []
+                # every step of the schedule, then its respaced steps
+                for steps in (schedule, respaced):
+                    grid = []
+                    for i in range(4):
+                        row = []
+                        for j in range(4):
+                            sampler = GuidedSampler(
+                                host,
+                                content_adapter=content,
+                                style_adapter=style,
+                                omega=2.0,
+                                schedule=steps,
                             )
-                        )
-                    grid.append(row)
-                return cross_influence(ImageFeatureExtractor(seed=0), grid, sigma=0.35)
+                            row.append(
+                                sampler.sample(
+                                    f"{CONTENT_PROMPTS[i]} <c> {STYLE_PROMPTS[j]} <s>",
+                                    seed=derive_seed(seed, "grid", i),
+                                )
+                            )
+                        grid.append(row)
+                    scores.append(cross_influence(ImageFeatureExtractor(seed=0), grid, sigma=0.35))
+                return scores
 
-            sx_rank = measure_sx(tuner.backbone_)
-            sx_plain = measure_sx(base)
+            sx_rank, sx_rank_respaced = measure_sx(tuner.backbone_)
+            sx_plain, sx_plain_respaced = measure_sx(base)
             # the control projects the untrained initial bases out (reported, not asserted)
             untrained = TrunkFinetuner(steps=0, seed=derive_seed(seed, "trunk")).fit(base, pairs)
-            sx_control = measure_sx(untrained.backbone_)
+            sx_control, _ = measure_sx(untrained.backbone_)
             results.append((seed, sx_rank, sx_plain))
+            results_respaced.append((seed, sx_rank_respaced, sx_plain_respaced))
             print(
                 f"  seed {seed}: S_x rank-limited {sx_rank:.4f}, plain {sx_plain:.4f}, "
                 f"relative reduction {(sx_plain - sx_rank) / sx_plain * 100:+.1f}%; "
                 f"untrained bases {sx_control:.4f}, "
                 f"relative reduction {(sx_plain - sx_control) / sx_plain * 100:+.1f}%"
             )
+            print(
+                f"  seed {seed}, {len(respaced.timesteps)} of {schedule.total_steps} steps: "
+                f"S_x rank-limited {sx_rank_respaced:.4f}, plain {sx_plain_respaced:.4f}, "
+                f"relative reduction "
+                f"{(sx_plain_respaced - sx_rank_respaced) / sx_plain_respaced * 100:+.1f}%"
+            )
         for seed, sx_rank, sx_plain in results:
             assert sx_rank <= 0.9 * sx_plain, (
                 f"seed {seed}: rank-limited S_x {sx_rank:.4f} not 10% below plain {sx_plain:.4f}"
+            )
+        for seed, sx_rank, sx_plain in results_respaced:
+            assert sx_rank <= 0.9 * sx_plain, (
+                f"seed {seed}, respaced: rank-limited S_x {sx_rank:.4f} not 10% below "
+                f"plain {sx_plain:.4f}"
             )
 
 

@@ -10,7 +10,8 @@ import pytest
 
 from craftlora.checkpoint import inspect_checkpoint, load_backbone, save_backbone
 from craftlora.cli import main
-from craftlora.denoiser import init_backbone
+from craftlora.config import ScheduleSettings
+from craftlora.denoiser import NoiseSchedule, init_backbone
 from craftlora.pgm import pgm_bytes, read_pgm
 
 LIGHT_CONFIG = {
@@ -479,8 +480,9 @@ class TestSample:
         img = read_pgm(out)
         assert img.shape == (16, 16)
         lines = trace.read_text().splitlines()
-        assert len(lines) == 50
-        assert lines[0].startswith("t=50 ")
+        # one record per kept step of the respaced schedule
+        assert len(lines) == ScheduleSettings.sampling_steps == 25
+        assert lines[0].startswith("t=50 ") and lines[-1].startswith("t=1 ")
 
     def test_non_finite_prediction_exits_3_and_keeps_old_image(
         self, workspace, tmp_path, monkeypatch
@@ -515,6 +517,34 @@ class TestSample:
         )
         assert code == 3
         assert out.read_bytes() == before
+
+    def test_host_beyond_float32_exits_3_naming_its_layer(
+        self, workspace, tmp_path, monkeypatch, capsys
+    ):
+        # a checkpoint stores float32, so the oversized host is handed over
+        # at load time; the sampler refuses it when it casts the host
+        from craftlora import checkpoint
+
+        root, config_path = workspace
+        real_load = checkpoint.load_backbone
+
+        def oversized(path):
+            host = real_load(path)
+            return host.replace({"layer8": host.weight("layer8") * 1e306})
+
+        monkeypatch.setattr(checkpoint, "load_backbone", oversized)
+        capsys.readouterr()
+        code = run_cli([
+            "sample", "--config", config_path,
+            "--prompt", "a filled disc <c>",
+            "--backbone", root / "trunk.crft",
+            "--out", tmp_path / "never.pgm",
+        ])
+        assert code == 3
+        assert capsys.readouterr().err.startswith(
+            "numerical failure: host layer 'layer8' lies outside float32's range"
+        )
+        assert not (tmp_path / "never.pgm").exists()
 
     def test_zero_gammas_match_bare_sample(self, workspace, tmp_path):
         root, config_path = workspace
@@ -814,6 +844,30 @@ class TestEval:
         assert -1.0 <= doc["s_s"] <= 1.0
         assert 0.0 <= doc["s_x"] <= 1.0
         assert len(doc["pairs"]) == 4
+
+    def test_defaults_sample_the_respaced_schedule(self, workspace, tmp_path, monkeypatch):
+        from craftlora import denoiser
+
+        root, config_path = workspace
+        steps = []
+        real_step = denoiser.ddpm_step
+
+        def counted(x_t, t, *args, **kwargs):
+            steps.append(t)
+            return real_step(x_t, t, *args, **kwargs)
+
+        monkeypatch.setattr(denoiser, "ddpm_step", counted)
+        code = run_cli([
+            "eval", "--config", config_path,
+            "--backbone", root / "trunk.crft",
+            "--content-adapter", root / "content.crft",
+            "--style-adapter", root / "style.crft",
+            "--out", tmp_path / "report.json", "--n-content", 2, "--n-style", 2,
+        ])
+        assert code == 0
+        # the 2x2 grid is one batch: one reverse step per kept step
+        kept = NoiseSchedule.linear().respaced(ScheduleSettings.sampling_steps).timesteps
+        assert len(kept) == 25 and steps == list(reversed(kept))
 
     def test_thread_count_never_changes_bytes(self, workspace, tmp_path):
         # the three content rows of four cells run as one batch at either

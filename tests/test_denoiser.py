@@ -83,6 +83,73 @@ class TestNoiseSchedule:
         assert schedule.coefficients(np.int64(2)) == schedule.coefficients(2)
 
 
+class TestRespacedSchedule:
+    def test_every_step_kept_is_the_plain_schedule_bit_for_bit(self, schedule):
+        full = schedule.respaced(schedule.total_steps)
+        assert full.timesteps == schedule.timesteps == tuple(range(1, 51))
+        for t in schedule.timesteps:
+            assert full.coefficients(t) == schedule.coefficients(t)
+
+    def test_kept_steps_are_evenly_spaced_and_hold_both_ends(self, schedule):
+        respaced = schedule.respaced(25)
+        assert respaced.timesteps == (
+            1, 3, 5, 7, 9, 11, 13, 15, 17, 19, 21, 23, 26,
+            28, 30, 32, 34, 36, 38, 40, 42, 44, 46, 48, 50,
+        )
+        assert schedule.respaced(2).timesteps == (1, 50)
+        # everything but the reverse step reads the full schedule
+        assert respaced.total_steps == 50
+        assert np.array_equal(respaced.alpha_bar(np.arange(1, 51)), schedule.alpha_bars)
+        # the last step, from t = 1 to the clean image, is consecutive
+        assert respaced.coefficients(1) == schedule.coefficients(1)
+        with pytest.raises(OutOfRange, match="one of the 25 kept steps"):
+            respaced.coefficients(2)
+
+    def test_non_consecutive_steps_are_the_closed_form(self, schedule):
+        # the ancestral posterior of a jump from t to s, written in float64
+        # with a = alpha_bar(t) / alpha_bar(s) and beta' = 1 - a
+        jumps = NoiseSchedule(schedule.betas, (1, 48, 50))
+        for t, s in ((50, 48), (48, 1)):
+            ab_t, ab_s = schedule.alpha_bars[t - 1], schedule.alpha_bars[s - 1]
+            a = ab_t / ab_s
+            beta = 1.0 - a
+            expected = (
+                np.sqrt(ab_t),
+                np.sqrt(1.0 - ab_t),
+                np.sqrt(ab_s) * beta,
+                np.sqrt(a) * (1.0 - ab_s),
+                1.0 - ab_t,
+                np.sqrt((1.0 - ab_s) * beta / (1.0 - ab_t)),
+            )
+            np.testing.assert_allclose(jumps.coefficients(t), expected, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("k", [2, 13, 25, 49])
+    def test_a_jump_maps_a_clean_state_to_its_clean_state(self, schedule, k):
+        # with no noise, x_t = sqrt(ab_t) x0 steps to the posterior mean
+        # sqrt(ab_s) x0, whatever the jump
+        respaced = schedule.respaced(k)
+        x0 = make_rng(3).random((2, 16))
+        kept = respaced.timesteps
+        for s, t in zip(kept, kept[1:]):
+            x_t = np.sqrt(schedule.alpha_bar(t)) * x0
+            c = respaced.coefficients(t)
+            mean = (c.x0_coef * x0 + c.xt_coef * x_t) / c.one_minus_ab
+            np.testing.assert_allclose(mean, np.sqrt(schedule.alpha_bar(s)) * x0, rtol=1e-12)
+
+    @pytest.mark.parametrize("k", [0, 1, 51, 2.5, True], ids=["0", "1", "51", "2.5", "True"])
+    def test_step_count_outside_two_to_t_refused(self, schedule, k):
+        with pytest.raises(ConfigInvalid, match="keeps 2 to 50 steps"):
+            schedule.respaced(k)
+
+    @pytest.mark.parametrize(
+        "timesteps",
+        [(), (2, 50), (1, 49), (1, 30, 30, 50), (1, 40, 30, 50), (0, 1, 50), (1, 50, 51)],
+    )
+    def test_kept_steps_must_rise_from_one_to_t(self, schedule, timesteps):
+        with pytest.raises(ConfigInvalid, match="timesteps must rise from 1 to 50"):
+            NoiseSchedule(schedule.betas, timesteps)
+
+
 class TestBackbone:
     def test_requires_two_layers(self):
         with pytest.raises(ConfigInvalid):

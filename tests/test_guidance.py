@@ -19,6 +19,7 @@ from craftlora.guidance import (
     guided_eps,
     guided_eps_parts,
     plan_guidance,
+    sampling_host,
     temporal_alpha,
 )
 from craftlora.pairs import CONTENT_PROMPTS, STYLE_PROMPTS, content_render, style_render
@@ -278,7 +279,7 @@ class TestGuidedParts:
 
     def test_plan_refuses_other_rows_and_unplanned_steps(self, trained_base, null64):
         plan = plan_guidance(
-            trained_base, None, None, 0.0, 0.0, np.stack([null64, null64]), False,
+            sampling_host(trained_base, None, None), 0.0, 0.0, np.stack([null64, null64]), False,
             GuidanceSettings(), 50, (7,),
         )
         x = make_rng(12).standard_normal((2, 256))
@@ -294,9 +295,9 @@ class TestGuidedParts:
         # would read the windows and the alpha ramp at those steps; a NumPy
         # integer is its int
         settings = GuidanceSettings()
+        host = sampling_host(trained_base, None, None)
         plan = plan_guidance(
-            trained_base, None, None, 0.0, 0.0, null64[None, :], False, settings, 50,
-            (1, np.int64(7)),
+            host, 0.0, 0.0, null64[None, :], False, settings, 50, (1, np.int64(7)),
         )
         x = make_rng(13).standard_normal((1, 256))
         for t in (7.2, 7.0, True):
@@ -307,10 +308,7 @@ class TestGuidedParts:
             with pytest.raises(OutOfRange, match="integer timestep"):
                 temporal_alpha(t, settings, 50)
             with pytest.raises(OutOfRange, match="integer timestep"):
-                plan_guidance(
-                    trained_base, None, None, 0.0, 0.0, null64[None, :], False, settings, 50,
-                    (1, t),
-                )
+                plan_guidance(host, 0.0, 0.0, null64[None, :], False, settings, 50, (1, t))
         assert gamma_schedule(np.int64(2), (1, 35), (15, 50)) == gamma_schedule(2, (1, 35), (15, 50))
         assert temporal_alpha(np.int64(2), settings, 50) == temporal_alpha(2, settings, 50)
         cond, uncond, gains = guided_eps_parts(x, np.int64(7), plan)
@@ -322,8 +320,8 @@ class TestGuidedParts:
         content, style = adapters
         e_rows = encode_semantic("a filled disc")[None, :]
         plan = plan_guidance(
-            trained_base, content, style, 1.0, 1.0, e_rows, False, GuidanceSettings(), 50,
-            range(1, 51),
+            sampling_host(trained_base, content, style), 1.0, 1.0, e_rows, False,
+            GuidanceSettings(), 50, range(1, 51),
         )
         assert all(w.dtype == np.float32 for w in plan.weights.values())
         assert plan.cond.rows.dtype == np.float32 and plan.inputs.dtype == np.float32
@@ -340,11 +338,12 @@ class TestGuidedParts:
         down, up = adapter.factors[layer]
         adapter.factors[layer] = (down, np.full_like(up, 1e306))
         content, style = (adapter, None) if slot == "content" else (None, adapter)
-        with pytest.raises(NumericalError, match=rf"^adapter factor on '{layer}' lies outside"):
-            plan_guidance(
-                trained_base, content, style, 1.0, 1.0, encode_semantic("a filled disc")[None, :],
-                False, GuidanceSettings(), 50, (10,),
-            )
+        for build in (
+            lambda: sampling_host(trained_base, content, style),
+            lambda: GuidedSampler(trained_base, content_adapter=content, style_adapter=style),
+        ):
+            with pytest.raises(NumericalError, match=rf"^adapter factor on '{layer}' lies outside"):
+                build()
 
 
 class TestGuidedSampler:
@@ -679,8 +678,8 @@ class TestSampleBatch:
         config = sampler.settings
         for t in range(schedule.total_steps, 0, -1):
             plan = plan_guidance(
-                trained_base, content, style, gains[:, 0], gains[:, 1], e_rows, symmetric,
-                config, schedule.total_steps, (t,),
+                sampling_host(trained_base, content, style), gains[:, 0], gains[:, 1], e_rows,
+                symmetric, config, schedule.total_steps, (t,),
             )
             eps_cond, eps_uncond, _ = guided_eps_parts(x, t, plan)
             eps = guided_eps(eps_cond, eps_uncond, config.omega)
@@ -801,3 +800,63 @@ class TestSampleBatch:
         with pytest.raises(ConfigInvalid):
             sampler.sample_batch([], [])
 
+
+class TestRespacedSampling:
+    def test_every_step_kept_samples_as_the_plain_schedule(self, trained_base, adapters, schedule):
+        content, style = adapters
+        patterns = ("both", "content", "style", "none")
+        prompts = [marked_prompt(pattern, k, 2 * k) for k, pattern in enumerate(patterns)]
+        seeds = [3, 4, 3, 5]
+        runs = []
+        for plan in (schedule, schedule.respaced(schedule.total_steps)):
+            sampler = GuidedSampler(
+                trained_base, content_adapter=content, style_adapter=style, schedule=plan,
+                record_trace=True,
+            )
+            images = sampler.sample_batch(prompts, seeds)
+            runs.append((images.tobytes(), sampler.trace_, sampler.n_network_evals_))
+        assert runs[0] == runs[1]
+
+    def test_runs_only_the_kept_steps(self, trained_base, adapters, schedule, monkeypatch):
+        from craftlora import denoiser, guidance
+
+        content, style = adapters
+        respaced = schedule.respaced(25)
+        kept = list(reversed(respaced.timesteps))
+        sampler = GuidedSampler(
+            trained_base, content_adapter=content, style_adapter=style, schedule=respaced,
+            record_trace=True,
+        )
+        forward_ts, steps, draws = [], [], []
+        real_forward = guidance.forward_pass
+        real_step = denoiser.ddpm_step
+        real_draw = guidance.standard_normal_rows
+
+        def forward(x, t, *args, **kwargs):
+            forward_ts.append(t)
+            return real_forward(x, t, *args, **kwargs)
+
+        def step(x_t, t, eps_hat, spaced, noise, **kwargs):
+            steps.append((t, noise is None))
+            return real_step(x_t, t, eps_hat, spaced, noise, **kwargs)
+
+        def draw(rngs, width):
+            draws.append(len(rngs))
+            return real_draw(rngs, width)
+
+        monkeypatch.setattr(guidance, "forward_pass", forward)
+        monkeypatch.setattr(denoiser, "ddpm_step", step)
+        monkeypatch.setattr(guidance, "standard_normal_rows", draw)
+        images = sampler.sample_batch([BOTH_MARKERS] * 3, [0, 1, 0])
+        assert forward_ts == kept
+        assert steps == [(t, t == 1) for t in kept]
+        # the start state and one draw per kept step t > 1, none at t = 1,
+        # each over the two distinct seeds
+        assert draws == [2] * 25
+        assert sampler.n_network_evals_ == 2 * 25
+        assert [len(rows) for rows in sampler.trace_] == [25] * 3
+        # the windows and the alpha ramp read the original t of a 50-step schedule
+        for line, t in zip(sampler.trace_[0], kept):
+            alpha = temporal_alpha(t, sampler.settings, 50)
+            assert line.startswith(f"t={t} ") and f" alpha={alpha:.9g} " in line
+        assert np.isfinite(images).all() and images.min() >= 0.0 and images.max() <= 1.0

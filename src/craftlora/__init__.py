@@ -25,12 +25,10 @@ from .denoiser import (
 from .frequency import FrequencyMask, freq_mask_filter, gaussian_lowpass, style_residual
 from .guidance import (
     GuidedSampler,
-    SamplingHost,
     gamma_schedule,
     guided_eps,
     guided_eps_parts,
     plan_guidance,
-    sampling_host,
     temporal_alpha,
 )
 from .linalg import householder_qr, project_out, qr_backward
@@ -73,7 +71,6 @@ __all__ = [
     "NoiseSchedule",
     "PromptSpec",
     "RankSchedule",
-    "SamplingHost",
     "SubspaceBases",
     "TrunkFinetuner",
     "adapter_loss",
@@ -100,7 +97,6 @@ __all__ = [
     "plan_guidance",
     "project_out",
     "qr_backward",
-    "sampling_host",
     "save_dataset",
     "style_fidelity",
     "style_residual",

@@ -50,11 +50,13 @@ USAGE_EXIT = 1
 DATA_EXIT = 2
 NUMERIC_EXIT = 3
 
+# `sample` and `eval` take this many reverse steps, evenly spaced over the
+# schedule (every step of a shorter one)
+SAMPLING_STEPS = 25
+
 
 def _schedule_from(config):
-    """The config's full schedule, which training and gen-pairs run."""
-    s = config.schedule
-    return NoiseSchedule.linear(s.total_steps, s.beta_start, s.beta_end)
+    return NoiseSchedule.linear(**dataclasses.asdict(config.schedule))
 
 
 def _load_run_config(path, seed):
@@ -83,13 +85,16 @@ def _train_base_denoiser(config, dataset):
 
 def _sampler(config, backbone, content_adapter, style_adapter, **overrides):
     """A guided sampler with the config's guidance settings, on its schedule
-    respaced to ``schedule.sampling_steps``."""
+    respaced to ``SAMPLING_STEPS``."""
+    schedule = _schedule_from(config)
+    if schedule.total_steps > SAMPLING_STEPS:
+        schedule = schedule.respaced(SAMPLING_STEPS)
     return GuidedSampler(
         backbone,
         content_adapter=content_adapter,
         style_adapter=style_adapter,
         **dataclasses.asdict(config.guidance),
-        schedule=_schedule_from(config).respaced(config.schedule.sampling_steps),
+        schedule=schedule,
         **overrides,
     )
 

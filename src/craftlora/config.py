@@ -67,8 +67,6 @@ class ScheduleSettings:
     total_steps: int = 50
     beta_start: float = 0.002
     beta_end: float = 0.25
-    # the reverse steps `sample` and `eval` take, evenly spaced over the schedule
-    sampling_steps: int = 25
 
     def validate(self):
         _check_types(self, "schedule")
@@ -76,11 +74,6 @@ class ScheduleSettings:
             raise ConfigInvalid("schedule.total_steps must be positive")
         if not 0.0 < self.beta_start <= self.beta_end < 1.0:
             raise ConfigInvalid("schedule betas must satisfy 0 < start <= end < 1")
-        if not 2 <= self.sampling_steps <= self.total_steps:
-            raise ConfigInvalid(
-                f"schedule.sampling_steps must lie in [2, {self.total_steps}], "
-                f"got {self.sampling_steps}"
-            )
 
 
 @dataclass

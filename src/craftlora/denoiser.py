@@ -8,6 +8,7 @@ the first layer through a fixed projection, next to a sinusoidal timestep
 embedding, so checkpoints of the named layers fully determine sampling.
 """
 
+import copy
 import functools
 import math
 from typing import NamedTuple
@@ -45,7 +46,7 @@ class NoiseSchedule:
     reads the full schedule.
     """
 
-    def __init__(self, betas, timesteps=None):
+    def __init__(self, betas):
         betas = np.asarray(betas, dtype=np.float64)
         if betas.ndim != 1 or betas.size < 1:
             raise ConfigInvalid("betas must be a non-empty 1-D sequence")
@@ -56,17 +57,16 @@ class NoiseSchedule:
         self.betas = betas
         self.alphas = 1.0 - betas
         self.alpha_bars = np.cumprod(self.alphas)
-        n = betas.size
-        kept = tuple(range(1, n + 1)) if timesteps is None else tuple(map(as_timestep, timesteps))
-        rising = all(a < b for a, b in zip(kept, kept[1:]))
-        if not (kept and kept[0] == 1 and kept[-1] == n and rising):
-            raise ConfigInvalid(f"timesteps must rise from 1 to {n}, got {list(kept)}")
-        self.timesteps = kept
+        self._keep(range(1, betas.size + 1))
+
+    def _keep(self, kept):
+        """Keep the ascending steps ``kept``, 1 to T, and build their scalars."""
+        self.timesteps = tuple(kept)
         # Python floats: the same IEEE arithmetic as NumPy scalars, faster to read
-        abars, bts, ats = (v.tolist() for v in (self.alpha_bars, betas, self.alphas))
+        abars, bts, ats = (v.tolist() for v in (self.alpha_bars, self.betas, self.alphas))
         coefs = {}
         s = 0
-        for t in kept:
+        for t in self.timesteps:
             ab = abars[t - 1]
             abp = abars[s - 1] if s else 1.0
             if s == t - 1:
@@ -111,8 +111,9 @@ class NoiseSchedule:
         n = self.total_steps
         if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 2 <= k <= n:
             raise ConfigInvalid(f"a respaced schedule keeps 2 to {n} steps, got {k!r}")
-        kept = np.round(np.linspace(1, n, k)).astype(int)
-        return NoiseSchedule(self.betas, kept.tolist())
+        spaced = copy.copy(self)
+        spaced._keep(np.round(np.linspace(1, n, k)).astype(int).tolist())
+        return spaced
 
     @property
     def total_steps(self):

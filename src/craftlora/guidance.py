@@ -8,8 +8,7 @@ step, whose 2N rows are the N conditional and the N unconditional inputs:
 two network evaluations per step, like standard CFG, in one call.
 
 The step loop runs in float32, the precision checkpoints store (see
-``sampling_host`` and ``plan_guidance``); the noise draws and everything
-outside the loop are float64.
+``plan_guidance``); the noise draws and everything outside the loop are float64.
 """
 
 import math
@@ -61,16 +60,6 @@ def temporal_alpha(t, settings, total_steps):
     return settings.alpha_min + (settings.alpha_max - settings.alpha_min) * g
 
 
-class SamplingHost(NamedTuple):
-    """A host and its two adapters, with the float32 copies the guided
-    steps read, cast once by ``sampling_host``."""
-
-    backbone: object  # the float64 host ``Backbone``
-    adapters: tuple  # (content, style) ``LoraAdapter``s, either may be None
-    weights: dict  # layer name -> the host's float32 weight, in layer order
-    factors: tuple  # per adapter, layer name -> its float32 (down, up); {} for None
-
-
 class GuidancePlan(NamedTuple):
     """What the guided steps of one call share: built and checked once, float32."""
 
@@ -91,40 +80,22 @@ def _float32(arr, what):
         raise NumericalError(f"{what} lies outside float32's range") from None
 
 
-def sampling_host(backbone, content_adapter, style_adapter):
-    """The ``SamplingHost`` of a host and its adapters (either may be None).
-
-    A host weight or an adapter factor beyond float32's range raises
-    ``NumericalError`` naming its layer.
-    """
-    adapters = (content_adapter, style_adapter)
-    with np.errstate(over="raise"):
-        weights = {name: _float32(w, f"host layer {name!r}") for name, w in backbone.items()}
-        factors = tuple(
-            {
-                name: tuple(_float32(f, f"adapter factor on {name!r}") for f in pair)
-                for name, pair in (adapter.factors.items() if adapter is not None else ())
-            }
-            for adapter in adapters
-        )
-    return SamplingHost(backbone, adapters, weights, factors)
-
-
 def plan_guidance(
-    host, gamma_content, gamma_style, e_rows, symmetric, settings, total_steps, timesteps,
+    w_init, content_adapter, style_adapter, gamma_content, gamma_style, e_rows, symmetric,
+    settings, total_steps, timesteps,
 ):
     """The ``GuidancePlan`` of ``guided_eps_parts`` for N rows over ``timesteps``.
 
-    ``host`` is a ``sampling_host``, ``e_rows`` holds the rows' (N,
-    EMB_DIM) embeddings and each gain is one per row or one for all. Each
-    timestep gets its ``adapter_terms`` at the gains times alpha times the
-    window indicator, and its ``(eff_c, eff_s, alpha)``, an effective gain
-    being that of the largest row gain. The ``[e; 0]`` conditioning is
-    projected once (a zero row adds nothing). Everything the steps read is
-    float32: the host's cast weights and factors, each adapted layer's
-    scale columns (one cast of all timesteps' product) and the projected
-    conditioning. A scale beyond float32's range raises ``NumericalError``
-    naming its layer.
+    ``e_rows`` holds the rows' (N, EMB_DIM) embeddings and each gain is one
+    per row or one for all. Each timestep gets its ``adapter_terms`` at the
+    gains times alpha times the window indicator, and its ``(eff_c, eff_s,
+    alpha)``, an effective gain being that of the largest row gain. The
+    ``[e; 0]`` conditioning is projected once (a zero row adds nothing).
+    Everything the steps read is float32, cast once here: the host weights,
+    each adapted layer's factors, its scale columns (one cast of all
+    timesteps' product) and the projected conditioning. A host weight or
+    an adapter factor or scale beyond float32's range raises
+    ``NumericalError`` naming its layer.
     """
     e_rows = np.asarray(e_rows, dtype=np.float64)
     if e_rows.ndim != 2 or e_rows.shape[1] != EMB_DIM:
@@ -132,11 +103,13 @@ def plan_guidance(
     if not np.isfinite(e_rows).all():
         raise ValueError("e_rows contains non-finite entries")
     n_rows = e_rows.shape[0]
-    w_init = host.backbone
-    terms = adapter_terms(w_init, *host.adapters, gamma_content, gamma_style, e_rows)
+    terms = adapter_terms(
+        w_init, content_adapter, style_adapter, gamma_content, gamma_style, e_rows
+    )
+    content_layers = content_adapter.factors if content_adapter is not None else {}
     peaks = tuple(
         float(np.max(gamma)) if adapter is not None else 0.0
-        for adapter, gamma in zip(host.adapters, (gamma_content, gamma_style))
+        for adapter, gamma in ((content_adapter, gamma_content), (style_adapter, gamma_style))
     )
     timesteps = [as_timestep(t) for t in timesteps]
     alphas = [temporal_alpha(t, settings, total_steps) for t in timesteps]
@@ -148,15 +121,18 @@ def plan_guidance(
     width = w_init.shape(w_init.names[0])[1]
     cond = project_conditioning(np.concatenate([e_rows, np.zeros_like(e_rows)]), width)
     with np.errstate(over="raise"):
+        weights = {name: _float32(w, f"host layer {name!r}") for name, w in w_init.items()}
         layers = []
-        for name, (scale, _, _) in terms.items():
-            branch = int(name not in host.factors[0])
+        for name, (scale, down, up) in terms.items():
+            branch = int(name not in content_layers)
             if symmetric:
                 scale = np.concatenate([scale, scale])
             # every timestep's scale columns in one product and one cast,
             # split into one (rows, 1) column per timestep
             columns = _float32(gains[:, branch, None, None] * scale, f"adapter scale on {name!r}")
-            layers.append((name, branch, list(columns), *host.factors[branch][name]))
+            down = _float32(down, f"adapter factor on {name!r}")
+            up = _float32(up, f"adapter factor on {name!r}")
+            layers.append((name, branch, list(columns), down, up))
         cond = ProjectedConditioning(_float32(cond.rows, "the projected conditioning"))
     steps = {}
     for i, (t, alpha) in enumerate(zip(timesteps, alphas)):
@@ -169,7 +145,7 @@ def plan_guidance(
         eff_c, eff_s = (gain * peak for gain, peak in zip(step_gains, peaks))
         steps[t] = (step_terms, (eff_c, eff_s, alpha))
     inputs = np.empty((2 * n_rows, w_init.input_dim), dtype=np.float32)
-    return GuidancePlan(host.weights, n_rows, cond, steps, inputs)
+    return GuidancePlan(weights, n_rows, cond, steps, inputs)
 
 
 def guided_eps_parts(x_rows, t, plan):
@@ -232,11 +208,10 @@ class GuidedSampler:
     ``trace_`` the per-step diagnostic records of each row; ``sample``
     leaves its single row's records. The steps are the schedule's kept
     ``timesteps``: every step of ``NoiseSchedule.linear()`` by default, or
-    those of a ``respaced`` schedule. Every step clamps its clean estimate
+    those of a ``respaced`` schedule; a guidance window that holds none of
+    them raises ``ConfigInvalid``. Every step clamps its clean estimate
     to ``X0_RANGE`` (the ``x0_map`` of ``ddpm_step``), so the last step
-    returns images in that range. The host and the adapters are cast to
-    float32 once, here (``sampling_host``); a host weight or a factor
-    beyond float32's range raises ``NumericalError``.
+    returns images in that range.
     """
 
     def __init__(
@@ -257,14 +232,24 @@ class GuidedSampler:
         for name, gamma in (("gamma_content", gamma_content), ("gamma_style", gamma_style)):
             if gamma is not None and not (math.isfinite(gamma) and gamma >= 0.0):
                 raise ConfigInvalid(f"{name} must be finite and nonnegative, got {gamma}")
+        self.backbone = backbone
+        self.content_adapter = content_adapter
+        self.style_adapter = style_adapter
         self.gamma_content = gamma_content
         self.gamma_style = gamma_style
         self.symmetric_cfg = symmetric_cfg
         self.schedule = schedule or NoiseSchedule.linear()
         self.settings = GuidanceSettings(**guidance)
         self.settings.validate(self.schedule.total_steps)
+        kept = self.schedule.timesteps
+        for label in ("content", "style"):
+            lo, hi = getattr(self.settings, f"{label}_window")
+            if not any(lo <= t <= hi for t in kept):
+                raise ConfigInvalid(
+                    f"guidance.{label}_window [{lo}, {hi}] holds none of the "
+                    f"{len(kept)} sampled steps {list(kept)}"
+                )
         self.record_trace = record_trace
-        self.host = sampling_host(backbone, content_adapter, style_adapter)
 
     def _resolve_gammas(self, spec):
         gc = self.gamma_content
@@ -302,8 +287,7 @@ class GuidedSampler:
         seeds = list(seeds)
         if not prompts or len(prompts) != len(seeds):
             raise ConfigInvalid("sample_batch needs one seed per prompt, and at least one prompt")
-        pixels = self.host.backbone.input_dim
-        side = int(math.isqrt(pixels))
+        side = int(math.isqrt(self.backbone.input_dim))
         # the float64 images come before the plan and the loop's temporaries:
         # allocated after them, each image a caller keeps splits the heap the
         # next call reuses (a batch-1 caller keeping 4,096 images read 3.2 MB
@@ -312,13 +296,15 @@ class GuidedSampler:
         specs = [parse_prompt(p) for p in prompts]
         e_rows = np.stack([encode_semantic(spec.stripped) for spec in specs])
         # a missing adapter's gains are ignored
-        gains = np.array([self._resolve_gammas(spec) for spec in specs]) * [
-            adapter is not None for adapter in self.host.adapters
-        ]
+        gains = np.array([self._resolve_gammas(spec) for spec in specs]) * (
+            self.content_adapter is not None,
+            self.style_adapter is not None,
+        )
         settings = self.settings
         schedule = self.schedule
         plan = plan_guidance(
-            self.host, gains[:, 0], gains[:, 1], e_rows, self.symmetric_cfg,
+            self.backbone, self.content_adapter, self.style_adapter,
+            gains[:, 0], gains[:, 1], e_rows, self.symmetric_cfg,
             settings, schedule.total_steps, schedule.timesteps,
         )
         # one stream per distinct seed, in order of first appearance
@@ -327,7 +313,7 @@ class GuidedSampler:
         rows = None if len(rngs) == len(seeds) else [streams[seed] for seed in seeds]
 
         def draw():
-            out = standard_normal_rows(rngs, pixels).astype(np.float32)
+            out = standard_normal_rows(rngs, self.backbone.input_dim).astype(np.float32)
             return out if rows is None else out[rows]
 
         n_evals = 0

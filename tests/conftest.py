@@ -12,7 +12,7 @@ from craftlora.denoiser import (
     forward_pass,
     project_conditioning,
 )
-from craftlora.guidance import guided_eps, guided_eps_parts, plan_guidance, sampling_host
+from craftlora.guidance import guided_eps, guided_eps_parts, plan_guidance
 from craftlora.pairs import generate_pair_dataset
 from craftlora.prompts import encode_semantic, parse_prompt
 from craftlora.subspace import member_embedding
@@ -61,8 +61,8 @@ def parts_of_image(x, t, e_sem, backbone, content, style, gamma_c, gamma_s, sett
     50-step schedule, through a plan of that step alone; the predictions
     have the shape of ``x``."""
     plan = plan_guidance(
-        sampling_host(backbone, content, style), gamma_c, gamma_s, np.reshape(e_sem, (1, -1)),
-        symmetric, settings, 50, (t,),
+        backbone, content, style, gamma_c, gamma_s, np.reshape(e_sem, (1, -1)), symmetric,
+        settings, 50, (t,),
     )
     eps_cond, eps_uncond, gains = guided_eps_parts(np.reshape(x, (1, -1)), t, plan)
     return eps_cond.reshape(np.shape(x)), eps_uncond.reshape(np.shape(x)), gains

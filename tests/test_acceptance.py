@@ -13,8 +13,8 @@ import pytest
 
 from craftlora import adapters
 from craftlora.adapters import KINDS, LoraTrainer, adapter_loss, default_routing, make_adapter
-from craftlora.cli import main as cli_main
-from craftlora.config import GuidanceSettings, ScheduleSettings
+from craftlora.cli import SAMPLING_STEPS, main as cli_main
+from craftlora.config import GuidanceSettings
 from craftlora.denoiser import DenoiserTrainer, NoiseSchedule, init_backbone
 from craftlora.frequency import gaussian_lowpass, style_residual
 from craftlora.guidance import GuidedSampler
@@ -367,7 +367,7 @@ def test_directional_disentanglement():
             base = base_trainer.backbone_
             schedule = NoiseSchedule.linear()
             # the schedule that `craftlora sample` and `eval` run at the defaults
-            respaced = schedule.respaced(ScheduleSettings.sampling_steps)
+            respaced = schedule.respaced(SAMPLING_STEPS)
 
             tuner = TrunkFinetuner(steps=500, seed=derive_seed(seed, "trunk"))
             tuner.fit(base, pairs)

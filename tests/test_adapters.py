@@ -19,7 +19,7 @@ from craftlora.exceptions import (
     NumericalError,
     RoutingViolation,
 )
-from craftlora.guidance import plan_guidance, sampling_host
+from craftlora.guidance import plan_guidance
 from craftlora.pairs import content_render, style_render
 from craftlora.utils import make_rng
 
@@ -183,8 +183,7 @@ class TestAggregateWeights:
             "adapter_terms": lambda: adapter_terms(backbone, ca, sa, *gains, E_ROW),
             "aggregate_weights": lambda: aggregate_weights(backbone, ca, sa, *gains, E_ROW),
             "plan_guidance": lambda: plan_guidance(
-                sampling_host(backbone, ca, sa), *gains, E_ROW, False, GuidanceSettings(), 50,
-                (50,),
+                backbone, ca, sa, *gains, E_ROW, False, GuidanceSettings(), 50, (50,)
             ),
         }
         for name, call in calls.items():

@@ -9,8 +9,7 @@ import numpy as np
 import pytest
 
 from craftlora.checkpoint import inspect_checkpoint, load_backbone, save_backbone
-from craftlora.cli import main
-from craftlora.config import ScheduleSettings
+from craftlora.cli import SAMPLING_STEPS, main
 from craftlora.denoiser import NoiseSchedule, init_backbone
 from craftlora.pgm import pgm_bytes, read_pgm
 
@@ -481,7 +480,7 @@ class TestSample:
         assert img.shape == (16, 16)
         lines = trace.read_text().splitlines()
         # one record per kept step of the respaced schedule
-        assert len(lines) == ScheduleSettings.sampling_steps == 25
+        assert len(lines) == SAMPLING_STEPS == 25
         assert lines[0].startswith("t=50 ") and lines[-1].startswith("t=1 ")
 
     def test_non_finite_prediction_exits_3_and_keeps_old_image(
@@ -522,7 +521,7 @@ class TestSample:
         self, workspace, tmp_path, monkeypatch, capsys
     ):
         # a checkpoint stores float32, so the oversized host is handed over
-        # at load time; the sampler refuses it when it casts the host
+        # at load time; the sampler refuses it when it casts the host to float32
         from craftlora import checkpoint
 
         root, config_path = workspace
@@ -543,6 +542,45 @@ class TestSample:
         assert code == 3
         assert capsys.readouterr().err.startswith(
             "numerical failure: host layer 'layer8' lies outside float32's range"
+        )
+        assert not (tmp_path / "never.pgm").exists()
+
+    def test_schedule_of_at_most_25_steps_samples_every_step(self, workspace, tmp_path):
+        root, _ = workspace
+        conf = tmp_path / "short.json"
+        conf.write_text(json.dumps({
+            **LIGHT_CONFIG,
+            "schedule": {"total_steps": 20},
+            "guidance": {"omega": 2.0, "content_window": [1, 15], "style_window": [10, 20]},
+        }))
+        trace = tmp_path / "trace.txt"
+        code = run_cli([
+            "sample", "--config", conf,
+            "--prompt", "a filled disc <c> in fine stripe style <s>",
+            "--backbone", root / "trunk.crft",
+            "--out", tmp_path / "img.pgm", "--trace", trace,
+        ])
+        assert code == 0
+        lines = trace.read_text().splitlines()
+        assert [line.split()[0] for line in lines] == [f"t={t}" for t in range(20, 0, -1)]
+
+    def test_window_between_sampled_steps_exits_1(self, workspace, tmp_path, capsys):
+        # [24, 25] lies inside the 50-step schedule but holds none of the
+        # sampled steps (23 and 26 are the nearest)
+        root, _ = workspace
+        conf = tmp_path / "narrow.json"
+        conf.write_text(json.dumps({**LIGHT_CONFIG, "guidance": {"style_window": [24, 25]}}))
+        capsys.readouterr()
+        code = run_cli([
+            "sample", "--config", conf,
+            "--prompt", "a filled disc <c> in fine stripe style <s>",
+            "--backbone", root / "trunk.crft",
+            "--style-adapter", root / "style.crft",
+            "--out", tmp_path / "never.pgm",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "config error: guidance.style_window [24, 25] holds none of the 25 sampled steps"
         )
         assert not (tmp_path / "never.pgm").exists()
 
@@ -866,7 +904,7 @@ class TestEval:
         ])
         assert code == 0
         # the 2x2 grid is one batch: one reverse step per kept step
-        kept = NoiseSchedule.linear().respaced(ScheduleSettings.sampling_steps).timesteps
+        kept = NoiseSchedule.linear().respaced(SAMPLING_STEPS).timesteps
         assert len(kept) == 25 and steps == list(reversed(kept))
 
     def test_thread_count_never_changes_bytes(self, workspace, tmp_path):

@@ -60,7 +60,6 @@ class TestRunConfig:
     def test_defaults_validate(self):
         config = RunConfig().validate()
         assert config.schedule.total_steps == 50
-        assert config.schedule.sampling_steps == 25
         assert config.trunk.lambda_reg == 1e-4
         assert config.trunk.alpha_perc == 0.1
         assert config.adapter.rank == 16
@@ -117,30 +116,6 @@ class TestRunConfig:
         assert exit_info.value.code == 1
         assert capsys.readouterr().err.startswith(f"config error: {field} must be ")
         assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "value, message",
-        [(0, "lie in"), (1, "lie in"), (51, "lie in"), (2.5, "be an integer"), (True, "be an integer")],
-        ids=["0", "1", "51", "2.5", "true"],
-    )
-    def test_sampling_steps_outside_the_schedule_exit_one(self, value, message, tmp_path, capsys):
-        doc = {"schedule": {"sampling_steps": value}}
-        error = f"schedule.sampling_steps must {message}"
-        with pytest.raises(ConfigInvalid, match=f"^{error}"):
-            config_from_dict(doc)
-        conf = tmp_path / "conf.json"
-        conf.write_text(json.dumps(doc))
-        out = tmp_path / "pairs"
-        with pytest.raises(SystemExit) as exit_info:
-            main(["gen-pairs", "--config", str(conf), "--out", str(out)])
-        assert exit_info.value.code == 1
-        assert capsys.readouterr().err.startswith(f"config error: {error}")
-        assert not out.exists()
-
-    def test_sampling_steps_may_reach_the_schedule_length(self):
-        doc = {"schedule": {"total_steps": 40, "sampling_steps": 40},
-               "guidance": {"style_window": [15, 40]}}
-        assert config_from_dict(doc).schedule.sampling_steps == 40
 
     @pytest.mark.parametrize("section", ["denoiser", "trunk", "adapter"])
     def test_edge_training_rates_accepted(self, section):

@@ -108,8 +108,8 @@ class TestRespacedSchedule:
     def test_non_consecutive_steps_are_the_closed_form(self, schedule):
         # the ancestral posterior of a jump from t to s, written in float64
         # with a = alpha_bar(t) / alpha_bar(s) and beta' = 1 - a
-        jumps = NoiseSchedule(schedule.betas, (1, 48, 50))
-        for t, s in ((50, 48), (48, 1)):
+        jumps = schedule.respaced(25)
+        for t, s in ((50, 48), (26, 23), (3, 1)):
             ab_t, ab_s = schedule.alpha_bars[t - 1], schedule.alpha_bars[s - 1]
             a = ab_t / ab_s
             beta = 1.0 - a
@@ -140,14 +140,6 @@ class TestRespacedSchedule:
     def test_step_count_outside_two_to_t_refused(self, schedule, k):
         with pytest.raises(ConfigInvalid, match="keeps 2 to 50 steps"):
             schedule.respaced(k)
-
-    @pytest.mark.parametrize(
-        "timesteps",
-        [(), (2, 50), (1, 49), (1, 30, 30, 50), (1, 40, 30, 50), (0, 1, 50), (1, 50, 51)],
-    )
-    def test_kept_steps_must_rise_from_one_to_t(self, schedule, timesteps):
-        with pytest.raises(ConfigInvalid, match="timesteps must rise from 1 to 50"):
-            NoiseSchedule(schedule.betas, timesteps)
 
 
 class TestBackbone:

@@ -19,7 +19,6 @@ from craftlora.guidance import (
     guided_eps,
     guided_eps_parts,
     plan_guidance,
-    sampling_host,
     temporal_alpha,
 )
 from craftlora.pairs import CONTENT_PROMPTS, STYLE_PROMPTS, content_render, style_render
@@ -279,7 +278,7 @@ class TestGuidedParts:
 
     def test_plan_refuses_other_rows_and_unplanned_steps(self, trained_base, null64):
         plan = plan_guidance(
-            sampling_host(trained_base, None, None), 0.0, 0.0, np.stack([null64, null64]), False,
+            trained_base, None, None, 0.0, 0.0, np.stack([null64, null64]), False,
             GuidanceSettings(), 50, (7,),
         )
         x = make_rng(12).standard_normal((2, 256))
@@ -295,9 +294,9 @@ class TestGuidedParts:
         # would read the windows and the alpha ramp at those steps; a NumPy
         # integer is its int
         settings = GuidanceSettings()
-        host = sampling_host(trained_base, None, None)
         plan = plan_guidance(
-            host, 0.0, 0.0, null64[None, :], False, settings, 50, (1, np.int64(7)),
+            trained_base, None, None, 0.0, 0.0, null64[None, :], False, settings, 50,
+            (1, np.int64(7)),
         )
         x = make_rng(13).standard_normal((1, 256))
         for t in (7.2, 7.0, True):
@@ -308,7 +307,10 @@ class TestGuidedParts:
             with pytest.raises(OutOfRange, match="integer timestep"):
                 temporal_alpha(t, settings, 50)
             with pytest.raises(OutOfRange, match="integer timestep"):
-                plan_guidance(host, 0.0, 0.0, null64[None, :], False, settings, 50, (1, t))
+                plan_guidance(
+                    trained_base, None, None, 0.0, 0.0, null64[None, :], False, settings, 50,
+                    (1, t),
+                )
         assert gamma_schedule(np.int64(2), (1, 35), (15, 50)) == gamma_schedule(2, (1, 35), (15, 50))
         assert temporal_alpha(np.int64(2), settings, 50) == temporal_alpha(2, settings, 50)
         cond, uncond, gains = guided_eps_parts(x, np.int64(7), plan)
@@ -320,8 +322,8 @@ class TestGuidedParts:
         content, style = adapters
         e_rows = encode_semantic("a filled disc")[None, :]
         plan = plan_guidance(
-            sampling_host(trained_base, content, style), 1.0, 1.0, e_rows, False,
-            GuidanceSettings(), 50, range(1, 51),
+            trained_base, content, style, 1.0, 1.0, e_rows, False, GuidanceSettings(), 50,
+            range(1, 51),
         )
         assert all(w.dtype == np.float32 for w in plan.weights.values())
         assert plan.cond.rows.dtype == np.float32 and plan.inputs.dtype == np.float32
@@ -338,12 +340,11 @@ class TestGuidedParts:
         down, up = adapter.factors[layer]
         adapter.factors[layer] = (down, np.full_like(up, 1e306))
         content, style = (adapter, None) if slot == "content" else (None, adapter)
-        for build in (
-            lambda: sampling_host(trained_base, content, style),
-            lambda: GuidedSampler(trained_base, content_adapter=content, style_adapter=style),
-        ):
-            with pytest.raises(NumericalError, match=rf"^adapter factor on '{layer}' lies outside"):
-                build()
+        with pytest.raises(NumericalError, match=rf"^adapter factor on '{layer}' lies outside"):
+            plan_guidance(
+                trained_base, content, style, 1.0, 1.0, encode_semantic("a filled disc")[None, :],
+                False, GuidanceSettings(), 50, (10,),
+            )
 
 
 class TestGuidedSampler:
@@ -678,8 +679,8 @@ class TestSampleBatch:
         config = sampler.settings
         for t in range(schedule.total_steps, 0, -1):
             plan = plan_guidance(
-                sampling_host(trained_base, content, style), gains[:, 0], gains[:, 1], e_rows,
-                symmetric, config, schedule.total_steps, (t,),
+                trained_base, content, style, gains[:, 0], gains[:, 1], e_rows, symmetric,
+                config, schedule.total_steps, (t,),
             )
             eps_cond, eps_uncond, _ = guided_eps_parts(x, t, plan)
             eps = guided_eps(eps_cond, eps_uncond, config.omega)
@@ -860,3 +861,10 @@ class TestRespacedSampling:
             alpha = temporal_alpha(t, sampler.settings, 50)
             assert line.startswith(f"t={t} ") and f" alpha={alpha:.9g} " in line
         assert np.isfinite(images).all() and images.min() >= 0.0 and images.max() <= 1.0
+
+    def test_window_must_hold_a_kept_step(self, trained_base, schedule):
+        GuidedSampler(trained_base, schedule=schedule, style_window=(24, 25))
+        with pytest.raises(ConfigInvalid, match=r"^guidance.style_window \[24, 25\] holds none"):
+            GuidedSampler(trained_base, schedule=schedule.respaced(25), style_window=(24, 25))
+        with pytest.raises(ConfigInvalid, match=r"^guidance.content_window \[2, 49\] holds none"):
+            GuidedSampler(trained_base, schedule=schedule.respaced(2), content_window=(2, 49))

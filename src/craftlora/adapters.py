@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import AdapterSettings
-from .denoiser import NoiseSchedule, backward_pass, forward_pass
+from .denoiser import NoiseSchedule, denoising_loss
 from .exceptions import ConfigInvalid, MarkerMissing, RoutingViolation, ShapeMismatch
 from .optim import Adam
 from .prompts import EMB_DIM, encode_semantic, parse_prompt
@@ -175,7 +175,7 @@ def aggregate_weights(w_init, content_adapter, style_adapter, gamma_content, gam
 
 
 def adapter_loss(w_init, adapter, reference, e_sem, schedule, draw):
-    """Epsilon-matching objective of the adapted model on one reference.
+    """``denoising_loss`` of the adapted model on one reference.
 
     ``draw`` is a (ts, noises) pair whose leading axis holds one draw per
     row, so the value is a pure function of its arguments; the draws run
@@ -195,16 +195,12 @@ def adapter_loss(w_init, adapter, reference, e_sem, schedule, draw):
         raise ShapeMismatch(
             f"{noise.size} noise values for {rows} draws of {reference.size} pixels"
         )
-    noise = noise.reshape(rows, -1)
-    ab = schedule.alpha_bar(ts)[:, None]
-    z_t = np.sqrt(ab) * reference.reshape(1, -1) + np.sqrt(1.0 - ab) * noise
     e_rows = np.repeat(e_sem[None, :], rows, axis=0)
     pair = (adapter, None) if adapter.kind == "content" else (None, adapter)
     terms = adapter_terms(w_init, *pair, 1.0, 1.0, e_rows)
-    pred, cache = forward_pass(z_t, ts, e_rows, w_init, terms)
-    resid = pred - noise
-    loss = float(np.mean(resid * resid))
-    term_grads = backward_pass(cache, w_init, 2.0 * resid / resid.size, terms)
+    loss, term_grads = denoising_loss(
+        w_init, reference.reshape(1, -1), ts, noise.reshape(rows, -1), e_rows, schedule, terms
+    )
 
     factor_grads = {name: (d_down, d_up) for name, (d_down, d_up, _) in term_grads.items()}
     gate = float(adapter.gate(e_sem[None, :])[0])

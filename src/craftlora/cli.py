@@ -43,7 +43,7 @@ from .pairs import (
     style_render,
 )
 from .pgm import pgm_bytes, read_pgm
-from .subspace import TrunkFinetuner, member_embedding
+from .subspace import TrunkFinetuner, member_embeddings, member_targets
 from .utils import derive_seed, run_row_blocks
 
 USAGE_EXIT = 1
@@ -66,20 +66,21 @@ def _load_run_config(path, seed):
     return config
 
 
+def _base_rows(dataset):
+    """The base denoiser's images, in the pairs' shape, and embeddings: each
+    pair's content member, then its style member, under its member prompt."""
+    images = member_targets(dataset).swapaxes(0, 1).reshape(-1, *dataset[0].content_image.shape)
+    embeddings = member_embeddings(dataset).swapaxes(0, 1).reshape(len(images), -1)
+    return images, embeddings
+
+
 def _train_base_denoiser(config, dataset):
-    images = []
-    embeddings = []
-    for pair in dataset:
-        images.append(pair.content_image)
-        embeddings.append(member_embedding(pair, "content"))
-        images.append(pair.style_image)
-        embeddings.append(member_embedding(pair, "style"))
     trainer = DenoiserTrainer(
         **dataclasses.asdict(config.denoiser),
         schedule=_schedule_from(config),
         seed=derive_seed(config.seed, "base-denoiser"),
     )
-    trainer.fit(np.stack(images), np.stack(embeddings))
+    trainer.fit(*_base_rows(dataset))
     return trainer.backbone_
 
 

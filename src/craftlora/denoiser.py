@@ -389,6 +389,29 @@ def backward_pass(cache, backbone, d_out, terms=None):
     return grads
 
 
+def denoising_loss(weights, x0, ts, noise, cond, schedule, terms=None):
+    """The noise-matching objective that the base and the adapters train on:
+    the clean rows ``x0`` (one row broadcasts to every draw) noised at ``ts``
+    with the (rows, pixels) ``noise`` and run through ``forward_pass`` under
+    ``cond`` and ``terms``. Returns the mean squared error of the output
+    against the noise and its ``backward_pass`` gradients."""
+    ab = schedule.alpha_bar(ts)[:, None]
+    x_t = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * noise
+    pred, cache = forward_pass(x_t, ts, cond, weights, terms)
+    resid = pred - noise
+    loss = float(np.mean(resid * resid))
+    return loss, backward_pass(cache, weights, 2.0 * resid / resid.size, terms)
+
+
+def clean_estimate(x_t, out, sqrt_ab, sqrt_one_minus_ab):
+    """``(x_t - sqrt(1 - ab) out) / sqrt(ab)``, the clean image that the
+    network output ``out`` implies, and its derivative in ``out``; Python
+    float coefficients keep a float32 state in float32."""
+    x0_hat = x_t - sqrt_one_minus_ab * out
+    x0_hat /= sqrt_ab
+    return x0_hat, -sqrt_one_minus_ab / sqrt_ab
+
+
 def ddpm_step(x_t, t, eps_hat, schedule, noise=None, x0_map=None):
     """One reverse-process sample; at t == 1 the clean estimate, no noise.
 
@@ -426,8 +449,7 @@ def ddpm_step(x_t, t, eps_hat, schedule, noise=None, x0_map=None):
     # check covers all three; the estimate can also overflow where both
     # are finite, and a clipping map would hide that
     with np.errstate(over="ignore", invalid="ignore"):
-        x0_hat = x_t - c.sqrt_one_minus_ab * eps_hat
-        x0_hat /= c.sqrt_ab
+        x0_hat, _ = clean_estimate(x_t, eps_hat, c.sqrt_ab, c.sqrt_one_minus_ab)
     _check_finite(x0_hat, "the clean estimate", t, x_t, eps_hat)
     if x0_map is not None:
         x0_hat = np.asarray(x0_map(x0_hat), dtype=dtype)
@@ -477,7 +499,7 @@ def _check_finite(arr, name, t, x_t=None, eps_hat=None):
 
 
 class DenoiserTrainer:
-    """Adam trainer for the epsilon-matching objective.
+    """Adam trainer for the noise-matching objective, ``denoising_loss``.
 
     The keywords are the fields of ``DenoiserSettings``, with ``steps``
     accepted for ``train_steps``; they are validated here, once.
@@ -523,14 +545,8 @@ class DenoiserTrainer:
             ts = rng.integers(1, schedule.total_steps + 1, size=batch)
             noise = rng.standard_normal((batch, pixels))
             keep = rng.random(batch) >= cfg.cond_dropout
-            x0 = flat[idx]
-            ab = schedule.alpha_bar(ts)[:, None]
-            x_t = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * noise
             cond = embeddings[idx] * keep[:, None]
-            pred, acts = forward_pass(x_t, ts, cond, weights)
-            resid = pred - noise
-            d_out = 2.0 * resid / resid.size
-            return float(np.mean(resid * resid)), backward_pass(acts, weights, d_out)
+            return denoising_loss(weights, flat[idx], ts, noise, cond, schedule)
 
         history = train_loop("denoiser", cfg, cfg.train_steps, step, optimizer)
         for name, w in backbone.items():

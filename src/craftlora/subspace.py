@@ -14,13 +14,13 @@ projected out once to produce the frozen host for all adapter work.
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .adapters import KINDS
 from .config import DenoiserSettings, TrunkSettings
-from .denoiser import NoiseSchedule, backward_pass, forward_pass
+from .denoiser import NoiseSchedule, backward_pass, clean_estimate, forward_pass
 from .exceptions import (
     ConfigInvalid,
     EmptyBatch,
@@ -64,7 +64,7 @@ class SubspaceBases:
     """Learnable per-layer bases: each layer's content and style matrices as
     one (2, m, r) stack, in ``KINDS`` order."""
 
-    stacks: dict = field(default_factory=dict)
+    stacks: dict
 
     def side(self, kind):
         """One member's bases by layer, as views into the stacks."""
@@ -72,9 +72,6 @@ class SubspaceBases:
             raise ValueError(f"unknown basis kind {kind!r}")
         i = KINDS.index(kind)
         return {name: b[i] for name, b in self.stacks.items()}
-
-    def copy(self):
-        return SubspaceBases({name: b.copy() for name, b in self.stacks.items()})
 
 
 # Half-width of the uniform draw of the initial bases. Only the spanned
@@ -92,41 +89,31 @@ def init_bases(backbone, schedule, seed=0):
             f"schedule covers {schedule.n_layers} layers, backbone has {backbone.n_layers}"
         )
     rng = make_rng(seed, "bases-init")
-    bases = SubspaceBases()
+    stacks = {}
     for idx, (name, w) in enumerate(backbone.items(), start=1):
         r = schedule.rank_at(idx)
         if r > w.shape[0]:
             raise ConfigInvalid(
                 f"rank {r} exceeds the {w.shape[0]} input rows of layer {name!r}"
             )
-        bases.stacks[name] = rng.uniform(
+        stacks[name] = rng.uniform(
             -BASIS_INIT_SCALE, BASIS_INIT_SCALE, size=(len(KINDS), w.shape[0], r)
         )
-    return bases
+    return SubspaceBases(stacks)
 
 
 def merge_subspaces(b_content, b_style):
     """Orthonormal basis of the union span via concatenation and QR.
 
-    The operands need not be orthonormal. Degenerate (dependent) columns
-    are dropped, so identical operands come back at their original width
-    and disjoint ones at the summed width.
+    The operands need not be orthonormal and may have no columns, but their
+    rows must agree. Dependent columns are dropped, so identical operands
+    come back at their original width and disjoint ones at the summed width.
     """
     b_content = as_matrix(b_content, "b_content")
     b_style = as_matrix(b_style, "b_style")
-    if b_content.shape[1] == 0:
-        stacked = b_style
-    elif b_style.shape[1] == 0:
-        stacked = b_content
-    else:
-        if b_content.shape[0] != b_style.shape[0]:
-            raise ShapeMismatch(
-                f"row counts differ: {b_content.shape[0]} vs {b_style.shape[0]}"
-            )
-        stacked = np.hstack([b_content, b_style])
-    if stacked.shape[1] == 0:
-        return np.zeros((b_content.shape[0], 0))
-    q, _ = householder_qr(stacked)
+    if b_content.shape[0] != b_style.shape[0]:
+        raise ShapeMismatch(f"row counts differ: {b_content.shape[0]} vs {b_style.shape[0]}")
+    q, _ = householder_qr(np.hstack([b_content, b_style]))
     return q
 
 
@@ -261,17 +248,12 @@ def _basis_grads_from_weight_grads(backbone, cache, weight_grads):
     return out
 
 
-def member_embedding(pair, member):
-    """Prompt embedding for one pair member: base prompt plus its modifier."""
-    if member == "content":
-        return encode_semantic(f"{pair.content_prompt} {pair.style_modifier}")
-    return encode_semantic(f"{pair.content_modifier} {pair.style_prompt}")
-
-
 def member_embeddings(pairs):
-    """Both members' prompt embeddings, a (2, len(pairs), EMB_DIM) stack."""
+    """Both members' prompt embeddings, a (2, len(pairs), EMB_DIM) stack;
+    each member's prompt is its base prompt plus its modifier."""
     return np.stack([
-        np.stack([member_embedding(p, member) for p in pairs]) for member in KINDS
+        np.stack([encode_semantic(f"{p.content_prompt} {p.style_modifier}") for p in pairs]),
+        np.stack([encode_semantic(f"{p.content_modifier} {p.style_prompt}") for p in pairs]),
     ])
 
 
@@ -307,7 +289,7 @@ def _member_block(weights, targets, ts, noise, embs, feats_ref, schedule, alpha_
     root_1mab = np.sqrt(1.0 - ab)
     z_t = root_ab * targets + root_1mab * noise
     eps, acts = forward_pass(z_t, ts, embs, weights)
-    x0_hat = (z_t - root_1mab * eps) / root_ab
+    x0_hat, d_eps = clean_estimate(z_t, eps, root_ab, root_1mab)
 
     diff = x0_hat - targets
     task = np.abs(diff).sum(axis=(1, 2))
@@ -321,7 +303,7 @@ def _member_block(weights, targets, ts, noise, embs, feats_ref, schedule, alpha_
             task += alpha_perc * np.abs(fdiff).sum(axis=(1, 2)) / size
             d_feats.append((np.sign(fdiff) / size).reshape(fp.shape))
         d_x0 = d_x0 + alpha_perc * perceptual.input_grad(feats_pred, d_feats).reshape(diff.shape)
-    return task, acts, d_x0 * (-root_1mab / root_ab)
+    return task, acts, d_x0 * d_eps
 
 
 def trunk_loss(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from craftlora import denoiser
+from craftlora.cli import _base_rows
 from craftlora.denoiser import (
     DenoiserTrainer,
     NoiseSchedule,
@@ -15,19 +16,13 @@ from craftlora.denoiser import (
 from craftlora.guidance import guided_eps, guided_eps_parts, plan_guidance
 from craftlora.pairs import generate_pair_dataset
 from craftlora.prompts import encode_semantic, parse_prompt
-from craftlora.subspace import member_embedding
+from craftlora.subspace import SubspaceBases
 from craftlora.utils import make_rng
 
 
-def dataset_arrays(pairs):
-    """Stack pair members with their member-prompt embeddings."""
-    images, embeddings = [], []
-    for pair in pairs:
-        images.append(pair.content_image)
-        embeddings.append(member_embedding(pair, "content"))
-        images.append(pair.style_image)
-        embeddings.append(member_embedding(pair, "style"))
-    return np.stack(images), np.stack(embeddings)
+def copy_bases(bases):
+    """A deep copy of ``bases``: every layer's stack copied."""
+    return SubspaceBases({name: b.copy() for name, b in bases.stacks.items()})
 
 
 def eps_of_image(x, t, embedding, backbone):
@@ -112,6 +107,11 @@ def standard_cfg():
 
 
 @pytest.fixture(scope="session")
+def bases_copy():
+    return copy_bases
+
+
+@pytest.fixture(scope="session")
 def host32():
     return float32_host
 
@@ -157,9 +157,8 @@ def pair_dataset():
 @pytest.fixture(scope="session")
 def trained_base(pair_dataset):
     """One modestly trained 16x16 base model shared across the suite."""
-    images, embeddings = dataset_arrays(pair_dataset)
     trainer = DenoiserTrainer(steps=600, seed=0)
-    trainer.fit(images, embeddings)
+    trainer.fit(*_base_rows(pair_dataset))
     return trainer.backbone_
 
 

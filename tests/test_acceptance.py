@@ -236,7 +236,7 @@ def test_two_pass_cost(trained_base, acceptance_adapters, schedule):
         assert sampler.n_network_evals_ == 2 * 50
 
 
-def test_gradient_checks():
+def test_gradient_checks(bases_copy):
     with criterion("gradient-checks", 60):
         step = 1e-5
         rel_tol = 1e-4
@@ -264,9 +264,9 @@ def test_gradient_checks():
             name = list(bases.side(kind))[rng.integers(0, 3)]
             mat = bases.side(kind)[name]
             i, j = rng.integers(0, mat.shape[0]), rng.integers(0, mat.shape[1])
-            plus = bases.copy()
+            plus = bases_copy(bases)
             plus.side(kind)[name][i, j] += step
-            minus = bases.copy()
+            minus = bases_copy(bases)
             minus.side(kind)[name][i, j] -= step
             fd = (trunk_value(plus) - trunk_value(minus)) / (2 * step)
             an = grads[name][KINDS.index(kind), i, j]

@@ -15,6 +15,7 @@ from craftlora.denoiser import (
     activation,
     backward_pass,
     ddpm_step,
+    denoising_loss,
     forward_pass,
     init_backbone,
     project_conditioning,
@@ -188,7 +189,7 @@ class TestForwardNoise:
         assert mc < 0.2
 
 
-def clean_estimate(x_t, t, eps, schedule):
+def estimate_given_to_map(x_t, t, eps, schedule):
     """The clean estimate that ``ddpm_step`` hands its ``x0_map``."""
     seen = []
 
@@ -209,7 +210,7 @@ class TestPredictX0:
             x0 = rng.random((8, 8))
             t = int(rng.integers(1, schedule.total_steps + 1))
             noise = rng.standard_normal((8, 8))
-            back = clean_estimate(noised(x0, t, noise, schedule), t, noise, schedule)
+            back = estimate_given_to_map(noised(x0, t, noise, schedule), t, noise, schedule)
             worst = max(worst, float(np.abs(back - x0).max()))
         # at t == 1 an identity map makes the step return the estimate
         back = ddpm_step(
@@ -221,7 +222,7 @@ class TestPredictX0:
 
     def test_zero_eps(self, schedule):
         x_t = np.linspace(0, 1, 16).reshape(4, 4)
-        out = clean_estimate(x_t, 5, np.zeros((4, 4)), schedule)
+        out = estimate_given_to_map(x_t, 5, np.zeros((4, 4)), schedule)
         assert np.allclose(out, x_t / np.sqrt(schedule.alpha_bar(5)))
 
 
@@ -585,6 +586,45 @@ class TestDdpmStep:
 def unconditioned(images):
     """Each image with the null embedding."""
     return np.zeros((len(images), EMB_DIM))
+
+
+class TestDenoisingLoss:
+    def make_setup(self):
+        backbone = init_backbone(image_size=4, hidden_width=6, n_layers=4, seed=5)
+        rng = make_rng(31, "denoising-loss")
+        rows = 3
+        cond = rng.standard_normal((rows, EMB_DIM))
+        cond[1] = 0.0  # the null embedding
+        return (
+            backbone, rng.random((rows, 16)), np.array([1, 17, 50]),
+            rng.standard_normal((rows, 16)), cond,
+        )
+
+    def test_weight_gradients_match_finite_differences(self, schedule):
+        # every entry of every layer, the base denoiser's whole gradient
+        backbone, x0, ts, noise, cond = self.make_setup()
+        _, grads = denoising_loss(backbone, x0, ts, noise, cond, schedule)
+        assert set(grads) == set(backbone.names)
+        h = 1e-6
+        for name, w in backbone.items():
+            assert grads[name].shape == w.shape
+            for idx in np.ndindex(w.shape):
+                shifted = []
+                for step in (h, -h):
+                    arr = w.copy()
+                    arr[idx] += step
+                    moved = backbone.replace({name: arr})
+                    shifted.append(denoising_loss(moved, x0, ts, noise, cond, schedule)[0])
+                fd = (shifted[0] - shifted[1]) / (2 * h)
+                an = grads[name][idx]
+                assert abs(fd - an) <= 1e-6 * max(abs(fd), abs(an), 1e-3)
+
+    def test_one_clean_row_broadcasts_to_every_draw(self, schedule):
+        backbone, x0, ts, noise, cond = self.make_setup()
+        one = denoising_loss(backbone, x0[:1], ts, noise, cond, schedule)
+        each = denoising_loss(backbone, np.repeat(x0[:1], 3, axis=0), ts, noise, cond, schedule)
+        assert one[0] == each[0]
+        assert all(np.array_equal(one[1][name], each[1][name]) for name in backbone.names)
 
 
 class TestDenoiserTrainer:

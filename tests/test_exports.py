@@ -360,3 +360,10 @@ def test_one_reverse_loop():
     # every sampler steps through reverse_process, so a change to the step
     # sequence or the parameterization lands in one loop
     assert callers_of("ddpm_step") == {"denoiser.reverse_process"}
+
+
+def test_one_noise_matching_objective():
+    # the base and the adapters train through denoising_loss, and the trunk
+    # through trunk_loss, so a change to the parameterization lands in those
+    # two objectives
+    assert callers_of("backward_pass") == {"denoiser.denoising_loss", "subspace.trunk_loss"}

@@ -106,9 +106,9 @@ class TestSubspaceBases:
         with pytest.raises(ValueError):
             bases.side("texture")
 
-    def test_copy_is_deep(self):
+    def test_copy_is_deep(self, bases_copy):
         bases = SubspaceBases({"layer1": np.zeros((2, 5, 3))})
-        copied = bases.copy()
+        copied = bases_copy(bases)
         copied.side("content")["layer1"][0, 0] = 1.0
         assert not bases.stacks["layer1"].any()
 
@@ -137,6 +137,7 @@ class TestMergeSubspaces:
         merged = merge_subspaces(q_c, np.zeros((10, 0)))
         assert merged.shape[1] == 3
         assert svd_rank(np.hstack([merged, q_c])) == 3  # same span
+        assert merge_subspaces(np.zeros((10, 0)), np.zeros((10, 0))).shape == (10, 0)
 
     def test_identical_operands_do_not_grow(self):
         rng = np.random.default_rng(2)
@@ -164,6 +165,12 @@ class TestMergeSubspaces:
     def test_row_mismatch(self):
         with pytest.raises(ShapeMismatch):
             merge_subspaces(np.eye(4, 2), np.eye(5, 2))
+
+    def test_empty_operand_rows_are_checked(self):
+        with pytest.raises(ShapeMismatch, match="row counts differ: 4 vs 5"):
+            merge_subspaces(np.eye(4, 2), np.zeros((5, 0)))
+        with pytest.raises(ShapeMismatch, match="row counts differ: 4 vs 5"):
+            merge_subspaces(np.zeros((4, 0)), np.zeros((5, 0)))
 
     def test_raw_bases_merge_to_the_orthonormalized_span(self):
         # the trunk merges its bases as trained; a column of the style basis
@@ -228,7 +235,7 @@ class TestTrunkLoss:
         loss, _ = trunk_loss(bb, bases, pairs, 1e-4, 0.0, schedule, draws)
         assert np.isfinite(loss)
 
-    def test_gradients_match_finite_differences(self):
+    def test_gradients_match_finite_differences(self, bases_copy):
         bb, schedule, bases, pairs, draws, perc = self.make_setup()
         loss0, grads = trunk_loss(bb, bases, pairs, 1e-4, 0.1, schedule, draws, perceptual=perc)
 
@@ -243,9 +250,9 @@ class TestTrunkLoss:
             name = list(bases.side(kind))[rng.integers(0, 3)]
             mat = bases.side(kind)[name]
             i, j = rng.integers(0, mat.shape[0]), rng.integers(0, mat.shape[1])
-            plus = bases.copy()
+            plus = bases_copy(bases)
             plus.side(kind)[name][i, j] += h
-            minus = bases.copy()
+            minus = bases_copy(bases)
             minus.side(kind)[name][i, j] -= h
             fd = (value(plus) - value(minus)) / (2 * h)
             an = grads[name][KINDS.index(kind), i, j]

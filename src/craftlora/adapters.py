@@ -18,7 +18,7 @@ from .exceptions import ConfigInvalid, MarkerMissing, RoutingViolation, ShapeMis
 from .optim import Adam
 from .prompts import EMB_DIM, encode_semantic, parse_prompt
 from .utils import make_rng, train_loop
-from .validation import as_image, as_vector
+from .validation import as_image, float_dtype
 
 KINDS = ("content", "style")
 
@@ -109,13 +109,28 @@ def make_adapter(kind, backbone, routing, rank, seed=0, host_hash=""):
     )
 
 
-def _check_adapter(adapter):
-    allowed = set(adapter.routing.side(adapter.kind))
-    stray = set(adapter.factors) - allowed
-    if stray:
-        raise RoutingViolation(
-            f"{adapter.kind} adapter carries factors outside its set: {sorted(stray)}"
-        )
+def _check_adapters(w_init, adapters):
+    """Each adapter's factors lie in its routing set, no layer is claimed
+    twice, and every factor pair fits its host layer of ``w_init``."""
+    claimed = set()
+    for adapter in adapters:
+        stray = set(adapter.factors) - set(adapter.routing.side(adapter.kind))
+        if stray:
+            raise RoutingViolation(
+                f"{adapter.kind} adapter carries factors outside its set: {sorted(stray)}"
+            )
+        for name, (b, a) in adapter.factors.items():
+            if name in claimed:
+                raise RoutingViolation(f"layer {name!r} claimed by both adapters")
+            claimed.add(name)
+            if (
+                name not in w_init.names
+                or w_init.shape(name) != (b.shape[0], a.shape[1])
+                or b.shape[1] != a.shape[0]
+            ):
+                raise ShapeMismatch(
+                    f"adapter factors for {name!r} do not match the host layer"
+                )
 
 
 def adapter_terms(w_init, content_adapter, style_adapter, gamma_content, gamma_style, e_rows):
@@ -130,28 +145,20 @@ def adapter_terms(w_init, content_adapter, style_adapter, gamma_content, gamma_s
     also checks each adapter's routing, that no layer is claimed twice and
     that the factors fit the host.
     """
-    terms = {}
+    active = []
     for kind, adapter, gamma in (
         ("content", content_adapter, gamma_content), ("style", style_adapter, gamma_style)
     ):
         gamma = np.asarray(gamma, dtype=np.float64)
         if not (np.isfinite(gamma).all() and (gamma >= 0.0).all()):
             raise ConfigInvalid(f"gamma_{kind} must be finite and nonnegative")
-        if adapter is None or not np.any(gamma != 0.0):
-            continue
-        _check_adapter(adapter)
+        if adapter is not None and np.any(gamma != 0.0):
+            active.append((adapter, gamma))
+    _check_adapters(w_init, [adapter for adapter, _ in active])
+    terms = {}
+    for adapter, gamma in active:
         scale = (gamma * adapter.gate(e_rows)).reshape(-1, 1)
         for name, (b, a) in adapter.factors.items():
-            if name in terms:
-                raise RoutingViolation(f"layer {name!r} claimed by both adapters")
-            if (
-                name not in w_init.names
-                or w_init.shape(name) != (b.shape[0], a.shape[1])
-                or b.shape[1] != a.shape[0]
-            ):
-                raise ShapeMismatch(
-                    f"adapter factors for {name!r} do not match the host layer"
-                )
             terms[name] = (scale, b, a)
     return terms
 
@@ -177,33 +184,49 @@ def aggregate_weights(w_init, content_adapter, style_adapter, gamma_content, gam
 def adapter_loss(w_init, adapter, reference, e_sem, schedule, draw):
     """``denoising_loss`` of the adapted model on one reference.
 
-    ``draw`` is a (ts, noises) pair whose leading axis holds one draw per
-    row, so the value is a pure function of its arguments; the draws run
-    as the rows of one forward and backward pass, and the loss and
-    gradients are the means of the draws'. The adapter enters through
-    ``adapter_terms``, the sampler's unmerged form, with its gate as the
-    terms' scale. Returns the loss, the factor gradients ``{layer: (dB,
-    dA)}`` of the adapter's own layers (every other parameter is frozen)
-    and the gate gradients.
+    ``w_init`` is the host, a ``Backbone`` or a dict of its layer weights
+    in order, and ``adapter`` must fit it: the trainer checks that once
+    per fit (``_check_adapters``, the checks of ``adapter_terms``), not on
+    every step. ``draw`` is a (ts, noises) pair whose leading axis holds
+    one draw per row, so the value is a pure function of its arguments;
+    the draws run as the rows of one forward and backward pass, and the
+    loss and gradients are the means of the draws'. The adapter enters in
+    the sampler's unmerged form, its gate as every term's scale. The loss
+    runs in ``float_dtype`` of the (H, W) ``reference``, to which the noise
+    and the scale are cast; float32 also needs a float32 host, factors and
+    ``e_sem``. Returns the loss, the factor gradients ``{layer: (dB, dA)}``
+    of the adapter's own layers (every other parameter is frozen) and the
+    gate gradients.
     """
-    reference = as_image(reference, "reference")
-    e_sem = as_vector(e_sem, EMB_DIM, "e_sem")
+    reference = np.asarray(reference)
+    e_sem = np.asarray(e_sem)
+    if reference.ndim != 2 or e_sem.shape != (EMB_DIM,):
+        raise ShapeMismatch(
+            f"reference must be one (H, W) image and e_sem {EMB_DIM} wide, got shapes "
+            f"{reference.shape} and {e_sem.shape}"
+        )
+    dtype = float_dtype(reference)
     ts = np.asarray(draw[0], dtype=np.int64)
-    noise = np.asarray(draw[1], dtype=np.float64)
+    noise = np.asarray(draw[1], dtype=dtype)
     rows = ts.size
     if ts.ndim != 1 or noise.size != rows * reference.size:
         raise ShapeMismatch(
             f"{noise.size} noise values for {rows} draws of {reference.size} pixels"
         )
-    e_rows = np.repeat(e_sem[None, :], rows, axis=0)
-    pair = (adapter, None) if adapter.kind == "content" else (None, adapter)
-    terms = adapter_terms(w_init, *pair, 1.0, 1.0, e_rows)
+    gate = float(adapter.gate(e_sem[None, :])[0])
+    scale = np.full((rows, 1), gate, dtype=dtype)
+    terms = {name: (scale, b, a) for name, (b, a) in adapter.factors.items()}
     loss, term_grads = denoising_loss(
-        w_init, reference.reshape(1, -1), ts, noise.reshape(rows, -1), e_rows, schedule, terms
+        w_init,
+        reference.reshape(1, -1).astype(dtype, copy=False),
+        ts,
+        noise.reshape(rows, -1),
+        np.repeat(e_sem[None, :], rows, axis=0),
+        schedule,
+        terms,
     )
 
     factor_grads = {name: (d_down, d_up) for name, (d_down, d_up, _) in term_grads.items()}
-    gate = float(adapter.gate(e_sem[None, :])[0])
     d_gate_in = sum(float(ds.sum()) for _, _, ds in term_grads.values()) * gate * (1.0 - gate)
     return loss, factor_grads, (d_gate_in * e_sem, d_gate_in)
 
@@ -218,7 +241,10 @@ class LoraTrainer:
     ``adapter_`` and the loss curve in ``loss_history_``. The prompt must
     carry the marker matching ``kind``. Only the adapter's factors and
     gate train; the host and the layers outside the kind's set get no
-    gradient.
+    gradient. The fit runs in float32, the precision checkpoints store:
+    the host, the reference, the embedding and the fresh adapter are cast
+    once, each step's noise is drawn in float64 and cast once, and
+    ``adapter_`` holds float32 factors and ``gate_w``.
     """
 
     def __init__(self, kind, routing=None, schedule=None, host_hash="", seed=0, **settings):
@@ -252,13 +278,16 @@ class LoraTrainer:
         adapter = make_adapter(
             self.kind, backbone, routing, cfg.rank, seed=self.seed, host_hash=self.host_hash
         )
-        e_sem = encode_semantic(spec.stripped)
+        _check_adapters(backbone, [adapter])  # once here, not on every step
+        host = {name: w.astype(np.float32) for name, w in backbone.items()}
+        reference = reference.astype(np.float32)
+        e_sem = encode_semantic(spec.stripped).astype(np.float32)
         rng = make_rng(self.seed, "adapter-train", self.kind)
         params = {"gate.w": adapter.gate_w, "gate.b": adapter.gate_b}
         for name, (b, a) in adapter.factors.items():
             params[f"{name}.down"] = b
             params[f"{name}.up"] = a
-        optimizer = Adam(params)
+        optimizer = Adam({name: np.asarray(p, dtype=np.float32) for name, p in params.items()})
         views = optimizer.params  # the adapter trains in place
         adapter.gate_w = views["gate.w"]
         adapter.gate_b = views["gate.b"]  # a 0-d view while it trains, a float after
@@ -272,7 +301,7 @@ class LoraTrainer:
                 ts.append(int(rng.integers(1, schedule.total_steps + 1)))
                 noises.append(rng.standard_normal(reference.shape))
             loss, factor_grads, (g_w, g_b) = adapter_loss(
-                backbone, adapter, reference, e_sem, schedule, (ts, np.stack(noises))
+                host, adapter, reference, e_sem, schedule, (ts, np.stack(noises))
             )
             grads = {"gate.w": g_w, "gate.b": g_b}
             for name, (d_down, d_up) in factor_grads.items():

@@ -20,7 +20,7 @@ from .exceptions import ConfigInvalid, NumericalError, OutOfRange, ShapeMismatch
 from .optim import Adam
 from .prompts import EMB_DIM
 from .utils import make_rng, train_loop
-from .validation import as_matrix, as_timestep, check_same_shape
+from .validation import as_matrix, as_timestep, check_same_shape, float_dtype
 
 
 class StepCoefficients(NamedTuple):
@@ -254,6 +254,29 @@ def _step_embedding(t, dim, dtype):
     return emb
 
 
+@functools.lru_cache(maxsize=64)
+def _embedding_table(n, dim, dtype):
+    """Row t is ``sinusoidal_embedding(t, dim)`` in ``dtype``, for t in [0, n)."""
+    table = sinusoidal_embedding(np.arange(n), dim).astype(dtype, copy=False)
+    table.flags.writeable = False
+    return table
+
+
+# Timesteps from here on are computed rather than gathered from a table.
+_TABLE_ROWS = 4096
+
+
+def _steps_embedding(t, dim, dtype):
+    """``sinusoidal_embedding`` of an array of timesteps in ``dtype``: the
+    rows of a cached table for integers in [0, _TABLE_ROWS), bit for bit
+    the direct computation, else computed."""
+    t = np.asarray(t)
+    if t.dtype.kind in "iu" and t.size and t.min() >= 0 and t.max() < _TABLE_ROWS:
+        # tables of 2^k rows, so a handful serve every schedule
+        return _embedding_table(1 << int(t.max()).bit_length(), dim, dtype)[t]
+    return sinusoidal_embedding(t, dim).astype(dtype, copy=False)
+
+
 class ProjectedConditioning(NamedTuple):
     """Conditioning rows already mapped into the hidden width.
 
@@ -268,12 +291,15 @@ class ProjectedConditioning(NamedTuple):
 def project_conditioning(cond, hidden_width):
     """``cond @ conditioning_projection(...)``, what ``forward_pass`` injects.
 
-    ``ShapeMismatch`` unless each conditioning row is ``EMB_DIM`` wide.
+    The product is float64; float32 rows get it rounded once to float32,
+    as a guidance plan holds its conditioning. ``ShapeMismatch`` unless
+    each conditioning row is ``EMB_DIM`` wide.
     """
-    cond = np.asarray(cond, dtype=np.float64)
+    cond = np.asarray(cond)
     if cond.shape[-1:] != (EMB_DIM,):
         raise ShapeMismatch(f"conditioning rows must be {EMB_DIM} wide, got shape {cond.shape}")
-    return ProjectedConditioning(cond @ conditioning_projection(hidden_width))
+    rows = cond @ conditioning_projection(hidden_width)
+    return ProjectedConditioning(rows.astype(float_dtype(cond), copy=False))
 
 
 def _injection(t, cond, hidden_width):
@@ -282,7 +308,7 @@ def _injection(t, cond, hidden_width):
     if isinstance(t, int):
         emb = _step_embedding(t, hidden_width, cond.rows.dtype)
     else:
-        emb = sinusoidal_embedding(t, hidden_width)
+        emb = _steps_embedding(t, hidden_width, cond.rows.dtype)
     return cond.rows + emb
 
 
@@ -327,10 +353,10 @@ def forward_pass(x, t, cond, backbone, terms=None):
     batch applies its term to the first k rows only; the later rows get
     the bare ``h @ W``. ``backward_pass`` takes only full-batch columns.
     The pass runs in NumPy's promotion of its inputs' dtypes: float32 when
-    ``x``, the weights, the terms and a ``ProjectedConditioning`` are all
-    float32 and t is an int (its cached step embedding is cast to the
-    conditioning's dtype), else float64; conditioning given as embedding
-    rows, and the embedding of an array of timesteps, are float64.
+    ``x``, the weights, the terms and ``cond`` (embedding rows or a
+    ``ProjectedConditioning``) are all float32, else float64. Float32
+    embedding rows project to float32 rows, and the embedding of t, an int
+    or an array, is cast to the conditioning's dtype.
 
     Without terms the weights may carry a leading stack axis, (k, d_in,
     d_out), with ``x`` (k, batch, d_in), ``t`` (k, batch) and ``cond``
@@ -362,13 +388,15 @@ def backward_pass(cache, backbone, d_out, terms=None):
     input gradient of a term layer chains through ``W + s B @ A`` and the
     result maps each term's layer to ``(dB, dA, ds)``, computed in factored
     form without forming a dense update; ``ds`` is the (n, 1) column of
-    per-row sums, shaped like ``s``.
+    per-row sums, shaped like ``s``. The chain stops at the lowest term
+    layer, since nothing below it trains.
     """
     terms = terms or {}
     layers = list(backbone.items())
+    lowest = min((k for k, (name, _) in enumerate(layers) if name in terms), default=0)
     grads = {}
     g = d_out
-    for k in range(len(layers) - 1, -1, -1):
+    for k in range(len(layers) - 1, lowest - 1, -1):
         name, w = layers[k]
         term = terms.get(name)
         if term is not None or not terms:
@@ -381,7 +409,7 @@ def backward_pass(cache, backbone, d_out, terms=None):
             grads[name] = (h.T @ (gu * scale), (hb * scale).T @ g, ds)
         elif not terms:
             grads[name] = h.swapaxes(-1, -2) @ g
-        if k:
+        if k > lowest:
             g_in = g @ w.swapaxes(-1, -2)
             if term is not None:
                 g_in = g_in + (gu * scale) @ down.T
@@ -394,8 +422,10 @@ def denoising_loss(weights, x0, ts, noise, cond, schedule, terms=None):
     the clean rows ``x0`` (one row broadcasts to every draw) noised at ``ts``
     with the (rows, pixels) ``noise`` and run through ``forward_pass`` under
     ``cond`` and ``terms``. Returns the mean squared error of the output
-    against the noise and its ``backward_pass`` gradients."""
-    ab = schedule.alpha_bar(ts)[:, None]
+    against the noise and its ``backward_pass`` gradients. It runs in the
+    dtype of the arrays ``x0`` and ``noise`` (``float_dtype``): with float32
+    weights, terms and ``cond`` too, the whole objective runs in float32."""
+    ab = schedule.alpha_bar(ts)[:, None].astype(float_dtype(x0, noise), copy=False)
     x_t = np.sqrt(ab) * x0 + np.sqrt(1.0 - ab) * noise
     pred, cache = forward_pass(x_t, ts, cond, weights, terms)
     resid = pred - noise
@@ -434,7 +464,7 @@ def ddpm_step(x_t, t, eps_hat, schedule, noise=None, x0_map=None):
     t = int(t)
     x_t = np.asarray(x_t)
     eps_hat = np.asarray(eps_hat)
-    dtype = np.float32 if x_t.dtype == eps_hat.dtype == np.float32 else np.float64
+    dtype = float_dtype(x_t, eps_hat)
     x_t = x_t.astype(dtype, copy=False)
     eps_hat = eps_hat.astype(dtype, copy=False)
     check_same_shape(x_t, eps_hat, "x_t", "eps_hat")
@@ -506,7 +536,11 @@ class DenoiserTrainer:
     fit(images, embeddings) -> self takes (n, H, W) images and their (n,
     EMB_DIM) embeddings, a zero row being the null embedding; the trained
     weights land in ``backbone_`` and the per-step loss curve in
-    ``loss_history_``. Deterministic given ``seed``.
+    ``loss_history_``. Deterministic given ``seed``. The fit runs in
+    float32, the precision checkpoints store: the images, the embeddings
+    and the initial weights are cast once, and each step's noise is drawn
+    in float64 and cast once. ``backbone_`` holds the float32 weights
+    widened to float64, as a loaded checkpoint does.
     """
 
     def __init__(self, schedule=None, seed=0, **settings):
@@ -528,13 +562,14 @@ class DenoiserTrainer:
                 f"{cfg.image_size}x{cfg.image_size}"
             )
         n = images.shape[0]
-        flat = images.reshape(n, -1)
+        flat = images.reshape(n, -1).astype(np.float32)
         embeddings = np.asarray(embeddings, dtype=np.float64)
         if embeddings.shape != (n, EMB_DIM):
             raise ConfigInvalid(f"embeddings must be ({n}, {EMB_DIM}), got {embeddings.shape}")
+        embeddings = embeddings.astype(np.float32)
         schedule = self.schedule
         backbone = init_backbone(cfg.image_size, cfg.hidden_width, cfg.n_layers, self.seed)
-        optimizer = Adam(dict(backbone.items()))
+        optimizer = Adam({name: w.astype(np.float32) for name, w in backbone.items()})
         weights = optimizer.params  # views of the optimizer's buffer, trained in place
         rng = make_rng(self.seed, "denoiser-train")
         pixels = flat.shape[1]
@@ -543,7 +578,7 @@ class DenoiserTrainer:
         def step():
             idx = rng.integers(0, n, size=batch)
             ts = rng.integers(1, schedule.total_steps + 1, size=batch)
-            noise = rng.standard_normal((batch, pixels))
+            noise = rng.standard_normal((batch, pixels)).astype(np.float32)
             keep = rng.random(batch) >= cfg.cond_dropout
             cond = embeddings[idx] * keep[:, None]
             return denoising_loss(weights, flat[idx], ts, noise, cond, schedule)

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from .validation import float_dtype
+
 # Adam's decay rates of the first and second moment and its denominator floor.
 BETA1 = 0.9
 BETA2 = 0.999
@@ -9,23 +11,28 @@ EPS = 1e-8
 
 
 class Adam:
-    """Adam over named arrays held in one flat float64 buffer.
+    """Adam over named arrays held in one flat buffer.
 
     The constructor copies ``params`` (name -> array of any shape, 0-d
     included) into the buffer, and ``params`` then maps each name to a view
     of it with the array's shape. A trainer builds its model from these
     views once; ``step`` copies a step's gradients in and updates the
     buffer in place, so the model sees every update without a rebuild.
+    The buffer, the moments and the scratch take the params' dtype: float32
+    when every param is a float32 array, else float64 (a Python float or
+    one float64 array among float32 ones makes the whole buffer float64).
+    Gradients are cast to it as they are copied in.
     """
 
     def __init__(self, params):
-        arrays = {name: np.asarray(value, dtype=np.float64) for name, value in params.items()}
+        arrays = {name: np.asarray(value) for name, value in params.items()}
+        dtype = float_dtype(*arrays.values())
         size = sum(a.size for a in arrays.values())
-        self.flat = np.empty(size)
-        self._grad = np.empty(size)
-        self._m = np.zeros(size)
-        self._v = np.zeros(size)
-        self._scratch = np.empty(size)
+        self.flat = np.empty(size, dtype)
+        self._grad = np.empty(size, dtype)
+        self._m = np.zeros(size, dtype)
+        self._v = np.zeros(size, dtype)
+        self._scratch = np.empty(size, dtype)
         self.params = {}
         self._grads = {}
         offset = 0

@@ -67,16 +67,19 @@ def train_loop(stage, rates, steps, step, optimizer):
     A loss that is non-finite or exceeds ``DIVERGENCE_FACTOR`` times the
     first raises ``NumericalError`` before its update. Each loss sees the
     updates before it but not the last, so after the loop
-    ``optimizer.flat`` must be finite, or ``NumericalError``.
+    ``optimizer.flat`` must be finite, or ``NumericalError``. Overflow in
+    the loop is silenced, so a float32 fit whose loss or parameters leave
+    float32's range reaches those checks instead of warning.
     """
     history = []
-    for i in range(steps):
-        loss, grads = step()
-        if not math.isfinite(loss) or (history and loss > DIVERGENCE_FACTOR * history[0]):
-            raise NumericalError(f"{stage} loss diverged at step {i}")
-        history.append(loss)
-        lr = lr_at(i, steps, rates.peak_lr, rates.start_lr, rates.floor_lr, rates.warmup)
-        optimizer.step(grads, lr)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(steps):
+            loss, grads = step()
+            if not math.isfinite(loss) or (history and loss > DIVERGENCE_FACTOR * history[0]):
+                raise NumericalError(f"{stage} loss diverged at step {i}")
+            history.append(loss)
+            lr = lr_at(i, steps, rates.peak_lr, rates.start_lr, rates.floor_lr, rates.warmup)
+            optimizer.step(grads, lr)
     if not np.isfinite(optimizer.flat).all():
         raise NumericalError(f"{stage} parameters are non-finite after the last update")
     return history

@@ -5,6 +5,12 @@ import numpy as np
 from .exceptions import OutOfRange, ShapeMismatch
 
 
+def float_dtype(*arrays):
+    """The dtype a computation on ``arrays`` runs in: float32 when every
+    one is a float32 array, else float64."""
+    return np.float32 if all(a.dtype == np.float32 for a in arrays) else np.float64
+
+
 def as_matrix(x, name="matrix"):
     """Coerce to a finite 2-D float64 array."""
     arr = np.asarray(x, dtype=np.float64)
@@ -33,17 +39,6 @@ def as_image(x, name="image"):
     arr = as_images(x, name)
     if arr.ndim != 2:
         raise ShapeMismatch(f"{name} must be one (H, W) image, got shape {arr.shape}")
-    return arr
-
-
-def as_vector(x, dim=None, name="vector"):
-    arr = np.asarray(x, dtype=np.float64)
-    if arr.ndim != 1:
-        raise ShapeMismatch(f"{name} must be 1-D, got shape {arr.shape}")
-    if dim is not None and arr.shape[0] != dim:
-        raise ShapeMismatch(f"{name} must have length {dim}, got {arr.shape[0]}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
     return arr
 
 

@@ -295,6 +295,8 @@ def test_gradient_checks(bases_copy):
         _, fgrads, (gw, gb) = adapter_loss(
             backbone, adapter, reference, e_sem, schedule, draw
         )
+        # float64 inputs keep the loss, and so the check, in float64
+        assert all(g.dtype == np.float64 for pair in fgrads.values() for g in pair)
 
         def adapter_value(adp):
             value, _, _ = adapter_loss(backbone, adp, reference, e_sem, schedule, draw)

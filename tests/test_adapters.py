@@ -210,6 +210,8 @@ class TestAdapterLoss:
         e_sem = make_rng(5, "e").standard_normal(64)
         draw = ([7], make_rng(6, "n").standard_normal((1, 8, 8)))
         _, fgrads, (gw, gb) = adapter_loss(backbone, adapter, reference, e_sem, schedule, draw)
+        # float64 inputs keep the loss, and so the check, in float64
+        assert all(g.dtype == np.float64 for pair in fgrads.values() for g in pair)
 
         def value(adp):
             loss, _, _ = adapter_loss(backbone, adp, reference, e_sem, schedule, draw)
@@ -313,9 +315,11 @@ class TestLoraTrainer:
         trainer = LoraTrainer("content", rank=2, steps=0, routing=routing, seed=11)
         trainer.fit(backbone, content_render(0, 8), "a filled disc <c>")
         ref = make_adapter("content", backbone, routing, rank=2, seed=11)
+        # the fit trains the float32 cast of the fresh adapter
         for name in ref.factors:
-            assert np.array_equal(trainer.adapter_.factors[name][0], ref.factors[name][0])
-            assert np.array_equal(trainer.adapter_.factors[name][1], ref.factors[name][1])
+            for trained, fresh in zip(trainer.adapter_.factors[name], ref.factors[name]):
+                assert trained.dtype == np.float32
+                assert np.array_equal(trained, fresh.astype(np.float32))
 
     def test_masking_holds_every_step(self, backbone, routing, monkeypatch):
         import craftlora.adapters
@@ -335,6 +339,28 @@ class TestLoraTrainer:
         # and the host is never written
         assert records == [set(routing.style)] * 25
         assert [w.tobytes() for _, w in backbone.items()] == host_bytes
+
+    def test_adapter_checks_run_once_per_fit(self, backbone, routing, monkeypatch):
+        # the routing and shape checks of adapter_terms run before the
+        # loop; the steps build their terms without them
+        import craftlora.adapters
+
+        checks = []
+        real_check = craftlora.adapters._check_adapters
+
+        def counting_check(w_init, adapters):
+            checks.append([a.kind for a in adapters])
+            real_check(w_init, adapters)
+
+        def no_terms(*args):
+            raise AssertionError("a training step called adapter_terms")
+
+        monkeypatch.setattr(craftlora.adapters, "_check_adapters", counting_check)
+        monkeypatch.setattr(craftlora.adapters, "adapter_terms", no_terms)
+        LoraTrainer("style", rank=2, steps=7, routing=routing, seed=13).fit(
+            backbone, style_render(2, 8), "in checker style <s>"
+        )
+        assert checks == [["style"]]
 
     def test_fit_builds_no_backbone(self, backbone, routing, monkeypatch):
         built = []

@@ -22,6 +22,23 @@ LIGHT_CONFIG = {
     "guidance": {"omega": 2.0},
 }
 
+# Rates at which a float32 fit leaves float32's range, which float64 holds:
+# after one update at 1e15 the next forward pass overflows (the loss), and
+# one update at 1e39 overflows the parameters themselves. No overflow
+# warning may escape either (the suite turns warnings into errors).
+FLOAT32_ESCAPES = {
+    "loss": (3, 1e15, "loss diverged at step"),
+    "parameters": (1, 1e39, "parameters are non-finite after the last update"),
+}
+
+
+def float32_escape(escape):
+    """A config section's step count and rates for ``FLOAT32_ESCAPES[escape]``,
+    and the message its fit fails with."""
+    steps, rate, message = FLOAT32_ESCAPES[escape]
+    rates = {"peak_lr": rate, "start_lr": rate, "floor_lr": rate, "warmup": 0}
+    return steps, rates, message
+
 
 def write_nan_checkpoint(source, target):
     """A copy of a checkpoint whose last stored value is NaN, under a valid CRC."""
@@ -338,6 +355,24 @@ class TestTrainTrunk:
         assert not (tmp_path / "steep.crft").exists()
         assert not (tmp_path / "base.crft").exists()
 
+    @pytest.mark.parametrize("escape", sorted(FLOAT32_ESCAPES))
+    def test_base_leaving_float32_exits_three_without_output(
+        self, workspace, tmp_path, capsys, escape
+    ):
+        root, _ = workspace
+        steps, rates, message = float32_escape(escape)
+        conf = tmp_path / "escape.json"
+        doc = dict(LIGHT_CONFIG)
+        doc["denoiser"] = {"train_steps": steps, "batch_size": 4, **rates}
+        conf.write_text(json.dumps(doc))
+        code = self.run_trunk(
+            conf, root / "pairs", tmp_path / "trunk.crft", "--save-base", tmp_path / "base.crft"
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: denoiser ") and message in err
+        assert list(tmp_path.iterdir()) == [conf]
+
     def test_negative_rate_exits_one_without_output(self, workspace, tmp_path, capsys):
         # a negative rate would train the bases by gradient ascent
         root, _ = workspace
@@ -419,6 +454,24 @@ class TestTrainLora:
         assert err.startswith("config error:") and "adapter.peak_lr" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("escape", sorted(FLOAT32_ESCAPES))
+    def test_adapter_leaving_float32_exits_three_without_output(
+        self, workspace, tmp_path, capsys, escape
+    ):
+        root, _ = workspace
+        steps, rates, message = float32_escape(escape)
+        conf = tmp_path / "escape.json"
+        conf.write_text(json.dumps({**LIGHT_CONFIG, "adapter": {"rank": 3, "steps": steps, **rates}}))
+        code = run_cli([
+            "train-lora", "--config", conf, "--kind", "style",
+            "--reference", root / "pairs" / "images" / "pair_000_style.pgm",
+            "--prompt", "in fine stripe style <s>",
+            "--backbone", root / "trunk.crft", "--out", tmp_path / "style.crft",
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: adapter ") and message in err
+        assert list(tmp_path.iterdir()) == [conf]
 
     def test_non_finite_last_update_exits_three_without_output(
         self, workspace, tmp_path, capsys, monkeypatch
@@ -843,12 +896,12 @@ class TestSample:
         doc = dict(LIGHT_CONFIG)
         doc["denoiser"] = {"train_steps": 20, "batch_size": 4, "peak_lr": 1e30, "warmup": 1}
         conf.write_text(json.dumps(doc))
-        with np.errstate(all="ignore"):
-            code = run_cli([
-                "train-trunk", "--config", conf,
-                "--dataset", root / "pairs",
-                "--out", tmp_path / "nan.crft",
-            ])
+        # the training loop silences its own overflow, so no warning escapes
+        code = run_cli([
+            "train-trunk", "--config", conf,
+            "--dataset", root / "pairs",
+            "--out", tmp_path / "nan.crft",
+        ])
         assert code == 3
         assert not (tmp_path / "nan.crft").exists()
 

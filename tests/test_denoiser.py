@@ -8,10 +8,12 @@ from hypothesis import strategies as st
 from craftlora.adapters import aggregate_weights, make_adapter
 from craftlora.adapters import default_routing
 from craftlora.denoiser import (
+    _TABLE_ROWS,
     Backbone,
     DenoiserTrainer,
     NoiseSchedule,
     ProjectedConditioning,
+    _steps_embedding,
     activation,
     backward_pass,
     ddpm_step,
@@ -19,6 +21,7 @@ from craftlora.denoiser import (
     forward_pass,
     init_backbone,
     project_conditioning,
+    sinusoidal_embedding,
 )
 from craftlora.exceptions import ConfigInvalid, NumericalError, OutOfRange, ShapeMismatch
 from craftlora.prompts import EMB_DIM
@@ -257,6 +260,7 @@ class TestPredictEps:
 
         _, cache = forward_pass(x.reshape(1, -1), 4, emb[None, :], small_backbone)
         grads = backward_pass(cache, small_backbone, probe)
+        assert all(g.dtype == np.float64 for g in grads.values())  # float64 in, float64 check
         rng = np.random.default_rng(8)
         h = 1e-6
         for _ in range(20):
@@ -297,6 +301,25 @@ class TestFloat32Pass:
         # float32 rounding of the same pass: 2.1e-7 of max |out| measured
         assert np.abs(out32 - out64).max() <= 1e-6 * np.abs(out64).max()
 
+    def test_float32_rows_and_timestep_arrays_stay_float32(self, small_backbone):
+        # what a training step passes: float32 embedding rows, whose
+        # projection comes back float32, and an array of timesteps, its
+        # embedding cast to match
+        rng = make_rng(35)
+        x = rng.standard_normal((3, 64)).astype(np.float32)
+        rows = rng.standard_normal((3, EMB_DIM)).astype(np.float32)
+        projected = project_conditioning(rows, 16).rows
+        assert projected.dtype == np.float32
+        # the float64 product rounded once, as a guidance plan holds it
+        wide = project_conditioning(rows.astype(np.float64), 16).rows
+        assert projected.tobytes() == wide.astype(np.float32).tobytes()
+        weights32 = {name: w.astype(np.float32) for name, w in small_backbone.items()}
+        out, cache = forward_pass(x, np.array([1, 25, 50]), rows, weights32)
+        assert out.dtype == np.float32
+        assert all(a.dtype == np.float32 for a in cache)
+        grads = backward_pass(cache, weights32, np.ones_like(out))
+        assert all(g.dtype == np.float32 for g in grads.values())
+
     def test_any_float64_input_computes_in_float64(self, small_backbone):
         x = make_rng(34).standard_normal((3, 64)).astype(np.float32)
         cond = np.zeros((3, EMB_DIM))
@@ -304,6 +327,39 @@ class TestFloat32Pass:
         assert out.dtype == np.float64
         wide, _ = forward_pass(x.astype(np.float64), 7, cond, small_backbone)
         assert out.tobytes() == wide.tobytes()
+
+
+class TestTimestepEmbedding:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dim", [64, 16, 7])
+    def test_array_rows_are_the_scalar_embedding_bit_for_bit(self, schedule, dim, dtype):
+        # an array of timesteps gathers rows of a cached table; each row is
+        # the scalar embedding of its t, for every t of the schedule
+        ts = np.arange(1, schedule.total_steps + 1)
+        rows = _steps_embedding(ts, dim, dtype)
+        assert rows.dtype == dtype and rows.shape == (ts.size, dim)
+        for t, row in zip(ts.tolist(), rows):
+            assert row.tobytes() == sinusoidal_embedding(t, dim).astype(dtype).tobytes(), t
+
+    @pytest.mark.parametrize("shape", [(1,), (8,), (2, 4)])
+    def test_gathered_rows_match_the_direct_computation(self, shape):
+        # one draw, a training batch and the trunk's stacked members
+        ts = make_rng(36).integers(1, 51, size=shape)
+        assert _steps_embedding(ts, 64, np.float64).tobytes() == (
+            sinusoidal_embedding(ts, 64).tobytes()
+        )
+        assert _steps_embedding(ts, 64, np.float32).tobytes() == (
+            sinusoidal_embedding(ts, 64).astype(np.float32).tobytes()
+        )
+
+    def test_timesteps_past_the_table_or_negative_are_computed(self):
+        ts = np.array([3, _TABLE_ROWS, -4])
+        assert _steps_embedding(ts, 16, np.float64).tobytes() == (
+            sinusoidal_embedding(ts, 16).tobytes()
+        )
+        assert _steps_embedding(ts[:2], 16, np.float64).tobytes() == (
+            sinusoidal_embedding(ts[:2], 16).tobytes()
+        )
 
 
 class TestProjectedConditioning:
@@ -356,6 +412,7 @@ class TestBackwardTerms:
         _, cache = forward_pass(x, ts, cond, backbone, terms)
         grads = backward_pass(cache, backbone, probe, terms)
         assert set(grads) == set(terms)
+        assert all(g.dtype == np.float64 for grad in grads.values() for g in grad)
         h = 1e-6
         for name, term in terms.items():
             d_down, d_up, d_scale = grads[name]
@@ -605,6 +662,7 @@ class TestDenoisingLoss:
         backbone, x0, ts, noise, cond = self.make_setup()
         _, grads = denoising_loss(backbone, x0, ts, noise, cond, schedule)
         assert set(grads) == set(backbone.names)
+        assert all(g.dtype == np.float64 for g in grads.values())  # float64 in, float64 check
         h = 1e-6
         for name, w in backbone.items():
             assert grads[name].shape == w.shape
@@ -629,12 +687,15 @@ class TestDenoisingLoss:
 
 class TestDenoiserTrainer:
     def test_zero_steps_returns_initialization(self):
+        # the fit trains float32 weights and widens them back to float64
         images = make_rng(12).random((4, 8, 8))
         tr = DenoiserTrainer(image_size=8, steps=0, seed=3)
         tr.fit(images, unconditioned(images))
         ref = init_backbone(8, 64, 8, seed=3)
         for name in ref.names:
-            assert np.array_equal(tr.backbone_.weight(name), ref.weight(name))
+            assert tr.backbone_.weight(name).dtype == np.float64
+            expected = ref.weight(name).astype(np.float32).astype(np.float64)
+            assert np.array_equal(tr.backbone_.weight(name), expected)
 
     def test_same_seed_bit_identical(self):
         images = make_rng(13).random((6, 8, 8))

@@ -367,3 +367,29 @@ def test_one_noise_matching_objective():
     # through trunk_loss, so a change to the parameterization lands in those
     # two objectives
     assert callers_of("backward_pass") == {"denoiser.denoising_loss", "subspace.trunk_loss"}
+
+
+def test_adapter_fit_reaches_its_loss_only_through_adapter_loss():
+    # the benchmark's adapters.adapter_loss span and the tests that wrap it
+    # replace the name on the module, so LoraTrainer.fit must call it by
+    # that global name, with no alias, import or stored copy, and reach the
+    # noise-matching objective no other way
+    tree = ast.parse((PACKAGE_DIR / "adapters.py").read_text(encoding="utf-8"))
+    trainer = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "LoraTrainer")
+    fit = next(n for n in trainer.body if isinstance(n, ast.FunctionDef) and n.name == "fit")
+    nodes = list(ast.walk(fit))
+    called = [n.func for n in nodes if isinstance(n, ast.Call)]
+    names = {getattr(f, "id", getattr(f, "attr", None)) for f in called}
+    assert "adapter_loss" in names
+    assert not names & {"denoising_loss", "forward_pass", "backward_pass", "adapter_terms"}
+    uses = [
+        n for n in nodes
+        if getattr(n, "id", getattr(n, "attr", None)) == "adapter_loss"
+        or (isinstance(n, ast.alias) and "adapter_loss" in (n.name, n.asname))
+    ]
+    assert uses and all(
+        isinstance(n, ast.Name) and any(n is f for f in called) for n in uses
+    )
+    assert callers_of("denoising_loss") == {
+        "denoiser.DenoiserTrainer.fit.step", "adapters.adapter_loss"
+    }

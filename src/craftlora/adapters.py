@@ -221,7 +221,7 @@ def adapter_loss(w_init, adapter, reference, e_sem, schedule, draw):
         reference.reshape(1, -1).astype(dtype, copy=False),
         ts,
         noise.reshape(rows, -1),
-        np.repeat(e_sem[None, :], rows, axis=0),
+        e_sem[None, :],
         schedule,
         terms,
     )

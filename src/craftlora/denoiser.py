@@ -228,21 +228,17 @@ def sinusoidal_embedding(t, dim):
     return emb
 
 
-_COND_PROJECTIONS = {}
-
-
+@functools.cache
 def conditioning_projection(hidden_width):
     """Fixed projection from the text embedding into the hidden width.
 
     Deterministic in the architecture alone (not the run seed), so that a
     checkpoint of the named layers is sufficient to reproduce sampling.
+    Built once per width and cached read-only.
     """
-    proj = _COND_PROJECTIONS.get(hidden_width)
-    if proj is None:
-        rng = make_rng(0, "conditioning-projection", EMB_DIM, hidden_width)
-        proj = rng.standard_normal((EMB_DIM, hidden_width)) / math.sqrt(EMB_DIM)
-        proj.flags.writeable = False
-        _COND_PROJECTIONS[hidden_width] = proj
+    rng = make_rng(0, "conditioning-projection", EMB_DIM, hidden_width)
+    proj = rng.standard_normal((EMB_DIM, hidden_width)) / math.sqrt(EMB_DIM)
+    proj.flags.writeable = False
     return proj
 
 
@@ -343,7 +339,8 @@ def forward_pass(x, t, cond, backbone, terms=None):
 
     ``x`` is (batch, d_in); ``t`` scalar or (batch,); ``cond`` is (batch,
     EMB_DIM), a zero row being the null embedding, or its
-    ``ProjectedConditioning``, with the same result; conditioning of any
+    ``ProjectedConditioning``, with the same result; one conditioning row,
+    (1, EMB_DIM), broadcasts to the whole batch, and conditioning of any
     other width is ``ShapeMismatch``. ``backbone`` is a
     ``Backbone`` or any ordered mapping of layer names to weights.
     ``terms`` optionally maps layer names to unmerged low-rank updates

@@ -4,6 +4,7 @@ Content is carried by low radial frequencies, style by the residual. The
 normalized cutoff is measured as a fraction of the Nyquist radial frequency.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -11,19 +12,14 @@ import numpy as np
 from .exceptions import BadCutoff, ShapeMismatch
 from .validation import as_images
 
-_DCT_MATRICES = {}
-
-
+@functools.cache
 def _dct_matrix(n):
     """The orthonormal DCT-II matrix C of size n, so that ``C @ v`` is the DCT
     of ``v``; built once per size and cached read-only."""
-    mat = _DCT_MATRICES.get(n)
-    if mat is None:
-        k = np.arange(n)[:, None]
-        mat = np.sqrt(2.0 / n) * np.cos(np.pi * k * (2 * np.arange(n) + 1) / (2 * n))
-        mat[0] = np.sqrt(1.0 / n)
-        mat.flags.writeable = False
-        _DCT_MATRICES[n] = mat
+    k = np.arange(n)[:, None]
+    mat = np.sqrt(2.0 / n) * np.cos(np.pi * k * (2 * np.arange(n) + 1) / (2 * n))
+    mat[0] = np.sqrt(1.0 / n)
+    mat.flags.writeable = False
     return mat
 
 

@@ -1,6 +1,8 @@
 """Dense linear algebra primitives: QR, its backward pass, and orthogonal projection.
 
-All arithmetic is 64-bit. Every function is pure, so concurrent use is safe.
+QR is NumPy's LAPACK Householder factorization (``geqrf``) with a
+dependent-column drop rule on top. All arithmetic is 64-bit. Every function
+is pure, so concurrent use is safe.
 """
 
 import numpy as np
@@ -20,13 +22,19 @@ GRAM_PIVOT_TOL_FACTOR = 1e-6
 
 
 def householder_qr(b):
-    """Reduced QR via Householder reflections with dependent-column dropping.
+    """Reduced QR with dependent-column dropping, on LAPACK's Householder QR.
 
     Returns ``(q, r)`` with ``q`` of shape ``(m, k)`` carrying orthonormal
-    columns and ``r`` of shape ``(k, n)`` upper trapezoidal, ``k <= n`` after
-    dropping columns that are numerically in the span of earlier ones.
-    Column signs are flipped so that every pivot of ``r`` is nonnegative,
-    which makes the output deterministic across platforms.
+    columns and ``r = q^T b`` of shape ``(k, n)``, upper trapezoidal to
+    within the drop tolerance, ``k <= n`` after dropping columns that are
+    numerically in the span of earlier ones. Scanning left to right, the
+    first column whose pivot |r_jj| falls below ``DROP_TOL_FACTOR`` times
+    the largest column norm is dropped and the rest are factored again,
+    until no pivot is below it; a column's pivot is then its residual
+    against the kept columns before it. Once m columns are kept, the later
+    ones only carry coefficients. Column signs are flipped so that every
+    pivot of ``r`` is nonnegative, which makes the output deterministic
+    across platforms.
 
     Raises DegenerateInput when every column is numerically zero.
     """
@@ -34,47 +42,19 @@ def householder_qr(b):
     m, n = b.shape
     if n == 0:
         return np.zeros((m, 0)), np.zeros((0, 0))
-    col_norms = np.sqrt(np.einsum("ij,ij->j", b, b))
-    scale = col_norms.max()
+    scale = np.sqrt(np.einsum("ij,ij->j", b, b)).max()
     if scale == 0.0:
         raise DegenerateInput("every column of b is zero")
-    tol = DROP_TOL_FACTOR * scale
-
-    r = b.copy()
-    reflectors = []
-    kept = []
-    for j in range(n):
-        i = len(kept)
-        if i == m:
-            break  # row space exhausted; remaining columns keep coefficients
-        x = r[i:, j]
-        norm_x = np.linalg.norm(x)
-        if norm_x < tol:
-            r[i:, j] = 0.0
-            continue
-        v = x.copy()
-        v[0] += norm_x if x[0] >= 0.0 else -norm_x
-        v /= np.linalg.norm(v)
-        r[i:, j:] -= 2.0 * np.outer(v, v @ r[i:, j:])
-        r[i + 1:, j] = 0.0
-        reflectors.append(v)
-        kept.append(j)
-
-    k = len(kept)
-    if k == 0:
-        raise DegenerateInput("every column of b is numerically dependent or zero")
-
-    q = np.eye(m, k)
-    for i in range(k - 1, -1, -1):
-        v = reflectors[i]
-        q[i:, :] -= 2.0 * np.outer(v, v @ q[i:, :])
-
-    r = r[:k, :]
-    for i, j in enumerate(kept):
-        if r[i, j] < 0.0:
-            r[i, :] = -r[i, :]
-            q[:, i] = -q[:, i]
-    return q, r
+    kept = np.arange(n)
+    while True:
+        q, r = np.linalg.qr(b[:, kept])
+        pivots = np.diagonal(r)
+        small = np.flatnonzero(np.abs(pivots) < DROP_TOL_FACTOR * scale)
+        if small.size == 0:
+            break
+        kept = np.delete(kept, small[0])
+    q *= np.sign(pivots)
+    return q, q.T @ b
 
 
 def qr_backward(q, r, grad_q):

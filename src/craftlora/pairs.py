@@ -37,44 +37,23 @@ CONTENT_PROMPTS = (
     "a thick frame",
 )
 
-CONTENT_MODIFIERS = (
-    "showing a filled disc",
-    "showing a hollow ring",
-    "showing a solid square",
-    "showing a diagonal cross",
-    "showing two tall bars",
-    "showing a wide triangle",
-    "showing a diamond mark",
-    "showing a corner bracket",
-    "showing a dot cluster",
-    "showing a thick frame",
+# The texture names behind the style prompts and modifiers.
+_TEXTURES = (
+    "fine stripe",
+    "broad stripe",
+    "checker",
+    "diagonal weave",
+    "speckle grain",
+    "ripple ring",
+    "cross hatch",
+    "ridge band",
+    "row stripe",
+    "static noise",
 )
 
-STYLE_PROMPTS = (
-    "in fine stripe style",
-    "in broad stripe style",
-    "in checker style",
-    "in diagonal weave style",
-    "in speckle grain style",
-    "in ripple ring style",
-    "in cross hatch style",
-    "in ridge band style",
-    "in row stripe style",
-    "in static noise style",
-)
-
-STYLE_MODIFIERS = (
-    "with fine stripe texture",
-    "with broad stripe texture",
-    "with checker texture",
-    "with diagonal weave texture",
-    "with speckle grain texture",
-    "with ripple ring texture",
-    "with cross hatch texture",
-    "with ridge band texture",
-    "with row stripe texture",
-    "with static noise texture",
-)
+STYLE_PROMPTS = tuple(f"in {t} style" for t in _TEXTURES)
+CONTENT_MODIFIERS = tuple(f"showing {s}" for s in CONTENT_PROMPTS)
+STYLE_MODIFIERS = tuple(f"with {t} texture" for t in _TEXTURES)
 
 
 @dataclass(frozen=True)

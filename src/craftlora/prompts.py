@@ -6,6 +6,7 @@ collision-free over any small vocabulary; the empty string maps to the null
 (all-zero) embedding, which is the unconditional signal everywhere.
 """
 
+import functools
 import re
 from dataclasses import dataclass
 
@@ -50,15 +51,10 @@ def parse_prompt(text):
     )
 
 
-_token_cache = {}
-
-
+@functools.cache
 def _token_vector(token):
-    vec = _token_cache.get(token)
-    if vec is None:
-        vec = make_rng(derive_seed(0, "token", token)).standard_normal(EMB_DIM)
-        vec.flags.writeable = False
-        _token_cache[token] = vec
+    vec = make_rng(derive_seed(0, "token", token)).standard_normal(EMB_DIM)
+    vec.flags.writeable = False
     return vec
 
 

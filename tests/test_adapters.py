@@ -277,6 +277,54 @@ class TestAdapterLoss:
         assert_close_relative(gw, np.mean([s[2][0] for s in singles], axis=0))
         assert_close_relative(gb, np.mean([s[2][1] for s in singles]))
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("kind", ["content", "style"])
+    def test_one_embedding_row_matches_repeated_rows(
+        self, backbone, routing, schedule, kind, dtype, monkeypatch
+    ):
+        # the fixed embedding goes to denoising_loss as one row, which
+        # forward_pass broadcasts to every draw of the batch
+        import craftlora.adapters
+
+        adapter = generic_adapter(backbone, routing, kind, seed=20)
+        if dtype == np.float32:
+            host = {name: w.astype(dtype) for name, w in backbone.items()}
+            adapter = LoraAdapter(
+                adapter.kind,
+                adapter.rank,
+                {n: (b.astype(dtype), a.astype(dtype)) for n, (b, a) in adapter.factors.items()},
+                adapter.gate_w,
+                adapter.gate_b,
+                adapter.routing,
+            )
+        else:
+            host = backbone
+        reference = content_render(3, 8).astype(dtype)
+        e_sem = make_rng(13, "e").standard_normal(64).astype(dtype)
+        draw = ([5, 29, 44], make_rng(14, "n").standard_normal((3, 8, 8)))
+        real_loss = craftlora.adapters.denoising_loss
+        cond_shapes = []
+
+        def repeated_rows(weights, x0, ts, noise, cond, *rest):
+            cond_shapes.append(cond.shape)
+            return real_loss(weights, x0, ts, noise, np.repeat(cond, len(ts), axis=0), *rest)
+
+        loss, fgrads, (gw, gb) = adapter_loss(host, adapter, reference, e_sem, schedule, draw)
+        monkeypatch.setattr(craftlora.adapters, "denoising_loss", repeated_rows)
+        ref_loss, ref_grads, (ref_gw, ref_gb) = adapter_loss(
+            host, adapter, reference, e_sem, schedule, draw
+        )
+        assert cond_shapes == [(1, 64)]
+        rel = 1e-12 if dtype == np.float64 else 1e-5
+        assert_close_relative(loss, ref_loss, rel)
+        assert set(fgrads) == set(ref_grads)
+        for name, (d_down, d_up) in fgrads.items():
+            assert d_down.dtype == d_up.dtype == dtype
+            assert_close_relative(d_down, ref_grads[name][0], rel)
+            assert_close_relative(d_up, ref_grads[name][1], rel)
+        assert_close_relative(gw, ref_gw, rel)
+        assert_close_relative(gb, ref_gb, rel)
+
     @pytest.mark.parametrize("kind", ["content", "style"])
     def test_matches_the_merged_reference(self, backbone, routing, schedule, kind):
         adapter = generic_adapter(backbone, routing, kind, seed=19)

@@ -369,6 +369,12 @@ def test_one_noise_matching_objective():
     assert callers_of("backward_pass") == {"denoiser.denoising_loss", "subspace.trunk_loss"}
 
 
+def test_one_qr_call():
+    # the trunk trains on the projector form, so the host merge is the only
+    # QR in the package; a QR inside a trunk step would cost one per layer
+    assert callers_of("qr") == {"linalg.householder_qr"}
+
+
 def test_adapter_fit_reaches_its_loss_only_through_adapter_loss():
     # the benchmark's adapters.adapter_loss span and the tests that wrap it
     # replace the name on the module, so LoraTrainer.fit must call it by

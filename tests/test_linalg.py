@@ -53,6 +53,33 @@ class TestHouseholderQr:
         assert q.shape == (7, 2)
         assert np.abs(q @ r - b).max() < 1e-9
 
+    def test_dependent_column_between_independent_ones_is_dropped(self):
+        # the middle column lies in the span of the first two, so it is
+        # dropped and the two after it are kept, in order
+        rng = np.random.default_rng(12)
+        a = rng.standard_normal((9, 4))
+        b = np.column_stack([a[:, 0], a[:, 1], 2.0 * a[:, 0] - a[:, 1], a[:, 2], a[:, 3]])
+        q, r = householder_qr(b)
+        assert q.shape == (9, 4) and r.shape == (4, 5)
+        expected, pivots = np.linalg.qr(a)
+        expected *= np.sign(np.diagonal(pivots))
+        assert np.abs(q - expected).max() < 1e-12
+        assert np.all(np.diagonal(r[:, [0, 1, 3, 4]]) > 0.0)
+        assert np.abs(r[2:, 2]).max() < 1e-12
+        assert np.abs(q @ r - b).max() < 1e-12
+
+    def test_wide_input_keeps_m_columns(self):
+        # more columns than rows: the first m independent columns span the
+        # space and every later column only carries coefficients
+        rng = np.random.default_rng(13)
+        b = rng.standard_normal((4, 7))
+        b[:, 1] = 0.0
+        q, r = householder_qr(b)
+        assert q.shape == (4, 4) and r.shape == (4, 7)
+        assert np.abs(q.T @ q - np.eye(4)).max() < 1e-12
+        assert np.abs(q @ r - b).max() < 1e-12
+        assert np.all(np.diagonal(r[:, [0, 2, 3, 4]]) > 0.0)
+
     def test_all_zero_raises(self):
         with pytest.raises(DegenerateInput):
             householder_qr(np.zeros((5, 3)))

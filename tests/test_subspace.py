@@ -625,10 +625,12 @@ class TestTrunkFinetuner:
             return real_cholesky(*args, **kwargs)
 
         feature_inputs = []
+        qr_before_features = []
         real_features = PerceptualProxy.features
 
         def recording_features(self, x_flat):
             feature_inputs.append(np.array(x_flat))
+            qr_before_features.append(calls["qr"])
             return real_features(self, x_flat)
 
         monkeypatch.setattr(np.linalg, "qr", counting_qr)
@@ -648,8 +650,11 @@ class TestTrunkFinetuner:
         # the targets are stacked once per fit, and each step indexes them
         assert target_stacks == [len(pairs)]
         # both members' bases factor as one stack: one Cholesky per layer per
-        # step, and one per layer for the merged host
-        assert calls == {"qr": 0, "qr_backward": 0, "cholesky": trained_base.n_layers * (5 + 1)}
+        # step, and one per layer for the merged host; the only QR is the
+        # merge's, one full-rank factorization per layer after the last step
+        n_layers = trained_base.n_layers
+        assert calls == {"qr": n_layers, "qr_backward": 0, "cholesky": n_layers * (5 + 1)}
+        assert qr_before_features == [0] * (1 + 5)
         # one pass over both members' targets, then one over each step's predictions
         assert len(feature_inputs) == 1 + 5
         targets = np.concatenate([
@@ -664,8 +669,7 @@ class TestTrunkFinetuner:
         # the counters do see a QR chain
         q, r = householder_qr(np.eye(4, 2))
         craftlora.linalg.qr_backward(q, r, np.zeros((4, 2)))
-        np.linalg.qr(np.eye(3))
-        assert calls["qr"] == 1 and calls["qr_backward"] == 1
+        assert calls["qr"] == n_layers + 1 and calls["qr_backward"] == 1
 
     def test_non_finite_last_update_is_numerical_error(
         self, trained_base, pair_dataset, monkeypatch
